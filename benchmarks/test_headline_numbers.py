@@ -13,7 +13,7 @@ Aggregates the two quantitative claims the abstract leads with:
 
 Our substrate is a flow-level simulator rather than Mahimahi + Linux TCP,
 so the *directions and orderings* are asserted; absolute magnitudes are
-printed for EXPERIMENTS.md.
+printed for comparison with the paper.
 """
 
 from __future__ import annotations

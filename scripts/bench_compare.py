@@ -4,8 +4,8 @@
 The perf suite (``benchmarks/test_perf_inference.py``) records its
 throughputs (``*_per_sec``) and wall times (``*_ms`` / ``*_s``) in
 ``benchmark.extra_info``, so the ``BENCH_*.json`` files pytest-benchmark
-writes (``--benchmark-json=BENCH_pr2.json``) carry the whole performance
-trajectory.  This script compares two such snapshots benchmark by
+writes (``--benchmark-json=BENCH_ci.json``) carry the whole performance
+picture; ``BENCH_baseline.json`` is the committed reference snapshot.  This script compares two such snapshots benchmark by
 benchmark and **fails (exit 1) when any throughput metric regresses by
 more than the threshold** (default 20%).
 

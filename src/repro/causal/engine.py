@@ -386,9 +386,9 @@ class CounterfactualEngine:
     ``kernel`` selects the replay kernel tier for every batch session the
     engine runs (see ``repro.tcp.connection.KERNEL_TIERS``; ``None``
     picks the default).  All tiers are bit-identical; ``"compiled"``
-    batches each chunk download into one compiled call and ``"fused"``
-    additionally runs whole sessions — decisions included — in a single
-    call for the shipped BBA/BOLA/RobustMPC algorithms.
+    runs whole sessions — decisions included — in a single compiled call
+    for the shipped BBA/BOLA/RobustMPC algorithms, and batches each chunk
+    download into one compiled call otherwise.
 
     ``abduction_kernel`` independently selects the abduction tier for the
     batched solve/sampling paths (see

@@ -116,8 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
         # out of this message (results are bit-identical on every tier).
         help="replay kernel tier for batch preparation/replay: "
              f"{', '.join(KERNEL_TIERS)} (default: the library default, "
-             f"currently \"{DEFAULT_KERNEL}\"; compiled/fused tiers fall "
-             "back to slower tiers when no compiled backend is available)",
+             f"currently \"{DEFAULT_KERNEL}\"; reference is the golden "
+             "per-RTT loop, compiled runs whole sessions natively and falls "
+             "back to scratch when no compiled backend is available)",
     )
     cf.add_argument(
         "--abduction-kernel",

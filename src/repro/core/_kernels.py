@@ -45,7 +45,6 @@ default and stays bit-identical to the retained scalar reference.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -63,7 +62,6 @@ __all__ = [
     "available",
     "backend",
     "use_kernel",
-    "warn_fallback",
     "emission_log_probs",
     "forward_backward_stack",
     "viterbi_stack",
@@ -783,31 +781,6 @@ def use_kernel() -> bool:
     tests drive the full compiled code path through the interpreter.
     """
     return available()
-
-
-_FALLBACK_WARNED = False
-
-
-def warn_fallback() -> None:
-    """Warn (once per process) that the compiled abduction tier degraded.
-
-    The degrade itself is by design — results on the NumPy tier are
-    bit-identical to the scalar reference — but operators asking for the
-    compiled tier should see the effective tier in their logs.  Reset
-    ``_FALLBACK_WARNED`` in tests to re-arm the warning.
-    """
-    global _FALLBACK_WARNED
-    if _FALLBACK_WARNED:
-        return
-    _FALLBACK_WARNED = True
-    warnings.warn(
-        'abduction kernel "compiled" requested but no compiled backend '
-        '(numba or cc+cffi) is available; falling back to the "numpy" '
-        "tier (bit-identical to the scalar reference, reduced "
-        "throughput). This warning is emitted once per process.",
-        RuntimeWarning,
-        stacklevel=3,
-    )
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..util.compiled import warn_fallback
 from . import _kernels
 from .transitions import TransitionModel
 
@@ -253,7 +254,7 @@ def forward_backward_batch(
 
     if kernel == "compiled":
         if not _kernels.use_kernel():
-            _kernels.warn_fallback()
+            warn_fallback("abduction", "compiled", "numpy")
         elif n_chunks > 1:
             stack, slots = unique_power_stack(transitions, gaps[:, 1:])
             gamma, xi, log_likelihoods = _kernels.forward_backward_stack(

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..util.compiled import warn_fallback
 from ..util.rng import SeedLike, ensure_rng
 from . import _kernels
 
@@ -209,7 +210,7 @@ def sample_state_paths_stack(
 
     if kernel == "compiled":
         if not _kernels.use_kernel():
-            _kernels.warn_fallback()
+            warn_fallback("abduction", "compiled", "numpy")
         elif n_chunks > 1:
             uniforms = np.stack(
                 [ensure_rng(seed).random((n_chunks - 1, count)) for seed in seeds]

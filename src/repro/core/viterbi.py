@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..util.compiled import warn_fallback
 from . import _kernels
 from .forward_backward import check_batch_inputs, unique_power_stack
 from .transitions import TransitionModel
@@ -138,7 +139,7 @@ def viterbi_path_batch(
 
     if kernel == "compiled":
         if not _kernels.use_kernel():
-            _kernels.warn_fallback()
+            warn_fallback("abduction", "compiled", "numpy")
         elif n_chunks > 1:
             log_stack, slots = unique_power_stack(
                 transitions, gaps[:, 1:], log=True

@@ -431,16 +431,16 @@ class TraceBatch:
 
     The batched replay engine advances ``K`` counterfactual sessions in
     lockstep — one chunk loop over all lanes.  Its trace queries become
-    array-valued: per-lane bandwidth lookups reduce to a single
-    ``searchsorted`` against the shared boundary vector, and
-    :meth:`time_to_transfer_batch` resolves every lane's completion interval
-    with one vectorised bisection over the stacked ``(K, intervals + 1)``
+    array-valued: per-lane interval indices advance monotonically with
+    the lanes' clocks (:meth:`advance_indices`), and the fluid drains
+    (:meth:`transfer_hot`, :meth:`transfer_drain`) resolve every lane's
+    completion interval over the stacked ``(K, intervals + 1)``
     cumulative-bytes integrals.
 
     Every lane's result is **bit-identical** to the corresponding scalar
     :meth:`PiecewiseConstantTrace.time_to_transfer` call: the float
     expressions are evaluated element-wise in the same order and the
-    bisection takes the same comparison decisions (pinned by
+    interval search lands on the same completion interval (pinned by
     ``tests/test_batch_replay.py``).  All lanes must share an identical
     boundary array — posterior samples of one abduction (and uniform-grid
     reconstructions generally) satisfy this by construction; use
@@ -459,7 +459,6 @@ class TraceBatch:
         "_rates_flat",
         "_cum_flat",
         "_row_off",
-        "_row_off1",
     )
 
     def __init__(self, traces: Sequence[PiecewiseConstantTrace]):
@@ -490,7 +489,6 @@ class TraceBatch:
         self._rates_flat = self._rates2d.reshape(-1)
         self._cum_flat = self._cum2d.reshape(-1)
         self._row_off = self._lane_idx * self.n_intervals
-        self._row_off1 = self._lane_idx * (self.n_intervals + 1)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -564,11 +562,11 @@ class TraceBatch:
         return nxt
 
     # ------------------------------------------------------------------
-    # Scratch (allocation-free) query support for the "scratch" replay
-    # kernel tier: a preallocated workspace plus in-place variants of the
-    # interval lookup and the hot-path transfer.  Bit-identical to the
-    # allocating paths — the same float expressions run through ``out=``
-    # buffers instead of temporaries.
+    # Transfer queries for the "scratch" replay kernel tier: a
+    # preallocated workspace plus in-place variants of the interval lookup
+    # and the hot-path transfer.  Bit-identical to the scalar
+    # ``time_to_transfer`` — the same float expressions run through
+    # ``out=`` buffers instead of temporaries.
     # ------------------------------------------------------------------
     def make_transfer_scratch(self) -> "TransferScratch":
         """Preallocate a :class:`TransferScratch` workspace for this batch."""
@@ -609,21 +607,22 @@ class TraceBatch:
         self, starts: np.ndarray, sizes: np.ndarray, ws: "TransferScratch",
         out: np.ndarray,
     ) -> bool:
-        """Allocation-free hot path of :meth:`time_to_transfer_batch`.
+        """Allocation-free fluid drain for chunks whose lanes all finish
+        inside their start interval.
 
         Requires ``ws.idx == interval_indices(starts)`` (maintained by
         :meth:`advance_indices`).  When every lane's transfer completes
         inside the interval containing its start — or starts at/past the
         trace end, where the final rate holds forever and the scalar head
         evaluates the very same division — writes the per-lane transfer
-        seconds into ``out`` (bit-identical to the allocating path) and
+        seconds into ``out`` (bit-identical to the scalar query) and
         returns ``True``.  Returns ``False`` — leaving ``out``
-        unspecified — when any lane needs the general path (non-positive
-        size, start before the trace, zero rate, or an interval
-        spill-over).
+        unspecified — when any lane needs :meth:`transfer_drain`
+        (non-positive size, start before the trace, zero rate, or an
+        interval spill-over).
         """
         bounds = self._bounds
-        # Shapes the general path routes through the scalar kernels.
+        # Shapes transfer_drain routes through the scalar query.
         np.less(starts, bounds[0], out=ws.b1)
         np.less_equal(sizes, 0.0, out=ws.b2)
         np.logical_or(ws.b1, ws.b2, out=ws.b1)
@@ -646,7 +645,7 @@ class TraceBatch:
         np.logical_and(ws.b1, ws.b2, out=ws.b1)  # hot
         if np.count_nonzero(ws.b1) != ws.b1.size:
             return False
-        # Same expression order as the allocating path:
+        # Same expression order as the scalar query:
         # starts + sizes / rate0 - starts.
         np.divide(sizes, rate0, out=ws.f1)
         np.add(starts, ws.f1, out=ws.f1)
@@ -668,14 +667,15 @@ class TraceBatch:
         i0: np.ndarray,
         known_cold: bool = False,
     ) -> np.ndarray:
-        """Dispatch-lean :meth:`time_to_transfer_batch` for fluid drains.
+        """Batched :meth:`PiecewiseConstantTrace.time_to_transfer` for fluid
+        drains on the lane subset ``lanes``.
 
-        Same floats, same answers — a leaner pass for the scratch kernel's
-        per-chunk drain, where ``i0`` (the interval containing each lane's
-        start, or the clamped final interval at/past the trace end) is
-        already known.  Hot lanes (completing inside their start interval,
-        or at/past the trace end where the final rate holds forever)
-        resolve in a handful of ufuncs; spill-over lanes walk the
+        Same floats, same answers as the scalar query, for the scratch
+        kernel's per-chunk drain, where ``i0`` (the interval containing
+        each lane's start, or the clamped final interval at/past the trace
+        end) is already known.  Hot lanes (completing inside their start
+        interval, or at/past the trace end where the final rate holds
+        forever) resolve in a handful of ufuncs; spill-over lanes walk the
         cumulative-bytes integral forward up to ``_DRAIN_WALK_MAX``
         intervals — the common spill is 1-2 — and anything longer (or a
         before-trace start) drops to the per-lane scalar kernel, which is
@@ -705,8 +705,7 @@ class TraceBatch:
             hot = capacity >= (sizes - _EPS_BYTES)
             np.logical_or(hot, starts >= bounds[-1], out=hot)
             np.logical_and(hot, rate0 > 0.0, out=hot)
-            # Shapes the general path routes straight to the scalar
-            # kernels.
+            # Shapes routed straight to the scalar query.
             pre = (starts < bounds[0]) | (sizes <= 0.0)
             has_pre = bool(np.count_nonzero(pre))
             if has_pre:
@@ -786,136 +785,6 @@ class TraceBatch:
             outc[tail] = bounds[-1] + rest / rate_last - stc[tail]
         if not known_cold:
             out[cold] = outc
-        return out
-
-    # Below this many non-hot lanes, the per-lane scalar bisection (list
-    # mirrors + bisect, ~2 us each) beats the vectorised search's fixed
-    # NumPy dispatch cost.  Both paths are bit-identical, so the scratch
-    # kernel tier disables the cutoff (``force_vector``) to keep ragged
-    # partitions on the batch path.
-    _VECTOR_SEARCH_MIN = 8
-
-    def time_to_transfer_batch(
-        self,
-        starts: np.ndarray,
-        sizes: np.ndarray,
-        lanes: np.ndarray | None = None,
-        interval_hint: np.ndarray | None = None,
-        force_vector: bool = False,
-    ) -> np.ndarray:
-        """Vectorised :meth:`PiecewiseConstantTrace.time_to_transfer`.
-
-        ``starts[j]`` / ``sizes[j]`` are per-lane transfer starts and byte
-        counts for lanes ``lanes[j]`` (all lanes when omitted).  Raises
-        :class:`RuntimeError` exactly when any lane's scalar query would
-        (zero trailing bandwidth or a negative size).  Element-wise
-        bit-identical to the scalar path.
-
-        The hot case — the transfer completes inside the interval
-        containing its start — resolves for all lanes with one
-        ``searchsorted`` against the shared boundary grid (skipped when
-        the caller already knows the interval indices and passes
-        ``interval_hint``); lanes that spill over resolve via a lockstep
-        vectorised bisection over the stacked cumulative-bytes integrals
-        (or the scalar bisection when too few lanes remain to amortise
-        the array dispatch).
-        """
-        starts = np.asarray(starts, dtype=float)
-        sizes = np.asarray(sizes, dtype=float)
-        if lanes is None:
-            lanes = self._lane_idx
-        bounds = self._bounds
-        k = self.n_intervals
-
-        # Rare shapes (non-positive size, start before/after the trace
-        # span) go through the scalar path lane by lane — same code, same
-        # floats (and the same ValueError for negative sizes).
-        simple = (sizes <= 0.0) | (starts >= bounds[-1]) | (starts < bounds[0])
-        if simple.any():
-            out = np.empty(starts.shape)
-            for j in np.flatnonzero(simple):
-                out[j] = self._traces[int(lanes[j])].time_to_transfer(
-                    float(starts[j]), float(sizes[j])
-                )
-            mids = np.flatnonzero(~simple)
-            if mids.size:
-                out[mids] = self.time_to_transfer_batch(
-                    starts[mids], sizes[mids], lanes[mids],
-                    force_vector=force_vector,
-                )
-            return out
-
-        # Hot case (mirrors _transfer_prefix's in-interval completion).
-        if interval_hint is None:
-            i0 = np.searchsorted(bounds, starts, side="right") - 1
-        else:
-            # In-span starts make the clamped and unclamped lookups agree.
-            i0 = interval_hint
-        rate0 = self._rates2d[lanes, i0]
-        capacity = rate0 * (bounds[i0 + 1] - starts)
-        hot = (rate0 > 0) & (capacity >= sizes - _EPS_BYTES)
-        if hot.all():
-            return starts + sizes / rate0 - starts
-
-        out = np.empty(starts.shape)
-        cold = np.flatnonzero(~hot)
-        hot_idx = np.flatnonzero(hot)
-        if hot_idx.size:
-            sh = starts[hot_idx]
-            out[hot_idx] = sh + sizes[hot_idx] / rate0[hot_idx] - sh
-
-        if not force_vector and cold.size < self._VECTOR_SEARCH_MIN:
-            for j in cold:
-                out[j] = self._traces[int(lanes[j])].time_to_transfer(
-                    float(starts[j]), float(sizes[j])
-                )
-            return out
-
-        stc = starts[cold]
-        remc = sizes[cold]
-        lnc = lanes[cold]
-        i0c = i0[cold]
-        cum_start = self._cum2d[lnc, i0c] + rate0[cold] * (stc - bounds[i0c])
-        thresh = cum_start + remc - _EPS_BYTES
-
-        # Lockstep bisect_left over the K cumulative integrals: leftmost
-        # idx in [i0 + 1, k + 1) with cum[idx] >= thresh.
-        lo = i0c + 1
-        hi = np.full_like(lo, k + 1)
-        active = lo < hi
-        while active.any():
-            mid = (lo + hi) >> 1
-            # Converged lanes can sit at lo == hi == k + 1; clamp their
-            # (masked-out) gather index into bounds.
-            go_right = self._cum2d[lnc, np.minimum(mid, k)] < thresh
-            lo = np.where(active & go_right, mid + 1, lo)
-            hi = np.where(active & ~go_right, mid, hi)
-            active = lo < hi
-        idx = lo
-
-        # Completion interval: first positive-rate interval at or after
-        # idx - 1 (zero-rate intervals are plateaus of cum).
-        within = idx <= k
-        ii = np.where(within, idx - 1, 0)
-        nxt = self._next_positive()[lnc, ii]
-        inside = within & (nxt < k)
-        outc = np.empty(stc.shape)
-        if inside.any():
-            li = lnc[inside]
-            ni = nxt[inside]
-            rest = remc[inside] - (self._cum2d[li, ni] - cum_start[inside])
-            outc[inside] = bounds[ni] + rest / self._rates2d[li, ni] - stc[inside]
-        tail = ~inside
-        if tail.any():
-            lt = lnc[tail]
-            rate_last = self._rates2d[lt, -1]
-            if np.any(rate_last <= 0):
-                raise RuntimeError(
-                    "transfer cannot complete: trailing bandwidth is zero"
-                )
-            rest = remc[tail] - (self._cum2d[lt, -1] - cum_start[tail])
-            outc[tail] = bounds[-1] + rest / rate_last - stc[tail]
-        out[cold] = outc
         return out
 
 

@@ -1,18 +1,21 @@
-"""Fused session kernel (the ``kernel="fused"`` tier).
+"""Fused session kernel (the session half of the ``kernel="compiled"`` tier).
 
 One call to :func:`run_session` advances a whole lane batch through an
 *entire* streaming session — per-chunk buffer/stall accounting, the ABR
 decision (BBA / BOLA / RobustMPC, including the harmonic-mean predictor's
 ring-buffer state), the TCP chunk download and every
 :class:`~repro.player.logs.SessionLogBatch` column write — with no
-per-chunk Python re-entry at all.  PR 6's compiled tier batched the
-*download* into one call per chunk; this tier batches the remaining
-chunk → decision → chunk loop into one call per session.
+per-chunk Python re-entry at all.  :mod:`repro.tcp._compiled` batches the
+*download* into one call per chunk; this kernel batches the remaining
+chunk → decision → chunk loop into one call per session, and
+:class:`~repro.player.batch_session.BatchStreamingSession` runs it on the
+compiled tier whenever every partition's ABR has a kernel plan.
 
-The kernel is the same scalar code the per-chunk tiers run:
+The kernel is the same scalar code the per-chunk loop runs:
 
 * the per-lane download core is :func:`repro.tcp._compiled._download_one`
-  (Python mirror) / ``download_one`` (C), shared with the compiled tier;
+  (Python mirror) / ``download_one`` (C), shared with the per-chunk
+  compiled download;
 * the per-lane decision cores are ``_bba_one`` / ``_bola_one`` /
   ``_mpc_obs_pred_one`` / ``_mpc_decide_one`` from
   :mod:`repro.abr._decisions` (Python) and its ``C_HELPERS`` fragment (C);
@@ -26,7 +29,7 @@ the Python mirror when numba is importable, else a cc + cffi build of the
 concatenated C fragments (compiled without fast-math / FMA contraction),
 else the pure-Python mirror remains importable for parity tests via
 ``FORCE_PYTHON``; :func:`available` is False without a real backend and
-``kernel="fused"`` then degrades (see ``repro.tcp.connection``).
+the compiled tier then runs its per-chunk loop instead.
 
 Lanes are fully independent inside a session (the RTT estimator state is
 a precomputed shared sequence), so the kernel loops lane-outer /
@@ -62,7 +65,7 @@ __all__ = [
 ]
 
 FORCE_PYTHON = False
-"""Test hook: route the fused tier through the Python mirror."""
+"""Test hook: route the session kernel through the Python mirror."""
 
 
 @_maybe_jit
@@ -172,8 +175,8 @@ def _run_session_mirror(
             lq = q
             size = size_flat[n * n_qualities + q]
 
-            # 3. Chunk download (shared per-lane core of the compiled
-            #    tier), with the logged pre-restart snapshot.
+            # 3. Chunk download (shared per-lane core of the per-chunk
+            #    compiled download), with the logged pre-restart snapshot.
             idle = now - ls
             if idle < 0.0:
                 idle = 0.0
@@ -409,11 +412,11 @@ def backend() -> str:
 
 
 def available() -> bool:
-    """Whether the fused tier can serve ``kernel="fused"`` requests.
+    """Whether the compiled tier can run whole sessions in this kernel.
 
     ``FORCE_PYTHON`` counts as available so parity tests can drive the
     mirror end to end; without it the pure-Python mirror is a per-lane
-    per-chunk interpreter loop, so the tier degrades instead.
+    per-chunk interpreter loop, so the per-chunk loop serves instead.
     """
     if FORCE_PYTHON:
         return True

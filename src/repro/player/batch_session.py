@@ -255,8 +255,6 @@ class BatchStreamingSession:
         video = self.video
         tb = self.batch
         n_lanes = tb.n_lanes
-        n_chunks = video.n_chunks
-        n_qualities = video.n_qualities
 
         partitions: list[_Partition] = []
         pos = 0
@@ -275,215 +273,30 @@ class BatchStreamingSession:
         connection = BatchTCPConnection(
             tb, rtt_s=self.rtt_s, start_time_s=0.0, kernel=self.kernel
         )
-        if connection._tier == "fused":
+        if connection._tier == "compiled" and _fused.available():
             plan = _fused_plan(partitions, video, n_lanes)
             if plan is not None:
                 # The whole (lane-batch x session) loop in one compiled
-                # call (bit-identical to the loops below).
+                # call (bit-identical to the chunk loop below).
                 return _FusedRunner(
                     self, capacity, abr_names, connection, plan
                 ).run()
             # Some partition cannot run in-kernel (custom ABR, per-lane
             # scalar fallback, plain MPC, QoE tables over budget): the
-            # per-chunk scratch loop below drives this session, with
-            # downloads on the compiled kernel.
-        if connection._tier in ("scratch", "compiled", "fused"):
-            # The allocation-free chunk loop (bit-identical to the loop
-            # below; see _ScratchRunner).
-            runner = _ScratchRunner(
-                self, partitions, single, capacity, abr_names, connection
-            )
-            for n in range(n_chunks):
-                runner.step(n)
-            return runner.finish()
-
-        # Lockstep player state (arrays over lanes).
-        overhead = self.request_overhead_s
-        chunk_dur = video.chunk_duration_s
-        level = np.zeros(n_lanes)
-        now = np.zeros(n_lanes)
-        total_rebuffer = np.zeros(n_lanes)
-        total_bytes = np.zeros(n_lanes)
-        startup_time = np.zeros(n_lanes)
-        playing = False
-
-        size_matrix = video.size_matrix
-        ssim_matrix = video.ssim_matrix
-        ssim_db_matrix = video.ssim_db_matrix
-        bitrates = np.asarray([video.bitrate_mbps(q) for q in range(n_qualities)])
-
-        # Column log storage, written row by row.
-        shape = (n_chunks, n_lanes)
-        col_quality = np.empty(shape, dtype=np.int64)
-        col_size = np.empty(shape)
-        col_start = np.empty(shape)
-        col_end = np.empty(shape)
-        col_before = np.empty(shape)
-        col_after = np.empty(shape)
-        col_rebuffer = np.empty(shape)
-        col_ssim = np.empty(shape)
-        col_ssim_db = np.empty(shape)
-        col_bitrate = np.empty(shape)
-        col_cwnd = np.empty(shape, dtype=np.int64)
-        col_ssthresh = np.empty(shape, dtype=np.int64)
-        col_idle = np.empty(shape)
-        col_srtt = np.empty(n_chunks)
-        col_min_rtt = np.empty(n_chunks)
-        col_rto = np.empty(n_chunks)
-
-        quality = np.empty(n_lanes, dtype=np.int64)
-        for n in range(n_chunks):
-            # 1. Sleep while the buffer is over capacity.  Lanes at or
-            #    below capacity see wait == 0 and every update below is an
-            #    exact no-op, so no masking is needed.
-            wait = np.maximum(0.0, level - capacity)
-            if playing:
-                level = np.maximum(0.0, level - wait)
-            now = now + wait
-            if overhead:
-                if playing:
-                    stall = np.maximum(0.0, overhead - level)
-                    level = np.maximum(0.0, level - overhead)
-                    total_rebuffer = total_rebuffer + stall
-                now = now + overhead
-
-            # 2. ABR decisions from client-observable state only, one
-            #    vectorised (or per-lane fallback) call per partition.
-            buffer_before = level
-            for part in partitions:
-                choose_batch = part.choose_batch
-                if choose_batch is not None:
-                    context = part.context
-                    context.chunk_index = n
-                    context.buffer_s = (
-                        buffer_before
-                        if single is not None
-                        else buffer_before[part.start : part.stop]
-                    )
-                    chosen = choose_batch(context)
-                    if single is not None:
-                        quality = np.asarray(chosen, dtype=np.int64)
-                    else:
-                        quality[part.start : part.stop] = chosen
-                    context.last_quality = chosen
-                else:
-                    for k, (lane_abr, ctx) in enumerate(
-                        zip(part.lane_abrs, part.lane_contexts)
-                    ):
-                        ctx.chunk_index = n
-                        ctx.buffer_s = float(buffer_before[part.start + k])
-                        quality[part.start + k] = lane_abr.choose_quality(ctx)
-            q_min = int(quality.min())
-            q_max = int(quality.max())
-            if q_min < 0 or q_max >= n_qualities:
-                bad = q_min if q_min < 0 else q_max
-                raise ValueError(
-                    f"batch replay chose invalid quality {bad} for chunk {n}"
-                )
-            sizes = size_matrix[n, quality]
-
-            # 3. Lockstep download over all K traces.
-            result = connection.download_batch(sizes, now)
-            duration = result.end_times_s - now
-            if playing:
-                stall = np.maximum(0.0, duration - level)
-                level = np.maximum(0.0, level - duration)
-                total_rebuffer = total_rebuffer + stall
-            else:
-                stall = np.zeros(n_lanes)
-            now = result.end_times_s
-
-            # 4. Append and log.
-            level = level + chunk_dur
-            if n == 0:
-                startup_time = now.copy()
-                playing = True
-
-            col_quality[n] = quality
-            col_size[n] = sizes
-            col_start[n] = result.start_times_s
-            col_end[n] = now
-            col_before[n] = buffer_before
-            col_after[n] = level
-            col_rebuffer[n] = stall
-            col_ssim[n] = ssim_matrix[n, quality]
-            col_ssim_db[n] = ssim_db_matrix[n, quality]
-            col_bitrate[n] = bitrates[quality]
-            col_cwnd[n] = result.cwnd_segments
-            col_ssthresh[n] = result.ssthresh_segments
-            col_idle[n] = result.time_since_last_send_s
-            col_srtt[n] = result.srtt_s
-            col_min_rtt[n] = result.min_rtt_s
-            col_rto[n] = result.rto_s
-            total_bytes = total_bytes + sizes
-
-            for part in partitions:
-                if part.lane_contexts is not None:
-                    # Per-lane observables for the scalar-fallback ABRs,
-                    # fed in the same order the serial loop appends them.
-                    for k, ctx in enumerate(part.lane_contexts):
-                        j = part.start + k
-                        d = float(duration[j])
-                        ctx.throughput_history_mbps.append(
-                            throughput_mbps(float(sizes[j]), d)
-                        )
-                        ctx.download_time_history_s.append(d)
-                        ctx.last_quality = int(quality[j])
-                elif part.wants_history:
-                    # Column observation rows for history-driven vectorised
-                    # deciders; same (size / duration) * 8 / 1e6 operation
-                    # order as the scalar throughput_mbps helper, so lane
-                    # values match the serial histories bit for bit —
-                    # including its loud failure on non-positive durations
-                    # (always an upstream logging bug).
-                    if single is not None:
-                        d_rows = duration
-                        s_rows = sizes
-                    else:
-                        d_rows = duration[part.start : part.stop]
-                        s_rows = sizes[part.start : part.stop]
-                    if np.any(d_rows <= 0):
-                        bad = float(d_rows[d_rows <= 0][0])
-                        raise ValueError(
-                            f"duration must be positive, got {bad!r}"
-                        )
-                    context = part.context
-                    context.throughput_history_mbps.append(
-                        s_rows / d_rows * 8 / 1e6
-                    )
-                    context.download_time_history_s.append(d_rows)
-
-        return SessionLogBatch(
-            abr_names=abr_names,
-            buffer_capacity_s=capacity,
-            chunk_duration_s=chunk_dur,
-            rtt_s=self.rtt_s,
-            startup_time_s=startup_time,
-            total_rebuffer_s=total_rebuffer,
-            total_size_bytes=total_bytes,
-            qualities=col_quality,
-            size_bytes=col_size,
-            start_times_s=col_start,
-            end_times_s=col_end,
-            buffer_before_s=col_before,
-            buffer_after_s=col_after,
-            rebuffer_s=col_rebuffer,
-            ssim=col_ssim,
-            ssim_db=col_ssim_db,
-            bitrate_mbps=col_bitrate,
-            cwnd_segments=col_cwnd,
-            ssthresh_segments=col_ssthresh,
-            time_since_last_send_s=col_idle,
-            srtt_s=col_srtt,
-            min_rtt_s=col_min_rtt,
-            rto_s=col_rto,
+            # chunk loop below drives this session, with downloads on the
+            # compiled kernel.
+        runner = _ScratchRunner(
+            self, partitions, single, capacity, abr_names, connection
         )
+        for n in range(video.n_chunks):
+            runner.step(n)
+        return runner.finish()
 
 
 class _ScratchRunner:
-    """Allocation-free lockstep chunk loop for the scratch/compiled tiers.
+    """Allocation-free lockstep chunk loop shared by every kernel tier.
 
-    Mirrors :meth:`BatchStreamingSession.run`'s allocating loop float for
+    Mirrors :meth:`~repro.player.session.StreamingSession.run` float for
     float — the same IEEE float64 operations in the same order, routed
     through preallocated per-batch buffers via ``out=`` ufuncs instead of
     fresh temporaries — so session logs stay bit-identical to the serial
@@ -697,7 +510,7 @@ class _ScratchRunner:
         self.col_after[n] = level
         np.add(self.total_bytes, sizes, out=self.total_bytes)
 
-        # Observation histories (same order as the allocating loop).
+        # Observation histories (same order as the serial loop).
         for start, lane_contexts in self._scalar_hist:
             for k, ctx in enumerate(lane_contexts):
                 j = start + k
@@ -834,7 +647,7 @@ class _FusedRunner:
     the quality-derived log columns are produced in Python, before and
     after the call.  ``tests/test_dispatch_budget.py`` pins the single
     kernel entry; the parity suites pin the columns bit-identical to the
-    per-chunk tiers.
+    chunk loop.
     """
 
     def __init__(
@@ -888,7 +701,7 @@ class _FusedRunner:
 
         # The shared RTT estimator sees the same constant RTT once per
         # chunk, so its per-chunk column values (pre-observe snapshots,
-        # with the same guards the per-chunk tiers apply) and the rto the
+        # with the same guards download_batch applies) and the rto the
         # restart decay uses are a precomputed sequence.  Advancing the
         # connection's shared state here leaves it exactly as n_chunks
         # download_batch calls would.

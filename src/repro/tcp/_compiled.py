@@ -1,4 +1,4 @@
-"""Optional compiled replay kernel (the ``kernel="compiled"`` tier).
+"""Optional compiled chunk-download kernel (the ``kernel="compiled"`` tier).
 
 One call to :func:`download_chunk` advances a whole lane batch through one
 chunk download — slow-start-restart decay, the per-RTT window-limited
@@ -25,7 +25,7 @@ Feature detection:
 * a backend is importable/buildable -> ``available()`` is True and
   ``BatchTCPConnection(kernel="compiled")`` runs it;
 * no backend -> ``BatchTCPConnection(kernel="compiled")`` falls back to
-  the scratch tier (Tier 1).  The pure-Python mirror remains importable
+  the scratch tier.  The pure-Python mirror remains importable
   so the parity suite can pin the kernel's logic bit-for-bit against the
   reference implementation even on machines without any toolchain, and
   tests may set ``FORCE_PYTHON = True`` to drive the compiled code path
@@ -163,7 +163,7 @@ def _download_one(
     Returns ``(end, cwnd, ssthresh)`` — ``end < 0.0`` signals a transfer
     that can never complete (zero trailing bandwidth).  Shared per-lane
     scalar core of both the batch download kernel and the fused session
-    kernel, so the two tiers stay float-for-float identical.
+    kernel, so the two stay float-for-float identical.
     """
     # RFC 2861 slow-start restart (mirrors apply_slow_start_restart).
     if idle > rto and c > INIT_CWND_SEGMENTS:

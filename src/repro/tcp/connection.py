@@ -1,7 +1,7 @@
 """Flow-level TCP download simulator.
 
-This is the repo's substitute for the paper's Mahimahi + Linux TCP testbed
-(see DESIGN.md §2).  A :class:`TCPConnection` downloads chunks over a
+This is the repo's substitute for the paper's Mahimahi + Linux TCP
+testbed.  A :class:`TCPConnection` downloads chunks over a
 time-varying :class:`~repro.net.trace.PiecewiseConstantTrace` using the same
 congestion-control mechanisms the paper's estimator models — slow start,
 additive congestion avoidance, and RFC 2861 slow-start restart after idle
@@ -19,65 +19,55 @@ This produces exactly the observable biases the paper documents: small
 chunks see throughput far below GTBW (Fig. 2(c)), idle gaps reset the
 window, and only > BDP transfers observe throughput close to GTBW.
 
-Five kernel tiers implement the replay, selected by the ``kernel=``
+Three kernel tiers implement the replay, selected by the ``kernel=``
 argument (``None`` picks the module-level ``DEFAULT_KERNEL``):
 
-* ``"reference"`` — the per-RTT scalar ``while`` loop, the golden parity
-  target every other tier is pinned against;
-* ``"analytic"`` — each constant-bandwidth trace interval resolved in
-  closed form: the slow-start/congestion-avoidance round schedule is
-  precomputed once per ``(cwnd, ssthresh)`` (the same round-schedule trick
-  the Algorithm-4 estimator uses) and the rounds-until-pipe-full /
-  rounds-until-data-exhausted within the interval reduce to bisections
-  over it, so a download costs O(intervals touched) instead of O(rounds);
-* ``"scratch"`` — **Tier 1, the default**: the batched analytic pass
-  rewritten over preallocated per-batch scratch buffers.  Every
-  steady-state chunk runs through ``out=``/in-place ufuncs with zero new
-  array allocations (``tests/test_dispatch_budget.py`` pins this), the
-  slow-start-restart decay runs as a masked full-width loop, and the
-  small-lane scalar fallbacks (``_VECTOR_ROUNDS_MIN``, the <8-lane
-  bisect cutoff in :meth:`TraceBatch.time_to_transfer_batch`) are
-  absorbed into the batch path so cold/ragged partitions never drop to
-  per-lane Python.  Scalar ``TCPConnection`` has no batch to amortise
-  over, so ``"scratch"`` (and ``"compiled"``) map to the analytic kernel
-  there.
-* ``"compiled"`` — **Tier 2, optional**: a compiled kernel
-  (:mod:`repro.tcp._compiled`) advancing a whole lane batch through one
-  chunk in a single call with no per-lane NumPy dispatch at all.  Two
-  backends are feature-detected at first use: a numba-njit build of the
-  Python mirror when numba is importable, else a cc + cffi build of a
-  line-for-line C transcription (compiled once with FMA contraction and
-  fast-math disabled, cached on disk).  When neither backend is
-  available the tier falls back to ``"scratch"`` with a once-per-process
-  ``RuntimeWarning`` (``BatchTCPConnection._tier`` records the effective
-  tier).
-* ``"fused"`` — **Tier 3, optional**: the whole (lane-batch × session)
-  chunk → decision → chunk loop in one compiled call
-  (:mod:`repro.player._fused`): download, BBA/BOLA/RobustMPC decision
-  (including the harmonic-mean predictor's ring-buffer state, via the
-  decision kernels in :mod:`repro.abr._decisions`), buffer/stall
-  accounting and the session-log column writes, with zero per-chunk
-  Python re-entry.  Same backend detection as the compiled tier
-  (numba njit, else cc + cffi, built from the same scalar helper
-  fragments).  Sessions whose ABR mix cannot run in-kernel (custom
-  algorithms, the per-lane scalar fallback, plain non-robust MPC, QoE
-  tables over budget) transparently use the per-chunk loop on this
-  connection — ``BatchStreamingSession`` decides per session — and when
-  no backend is available the tier degrades to ``"compiled"`` (or
-  ``"scratch"``) with a once-per-process ``RuntimeWarning``.
+=========  ==============  ===============  =================  ==================
+tier       job             scalar           batch download     session loop
+                           connection
+=========  ==============  ===============  =================  ==================
+reference  golden          per-RTT loop     K scalar per-RTT   per-chunk loop
+           reference                        loops
+scratch    portable NumPy  closed-form      allocation-free    per-chunk loop
+           (default)       interval walk    NumPy pass
+compiled   fastest native  closed-form      one compiled call  one compiled call
+                           interval walk    per chunk          per session, else
+                                                               the per-chunk loop
+=========  ==============  ===============  =================  ==================
+
+* The **per-RTT loop** (:func:`_reference_download`) is the golden parity
+  target every other path is pinned against.
+* The **closed-form interval walk** (:func:`_analytic_download`) resolves
+  each constant-bandwidth trace interval from a precomputed
+  ``(cwnd, ssthresh)`` round schedule, so a download costs O(intervals
+  touched) instead of O(rounds).  A scalar connection has no batch to
+  amortise over, so both non-reference tiers run it there.
+* The **allocation-free NumPy pass** runs every steady-state chunk through
+  ``out=`` ufuncs on preallocated per-batch buffers
+  (``tests/test_dispatch_budget.py`` pins zero allocations); ragged chunks
+  take a vectorised round skip, and lanes whose window-limited phase
+  crosses an interval fall back to the closed-form walk per lane.
+* The **compiled** tier runs :func:`repro.tcp._compiled.download_chunk`
+  per chunk, and :class:`~repro.player.batch_session.BatchStreamingSession`
+  runs the whole session in one :func:`repro.player._fused.run_session`
+  call whenever every partition's ABR has a kernel plan (the shipped
+  BBA/BOLA/RobustMPC).  Backends (numba njit, else a cc + cffi build of a
+  C transcription) are feature-detected at first use; when none builds,
+  the tier degrades to ``"scratch"`` with a once-per-process
+  ``RuntimeWarning`` and ``BatchTCPConnection._tier`` records the
+  effective tier.
 
 All tiers evaluate the same float predicates in the same order, so they
 produce bit-identical :class:`DownloadResult`s / batch columns and session
 logs (see ``tests/test_replay_parity.py``, ``tests/test_batch_replay.py``;
 the compiled tier is pinned at a documented ``rtol=1e-12`` tolerance,
-bit-identical in practice on every backend we test).  Unknown kernel names raise
-``ValueError`` at construction time, listing the available tiers.
+bit-identical in practice on every backend we test).  Unknown kernel names
+raise ``ValueError`` at construction time, listing the available tiers.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -88,6 +78,7 @@ from ..net.trace import (
     PiecewiseConstantTrace,
     TraceBatch,
 )
+from ..util.compiled import warn_fallback
 from ..util.units import mbps_to_bytes_per_sec, throughput_mbps
 from . import _compiled
 from .constants import (
@@ -112,53 +103,8 @@ __all__ = [
 DEFAULT_KERNEL = "scratch"
 """Kernel used when a connection is constructed without an explicit one."""
 
-KERNEL_TIERS = ("reference", "analytic", "scratch", "compiled", "fused")
+KERNEL_TIERS = ("reference", "scratch", "compiled")
 """All selectable kernel tiers, slowest (golden reference) first."""
-
-_KERNELS = KERNEL_TIERS  # backwards-compatible alias
-
-
-_COMPILED_FALLBACK_WARNED = False
-_FUSED_FALLBACK_WARNED = False
-
-
-def _warn_compiled_fallback() -> None:
-    """Warn (once per process) that ``kernel="compiled"`` degraded.
-
-    The degrade itself is by design — the parity contract is unchanged on
-    the scratch tier — but operators asking for the compiled tier should
-    see the effective tier in their logs instead of having to poke
-    ``BatchTCPConnection._tier``.  Reset the module flag in tests to
-    re-arm the warning.
-    """
-    global _COMPILED_FALLBACK_WARNED
-    if _COMPILED_FALLBACK_WARNED:
-        return
-    _COMPILED_FALLBACK_WARNED = True
-    warnings.warn(
-        'kernel="compiled" requested but no compiled backend (numba or '
-        "cc+cffi) is available; falling back to the \"scratch\" tier "
-        "(bit-identical results, reduced throughput). This warning is "
-        "emitted once per process.",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
-def _warn_fused_fallback(effective: str) -> None:
-    """Warn (once per process) that ``kernel="fused"`` degraded."""
-    global _FUSED_FALLBACK_WARNED
-    if _FUSED_FALLBACK_WARNED:
-        return
-    _FUSED_FALLBACK_WARNED = True
-    warnings.warn(
-        'kernel="fused" requested but no compiled backend (numba or '
-        f'cc+cffi) is available; falling back to the "{effective}" tier '
-        "(bit-identical results, reduced throughput). This warning is "
-        "emitted once per process.",
-        RuntimeWarning,
-        stacklevel=3,
-    )
 
 
 def resolve_kernel(kernel: str | None) -> str:
@@ -522,10 +468,10 @@ class TCPConnection:
     kernel:
         A tier from ``KERNEL_TIERS``; ``None`` picks the module-level
         ``DEFAULT_KERNEL``.  All tiers produce bit-identical results —
-        the reference exists as the golden parity target.  The batch-only
-        tiers (``"scratch"``, ``"compiled"``) have nothing to amortise
-        over on a single scalar connection, so they run the analytic
-        kernel here.
+        ``"reference"`` runs the golden per-RTT loop, and the batch tiers
+        (``"scratch"``, ``"compiled"``) have nothing to amortise over on a
+        single scalar connection, so they run the closed-form interval
+        walk here.
     """
 
     def __init__(
@@ -542,7 +488,7 @@ class TCPConnection:
         self.rtt_s = rtt_s
         self.kernel = resolved
         self._run = (
-            self._run_reference if resolved == "reference" else self._run_analytic
+            _reference_download if resolved == "reference" else _analytic_download
         )
         self.state = MutableTCPState(last_send_time_s=start_time_s)
         # The handshake measures the first RTT sample.
@@ -582,7 +528,9 @@ class TCPConnection:
         # The HTTP request consumes one round trip before payload flows;
         # the client-side download time (what logs record) includes it.
         t0 = float(start_time_s) + self.rtt_s
-        end_time, rounds, cwnd = self._run(float(size_bytes), t0, cwnd, ssthresh)
+        end_time, rounds, cwnd = self._run(
+            self.trace, self.rtt_s, float(size_bytes), t0, cwnd, ssthresh
+        )
 
         state.cwnd_segments = cwnd
         state.ssthresh_segments = ssthresh
@@ -596,29 +544,6 @@ class TCPConnection:
             rounds=rounds,
             slow_start_restarted=restarted,
             tcp_state_at_start=snapshot,
-        )
-
-    # ------------------------------------------------------------------
-    def _finish_fluid(
-        self, t: float, remaining: float, rounds: int, cwnd: int
-    ) -> tuple[float, int, int]:
-        """Delegates to the module-level :func:`_fluid_finish`."""
-        return _fluid_finish(self.trace, self.rtt_s, t, remaining, rounds, cwnd)
-
-    def _run_reference(
-        self, size_bytes: float, t0: float, cwnd: int, ssthresh: int
-    ) -> tuple[float, int, int]:
-        """Delegates to the module-level :func:`_reference_download`."""
-        return _reference_download(
-            self.trace, self.rtt_s, size_bytes, t0, cwnd, ssthresh
-        )
-
-    def _run_analytic(
-        self, size_bytes: float, t0: float, cwnd0: int, ssthresh: int
-    ) -> tuple[float, int, int]:
-        """Delegates to the module-level :func:`_analytic_download`."""
-        return _analytic_download(
-            self.trace, self.rtt_s, size_bytes, t0, cwnd0, ssthresh
         )
 
     # ------------------------------------------------------------------
@@ -646,8 +571,7 @@ def _fluid_grow_batch(
     """Vectorised post-fluid-drain window growth.
 
     Mirrors :func:`_fluid_finish`'s ``min(cwnd + max(0, int(fluid/rtt)),
-    MAX)`` update element-wise — the single spot the batch paths share so
-    the scalar/batch mirror cannot drift.
+    MAX)`` update element-wise for the scratch tier's spill-over drains.
     """
     ratio = fluid_s / rtt
     return np.minimum(
@@ -655,78 +579,8 @@ def _fluid_grow_batch(
     )
 
 
-def _batch_slow_start_restart(
-    cwnd: np.ndarray,
-    ssthresh: np.ndarray,
-    idle_s: np.ndarray,
-    rto_s: float,
-    restart_cwnd: int = INIT_CWND_SEGMENTS,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised :func:`~repro.tcp.state.apply_slow_start_restart`.
-
-    Element-wise identical to the scalar halving loop: every lane takes the
-    same decay iterations on the same floats.
-    """
-    triggered = (idle_s > rto_s) & (cwnd > restart_cwnd)
-    hits = triggered.nonzero()[0]
-    if not hits.size:
-        # No lane restarts: the caller never mutates state arrays in
-        # place, so the inputs can be reused as-is.
-        return cwnd, ssthresh
-    new_cwnd = cwnd.copy()
-    new_ssthresh = ssthresh.copy()
-    if hits.size < 16:
-        # Few restarting lanes: the scalar halving loop is cheaper than
-        # array dispatch (and trivially identical — it IS the scalar path).
-        for j in hits:
-            decayed, raised, _ = apply_slow_start_restart(
-                int(cwnd[j]), int(ssthresh[j]), float(idle_s[j]), rto_s
-            )
-            new_cwnd[j] = decayed
-            new_ssthresh[j] = raised
-        return new_cwnd, new_ssthresh
-    # Decay only the triggered lanes: the halving loop runs on the
-    # compacted subset.
-    remaining = idle_s[hits]
-    decayed = cwnd[hits]
-    active = np.ones(hits.size, dtype=bool)
-    while True:
-        remaining = np.where(active, remaining - rto_s, remaining)
-        decayed = np.where(active, decayed >> 1, decayed)
-        active = active & (remaining > rto_s) & (decayed > restart_cwnd)
-        if not active.any():
-            break
-    new_cwnd[hits] = np.maximum(decayed, restart_cwnd)
-    new_ssthresh[hits] = np.maximum(
-        np.maximum(ssthresh[hits], (new_cwnd[hits] >> 1) + (new_cwnd[hits] >> 2)),
-        2,
-    )
-    return new_cwnd, new_ssthresh
-
-
-@dataclass(frozen=True, slots=True)
-class BatchDownloadResult:
-    """Column-oriented outcome of one lockstep chunk download over K lanes.
-
-    The per-lane ``tcp_info`` snapshot decomposes into the per-lane columns
-    below plus the shared scalars — RTT bookkeeping is identical across
-    lanes (every lane observes the same RTT once per download), so
-    ``srtt``/``min_rtt``/``rto`` are per-chunk scalars, not columns.
-    """
-
-    start_times_s: np.ndarray
-    end_times_s: np.ndarray
-    size_bytes: np.ndarray
-    cwnd_segments: np.ndarray
-    ssthresh_segments: np.ndarray
-    time_since_last_send_s: np.ndarray
-    srtt_s: float
-    min_rtt_s: float
-    rto_s: float
-
-
 class _BatchScratch:
-    """Per-batch scratch buffers for the allocation-free kernel tiers."""
+    """Per-batch scratch buffers shared by every kernel tier."""
 
     __slots__ = (
         "idle", "t0", "bdp", "fluid", "f3", "rem", "tf",
@@ -743,12 +597,17 @@ class _BatchScratch:
             setattr(self, name, np.empty(n_lanes, dtype=bool))
 
 
-class _MutableBatchResult:
-    """Reusable mutable mirror of :class:`BatchDownloadResult`.
+class BatchDownloadResult:
+    """Column-oriented outcome of one lockstep chunk download over K lanes.
 
-    The scratch/compiled tiers hand the same instance back on every
-    ``download_batch`` call with its columns aliasing per-batch buffers —
-    valid only until the next call; callers copy what they keep.
+    The per-lane ``tcp_info`` snapshot decomposes into the per-lane columns
+    plus the shared scalars — RTT bookkeeping is identical across lanes
+    (every lane observes the same RTT once per download), so
+    ``srtt``/``min_rtt``/``rto`` are per-chunk scalars, not columns.
+
+    A connection hands the same instance back on every ``download_batch``
+    call with its columns aliasing per-batch buffers — valid only until
+    the next call; callers copy what they keep.
     """
 
     __slots__ = (
@@ -772,15 +631,10 @@ class BatchTCPConnection:
     the RTT estimator state is shared (all lanes observe the same constant
     RTT, so their ``srtt``/``rto`` sequences are identical).
 
-    Per download, the batch path vectorises the slow-start-restart decay,
-    the interval lookup (one ``searchsorted`` across all lanes against the
-    shared boundary grid) and the round-0 pipe-full test; lanes whose pipe
-    is already full drain through the batched
-    :meth:`~repro.net.trace.TraceBatch.time_to_transfer_batch`, and
-    window-limited lanes fall through to the *same* scalar kernel functions
-    ``TCPConnection`` runs — results are bit-identical to K independent
-    scalar connections under either kernel (see
-    ``tests/test_batch_replay.py``).
+    Every tier advances all K lanes through one chunk per
+    :meth:`download_batch` call (see the tier table in the module
+    docstring) — results are bit-identical to K independent scalar
+    connections (see ``tests/test_batch_replay.py``).
     """
 
     def __init__(
@@ -796,25 +650,14 @@ class BatchTCPConnection:
         self.batch = batch
         self.rtt_s = rtt_s
         self.kernel = resolved
-        # Effective tier: "compiled" degrades to "scratch" (and "fused"
-        # to "compiled", then "scratch") when no compiled backend (numba
-        # or cc+cffi) is buildable — the parity contract is unchanged
-        # either way, and a once-per-process RuntimeWarning surfaces the
-        # effective tier to operators.
-        if resolved == "fused":
-            from ..player import _fused  # deferred: player imports tcp
-
-            if not _fused.available():
-                effective = "compiled" if _compiled.available() else "scratch"
-                _warn_fused_fallback(effective)
-                resolved = effective
+        # Effective tier: "compiled" degrades to "scratch" when no compiled
+        # backend (numba or cc+cffi) is buildable — the parity contract is
+        # unchanged either way, and a once-per-process RuntimeWarning
+        # surfaces the effective tier to operators.
         if resolved == "compiled" and not _compiled.available():
-            _warn_compiled_fallback()
+            warn_fallback("replay", "compiled", "scratch")
             resolved = "scratch"
         self._tier = resolved
-        self._scalar_run = (
-            _reference_download if resolved == "reference" else _analytic_download
-        )
         n = batch.n_lanes
         self._shared = MutableTCPState(last_send_time_s=start_time_s)
         self._shared.observe_rtt(rtt_s)
@@ -822,19 +665,14 @@ class BatchTCPConnection:
         self._ssthresh = np.full(n, INITIAL_SSTHRESH_SEGMENTS, dtype=np.int64)
         self._last_send = np.full(n, float(start_time_s))
         self._lane_idx = np.arange(n)
-        if self._tier in ("scratch", "compiled", "fused"):
-            self._ws = batch.make_transfer_scratch()
-            self._scratch = _BatchScratch(n)
-            self._result = _MutableBatchResult()
-        if self._tier == "scratch":
-            self._download = self._download_scratch
-        elif self._tier in ("compiled", "fused"):
-            # Per-chunk downloads on a fused connection (the session-level
-            # fallback for in-kernel-ineligible ABR mixes) run the
-            # compiled download kernel.
-            self._download = self._download_compiled
-        else:
-            self._download = self._download_numpy
+        self._ws = batch.make_transfer_scratch()
+        self._scratch = _BatchScratch(n)
+        self._result = BatchDownloadResult()
+        self._download = {
+            "reference": self._download_reference,
+            "scratch": self._download_scratch,
+            "compiled": self._download_compiled,
+        }[resolved]
 
     @property
     def n_lanes(self) -> int:
@@ -846,189 +684,58 @@ class BatchTCPConnection:
         """Download ``size_bytes[k]`` on every lane ``k`` starting at
         ``start_times_s[k]``; advances all K congestion states.
 
-        The scratch/compiled tiers return a reusable mutable result whose
-        columns alias per-batch buffers: copy anything you keep before the
-        next ``download_batch`` call.
+        Returns a reusable result whose columns alias per-batch buffers:
+        copy anything you keep before the next ``download_batch`` call.
         """
         return self._download(size_bytes, start_times_s)
 
-    def _download_numpy(
+    # ------------------------------------------------------------------
+    # The reference tier: K scalar per-RTT loops
+    # ------------------------------------------------------------------
+    def _download_reference(
         self, size_bytes: np.ndarray, start_times_s: np.ndarray
     ) -> BatchDownloadResult:
-        """The allocating NumPy pass (the analytic/reference tiers)."""
-        shared = self._shared
+        """Each lane takes exactly the steps of :meth:`TCPConnection.download`
+        on the golden kernel: pre-restart snapshot, RFC 2861 decay, then
+        :func:`_reference_download` from one RTT after the request."""
+        b = self._scratch
+        tb = self.batch
         rtt = self.rtt_s
+        shared = self._shared
         starts = np.asarray(start_times_s, dtype=float)
         sizes = np.asarray(size_bytes, dtype=float)
-
-        # The logged tcp_info snapshot (pre-restart state, as in the scalar
-        # path) decomposed into columns + shared scalars.
-        idle = np.maximum(0.0, starts - self._last_send)
         srtt = shared.srtt_s
         min_rtt = shared.min_rtt_s
         rto = shared.rto_s
-        cwnd_pre = self._cwnd
-        ssthresh_pre = self._ssthresh
-
-        cwnd, ssthresh = _batch_slow_start_restart(cwnd_pre, ssthresh_pre, idle, rto)
-
-        # The HTTP request consumes one round trip before payload flows.
-        t0 = starts + rtt
-        tb = self.batch
-        i = tb.interval_indices(t0)
-        bdp_bytes = mbps_to_bytes_per_sec(tb._values2d[self._lane_idx, i]) * rtt
-        pipe_full = (cwnd * MSS_BYTES) >= bdp_bytes
-
-        if pipe_full.all():
-            # Round 0 is already pipe-full on every lane (the common case
-            # once windows have opened): one batched fluid drain, no
-            # masking.  remaining == size exactly (0 segments sent).
-            fluid_s = tb.time_to_transfer_batch(t0, sizes, interval_hint=i)
-            ends = t0 + fluid_s
-            new_cwnd = _fluid_grow_batch(cwnd, fluid_s, rtt)
-        else:
-            ends = np.empty(starts.shape)
-            new_cwnd = np.empty(starts.shape, dtype=np.int64)
-            full = pipe_full.nonzero()[0]
-            if full.size:
-                fluid_s = tb.time_to_transfer_batch(
-                    t0[full], sizes[full], lanes=full, interval_hint=i[full]
-                )
-                ends[full] = t0[full] + fluid_s
-                new_cwnd[full] = _fluid_grow_batch(cwnd[full], fluid_s, rtt)
-            rest = (~pipe_full).nonzero()[0]
-            if rest.size >= self._VECTOR_ROUNDS_MIN:
-                e, c = self._run_rounds_batch(
-                    t0[rest], sizes[rest], cwnd[rest], ssthresh[rest], rest
-                )
-                ends[rest] = e
-                new_cwnd[rest] = c
-            else:
-                # Few window-limited lanes: the scalar kernel's list-mirror
-                # bisections beat lockstep NumPy dispatch (same code path
-                # as TCPConnection — bit-identical by construction).
-                run = self._scalar_run
-                for j in rest:
-                    end, _, grown = run(
-                        tb.lane(int(j)),
-                        rtt,
-                        float(sizes[j]),
-                        float(t0[j]),
-                        int(cwnd[j]),
-                        int(ssthresh[j]),
-                    )
-                    ends[j] = end
-                    new_cwnd[j] = grown
-
-        self._cwnd = new_cwnd
-        self._ssthresh = ssthresh
-        shared.observe_rtt(rtt)
-        self._last_send = ends
-
-        return BatchDownloadResult(
-            start_times_s=starts,
-            end_times_s=ends,
-            size_bytes=sizes,
-            cwnd_segments=cwnd_pre,
-            ssthresh_segments=ssthresh_pre,
-            time_since_last_send_s=idle,
-            srtt_s=srtt if srtt > 0 else 1.0,
-            min_rtt_s=min_rtt if min_rtt != float("inf") else (srtt or 1.0),
-            rto_s=rto,
-        )
-
-    # Below this many window-limited lanes, per-lane scalar kernels beat
-    # the lockstep round loop's fixed NumPy dispatch cost per round.
-    _VECTOR_ROUNDS_MIN = 12
-
-    def _run_rounds_batch(
-        self,
-        t0: np.ndarray,
-        sizes: np.ndarray,
-        cwnd: np.ndarray,
-        ssthresh: np.ndarray,
-        lanes: np.ndarray,
-        force_vector: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Lockstep window-limited rounds for the lane subset ``lanes``.
-
-        All arguments are subset-aligned.  Mirrors the reference kernel's
-        per-RTT loop with the round index shared across lanes (every lane
-        enters at round 0, so ``r`` is a scalar); lanes leave the loop as
-        their pipe fills — all such lanes drain through one batched fluid
-        transfer at the end — or as their remaining data fits in the
-        current window.  Element-wise identical to per-lane scalar kernel
-        runs, and used only when the subset is large enough to amortise
-        per-round array dispatch (``_VECTOR_ROUNDS_MIN``).
-        """
-        tb = self.batch
-        rtt = self.rtt_s
-        m = lanes.size
-        ends = np.empty(m)
-        new_cwnd = np.empty(m, dtype=np.int64)
-        # Subset-aligned state: sent / cur_cwnd track the positions in
-        # `active` (indices into the subset).
-        active = np.arange(m)
-        sent = np.zeros(m, dtype=np.int64)
-        cur_cwnd = cwnd
-        fluid_parts = []
-        r = 0
-        while active.size:
-            t = t0[active] + r * rtt
-            i = tb.interval_indices(t)
-            bdp_bytes = mbps_to_bytes_per_sec(tb._values2d[lanes[active], i]) * rtt
-            cwnd_bytes = cur_cwnd * MSS_BYTES
-            remaining = sizes[active] - sent * MSS_BYTES
-            fluid_m = cwnd_bytes >= bdp_bytes
-            data_m = ~fluid_m & (cwnd_bytes >= remaining)
-            if fluid_m.any():
-                # Pipe full: collect for the batched fluid drain.
-                fluid_parts.append(
-                    (
-                        active[fluid_m],
-                        t[fluid_m],
-                        remaining[fluid_m],
-                        cur_cwnd[fluid_m],
-                        i[fluid_m],
-                    )
-                )
-            if data_m.any():
-                # Final window-limited round: one RTT moves the rest.
-                pi = active[data_m]
-                ends[pi] = t0[pi] + (r + 1) * rtt
-                new_cwnd[pi] = _grow_window_batch(cur_cwnd[data_m], ssthresh[pi])
-            cont = ~(fluid_m | data_m)
-            sent = sent[cont] + cur_cwnd[cont]
-            active = active[cont]
-            cur_cwnd = _grow_window_batch(cur_cwnd[cont], ssthresh[active])
-            r += 1
-
-        if fluid_parts:
-            if len(fluid_parts) == 1:
-                fpos, ft, frem, fcwnd, fi = fluid_parts[0]
-            else:
-                fpos = np.concatenate([p[0] for p in fluid_parts])
-                ft = np.concatenate([p[1] for p in fluid_parts])
-                frem = np.concatenate([p[2] for p in fluid_parts])
-                fcwnd = np.concatenate([p[3] for p in fluid_parts])
-                fi = np.concatenate([p[4] for p in fluid_parts])
-            fluid_s = tb.time_to_transfer_batch(
-                ft, frem, lanes=lanes[fpos], interval_hint=fi,
-                force_vector=force_vector,
+        np.copyto(b.cwnd_pre, self._cwnd)
+        np.copyto(b.ssthresh_pre, self._ssthresh)
+        ends = self._last_send  # read-before-write per lane below
+        for j in range(tb.n_lanes):
+            start = float(starts[j])
+            idle = max(0.0, start - float(ends[j]))
+            cwnd, ssthresh, _ = apply_slow_start_restart(
+                int(self._cwnd[j]), int(self._ssthresh[j]), idle, rto
             )
-            ends[fpos] = ft + fluid_s
-            new_cwnd[fpos] = _fluid_grow_batch(fcwnd, fluid_s, rtt)
-        return ends, new_cwnd
+            end, _, grown = _reference_download(
+                tb.lane(j), rtt, float(sizes[j]), start + rtt, cwnd, ssthresh
+            )
+            b.idle[j] = idle
+            ends[j] = end
+            self._cwnd[j] = grown
+            self._ssthresh[j] = ssthresh
+        shared.observe_rtt(rtt)
+        return self._fill_result(starts, ends, sizes, srtt, min_rtt, rto)
 
     # ------------------------------------------------------------------
-    # Tier 1: the scratch kernel (allocation-free steady state)
+    # The scratch tier (allocation-free steady state)
     # ------------------------------------------------------------------
     def _restart_scratch(self, idle: np.ndarray, rto: float) -> None:  # repro: scratch
         """In-place masked slow-start-restart decay of ``_cwnd``/``_ssthresh``.
 
-        Element-wise identical to :func:`_batch_slow_start_restart` (and so
-        to the scalar halving loop): untriggered lanes carry inert values
-        through the masked iterations and are never written back.
+        Element-wise identical to the scalar halving loop of
+        :func:`~repro.tcp.state.apply_slow_start_restart`: untriggered lanes
+        carry inert values through the masked iterations and are never
+        written back.
         """
         b = self._scratch
         cwnd = self._cwnd
@@ -1067,17 +774,15 @@ class BatchTCPConnection:
     # repro: scratch
     def _download_scratch(
         self, size_bytes: np.ndarray, start_times_s: np.ndarray
-    ) -> "_MutableBatchResult":
-        """Preallocated-scratch mirror of :meth:`_download_numpy`.
+    ) -> BatchDownloadResult:
+        """The batched closed-form pass over preallocated scratch buffers.
 
         Steady-state chunks (every lane pipe-full and finishing inside its
         current trace interval — the overwhelmingly common case once
         windows have opened) run entirely through ``out=`` ufuncs on
         per-batch buffers: zero new array allocations
         (``tests/test_dispatch_budget.py``).  Ragged chunks fall back to
-        the allocating helpers but stay on the batch path —
-        ``force_vector=True`` absorbs the ``_VECTOR_ROUNDS_MIN`` and
-        <8-lane scalar cutoffs.
+        allocating helpers but stay on the batch path.
         """
         b = self._scratch
         ws = self._ws
@@ -1142,7 +847,7 @@ class BatchTCPConnection:
     def _skip_rounds_scratch(
         self, t0: np.ndarray, sizes: np.ndarray, ends: np.ndarray
     ) -> None:
-        """Vectorised analytic round skip for a ragged chunk (all lanes).
+        """Vectorised closed-form round skip for a ragged chunk (all lanes).
 
         The batch mirror of :func:`_analytic_download`'s no-crossing fast
         case: within one constant-bandwidth interval the BDP is constant,
@@ -1155,8 +860,8 @@ class BatchTCPConnection:
         ``k == 0``, and all fluid drains merge into one batched
         :meth:`~repro.net.trace.TraceBatch.transfer_drain` call.
         Lanes whose window-limited phase would cross an interval boundary
-        or outrun the table horizon fall back to the scalar kernel per
-        lane, exactly as the analytic tier does.
+        or outrun the table horizon fall back to the scalar closed-form
+        kernel per lane.
         """
         b = self._scratch
         ws = self._ws
@@ -1184,7 +889,7 @@ class BatchTCPConnection:
         ok = (k < h) & ((idx0 == last) | (tk < bounds[idx0 + 1]))
         if np.count_nonzero(ok) != ok.size:
             # Interval crossing mid-phase (or a horizon overrun): per-lane
-            # scalar kernel, identical to the analytic tier's fallbacks.
+            # scalar closed-form kernel.
             for j in np.flatnonzero(~ok):
                 e, _, grown = _analytic_download(
                     tb.lane(int(j)),
@@ -1274,12 +979,12 @@ class BatchTCPConnection:
             np.copyto(cwnd, b.ti, where=gd)
 
     # ------------------------------------------------------------------
-    # Tier 2: the compiled kernel
+    # The compiled tier
     # ------------------------------------------------------------------
     # repro: scratch
     def _download_compiled(
         self, size_bytes: np.ndarray, start_times_s: np.ndarray
-    ) -> "_MutableBatchResult":
+    ) -> BatchDownloadResult:
         """One compiled-kernel call advances every lane through the chunk."""
         b = self._scratch
         tb = self.batch

@@ -21,7 +21,10 @@ shared pieces:
 * **backend naming** (:func:`resolve_backend`) — the canonical tier names
   ``"numba"`` / ``"cc"`` / ``"python"`` every kernel module's
   ``backend()`` reports, pinned consistent across modules by
-  ``tests/test_abduction_kernel.py``.
+  ``tests/test_abduction_kernel.py``;
+* **the degrade warning** (:func:`warn_fallback`) — one once-per-process
+  ``RuntimeWarning`` per tier ladder (replay, abduction) naming the
+  requested and the effective tier.
 
 Each kernel module keeps its own ``FORCE_PYTHON`` flag (tests monkeypatch
 them independently) and its own dispatchers; only the detection and build
@@ -75,6 +78,7 @@ import hashlib
 import os
 import shutil
 import subprocess
+import warnings
 
 __all__ = [
     "HAVE_NUMBA",
@@ -86,6 +90,7 @@ __all__ = [
     "cc_compiler",
     "maybe_jit",
     "resolve_backend",
+    "warn_fallback",
 ]
 
 try:  # pragma: no cover - exercised only when numba is installed
@@ -215,3 +220,28 @@ def resolve_backend(force_python: bool, cc_library: CcLibrary) -> str:
     if cc_library.load() is not None:
         return "cc"
     return "python"
+
+
+_FALLBACK_WARNED: set[str] = set()
+"""Tier ladders that have already warned; clear it in tests to re-arm."""
+
+
+def warn_fallback(ladder: str, requested: str, effective: str) -> None:
+    """Warn, once per process per ``ladder``, that a compiled tier degraded.
+
+    The degrade itself is by design — the effective tier keeps the parity
+    contract — but operators asking for ``requested`` should see the
+    ``effective`` tier in their logs.  ``stacklevel`` points at the caller
+    of the function that detected the degrade.
+    """
+    if ladder in _FALLBACK_WARNED:
+        return
+    _FALLBACK_WARNED.add(ladder)
+    warnings.warn(
+        f'{ladder} kernel "{requested}" requested but no compiled backend '
+        f'(numba or cc+cffi) is available; falling back to the "{effective}" '
+        "tier (the parity contract holds; only throughput drops). This "
+        "warning is emitted once per process.",
+        RuntimeWarning,
+        stacklevel=3,
+    )

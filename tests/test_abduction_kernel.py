@@ -40,6 +40,7 @@ from repro.player import _fused
 from repro.tcp import _compiled
 from repro.tcp.estimator import REQUEST_RTTS, chunk_state_arrays
 from repro.tcp.state import TCPStateSnapshot
+from repro.util import compiled as util_compiled
 from repro.util.compiled import BACKEND_NAMES
 
 RTOL = 1e-12
@@ -303,7 +304,7 @@ class TestWiredEntryPoints:
         """No backend => numpy results plus one RuntimeWarning per process."""
         log_b, transitions, gaps = random_stack(13)
         monkeypatch.setattr(_kernels, "use_kernel", lambda: False)
-        monkeypatch.setattr(_kernels, "_FALLBACK_WARNED", False)
+        monkeypatch.setattr(util_compiled, "_FALLBACK_WARNED", set())
         want = forward_backward_batch(log_b, transitions, gaps)
         with pytest.warns(RuntimeWarning, match="falling back"):
             got = forward_backward_batch(

@@ -309,7 +309,7 @@ class TestPrepareCorpusParity:
         which preserves the contract)."""
         corpus = small_corpus(3)
         want = CounterfactualEngine(
-            paper_veritas_config(), n_samples=2, seed=4, kernel="analytic"
+            paper_veritas_config(), n_samples=2, seed=4, kernel="reference"
         ).prepare_corpus(corpus, setting_a)
         for kernel in ("scratch", "compiled"):
             got = CounterfactualEngine(

@@ -3,9 +3,9 @@
 The batch engine promises **bit-identical** results to per-lane serial
 replay at every layer:
 
-* ``TraceBatch.time_to_transfer_batch`` vs the scalar
-  ``PiecewiseConstantTrace.time_to_transfer`` (vectorised bisection over
-  the stacked cumulative-bytes integrals),
+* ``TraceBatch.transfer_drain`` vs the scalar
+  ``PiecewiseConstantTrace.time_to_transfer`` (forward walk over the
+  stacked cumulative-bytes integrals, per-lane scalar fallback),
 * ``BatchStreamingSession`` (lockstep chunk loop + ``BatchTCPConnection``)
   vs per-lane ``StreamingSession`` runs — exact vectorised ABR decisions
   for BBA/BOLA/MPC, the automatic per-lane scalar fallback, and fused
@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.player.batch_session as batch_session_module
 import repro.player.logs as logs_module
 from repro import (
     BatchStreamingSession,
@@ -44,9 +45,9 @@ from repro import (
     run_setting_batch,
 )
 from repro.abr import BBAAlgorithm, BOLAAlgorithm, MPCAlgorithm
-from repro.net.trace import boundary_key
-from repro.net.trace import PiecewiseConstantTrace
+from repro.net.trace import _EPS_BYTES, PiecewiseConstantTrace, boundary_key
 from repro.player.batch_session import LaneGroup, abr_supports_batch_replay
+from repro.tcp.connection import KERNEL_TIERS
 
 
 def lane_traces(
@@ -106,14 +107,12 @@ class TestTraceBatch:
         rng = np.random.default_rng(11)
         lanes = lane_traces(9, seed=5)
         batch = TraceBatch(lanes)
+        every_lane = np.arange(9)
         for _ in range(300):
             starts = rng.uniform(-5.0, 230.0, 9)  # spans before/past the grid
             sizes = 10 ** rng.uniform(1.0, 7.5, 9)
             sizes[rng.random(9) < 0.1] = 0.0
-            got = batch.time_to_transfer_batch(starts, sizes)
-            for k in range(9):
-                want = lanes[k].time_to_transfer(float(starts[k]), float(sizes[k]))
-                assert got[k] == want  # bit-identical, no tolerance
+            assert_drain_bit_identical(batch, starts, sizes, every_lane)
 
     def test_time_to_transfer_batch_lane_subset(self):
         lanes = lane_traces(6, seed=9)
@@ -121,32 +120,124 @@ class TestTraceBatch:
         subset = np.array([1, 3, 4])
         starts = np.array([3.0, 17.0, 160.0])
         sizes = np.array([5e4, 2e6, 8e5])
-        got = batch.time_to_transfer_batch(starts, sizes, lanes=subset)
-        for j, k in enumerate(subset):
-            want = lanes[k].time_to_transfer(float(starts[j]), float(sizes[j]))
-            assert got[j] == want
+        assert_drain_bit_identical(batch, starts, sizes, subset)
 
     def test_vectorised_bisection_path_bit_identical(self):
-        # Enough cold lanes to engage the lockstep binary search (the
-        # small-subset scalar shortcut is bypassed).
+        # Big transfers from mid-trace starts: most lanes spill one or more
+        # intervals, some past the forward-walk budget.
         lanes = lane_traces(24, seed=13)
         batch = TraceBatch(lanes)
         rng = np.random.default_rng(2)
         starts = rng.uniform(0.0, 150.0, 24)
         sizes = 10 ** rng.uniform(6.0, 7.6, 24)  # big: spill many intervals
-        got = batch.time_to_transfer_batch(starts, sizes)
-        for k in range(24):
-            want = lanes[k].time_to_transfer(float(starts[k]), float(sizes[k]))
-            assert got[k] == want
+        assert_drain_bit_identical(batch, starts, sizes, np.arange(24))
 
     def test_zero_trailing_bandwidth_raises(self):
         vals = [2.0, 1.0, 0.0]
         dead = PiecewiseConstantTrace.from_uniform(vals, 5.0)
         batch = TraceBatch([dead, dead])
-        with pytest.raises(RuntimeError, match="trailing bandwidth"):
-            batch.time_to_transfer_batch(
-                np.array([0.0, 0.0]), np.array([1e9, 1e9])
+        for known_cold in (False, True):
+            with pytest.raises(RuntimeError, match="trailing bandwidth"):
+                batch.transfer_drain(
+                    np.array([0.0, 0.0]),
+                    np.array([1e9, 1e9]),
+                    np.arange(2),
+                    np.zeros(2, dtype=np.int64),
+                    known_cold=known_cold,
+                )
+
+    def test_cursor_and_hot_drain_bit_identical(self):
+        """``advance_indices`` tracks ``interval_indices`` along monotone
+        per-lane clocks (past the grid end too), and ``transfer_hot``
+        answers exactly when every lane finishes inside its start
+        interval — bit-identical to the scalar query."""
+        rng = np.random.default_rng(23)
+        lanes = lane_traces(6, seed=17)
+        batch = TraceBatch(lanes)
+        ws = batch.make_transfer_scratch()
+        out = np.empty(6)
+        starts = np.zeros(6)
+        answered = declined = 0
+        for _ in range(200):
+            starts = starts + rng.uniform(0.0, 2.0, 6)
+            cursor = batch.advance_indices(starts, ws)
+            assert np.array_equal(cursor, batch.interval_indices(starts))
+            sizes = 10 ** rng.uniform(2.0, 5.0, 6)
+            if not batch.transfer_hot(starts, sizes, ws, out):
+                declined += 1
+                continue
+            answered += 1
+            for k in range(6):
+                want = lanes[k].time_to_transfer(float(starts[k]), float(sizes[k]))
+                assert out[k] == want  # bit-identical, no tolerance
+        assert answered and declined
+
+    @pytest.mark.parametrize("known_cold", [False, True])
+    def test_drain_past_walk_budget_falls_back_to_scalar(
+        self, monkeypatch, known_cold
+    ):
+        """Drains completing more than ``_DRAIN_WALK_MAX`` intervals past
+        their start interval leave the forward walk for the per-lane
+        scalar query; lanes inside the budget never reach it."""
+        assert TraceBatch._DRAIN_WALK_MAX == 4
+        rng = np.random.default_rng(19)
+        lanes = [
+            PiecewiseConstantTrace.from_uniform(rng.uniform(0.5, 2.0, 30), 1.0)
+            for _ in range(3)
+        ]
+        batch = TraceBatch(lanes)
+        starts = np.array([0.25, 3.5, 7.75])
+        # Completion 1, 6-7 and 13 intervals past each start interval.
+        spans = np.array([1.5, 6.5, 12.5])
+        sizes = np.array(
+            [lanes[k].integrate_bytes(starts[k], starts[k] + spans[k]) for k in range(3)]
+        )
+        want = [lanes[k].time_to_transfer(starts[k], sizes[k]) for k in range(3)]
+
+        scalar_calls = []
+        real = PiecewiseConstantTrace.time_to_transfer
+
+        def counting(trace, start, size):
+            scalar_calls.append(lanes.index(trace))
+            return real(trace, start, size)
+
+        monkeypatch.setattr(PiecewiseConstantTrace, "time_to_transfer", counting)
+        got = batch.transfer_drain(
+            starts, sizes, np.arange(3), batch.interval_indices(starts),
+            known_cold=known_cold,
+        )
+        assert sorted(scalar_calls) == [1, 2]
+        assert got.tolist() == want  # bit-identical, no tolerance
+
+
+def drain_cold_lanes(batch, starts, sizes, lanes, i0):
+    """Positions whose drain the hot predicate rejects (or that start before
+    the trace or move no bytes): the only lanes a caller may hand
+    :meth:`TraceBatch.transfer_drain` with ``known_cold=True``."""
+    bounds = batch.boundaries
+    rate0 = batch._rates2d[lanes, i0]
+    hot = (rate0 * (bounds[i0 + 1] - starts) >= sizes - _EPS_BYTES) | (
+        starts >= bounds[-1]
+    )
+    pre = (starts < bounds[0]) | (sizes <= 0.0)
+    return np.flatnonzero(~(hot & (rate0 > 0.0)) | pre)
+
+
+def assert_drain_bit_identical(batch, starts, sizes, lanes):
+    """``transfer_drain`` equals the scalar query lane by lane, both with
+    the hot split (all positions) and with ``known_cold=True`` (the cold
+    positions only, as the scratch round skip calls it)."""
+    i0 = batch.interval_indices(starts)
+    cold = drain_cold_lanes(batch, starts, sizes, lanes, i0)
+    for known_cold, pos in ((False, np.arange(starts.size)), (True, cold)):
+        got = batch.transfer_drain(
+            starts[pos], sizes[pos], lanes[pos], i0[pos], known_cold=known_cold
+        )
+        for j, value in zip(pos, got):
+            want = batch.lane(int(lanes[j])).time_to_transfer(
+                float(starts[j]), float(sizes[j])
             )
+            assert value == want  # bit-identical, no tolerance
 
 
 def assert_logs_identical(serial, lane):
@@ -367,19 +458,20 @@ class TestKernelTierRegistry:
     """Construction-time validation of ``kernel=`` names (PR 6)."""
 
     def test_known_tiers(self):
-        from repro.tcp.connection import DEFAULT_KERNEL, KERNEL_TIERS
+        from repro.tcp.connection import DEFAULT_KERNEL
 
-        assert KERNEL_TIERS == (
-            "reference", "analytic", "scratch", "compiled", "fused"
-        )
-        assert DEFAULT_KERNEL in KERNEL_TIERS
+        assert KERNEL_TIERS == ("reference", "scratch", "compiled")
+        assert DEFAULT_KERNEL == "scratch"
 
     def test_batch_connection_rejects_unknown_kernel(self):
         from repro.tcp.connection import BatchTCPConnection
 
         batch = TraceBatch(lane_traces(2))
-        with pytest.raises(ValueError, match="available tiers"):
-            BatchTCPConnection(batch, kernel="warp-drive")
+        # The retired names fail like any unknown one: the batch analytic
+        # path is gone and the fused session kernel is part of "compiled".
+        for name in ("warp-drive", "analytic", "fused"):
+            with pytest.raises(ValueError, match="available tiers"):
+                BatchTCPConnection(batch, kernel=name)
 
     def test_batch_session_rejects_unknown_kernel(self, video):
         with pytest.raises(ValueError, match="available tiers"):
@@ -395,43 +487,51 @@ class TestKernelTierRegistry:
             )
 
     def test_every_tier_constructs(self):
-        from repro.tcp.connection import KERNEL_TIERS, BatchTCPConnection
+        from repro.tcp.connection import BatchTCPConnection
 
         batch = TraceBatch(lane_traces(2))
         for tier in KERNEL_TIERS:
             conn = BatchTCPConnection(batch, kernel=tier)
             assert conn.kernel == tier
-            # "compiled" may legitimately degrade to "scratch" and "fused"
-            # to "compiled"/"scratch"; everything else serves exactly the
-            # requested tier.
+            # "compiled" may legitimately degrade to "scratch"; everything
+            # else serves exactly the requested tier.
             if tier == "compiled":
                 assert conn._tier in ("compiled", "scratch")
-            elif tier == "fused":
-                assert conn._tier in ("fused", "compiled", "scratch")
             else:
                 assert conn._tier == tier
 
 
-REPLAY_TIERS = ("reference", "analytic", "scratch", "compiled", "fused")
+REPLAY_PATHS = ("reference", "scratch", "compiled", "fused")
+"""Every session-replay path under parity: the three tiers, with
+``kernel="compiled"`` split into its two runners — ``"compiled"`` pins the
+per-chunk compiled download (no fused plan), ``"fused"`` the
+whole-session kernel."""
+
+
+def replay_kernel(path: str, monkeypatch) -> str:
+    """The ``kernel=`` value that drives replay path ``path``."""
+    if path == "compiled":
+        monkeypatch.setattr(batch_session_module, "_fused_plan", lambda *a: None)
+    return "compiled" if path == "fused" else path
 
 
 class TestKernelTierParity:
     """Threshold-boundary parity across every replay kernel tier (PR 6).
 
-    The scratch tier absorbs two scalar-fallback cutoffs — the <8-lane
-    bisect shortcut and the ``_VECTOR_ROUNDS_MIN`` (= 12) round-schedule
-    minimum — so lane counts 1/7/8 and downloads taking 11/12/13
-    reference rounds sit exactly on those seams.  Every case must be
-    bit-identical on every tier.
+    Lane counts 1/7/8 and downloads taking 11/12/13 reference rounds sat
+    on the scalar-fallback seams of the retired allocating batch path;
+    they stay as regression cases for the surviving paths.  Every case
+    must be bit-identical on every tier.
     """
 
     @pytest.mark.parametrize("n_lanes", [1, 7, 8])
-    @pytest.mark.parametrize("tier", REPLAY_TIERS)
-    def test_lane_count_boundaries(self, video, n_lanes, tier):
+    @pytest.mark.parametrize("tier", REPLAY_PATHS)
+    def test_lane_count_boundaries(self, video, n_lanes, tier, monkeypatch):
         traces = lane_traces(n_lanes, seed=31)
         config = SessionConfig(buffer_capacity_s=5.0)
         batch_log = BatchStreamingSession(
-            video, BBAAlgorithm, traces, config, kernel=tier
+            video, BBAAlgorithm, traces, config,
+            kernel=replay_kernel(tier, monkeypatch),
         ).run()
         for k, trace in enumerate(traces):
             serial = StreamingSession(video, BBAAlgorithm(), trace, config).run()
@@ -451,13 +551,12 @@ class TestKernelTierParity:
             cwnd = _grow_window(cwnd, INITIAL_SSTHRESH_SEGMENTS)
         return (sent + cwnd) * MSS_BYTES - 750.0
 
-    @pytest.mark.parametrize("tier", REPLAY_TIERS)
+    @pytest.mark.parametrize("tier", KERNEL_TIERS)
     def test_round_count_boundaries(self, tier):
-        """Downloads engineered to take 3/11/12/13 reference rounds —
-        straddling ``_VECTOR_ROUNDS_MIN`` (= 12) — all bit-identical."""
+        """Downloads engineered to take 3/11/12/13 reference rounds, all
+        bit-identical."""
         from repro.tcp.connection import BatchTCPConnection, TCPConnection
 
-        assert BatchTCPConnection._VECTOR_ROUNDS_MIN == 12  # 11/12/13 on the seam
         targets = [3, 11, 12, 13]
         # 400 Mbps: the BDP (4 MB) exceeds cwnd*MSS through round 13, so
         # the loop below never exits pipe-full before its target round.
@@ -479,7 +578,7 @@ class TestKernelTierParity:
             assert conn._cwnd[k] == refs[k].state.cwnd_segments
             assert conn._ssthresh[k] == refs[k].state.ssthresh_segments
 
-    @pytest.mark.parametrize("tier", REPLAY_TIERS)
+    @pytest.mark.parametrize("tier", KERNEL_TIERS)
     def test_zero_capacity_interval_downloads(self, tier):
         """Transfers that must wait out mid-trace zero-capacity intervals
         agree with the scalar kernel on every tier."""
@@ -490,7 +589,7 @@ class TestKernelTierParity:
         n = 6
         rng = np.random.default_rng(17)
         conn = BatchTCPConnection(TraceBatch([trace] * n), kernel=tier)
-        serial = [TCPConnection(trace, kernel="analytic") for _ in range(n)]
+        serial = [TCPConnection(trace, kernel="reference") for _ in range(n)]
         starts = np.zeros(n)
         for _ in range(4):
             sizes = 10 ** rng.uniform(4.5, 6.5, n)
@@ -502,12 +601,13 @@ class TestKernelTierParity:
             starts = got.end_times_s + rng.uniform(0.0, 0.4, n)
 
     @pytest.mark.parametrize("abr_factory", [BBAAlgorithm, BOLAAlgorithm, MPCAlgorithm])
-    @pytest.mark.parametrize("tier", REPLAY_TIERS)
-    def test_every_abr_on_every_tier(self, video, abr_factory, tier):
+    @pytest.mark.parametrize("tier", REPLAY_PATHS)
+    def test_every_abr_on_every_tier(self, video, abr_factory, tier, monkeypatch):
         traces = lane_traces(5, seed=33)
         config = SessionConfig(buffer_capacity_s=8.0)
         batch_log = BatchStreamingSession(
-            video, abr_factory, traces, config, kernel=tier
+            video, abr_factory, traces, config,
+            kernel=replay_kernel(tier, monkeypatch),
         ).run()
         for k, trace in enumerate(traces):
             serial = StreamingSession(video, abr_factory(), trace, config).run()

@@ -24,6 +24,8 @@ asserts it explicitly while the lockstep tests pin exact equality.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -44,9 +46,10 @@ from repro.tcp.connection import BatchTCPConnection
 from repro.util import compiled as util_compiled
 
 from test_batch_replay import (  # noqa: F401
-    REPLAY_TIERS,
+    REPLAY_PATHS,
     assert_logs_identical,
     lane_traces,
+    replay_kernel,
     video,
 )
 
@@ -106,15 +109,26 @@ class TestBackendDispatch:
         assert _compiled.backend() == "python"
 
     def test_unavailable_compiled_falls_back_to_scratch(self, monkeypatch):
-        from repro.tcp import connection
-
         monkeypatch.setattr(_compiled, "available", lambda: False)
-        monkeypatch.setattr(connection, "_COMPILED_FALLBACK_WARNED", False)
+        monkeypatch.setattr(util_compiled, "_FALLBACK_WARNED", set())
         batch = TraceBatch(lane_traces(3))
-        with pytest.warns(RuntimeWarning, match="falling back"):
+        with pytest.warns(RuntimeWarning, match='"compiled".*"scratch"'):
             conn = BatchTCPConnection(batch, kernel="compiled")
         assert conn.kernel == "compiled"  # the request is remembered...
         assert conn._tier == "scratch"  # ...but the scratch tier serves it
+
+    def test_fallback_warning_once_per_ladder(self, monkeypatch):
+        """One degrade warning per tier ladder per process, naming the
+        requested and the effective tier."""
+        monkeypatch.setattr(util_compiled, "_FALLBACK_WARNED", set())
+        with pytest.warns(RuntimeWarning, match='replay kernel "compiled".*"scratch"'):
+            util_compiled.warn_fallback("replay", "compiled", "scratch")
+        with pytest.warns(RuntimeWarning, match='abduction kernel "compiled".*"numpy"'):
+            util_compiled.warn_fallback("abduction", "compiled", "numpy")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            util_compiled.warn_fallback("replay", "compiled", "scratch")
+            util_compiled.warn_fallback("abduction", "compiled", "numpy")
 
     def test_cc_build_failure_is_graceful(self, monkeypatch, tmp_path):
         """An unusable cache dir must make the cc backend report
@@ -169,15 +183,22 @@ class TestRawKernelParity:
 
 class TestCompiledSessionParity:
     @pytest.mark.parametrize("abr_factory", [BBAAlgorithm, BOLAAlgorithm, MPCAlgorithm])
-    def test_sessions_bit_identical_to_serial(self, video, abr_factory):  # noqa: F811
+    def test_sessions_bit_identical_to_serial(self, video, abr_factory, monkeypatch):  # noqa: F811
+        """Shipped ABRs on ``kernel="compiled"``: the whole-session kernel,
+        then the per-chunk compiled loop with the fused plan withheld."""
         traces = lane_traces(6, seed=21)
         config = SessionConfig(buffer_capacity_s=5.0)
-        batch_log = BatchStreamingSession(
-            video, abr_factory, traces, config, kernel="compiled"
-        ).run()
-        for k, trace in enumerate(traces):
-            serial = StreamingSession(video, abr_factory(), trace, config).run()
-            assert_logs_identical(serial, batch_log.lane(k))
+        serial = [
+            StreamingSession(video, abr_factory(), trace, config).run()
+            for trace in traces
+        ]
+        for path in ("fused", "compiled"):  # "compiled" patches the plan out
+            batch_log = BatchStreamingSession(
+                video, abr_factory, traces, config,
+                kernel=replay_kernel(path, monkeypatch),
+            ).run()
+            for k, want in enumerate(serial):
+                assert_logs_identical(want, batch_log.lane(k))
 
     def test_force_python_sessions_bit_identical(self, video, monkeypatch):  # noqa: F811
         """The pure-Python mirror must satisfy the same session contract —
@@ -360,10 +381,10 @@ def tie_video(n_chunks: int = 12) -> Video:
 
 
 class TestMPCKernelEdgeCases:
-    """Satellite 3: MPC horizon-search seams on every kernel tier."""
+    """MPC horizon-search seams on every replay path."""
 
-    @pytest.mark.parametrize("tier", REPLAY_TIERS)
-    def test_end_of_video_truncation(self, tier):
+    @pytest.mark.parametrize("tier", REPLAY_PATHS)
+    def test_end_of_video_truncation(self, tier, monkeypatch):
         """A video shorter than the horizon truncates the sequence table
         from chunk 0; longer videos truncate over the last H-1 chunks."""
         for duration in (6.0, 20.0):  # 3 chunks (< horizon) and 10 chunks
@@ -372,25 +393,27 @@ class TestMPCKernelEdgeCases:
             traces = lane_traces(4, seed=41)
             config = SessionConfig(buffer_capacity_s=8.0)
             batch_log = BatchStreamingSession(
-                short, factory, traces, config, kernel=tier
+                short, factory, traces, config,
+                kernel=replay_kernel(tier, monkeypatch),
             ).run()
             for k, trace in enumerate(traces):
                 serial = StreamingSession(short, factory(), trace, config).run()
                 assert_logs_identical(serial, batch_log.lane(k))
 
-    @pytest.mark.parametrize("tier", REPLAY_TIERS)
-    def test_k1_single_lane_batch(self, video, tier):  # noqa: F811
+    @pytest.mark.parametrize("tier", REPLAY_PATHS)
+    def test_k1_single_lane_batch(self, video, tier, monkeypatch):  # noqa: F811
         traces = lane_traces(1, seed=42)
         config = SessionConfig(buffer_capacity_s=8.0)
         batch_log = BatchStreamingSession(
-            video, MPCAlgorithm, traces, config, kernel=tier
+            video, MPCAlgorithm, traces, config,
+            kernel=replay_kernel(tier, monkeypatch),
         ).run()
         serial = StreamingSession(video, MPCAlgorithm(), traces[0], config).run()
         assert batch_log.n_lanes == 1
         assert_logs_identical(serial, batch_log.lane(0))
 
-    @pytest.mark.parametrize("tier", REPLAY_TIERS)
-    def test_tied_qoe_argmax(self, tier):
+    @pytest.mark.parametrize("tier", REPLAY_PATHS)
+    def test_tied_qoe_argmax(self, tier, monkeypatch):
         """All-equal QoE tables: every sequence ties, so the chosen
         quality is decided purely by the first-maximum argmax rule —
         any backend scanning in a different order diverges loudly."""
@@ -401,14 +424,15 @@ class TestMPCKernelEdgeCases:
         traces = lane_traces(3, seed=43)
         config = SessionConfig(buffer_capacity_s=8.0)
         batch_log = BatchStreamingSession(
-            tie, factory, traces, config, kernel=tier
+            tie, factory, traces, config,
+            kernel=replay_kernel(tier, monkeypatch),
         ).run()
         for k, trace in enumerate(traces):
             serial = StreamingSession(tie, factory(), trace, config).run()
             assert_logs_identical(serial, batch_log.lane(k))
 
-    @pytest.mark.parametrize("tier", REPLAY_TIERS)
-    def test_predictor_error_state_after_stall(self, tier):
+    @pytest.mark.parametrize("tier", REPLAY_PATHS)
+    def test_predictor_error_state_after_stall(self, tier, monkeypatch):
         """Starved lanes stall repeatedly; the post-stall decisions depend
         on the predictor's error ring (large relative errors shrink the
         robust prediction), so parity here pins that in-kernel state."""
@@ -421,7 +445,8 @@ class TestMPCKernelEdgeCases:
         ]
         config = SessionConfig(buffer_capacity_s=5.0)
         batch_log = BatchStreamingSession(
-            stall_video, MPCAlgorithm, traces, config, kernel=tier
+            stall_video, MPCAlgorithm, traces, config,
+            kernel=replay_kernel(tier, monkeypatch),
         ).run()
         assert float(np.max(batch_log.rebuffer_s)) > 0.0  # stalls happened
         for k, trace in enumerate(traces):
@@ -432,7 +457,7 @@ class TestMPCKernelEdgeCases:
 
 
 # ----------------------------------------------------------------------
-# Fused session tier (PR 8).
+# Fused session kernel: the compiled tier's whole-session runner.
 # ----------------------------------------------------------------------
 
 
@@ -446,7 +471,7 @@ class TestFusedTier:
             LaneGroup(BOLAAlgorithm, SessionConfig(buffer_capacity_s=8.0), traces[3:6]),
             LaneGroup(MPCAlgorithm, SessionConfig(buffer_capacity_s=15.0), traces[6:]),
         ]
-        batch_log = BatchStreamingSession.fused(video, groups, kernel="fused").run()
+        batch_log = BatchStreamingSession.fused(video, groups, kernel="compiled").run()
         factories = [BBAAlgorithm] * 3 + [BOLAAlgorithm] * 3 + [MPCAlgorithm] * 3
         capacities = [15.0] * 3 + [8.0] * 3 + [15.0] * 3
         for k, trace in enumerate(traces):
@@ -462,42 +487,57 @@ class TestFusedTier:
         traces = lane_traces(4, seed=52)
         config = SessionConfig(buffer_capacity_s=6.0, request_overhead_s=0.05)
         batch_log = BatchStreamingSession(
-            video, BOLAAlgorithm, traces, config, kernel="fused"
+            video, BOLAAlgorithm, traces, config, kernel="compiled"
         ).run()
         for k, trace in enumerate(traces):
             serial = StreamingSession(video, BOLAAlgorithm(), trace, config).run()
             assert_logs_identical(serial, batch_log.lane(k))
 
     def test_fused_force_python_sessions_bit_identical(self, video, monkeypatch):  # noqa: F811
-        """The fused tier's pure-Python mirror satisfies the same session
+        """The fused kernel's pure-Python mirror satisfies the same session
         contract — the whole fused path stays testable with no
-        toolchain (and this is what the tier serves when only the
-        session kernel's backend is missing)."""
+        toolchain."""
         monkeypatch.setattr(_fused, "FORCE_PYTHON", True)
         traces = lane_traces(5, seed=53)
         config = SessionConfig(buffer_capacity_s=8.0)
         batch_log = BatchStreamingSession(
-            video, MPCAlgorithm, traces, config, kernel="fused"
+            video, MPCAlgorithm, traces, config, kernel="compiled"
         ).run()
         for k, trace in enumerate(traces):
             serial = StreamingSession(video, MPCAlgorithm(), trace, config).run()
             assert_logs_identical(serial, batch_log.lane(k))
 
     def test_unavailable_fused_falls_back(self, video, monkeypatch):  # noqa: F811
-        from repro.tcp import connection
-
+        """Without a session-kernel backend, ``kernel="compiled"`` quietly
+        runs the chunk loop on the per-chunk compiled download (the Python
+        mirror here, so every machine takes this path) — bit-identical to
+        serial replay, no warning."""
         monkeypatch.setattr(_fused, "available", lambda: False)
-        monkeypatch.setattr(connection, "_FUSED_FALLBACK_WARNED", False)
-        batch = TraceBatch(lane_traces(3))
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            conn = BatchTCPConnection(batch, kernel="fused")
-        assert conn.kernel == "fused"  # the request is remembered...
-        expected = "compiled" if _compiled.available() else "scratch"
-        assert conn._tier == expected  # ...served by the next tier down
+        monkeypatch.setattr(_compiled, "FORCE_PYTHON", True)
+        calls = {"download_chunk": 0, "run_session": 0}
+        for module, name in ((_compiled, "download_chunk"), (_fused, "run_session")):
+            real = getattr(module, name)
+
+            def counting(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        traces = lane_traces(3, seed=58)
+        config = SessionConfig(buffer_capacity_s=5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch_log = BatchStreamingSession(
+                video, MPCAlgorithm, traces, config, kernel="compiled"
+            ).run()
+        assert calls == {"download_chunk": video.n_chunks, "run_session": 0}
+        for k, trace in enumerate(traces):
+            serial = StreamingSession(video, MPCAlgorithm(), trace, config).run()
+            assert_logs_identical(serial, batch_log.lane(k))
 
     def test_fused_scalar_fallback_abr_uses_chunk_loop(self, video):  # noqa: F811
         """An ABR outside the fused kernel's reach (scalar decisions) on
-        kernel="fused" silently takes the per-chunk loop on the same
+        kernel="compiled" silently takes the per-chunk loop on the same
         connection — identical results, no error."""
 
         class PinnedBBA(BBAAlgorithm):
@@ -509,20 +549,20 @@ class TestFusedTier:
         traces = lane_traces(3, seed=54)
         config = SessionConfig(buffer_capacity_s=5.0)
         batch_log = BatchStreamingSession(
-            video, PinnedBBA, traces, config, kernel="fused"
+            video, PinnedBBA, traces, config, kernel="compiled"
         ).run()
         for k, trace in enumerate(traces):
             serial = StreamingSession(video, PinnedBBA(), trace, config).run()
             assert_logs_identical(serial, batch_log.lane(k))
 
     def test_fused_non_robust_mpc_uses_chunk_loop(self, video):  # noqa: F811
-        """Plain (non-robust) MPC has no kernel pack, so the fused tier
+        """Plain (non-robust) MPC has no kernel pack, so the compiled tier
         must fall back to the per-chunk loop and still match serial."""
         factory = lambda: MPCAlgorithm(robust=False)  # noqa: E731
         traces = lane_traces(3, seed=55)
         config = SessionConfig(buffer_capacity_s=8.0)
         batch_log = BatchStreamingSession(
-            video, factory, traces, config, kernel="fused"
+            video, factory, traces, config, kernel="compiled"
         ).run()
         for k, trace in enumerate(traces):
             serial = StreamingSession(video, factory(), trace, config).run()
@@ -545,7 +585,7 @@ class TestFusedTier:
                 traces[2:],
             ),
         ]
-        batch_log = BatchStreamingSession.fused(video, groups, kernel="fused").run()
+        batch_log = BatchStreamingSession.fused(video, groups, kernel="compiled").run()
         horizons = [4, 4, 5, 5]
         for k, trace in enumerate(traces):
             serial = StreamingSession(
@@ -563,7 +603,7 @@ class TestFusedTier:
         traces = lane_traces(8, seed=57)
         config = SessionConfig(buffer_capacity_s=5.0)
         batch_log = BatchStreamingSession(
-            video, BBAAlgorithm, traces, config, kernel="fused"
+            video, BBAAlgorithm, traces, config, kernel="compiled"
         ).run()
         assert float(np.max(batch_log.rebuffer_s)) > 0.0
         for k, trace in enumerate(traces):
@@ -579,5 +619,5 @@ class TestFusedTier:
                 BBAAlgorithm,
                 [dead, dead],
                 SessionConfig(buffer_capacity_s=5.0),
-                kernel="fused",
+                kernel="compiled",
             ).run()

@@ -16,7 +16,7 @@ boxed floats in ``observe_rtt``) stays under ~1 KiB regardless of ``K``.
 At ``K = 4096`` the assertion threshold of ``K`` bytes sits far above
 the noise and far below the smallest possible lane array.
 
-``kernel="fused"`` (PR 8) makes a stronger promise: the entire session —
+``kernel="compiled"`` makes a stronger promise: the entire session —
 every chunk's download, ABR decision and buffer/stall accounting — runs
 inside **one** compiled call, eliminating per-chunk Python re-entry.
 The dispatch-count test below pins that to exactly one
@@ -111,7 +111,7 @@ class TestScratchAllocationBudget:
 
 
 class TestFusedDispatchBudget:
-    """``kernel="fused"``: one compiled call per session, no per-chunk
+    """``kernel="compiled"``: one compiled call per session, no per-chunk
     Python re-entry (PR 8 acceptance criterion)."""
 
     def test_single_kernel_call_per_session(self, monkeypatch):
@@ -152,7 +152,7 @@ class TestFusedDispatchBudget:
             BatchTCPConnection, "download_batch", counting_download_batch
         )
 
-        log = BatchStreamingSession.fused(video, groups, kernel="fused").run()
+        log = BatchStreamingSession.fused(video, groups, kernel="compiled").run()
         assert log.n_chunks == video.n_chunks  # the session actually ran
         assert kernel_calls["n"] == 1, (
             f"fused session entered the kernel {kernel_calls['n']} times; "

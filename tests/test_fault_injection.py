@@ -446,9 +446,10 @@ class TestCompiledFallbackWarning:
     def test_warns_once_per_process(self, monkeypatch):
         from repro.net.trace import TraceBatch
         from repro.tcp import _compiled, connection
+        from repro.util import compiled as util_compiled
 
         monkeypatch.setattr(_compiled, "available", lambda: False)
-        monkeypatch.setattr(connection, "_COMPILED_FALLBACK_WARNED", False)
+        monkeypatch.setattr(util_compiled, "_FALLBACK_WARNED", set())
         batch = TraceBatch(
             [PiecewiseConstantTrace.from_uniform([5.0, 5.0], 1.0)]
         )

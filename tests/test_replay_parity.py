@@ -6,14 +6,15 @@ pins the fast paths to them bit for bit:
 * ``PiecewiseConstantTrace.time_to_transfer`` (bisection over the
   cumulative-bytes integral) vs ``time_to_transfer_reference`` (interval
   walk),
-* ``TCPConnection`` analytic kernel (interval-wise closed form) vs the
-  per-RTT reference loop — including whole sessions under BBA/BOLA/MPC,
+* ``TCPConnection``'s closed-form interval kernel (what the scratch and
+  compiled tiers run on a scalar connection) vs the per-RTT reference
+  loop — including whole sessions under BBA/BOLA/MPC,
 * ``CounterfactualEngine.evaluate_many`` over a prepared corpus vs
   back-to-back ``evaluate_corpus`` / per-trace ``evaluate_trace`` calls.
 
 Scope note: bit-identity between fast path and reference is only
 achievable because they share head/bookkeeping helpers
-(``_transfer_prefix``, ``_grow_window``, ``_finish_fluid``), so these
+(``_transfer_prefix``, ``_grow_window``, ``_fluid_finish``), so these
 parity tests pin the *search/stepping* logic, not the shared helpers.
 Defects in the shared code are instead caught by the value-level tests
 here (known closed-form answers) and in ``test_trace.py`` /
@@ -36,7 +37,7 @@ from repro import (
 )
 from repro.causal.engine import run_setting
 from repro.net.trace import PiecewiseConstantTrace
-from repro.tcp.connection import TCPConnection
+from repro.tcp.connection import KERNEL_TIERS, TCPConnection
 from repro.util.rng import spawn_seeds
 
 
@@ -122,7 +123,7 @@ class TestDownloadKernelParity:
             # positive; interior zero-bandwidth gaps stay in play.
             tr = random_trace(rng, trailing_positive=True)
             rtt = float(rng.uniform(0.02, 0.3))
-            fast = TCPConnection(tr, rtt_s=rtt, kernel="analytic")
+            fast = TCPConnection(tr, rtt_s=rtt, kernel="scratch")
             ref = TCPConnection(tr, rtt_s=rtt, kernel="reference")
             t = 0.0
             for _ in range(int(rng.integers(1, 7))):
@@ -137,8 +138,9 @@ class TestDownloadKernelParity:
 
     def test_unknown_kernel_rejected(self):
         tr = PiecewiseConstantTrace([0.0, 1.0], [1.0])
-        with pytest.raises(ValueError):
-            TCPConnection(tr, kernel="warp-drive")
+        for name in ("warp-drive", "analytic", "fused"):  # incl. retired tiers
+            with pytest.raises(ValueError, match="available tiers"):
+                TCPConnection(tr, kernel=name)
 
     @pytest.mark.parametrize("abr", ["bba", "bola", "mpc"])
     def test_full_session_logs_bit_identical(self, abr, monkeypatch):
@@ -146,10 +148,10 @@ class TestDownloadKernelParity:
         setting = change_abr(setting_a, abr)
         traces = paper_corpus(count=2, duration_s=500.0, seed=99)
         logs = {}
-        for kernel in ("analytic", "reference"):
+        for kernel in ("scratch", "reference"):
             monkeypatch.setattr(connection_module, "DEFAULT_KERNEL", kernel)
             logs[kernel] = [run_setting(setting, tr) for tr in traces]
-        for log_fast, log_ref in zip(logs["analytic"], logs["reference"]):
+        for log_fast, log_ref in zip(logs["scratch"], logs["reference"]):
             assert log_fast == log_ref  # SessionLog equality is field-exact
 
 
@@ -214,12 +216,12 @@ class TestEngineKernelTiers:
         setting_a, traces = fixtures
         settings_b = [change_abr(setting_a, "bba"), change_buffer(setting_a, 30.0)]
         results = {}
-        for tier in ("analytic", "scratch", "compiled"):
+        for tier in KERNEL_TIERS:
             engine = CounterfactualEngine(
                 paper_veritas_config(), n_samples=3, seed=5, kernel=tier
             )
             prepared = engine.prepare_corpus(traces, setting_a)
             results[tier] = engine.evaluate_many(prepared, settings_b)
         for tier in ("scratch", "compiled"):
-            for got, want in zip(results[tier], results["analytic"]):
+            for got, want in zip(results[tier], results["reference"]):
                 assert got.per_trace == want.per_trace  # exact equality
