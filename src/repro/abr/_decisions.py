@@ -4,9 +4,8 @@ PR 6 compiled the chunk *download* into one per-batch call; this module
 does the same for the per-chunk ABR *decision*.  Each of the three
 shipped algorithms' ``choose_quality_batch`` loops is transcribed into a
 ``repro.tcp._compiled``-style kernel — a pure-Python mirror (the parity
-oracle), a numba ``njit`` build of the mirror, and a cc + cffi build of
-a line-for-line C transcription — with the same feature detection and
-``FORCE_PYTHON`` test hook.
+oracle) and a cc + cffi build of a line-for-line C transcription — with
+the same feature detection and ``FORCE_PYTHON`` test hook.
 
 The kernels:
 
@@ -24,8 +23,9 @@ The kernels:
 Every kernel performs the same correctly-rounded IEEE-754 float64
 operations in the same order as the NumPy batch implementations (which
 are themselves pinned bit-identical to the scalar reference), so
-decisions are expected bit-identical across backends; the documented
-cross-platform tolerance for the MPC compiled backend is ``rtol=1e-12``.
+decisions are expected bit-identical between the mirror and the C build;
+the documented cross-platform tolerance for the MPC compiled backend is
+``rtol=1e-12``.
 
 The per-lane scalar cores (``_bba_one`` … ``_mpc_decide_one`` and the
 ``C_HELPERS`` fragment) are shared with the fused session kernel in
@@ -35,17 +35,10 @@ loop so one compiled call advances chunk → decision → chunk.
 
 from __future__ import annotations
 
-from ..util.compiled import (
-    HAVE_NUMBA,
-    CcLibrary,
-    maybe_jit as _maybe_jit,
-    resolve_backend,
-)
+from ..util.compiled import CcLibrary
 
 __all__ = [
-    "HAVE_NUMBA",
     "FORCE_PYTHON",
-    "available",
     "backend",
     "use_kernel",
     "bba_decide",
@@ -64,7 +57,6 @@ FORCE_PYTHON = False
 # ----------------------------------------------------------------------
 
 
-@_maybe_jit
 def _bba_one(buf, reservoir, upper, lowest, highest, r_min, r_max, rates,
              n_qualities):
     """One lane's BBA decision (mirrors ``BBAAlgorithm.choose_quality``)."""
@@ -90,7 +82,6 @@ def _bba_one(buf, reservoir, upper, lowest, highest, r_min, r_max, rates,
     return idx
 
 
-@_maybe_jit
 def _bola_one(buf, weights, sizes, n_qualities):
     """One lane's BOLA decision: strict-improvement argmax of the
     drift-plus-penalty score (first maximum wins, matching np.argmax)."""
@@ -104,7 +95,6 @@ def _bola_one(buf, weights, sizes, n_qualities):
     return best_q
 
 
-@_maybe_jit
 def _mpc_obs_pred_one(hist_row, err_row, lp, n_obs, window, error_window,
                       cold_start):
     """One lane's RobustMPC observe + predict step.
@@ -143,7 +133,6 @@ def _mpc_obs_pred_one(hist_row, err_row, lp, n_obs, window, error_window,
     return harmonic / (1.0 + max_error)
 
 
-@_maybe_jit
 def _mpc_decide_one(b0, p, lq, n, h, n_seq, seq, size_flat, db_flat,
                     n_qualities, dbsum_row, switch_row, capacity, chunk_dur,
                     rebuffer_penalty, switch_penalty):
@@ -202,7 +191,6 @@ def _mpc_decide_one(b0, p, lq, n, h, n_seq, seq, size_flat, db_flat,
 # ----------------------------------------------------------------------
 
 
-@_maybe_jit
 def _bba_decide_mirror(buffer_s, reservoir, upper, lowest, highest, r_min,
                        r_max, rates, out):
     n_qualities = rates.shape[0]
@@ -214,7 +202,6 @@ def _bba_decide_mirror(buffer_s, reservoir, upper, lowest, highest, r_min,
     return 0
 
 
-@_maybe_jit
 def _bola_decide_mirror(buffer_s, weights, sizes, out):
     n_qualities = weights.shape[0]
     for k in range(buffer_s.shape[0]):
@@ -222,7 +209,6 @@ def _bola_decide_mirror(buffer_s, weights, sizes, out):
     return 0
 
 
-@_maybe_jit
 def _mpc_observe_predict_mirror(hist, errs, last_pred, n_obs, window,
                                 error_window, cold_start, out_pred):
     for k in range(hist.shape[0]):
@@ -235,7 +221,6 @@ def _mpc_observe_predict_mirror(hist, errs, last_pred, n_obs, window,
     return 0
 
 
-@_maybe_jit
 def _mpc_decide_mirror(n, h, n_seq, seq, size_flat, db_flat, n_qualities,
                        dbsum_row, switch_row, buffer_s, pred, last_q,
                        capacity, chunk_dur, rebuffer_penalty, switch_penalty,
@@ -430,35 +415,19 @@ _C_SOURCE = "#include <stdint.h>\n" + C_HELPERS + _C_ENTRY
 _CC_LIB = CcLibrary("_decisions", _CDEF, _C_SOURCE)
 
 
-def _cc_kernel():
-    """Build (once per source hash) and load the C kernels, or ``None``."""
-    return _CC_LIB.load()
-
-
 def backend() -> str:
     """Which implementation serves the decision kernels right now."""
-    return resolve_backend(FORCE_PYTHON, _CC_LIB)
-
-
-def available() -> bool:
-    """Whether a decision-kernel implementation (incl. the mirror) is live."""
-    if FORCE_PYTHON:
-        return True
-    return backend() != "python"
+    return _CC_LIB.backend(FORCE_PYTHON)
 
 
 def use_kernel() -> bool:
     """Whether the ABR batch deciders should route through the kernels.
 
-    True only for a *real* backend: the pure-Python mirror is a per-lane
-    scalar loop, so without numba or the cc build the vectorised NumPy
-    decisions stay faster and remain the production path.
+    True only for the cc build: the pure-Python mirror is a per-lane
+    scalar loop, so without the cc build the vectorised NumPy decisions
+    stay faster and remain the production path.
     """
-    return not FORCE_PYTHON and backend() != "python"
-
-
-def _cc():
-    return _CC_LIB.lib, _CC_LIB.ffi
+    return backend() == "cc"
 
 
 def bba_decide(buffer_s, reservoir, upper, lowest, highest, r_min, r_max,
@@ -466,14 +435,9 @@ def bba_decide(buffer_s, reservoir, upper, lowest, highest, r_min, r_max,
     """Backend-dispatching BBA batch decision (writes ladder indices to
     ``out``; int64, shape ``(K,)``)."""
     if not FORCE_PYTHON:
-        if HAVE_NUMBA:  # pragma: no cover - only when numba is installed
-            return _bba_decide_mirror(
-                buffer_s, reservoir, upper, lowest, highest, r_min, r_max,
-                rates, out,
-            )
-        if _cc_kernel() is not None:
-            lib, ffi = _cc()
-            fb = ffi.from_buffer
+        lib = _CC_LIB.load()
+        if lib is not None:
+            fb = _CC_LIB.ffi.from_buffer
             return lib.bba_decide(
                 buffer_s.shape[0], fb("double[]", buffer_s), reservoir,
                 upper, lowest, highest, r_min, r_max, fb("double[]", rates),
@@ -487,11 +451,9 @@ def bba_decide(buffer_s, reservoir, upper, lowest, highest, r_min, r_max,
 def bola_decide(buffer_s, weights, sizes, out):
     """Backend-dispatching BOLA batch decision."""
     if not FORCE_PYTHON:
-        if HAVE_NUMBA:  # pragma: no cover - only when numba is installed
-            return _bola_decide_mirror(buffer_s, weights, sizes, out)
-        if _cc_kernel() is not None:
-            lib, ffi = _cc()
-            fb = ffi.from_buffer
+        lib = _CC_LIB.load()
+        if lib is not None:
+            fb = _CC_LIB.ffi.from_buffer
             return lib.bola_decide(
                 buffer_s.shape[0], fb("double[]", buffer_s),
                 fb("double[]", weights), fb("double[]", sizes),
@@ -510,14 +472,9 @@ def mpc_observe_predict(hist, errs, last_pred, n_obs, window, error_window,
     ``last_pred``.  Predictions land in ``out_pred``.
     """
     if not FORCE_PYTHON:
-        if HAVE_NUMBA:  # pragma: no cover - only when numba is installed
-            return _mpc_observe_predict_mirror(
-                hist, errs, last_pred, n_obs, window, error_window,
-                cold_start, out_pred,
-            )
-        if _cc_kernel() is not None:
-            lib, ffi = _cc()
-            fb = ffi.from_buffer
+        lib = _CC_LIB.load()
+        if lib is not None:
+            fb = _CC_LIB.ffi.from_buffer
             return lib.mpc_observe_predict(
                 hist.shape[0], fb("double[]", hist), fb("double[]", errs),
                 fb("double[]", last_pred), n_obs, window, error_window,
@@ -534,15 +491,9 @@ def mpc_decide(n, h, n_seq, seq, size_flat, db_flat, n_qualities, dbsum_row,
                rebuffer_penalty, switch_penalty, out):
     """Backend-dispatching MPC horizon search for all lanes."""
     if not FORCE_PYTHON:
-        if HAVE_NUMBA:  # pragma: no cover - only when numba is installed
-            return _mpc_decide_mirror(
-                n, h, n_seq, seq, size_flat, db_flat, n_qualities,
-                dbsum_row, switch_row, buffer_s, pred, last_q, capacity,
-                chunk_dur, rebuffer_penalty, switch_penalty, out,
-            )
-        if _cc_kernel() is not None:
-            lib, ffi = _cc()
-            fb = ffi.from_buffer
+        lib = _CC_LIB.load()
+        if lib is not None:
+            fb = _CC_LIB.ffi.from_buffer
             return lib.mpc_decide(
                 buffer_s.shape[0], n, h, n_seq, fb("long long[]", seq),
                 fb("double[]", size_flat), fb("double[]", db_flat),

@@ -16,7 +16,7 @@ KM1xx     kernel-mirror consistency: the ``FORCE_PYTHON`` mirror, the
           backend-dispatching entry point of every compiled kernel must
           agree on names, argument order/count and array dtypes.
 NUM2xx    numerics safety: no reassociating reductions inside kernel
-          bodies; C builds must stay IEEE-strict
+          modules; C builds must stay IEEE-strict
           (``-fno-fast-math -ffp-contract=off``).
 ALLOC3xx  allocation discipline: no array-allocating NumPy calls inside
           ``# repro: scratch`` functions.

@@ -2,12 +2,12 @@
 
 A compiled kernel module carries four coupled artefacts:
 
-1. a pure-Python **mirror** (``_*_mirror``, numba-jitted when available)
-   — the ``FORCE_PYTHON`` parity oracle;
+1. a pure-Python **mirror** (``_*_mirror``) — the ``FORCE_PYTHON``
+   parity oracle and the fallback when the C build is unavailable;
 2. a cffi ``_CDEF`` declaration block for the C ABI;
 3. the embedded **C transcription** of the mirror;
 4. a backend-dispatching **entry point** (same name as the C function)
-   that routes numba → cc → mirror.
+   that routes to the cc build when it loaded, else to the mirror.
 
 The parity suites prove the *values* agree; these rules prove the
 *structure* agrees — names, argument order/count and array dtypes — so a

@@ -6,12 +6,13 @@ expression tree.  Two things break that silently:
 
 * reassociating reductions on the Python side (``math.fsum``, builtin
   ``sum``) — bit-different from the sequential accumulation loops the C
-  and numba sides run;
+  side runs;
 * a C build that drops IEEE strictness (``-ffast-math`` or fused
   multiply-adds), which reassociates on the native side instead.
 
-These rules pin both ends: kernel bodies accumulate with explicit loops,
-and every ``CC_FLAGS``-style flag list keeps ``-fno-fast-math`` and
+These rules pin both ends: every function of a kernel module (a file
+that assigns ``_CDEF``) accumulates with explicit loops, and every
+``CC_FLAGS``-style flag list keeps ``-fno-fast-math`` and
 ``-ffp-contract=off``.
 """
 
@@ -29,34 +30,36 @@ _REDUCTIONS = {"sum", "fsum"}
 _REQUIRED_FLAGS = ("-fno-fast-math", "-ffp-contract=off")
 
 
-def _is_jitted(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    """Whether the function is decorated with ``maybe_jit`` (any spelling)."""
-    for dec in node.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        if isinstance(target, ast.Attribute) and target.attr == "maybe_jit":
-            return True
-        if isinstance(target, ast.Name) and target.id == "maybe_jit":
-            return True
-    return False
+def _assigns_cdef(tree: ast.Module) -> bool:
+    """Whether the module assigns ``_CDEF`` at top level (a kernel module)."""
+    return any(
+        isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "_CDEF" for t in node.targets)
+        for node in tree.body
+    )
 
 
 @register
 class NoReassociatingReductions(Rule):
     id = "NUM201"
     description = (
-        "kernel bodies (maybe_jit-decorated functions) must not use "
+        "functions of kernel modules (files assigning _CDEF) must not use "
         "reassociating reductions (builtin sum, math.fsum); accumulate "
-        "with an explicit loop so all backends run the same expression tree"
+        "with an explicit loop so mirror and C run the same expression tree"
     )
 
     def check(self, tree: ast.Module, source: str, path: str) -> list[Finding]:
+        if not _assigns_cdef(tree):
+            return []
         findings: list[Finding] = []
-        for func in _iter_function_defs(tree):
-            if not _is_jitted(func):
-                continue
+        seen: set[int] = set()
+        # Innermost function first, so a nested def's calls are reported
+        # once and under its own name.
+        for func in reversed(list(_iter_function_defs(tree))):
             for node in ast.walk(func):
-                if not isinstance(node, ast.Call):
+                if not isinstance(node, ast.Call) or id(node) in seen:
                     continue
+                seen.add(id(node))
                 callee = node.func
                 name: str | None = None
                 if isinstance(callee, ast.Name) and callee.id in _REDUCTIONS:
@@ -68,9 +71,10 @@ class NoReassociatingReductions(Rule):
                         self.finding(
                             path,
                             node,
-                            f"{name}(...) inside kernel body {func.name!r} "
-                            f"reassociates the accumulation; use an explicit "
-                            f"loop to match the C/numba backends bit-for-bit",
+                            f"{name}(...) inside kernel-module function "
+                            f"{func.name!r} reassociates the accumulation; use "
+                            f"an explicit loop to match the C backend "
+                            f"bit-for-bit",
                         )
                     )
         return findings
@@ -123,14 +127,7 @@ class KernelBuildImport(Rule):
     )
 
     def check(self, tree: ast.Module, source: str, path: str) -> list[Finding]:
-        has_cdef = any(
-            isinstance(node, ast.Assign)
-            and any(
-                isinstance(t, ast.Name) and t.id == "_CDEF" for t in node.targets
-            )
-            for node in tree.body
-        )
-        if not has_cdef:
+        if not _assigns_cdef(tree):
             return []
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) and node.module is not None:

@@ -5,9 +5,9 @@ The batched abduction paths run on one of three kernel tiers
 or the CLI ``--abduction-kernel`` flag): ``"reference"`` solves each log
 with the scalar golden path, ``"numpy"`` (default) runs the stacked
 recursions bit-identical to it, and ``"compiled"`` routes each stack
-through the :mod:`repro.core._kernels` backends (numba or cc+cffi;
-integer outputs bit-identical, float posteriors within ``rtol=1e-12``,
-graceful degrade to NumPy when no backend is available).
+through the :mod:`repro.core._kernels` cc+cffi build (integer outputs
+bit-identical, float posteriors within ``rtol=1e-12``, graceful degrade
+to NumPy when the build is unavailable).
 """
 
 from .abduction import (

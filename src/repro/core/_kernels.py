@@ -23,14 +23,12 @@ stack replaces the per-chunk NumPy dispatch of the batch implementations:
 
 Backends (feature-detected through :mod:`repro.util.compiled`):
 
-* **numba** — the pure-Python mirrors below are JIT-compiled with
-  ``njit`` when numba is importable.
-* **cc + cffi** — otherwise a line-for-line C transcription is compiled
-  once (``-O2 -fno-fast-math -ffp-contract=off``, sha256-source-tagged
+* **cc + cffi** — a line-for-line C transcription is compiled once
+  (``-O2 -fno-fast-math -ffp-contract=off``, sha256-source-tagged
   ``.so`` cache) and called through cffi's ABI mode.
-* **python** — the mirrors themselves; ``FORCE_PYTHON = True`` routes
-  the dispatchers through them so the parity suite can pin the kernel
-  logic on machines without any toolchain.
+* **python** — the pure-Python mirrors below; ``FORCE_PYTHON = True``
+  routes the dispatchers through them so the parity suite can pin the
+  kernel logic on machines without any toolchain.
 
 Accuracy contract: integer outputs (Viterbi paths, FFBS sample paths)
 are expected bit-identical to the NumPy tier — their arithmetic is pure
@@ -49,19 +47,12 @@ import math
 import numpy as np
 
 from ..tcp.constants import MSS_BYTES, SLOW_START_GROWTH
-from ..util.compiled import (
-    HAVE_NUMBA,
-    CcLibrary,
-    maybe_jit as _maybe_jit,
-    resolve_backend,
-)
+from ..util.compiled import CcLibrary
 
 __all__ = [
-    "HAVE_NUMBA",
     "FORCE_PYTHON",
     "available",
     "backend",
-    "use_kernel",
     "emission_log_probs",
     "forward_backward_stack",
     "viterbi_stack",
@@ -75,13 +66,12 @@ _TINY = 1e-300  # matches repro.core.forward_backward._TINY
 
 
 # ----------------------------------------------------------------------
-# Pure-Python mirrors (numba-jitted when available).  Each mirrors the
+# Pure-Python mirrors (the ``python`` backend).  Each mirrors the
 # NumPy batch implementation op for op; see the module docstring for the
 # exact bit-identity contract.
 # ----------------------------------------------------------------------
 
 
-@_maybe_jit
 def _emission_mirror(
     observed, cwnd0, ssthresh0, min_rtt, sizes, grid,
     request_rtts, sigma, log_norm, outlier_mass, log_uniform,
@@ -178,7 +168,6 @@ def _emission_mirror(
     return 0
 
 
-@_maybe_jit
 def _fb_mirror(
     log_b, initial, stack, slots,
     gamma, xi, ll, b, beta, weighted, scale, err,
@@ -286,7 +275,6 @@ def _fb_mirror(
     return 0
 
 
-@_maybe_jit
 def _viterbi_mirror(
     log_b, log_initial, log_stack, slots,
     states, logp, score, new_score, backptr,
@@ -328,7 +316,6 @@ def _viterbi_mirror(
     return 0
 
 
-@_maybe_jit
 def _ffbs_mirror(states, xi, uniforms, paths, cdf, reach):
     """Stacked inverse-CDF FFBS driven by precomputed uniform blocks.
 
@@ -757,35 +744,25 @@ _CC_LIB = CcLibrary("_abduction", _CDEF, _C_SOURCE)
 
 def backend() -> str:
     """Which implementation serves the abduction kernels right now."""
-    return resolve_backend(FORCE_PYTHON, _CC_LIB)
+    return _CC_LIB.backend(FORCE_PYTHON)
 
 
 def available() -> bool:
-    """Whether the compiled abduction tier can serve requests.
-
-    ``FORCE_PYTHON`` counts as available so parity tests can drive the
-    mirrors end to end; without it the mirrors are per-chunk interpreter
-    loops, so ``kernel="compiled"`` degrades to the NumPy tier instead.
-    """
-    if FORCE_PYTHON:
-        return True
-    return backend() != "python"
-
-
-def use_kernel() -> bool:
     """Whether the batch abduction paths should route through the kernels.
 
-    Unlike :func:`repro.abr._decisions.use_kernel`, ``FORCE_PYTHON``
-    keeps routing *on* (through the mirrors) — the abduction dispatchers
-    are whole-stack calls whose mirror results are the parity oracle, so
-    tests drive the full compiled code path through the interpreter.
+    ``FORCE_PYTHON`` counts as available (routing stays *on*, through the
+    mirrors): the abduction dispatchers are whole-stack calls whose mirror
+    results are the parity oracle, so tests drive the full compiled code
+    path through the interpreter.  Without it the mirrors are per-chunk
+    interpreter loops, so ``kernel="compiled"`` degrades to the NumPy
+    tier instead.
     """
-    return available()
+    return _CC_LIB.available(FORCE_PYTHON)
 
 
 # ----------------------------------------------------------------------
 # Backend-dispatching entry points.  Each wrapper owns the output and
-# scratch allocation so the mirrors stay jittable and the C kernels get
+# scratch allocation so the mirrors and the C kernels fill the same
 # contiguous buffers.
 # ----------------------------------------------------------------------
 
@@ -836,7 +813,7 @@ def emission_log_probs(
     sched_cwnd = np.empty(sched_len, dtype=np.int64)
     sched_cum = np.empty(sched_len, dtype=np.int64)
 
-    if not FORCE_PYTHON and not HAVE_NUMBA:
+    if not FORCE_PYTHON:
         lib = _CC_LIB.load()
         if lib is not None:
             fb = _CC_LIB.ffi.from_buffer
@@ -897,7 +874,7 @@ def forward_backward_stack(
     scale = np.empty(n_chunks)
     err = np.zeros(3, dtype=np.int64)
 
-    if not FORCE_PYTHON and not HAVE_NUMBA:
+    if not FORCE_PYTHON:
         lib = _CC_LIB.load()
         if lib is not None:
             fb = _CC_LIB.ffi.from_buffer
@@ -965,7 +942,7 @@ def viterbi_stack(
     new_score = np.empty(n_states)
     backptr = np.zeros((n_chunks, n_states), dtype=np.int64)
 
-    if not FORCE_PYTHON and not HAVE_NUMBA:
+    if not FORCE_PYTHON:
         lib = _CC_LIB.load()
         if lib is not None:
             fb = _CC_LIB.ffi.from_buffer
@@ -1013,7 +990,7 @@ def ffbs_stack(
     cdf = np.empty((n_states, n_states))
     reach = np.empty(n_states, dtype=np.int64)
 
-    if not FORCE_PYTHON and not HAVE_NUMBA:
+    if not FORCE_PYTHON:
         lib = _CC_LIB.load()
         if lib is not None:
             fb = _CC_LIB.ffi.from_buffer

@@ -26,10 +26,10 @@ flag, mirroring the replay ``KERNEL_TIERS`` registry:
   bit-identical to ``"reference"``.
 * ``"compiled"`` — the stacked hot loops (emission build,
   forward-backward, Viterbi, FFBS) each run as one
-  :mod:`repro.core._kernels` call per same-length stack (numba or
-  cc+cffi backend).  Viterbi paths and FFBS samples stay bit-identical;
-  float posteriors are within ``rtol=1e-12``.  Without a compiled
-  backend the tier degrades to ``"numpy"`` with a once-per-process
+  :mod:`repro.core._kernels` call per same-length stack (cc+cffi
+  backend).  Viterbi paths and FFBS samples stay bit-identical; float
+  posteriors are within ``rtol=1e-12``.  Without the cc build the tier
+  degrades to ``"numpy"`` with a once-per-process
   :class:`RuntimeWarning`.
 """
 

@@ -234,7 +234,7 @@ class EmissionModel:
             raise ValueError(f"observed throughput must be >= 0, got {bad}")
 
         if kernel == "compiled" and self.estimator is tcp_estimator_emission:
-            if not _kernels.use_kernel():
+            if not _kernels.available():
                 warn_fallback("abduction", "compiled", "numpy")
             else:
                 sizes_arr = np.asarray(sizes, dtype=float)

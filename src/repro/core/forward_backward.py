@@ -253,7 +253,7 @@ def forward_backward_batch(
     n_sessions, n_chunks, n_states = log_b.shape
 
     if kernel == "compiled":
-        if not _kernels.use_kernel():
+        if not _kernels.available():
             warn_fallback("abduction", "compiled", "numpy")
         elif n_chunks > 1:
             stack, slots = unique_power_stack(transitions, gaps[:, 1:])

@@ -209,7 +209,7 @@ def sample_state_paths_stack(
         raise ValueError(f"need one seed per session, got {len(seeds)}")
 
     if kernel == "compiled":
-        if not _kernels.use_kernel():
+        if not _kernels.available():
             warn_fallback("abduction", "compiled", "numpy")
         elif n_chunks > 1:
             uniforms = np.stack(

@@ -138,7 +138,7 @@ def viterbi_path_batch(
     n_sessions, n_chunks, n_states = log_b.shape
 
     if kernel == "compiled":
-        if not _kernels.use_kernel():
+        if not _kernels.available():
             warn_fallback("abduction", "compiled", "numpy")
         elif n_chunks > 1:
             log_stack, slots = unique_power_stack(

@@ -24,11 +24,11 @@ The kernel is the same scalar code the per-chunk loop runs:
   (``max(x, 0)`` clamps written as ``if x <= 0.0`` so signed zeros match
   ``np.maximum``).
 
-Backend detection mirrors :mod:`repro.tcp._compiled`: numba ``njit`` of
-the Python mirror when numba is importable, else a cc + cffi build of the
-concatenated C fragments (compiled without fast-math / FMA contraction),
-else the pure-Python mirror remains importable for parity tests via
-``FORCE_PYTHON``; :func:`available` is False without a real backend and
+Backend detection mirrors :mod:`repro.tcp._compiled`: a cc + cffi build
+of the concatenated C fragments (compiled without fast-math / FMA
+contraction) when a C compiler and cffi are present, else the
+pure-Python mirror, which stays importable for parity tests via
+``FORCE_PYTHON``; :func:`available` is False without the cc build and
 the compiled tier then runs its per-chunk loop instead.
 
 Lanes are fully independent inside a session (the RTT estimator state is
@@ -49,15 +49,9 @@ from ..abr._decisions import (
     _mpc_decide_one,
     _mpc_obs_pred_one,
 )
-from ..util.compiled import (
-    HAVE_NUMBA,
-    CcLibrary,
-    maybe_jit as _maybe_jit,
-    resolve_backend,
-)
+from ..util.compiled import CcLibrary
 
 __all__ = [
-    "HAVE_NUMBA",
     "FORCE_PYTHON",
     "available",
     "backend",
@@ -68,7 +62,6 @@ FORCE_PYTHON = False
 """Test hook: route the session kernel through the Python mirror."""
 
 
-@_maybe_jit
 def _run_session_mirror(
     bounds, values2d, rates2d, cum2d,
     size_flat, db_flat, n_qualities, chunk_dur,
@@ -401,14 +394,9 @@ _C_SOURCE = (
 _CC_LIB = CcLibrary("_fused", _CDEF, _C_SOURCE)
 
 
-def _cc_kernel():
-    """Build (once per source hash) and load the C kernel, or ``None``."""
-    return _CC_LIB.load()
-
-
 def backend() -> str:
     """Which implementation serves :func:`run_session` right now."""
-    return resolve_backend(FORCE_PYTHON, _CC_LIB)
+    return _CC_LIB.backend(FORCE_PYTHON)
 
 
 def available() -> bool:
@@ -418,9 +406,7 @@ def available() -> bool:
     mirror end to end; without it the pure-Python mirror is a per-lane
     per-chunk interpreter loop, so the per-chunk loop serves instead.
     """
-    if FORCE_PYTHON:
-        return True
-    return backend() != "python"
+    return _CC_LIB.available(FORCE_PYTHON)
 
 
 def run_session(
@@ -440,22 +426,9 @@ def run_session(
 ):
     """Backend-dispatching entry point (see :func:`_run_session_mirror`)."""
     if not FORCE_PYTHON:
-        if HAVE_NUMBA:  # pragma: no cover - only when numba is installed
-            return _run_session_mirror(
-                bounds, values2d, rates2d, cum2d, size_flat, db_flat,
-                n_qualities, chunk_dur, capacity, overhead, rtt, rto_seq,
-                kind, part, bba_f, bba_i, rates, bola_w, mpc_pen, meta,
-                seq_flat, dbsum_flat, switch_flat, hist, errs, last_pred,
-                window, error_window, cold_start, cwnd, ssthresh,
-                last_send, col_quality, col_size, col_start, col_end,
-                col_before, col_after, col_rebuffer, col_cwnd,
-                col_ssthresh, col_idle, total_rebuffer, total_bytes,
-                startup_time,
-            )
-        lib = _cc_kernel()
+        lib = _CC_LIB.load()
         if lib is not None:
-            ffi = _CC_LIB.ffi
-            fb = ffi.from_buffer
+            fb = _CC_LIB.ffi.from_buffer
             return lib.run_session(
                 kind.shape[0], col_quality.shape[0], values2d.shape[1],
                 n_qualities,

@@ -1,4 +1,4 @@
-"""Optional compiled chunk-download kernel (the ``kernel="compiled"`` tier).
+"""Compiled chunk-download kernel (the ``kernel="compiled"`` tier).
 
 One call to :func:`download_chunk` advances a whole lane batch through one
 chunk download — slow-start-restart decay, the per-RTT window-limited
@@ -6,49 +6,35 @@ round loop and the fluid drain — as straight-line scalar code per lane,
 with no NumPy ufunc dispatch at all.  The function is written as plain
 Python mirroring the scalar reference kernels in
 :mod:`repro.tcp.connection` / :mod:`repro.net.trace` float-for-float, and
-two compiled backends can take its place:
-
-* **numba** — the mirror is JIT-compiled with ``njit`` when numba is
-  importable.
-* **cc + cffi** — when numba is absent but a C compiler and cffi are
-  present (the offline CI image ships both), a line-for-line C
-  transcription of the mirror is compiled once into a small shared
-  library (cached under :mod:`repro.util.compiled`'s ``_ccache``
-  directory, or ``$REPRO_COMPILED_CACHE``)
-  and called through cffi's ABI mode.  The build deliberately disables
-  FMA contraction and fast-math (``-ffp-contract=off -fno-fast-math``) so
-  every float64 operation is the same correctly-rounded IEEE-754 op the
-  Python mirror performs, in the same order.
+a line-for-line C transcription of that mirror is the native backend:
+when a C compiler and cffi are present it is compiled once into a small
+shared library (cached under :mod:`repro.util.compiled`'s ``_ccache``
+directory, or ``$REPRO_COMPILED_CACHE``) and called through cffi's ABI
+mode.  The build deliberately disables FMA contraction and fast-math
+(``-ffp-contract=off -fno-fast-math``) so every float64 operation is the
+same correctly-rounded IEEE-754 op the Python mirror performs, in the
+same order.
 
 Feature detection:
 
-* a backend is importable/buildable -> ``available()`` is True and
+* the cc build loads -> ``available()`` is True and
   ``BatchTCPConnection(kernel="compiled")`` runs it;
-* no backend -> ``BatchTCPConnection(kernel="compiled")`` falls back to
+* no build -> ``BatchTCPConnection(kernel="compiled")`` falls back to
   the scratch tier.  The pure-Python mirror remains importable
   so the parity suite can pin the kernel's logic bit-for-bit against the
   reference implementation even on machines without any toolchain, and
   tests may set ``FORCE_PYTHON = True`` to drive the compiled code path
   end to end through the interpreter.
 
-Both compiled backends perform the same IEEE-754 float64 operations in
-the same order as the Python mirror, so results are expected
-bit-identical; the parity suite nevertheless documents a ``rtol=1e-12``
-tolerance for the compiled tier to absorb libm/codegen differences
-across platforms.
+The C backend performs the same IEEE-754 float64 operations in the same
+order as the Python mirror, so results are expected bit-identical; the
+parity suite nevertheless documents a ``rtol=1e-12`` tolerance for the
+compiled tier to absorb libm/codegen differences across platforms.
 """
 
 from __future__ import annotations
 
-from ..util.compiled import (
-    HAVE_CFFI,
-    HAVE_NUMBA,
-    CcLibrary,
-    build_cc_lib,
-    cc_compiler,
-    maybe_jit as _maybe_jit,
-    resolve_backend,
-)
+from ..util.compiled import CcLibrary
 from .constants import (
     INIT_CWND_SEGMENTS,
     MAX_CWND_SEGMENTS,
@@ -57,12 +43,9 @@ from .constants import (
 )
 
 __all__ = [
-    "HAVE_NUMBA",
-    "HAVE_CC",
     "FORCE_PYTHON",
     "available",
     "backend",
-    "build_cc_lib",
     "download_chunk",
 ]
 
@@ -72,7 +55,6 @@ FORCE_PYTHON = False
 _EPS_BYTES = 1e-9  # matches repro.net.trace._EPS_BYTES
 
 
-@_maybe_jit
 def _interval_index(bounds, n_intervals, t):
     """Clamped ``bisect_right(bounds, t) - 1`` (mirrors ``value_at``)."""
     lo = 0
@@ -91,13 +73,12 @@ def _interval_index(bounds, n_intervals, t):
     return idx
 
 
-@_maybe_jit
 def _transfer_time(bounds, rates2d, cum2d, n_intervals, lane, start, size):
     """Scalar ``time_to_transfer`` for one lane (reference interval walk).
 
     Returns the transfer duration in seconds, or ``-1.0`` when the
     transfer can never complete (zero trailing bandwidth) — the caller
-    raises the RuntimeError, since jitted code cannot format it.
+    raises the RuntimeError, since the C transcription cannot format it.
     """
     if size <= 0.0:
         return 0.0
@@ -139,7 +120,6 @@ def _transfer_time(bounds, rates2d, cum2d, n_intervals, lane, start, size):
     return bounds[n_intervals] + rest / rate - start
 
 
-@_maybe_jit
 def _grow_window(cwnd, ssthresh):
     """Scalar window growth (mirrors ``connection._grow_window``)."""
     if cwnd < ssthresh:
@@ -153,7 +133,6 @@ def _grow_window(cwnd, ssthresh):
     return grown
 
 
-@_maybe_jit
 def _download_one(
     bounds, values2d, rates2d, cum2d, n_intervals, j, start, size, idle,
     rtt, rto, c, st,
@@ -216,7 +195,6 @@ def _download_one(
     return end, c, st
 
 
-@_maybe_jit
 def _download_chunk_mirror(
     bounds,
     values2d,
@@ -478,35 +456,20 @@ long long download_chunk(
 _C_SOURCE = C_DEFINES + C_HELPERS + _C_DOWNLOAD
 
 _CC_LIB = CcLibrary("_replay", _CDEF, _C_SOURCE)
-
-
-def _cc_kernel():
-    """Build (once per source hash) and load the C kernel, or ``None``.
-
-    Any failure — no compiler, no cffi, unwritable cache dir, a compile
-    error — is swallowed and remembered: the tier then reports itself
-    unavailable and ``kernel="compiled"`` falls back to scratch.
-    """
-    return _CC_LIB.load()
-
-
-HAVE_CC = bool(HAVE_CFFI and cc_compiler())
-"""Whether the cc+cffi backend *may* be buildable (cheap import-time probe;
-the definitive answer is the lazy :func:`_cc_kernel` build)."""
+"""The C kernel, built once per source hash.  Any build failure — no
+compiler, no cffi, unwritable cache dir, a compile error — is swallowed
+and remembered: the tier then reports itself unavailable and
+``kernel="compiled"`` falls back to scratch."""
 
 
 def backend() -> str:
     """Which implementation serves :func:`download_chunk` right now."""
-    return resolve_backend(FORCE_PYTHON, _CC_LIB)
+    return _CC_LIB.backend(FORCE_PYTHON)
 
 
 def available() -> bool:
     """Whether the compiled tier can serve ``kernel="compiled"`` requests."""
-    if FORCE_PYTHON:
-        return True
-    if HAVE_NUMBA:  # pragma: no cover - exercised only when numba is installed
-        return True
-    return _cc_kernel() is not None
+    return _CC_LIB.available(FORCE_PYTHON)
 
 
 def download_chunk(
@@ -528,13 +491,7 @@ def download_chunk(
 ):
     """Backend-dispatching entry point (see :func:`_download_chunk_mirror`)."""
     if not FORCE_PYTHON:
-        if HAVE_NUMBA:  # pragma: no cover - only when numba is installed
-            return _download_chunk_mirror(
-                bounds, values2d, rates2d, cum2d, sizes, starts, rtt, rto,
-                cwnd, ssthresh, last_send, ends, idle_out, cwnd_pre,
-                ssthresh_pre,
-            )
-        lib = _cc_kernel()
+        lib = _CC_LIB.load()
         if lib is not None:
             ffi = _CC_LIB.ffi
             fb = ffi.from_buffer

@@ -51,17 +51,17 @@ compiled   fastest native  closed-form      one compiled call  one compiled call
   per chunk, and :class:`~repro.player.batch_session.BatchStreamingSession`
   runs the whole session in one :func:`repro.player._fused.run_session`
   call whenever every partition's ABR has a kernel plan (the shipped
-  BBA/BOLA/RobustMPC).  Backends (numba njit, else a cc + cffi build of a
-  C transcription) are feature-detected at first use; when none builds,
-  the tier degrades to ``"scratch"`` with a once-per-process
-  ``RuntimeWarning`` and ``BatchTCPConnection._tier`` records the
-  effective tier.
+  BBA/BOLA/RobustMPC).  Both kernels are cc + cffi builds of a C
+  transcription, made at first use; when the build fails (no C compiler
+  or no cffi), the tier degrades to ``"scratch"`` with a
+  once-per-process ``RuntimeWarning`` and ``BatchTCPConnection._tier``
+  records the effective tier.
 
 All tiers evaluate the same float predicates in the same order, so they
 produce bit-identical :class:`DownloadResult`s / batch columns and session
 logs (see ``tests/test_replay_parity.py``, ``tests/test_batch_replay.py``;
 the compiled tier is pinned at a documented ``rtol=1e-12`` tolerance,
-bit-identical in practice on every backend we test).  Unknown kernel names
+bit-identical in practice on every platform we test).  Unknown kernel names
 raise ``ValueError`` at construction time, listing the available tiers.
 """
 
@@ -650,10 +650,10 @@ class BatchTCPConnection:
         self.batch = batch
         self.rtt_s = rtt_s
         self.kernel = resolved
-        # Effective tier: "compiled" degrades to "scratch" when no compiled
-        # backend (numba or cc+cffi) is buildable — the parity contract is
-        # unchanged either way, and a once-per-process RuntimeWarning
-        # surfaces the effective tier to operators.
+        # Effective tier: "compiled" degrades to "scratch" when the cc+cffi
+        # kernel is not buildable — the parity contract is unchanged
+        # either way, and a once-per-process RuntimeWarning surfaces the
+        # effective tier to operators.
         if resolved == "compiled" and not _compiled.available():
             warn_fallback("replay", "compiled", "scratch")
             resolved = "scratch"

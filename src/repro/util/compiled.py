@@ -1,25 +1,22 @@
-"""Shared backend detection and build plumbing for the compiled kernels.
+"""Shared build plumbing for the compiled kernels.
 
-Four modules ship an optional compiled kernel with the same three-backend
-contract — :mod:`repro.tcp._compiled` (chunk downloads),
-:mod:`repro.abr._decisions` (ABR decisions), :mod:`repro.player._fused`
-(whole sessions) and :mod:`repro.core._kernels` (abduction) — and each
-used to carry its own copy of the feature detection.  This module owns the
-shared pieces:
+Four modules ship a native kernel with the same two-backend contract —
+:mod:`repro.tcp._compiled` (chunk downloads), :mod:`repro.abr._decisions`
+(ABR decisions), :mod:`repro.player._fused` (whole sessions) and
+:mod:`repro.core._kernels` (abduction) — and this module owns the pieces
+they share:
 
-* **numba detection** (:data:`HAVE_NUMBA`, :func:`maybe_jit`) — when numba
-  is importable every kernel's Python mirror is JIT-compiled with
-  ``njit(cache=True)``;
 * **cc + cffi builds** (:func:`build_cc_lib`, :class:`CcLibrary`) — when
-  numba is absent but a C compiler and cffi are present, each kernel's
-  line-for-line C transcription is compiled once per source hash into a
-  small shared library (cached under ``$REPRO_COMPILED_CACHE`` or a
-  package-local ``_ccache`` directory) and loaded through cffi's ABI mode.
-  The flags disable FMA contraction and fast-math so every float64
-  operation is the same correctly-rounded IEEE-754 op the Python mirror
-  performs, in the same order;
-* **backend naming** (:func:`resolve_backend`) — the canonical tier names
-  ``"numba"`` / ``"cc"`` / ``"python"`` every kernel module's
+  a C compiler and cffi are present, each kernel's line-for-line C
+  transcription is compiled once per source hash into a small shared
+  library (cached under ``$REPRO_COMPILED_CACHE`` or a package-local
+  ``_ccache`` directory) and loaded through cffi's ABI mode.  The flags
+  disable FMA contraction and fast-math so every float64 operation is
+  the same correctly-rounded IEEE-754 op the Python mirror performs, in
+  the same order;
+* **backend naming** (:meth:`CcLibrary.backend`,
+  :meth:`CcLibrary.available`) — the canonical tier names ``"cc"`` /
+  ``"python"`` (:data:`BACKEND_NAMES`) every kernel module's
   ``backend()`` reports, pinned consistent across modules by
   ``tests/test_abduction_kernel.py``;
 * **the degrade warning** (:func:`warn_fallback`) — one once-per-process
@@ -27,8 +24,8 @@ shared pieces:
   requested and the effective tier.
 
 Each kernel module keeps its own ``FORCE_PYTHON`` flag (tests monkeypatch
-them independently) and its own dispatchers; only the detection and build
-machinery lives here.
+them independently) and its own dispatchers; only the build machinery
+lives here.
 
 Kernel contract
 ---------------
@@ -48,15 +45,17 @@ statically, and the rules below are the written form of what it checks:
    -ffp-contract=off`` (rule ``NUM202``), so each double operation is
    the same correctly-rounded IEEE-754 op the mirror performs.
 3. **The Python mirror** (``_<kernel>_mirror``) — the reference
-   implementation, optionally JIT-compiled via :func:`maybe_jit`.  Its
-   parameter names must all be declared in ``_CDEF`` and its pointer
-   parameters must appear in the declared relative order (scalars may
-   sit anywhere or be omitted; rule ``KM104``).  Mirror bodies must not
-   call ``sum``/``math.fsum`` (reassociating reductions diverge from
-   the C transcription; rule ``NUM201``).
+   implementation, run when no cc build is live or ``FORCE_PYTHON`` is
+   set.  Its parameter names must all be declared in ``_CDEF`` and its
+   pointer parameters must appear in the declared relative order
+   (scalars may sit anywhere or be omitted; rule ``KM104``).  No
+   function of a kernel module may call ``sum``/``math.fsum``
+   (reassociating reductions diverge from the C transcription; rule
+   ``NUM201``).
 4. **The dispatcher** — the public function that routes to
-   ``lib.<kernel>(...)`` or the mirror depending on the backend and the
-   module's ``FORCE_PYTHON`` escape hatch (rules ``KM101``/``KM105``).
+   ``lib.<kernel>(...)`` when the cc build loaded, and to the mirror
+   otherwise or under the module's ``FORCE_PYTHON`` escape hatch (rules
+   ``KM101``/``KM105``).
    Its compiled-path call must pass exactly the declared arguments,
    with ``from_buffer`` casts whose dtypes match the pointer types
    (``double *`` ↔ ``"double[]"``, ``long long *`` ↔
@@ -81,25 +80,14 @@ import subprocess
 import warnings
 
 __all__ = [
-    "HAVE_NUMBA",
     "HAVE_CFFI",
     "BACKEND_NAMES",
     "CC_FLAGS",
     "CcLibrary",
     "build_cc_lib",
     "cc_compiler",
-    "maybe_jit",
-    "resolve_backend",
     "warn_fallback",
 ]
-
-try:  # pragma: no cover - exercised only when numba is installed
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - the offline image lacks numba
-    njit = None
-    HAVE_NUMBA = False
 
 try:
     import cffi
@@ -109,7 +97,7 @@ except ImportError:  # pragma: no cover - cffi ships with the image
     cffi = None
     HAVE_CFFI = False
 
-BACKEND_NAMES = ("python", "numba", "cc")
+BACKEND_NAMES = ("python", "cc")
 """Canonical tier names every kernel module's ``backend()`` may report."""
 
 CC_FLAGS = [
@@ -121,13 +109,6 @@ CC_FLAGS = [
 ]
 """No fast-math, no FMA contraction: every double op stays the
 correctly-rounded IEEE-754 operation the Python mirrors perform."""
-
-
-def maybe_jit(fn):
-    """``njit(cache=True)`` when numba is importable, identity otherwise."""
-    if HAVE_NUMBA:  # pragma: no cover - exercised only when numba is installed
-        return njit(cache=True)(fn)
-    return fn
 
 
 def cc_compiler() -> str | None:
@@ -182,9 +163,11 @@ def build_cc_lib(stem: str, cdef: str, source: str):
 class CcLibrary:
     """Build-once holder for one kernel module's cc+cffi shared library.
 
-    Replaces the per-module ``_cc_state`` dicts: the first :meth:`load`
-    triggers the (hash-cached) build, and the outcome — including a failed
-    build — is remembered for the life of the process.
+    The first :meth:`load` triggers the (hash-cached) build, and the
+    outcome — including a failed build — is remembered for the life of the
+    process.  :meth:`backend` and :meth:`available` answer the owning
+    module's ``backend()`` / ``available()`` from that outcome and the
+    module's ``FORCE_PYTHON`` hook.
     """
 
     def __init__(self, stem: str, cdef: str, source: str):
@@ -205,21 +188,20 @@ class CcLibrary:
             self.lib, self.ffi = built
         return self.lib
 
-
-def resolve_backend(force_python: bool, cc_library: CcLibrary) -> str:
-    """The canonical backend name for one kernel module's current state.
-
-    Preference order is identical across every kernel module: the
-    ``FORCE_PYTHON`` test hook wins, then numba, then a buildable cc
-    library, then the plain Python mirror.
-    """
-    if force_python:
-        return "python"
-    if HAVE_NUMBA:  # pragma: no cover - exercised only when numba is installed
-        return "numba"
-    if cc_library.load() is not None:
+    def backend(self, force_python: bool) -> str:
+        """The owning module's backend name: ``"python"`` under its
+        ``FORCE_PYTHON`` hook or when the build fails, else ``"cc"``."""
+        if force_python or self.load() is None:
+            return "python"
         return "cc"
-    return "python"
+
+    def available(self, force_python: bool) -> bool:
+        """Whether the owning module's compiled tier can serve requests.
+
+        ``FORCE_PYTHON`` counts as available so parity tests can drive
+        the mirror end to end; otherwise only a loaded cc build does.
+        """
+        return force_python or self.load() is not None
 
 
 _FALLBACK_WARNED: set[str] = set()
@@ -239,7 +221,7 @@ def warn_fallback(ladder: str, requested: str, effective: str) -> None:
     _FALLBACK_WARNED.add(ladder)
     warnings.warn(
         f'{ladder} kernel "{requested}" requested but no compiled backend '
-        f'(numba or cc+cffi) is available; falling back to the "{effective}" '
+        f'(cc+cffi) is available; falling back to the "{effective}" '
         "tier (the parity contract holds; only throughput drops). This "
         "warning is emitted once per process.",
         RuntimeWarning,

@@ -2,7 +2,7 @@
 
 Pins the :mod:`repro.core._kernels` accuracy contract:
 
-* the Python mirror and the native backend (numba or cc) are bit-identical
+* the Python mirror and the native cc backend are bit-identical
   (same scalar arithmetic, libm on both sides),
 * integer outputs — Viterbi paths, FFBS sample paths — are bit-identical
   to the NumPy tier,
@@ -91,7 +91,6 @@ class TestBackendConsistency:
         force_python(monkeypatch)
         assert _kernels.backend() == "python"
         assert _kernels.available()  # mirrors still serve the kernel path
-        assert _kernels.use_kernel()
 
 
 class TestKernelParity:
@@ -303,7 +302,7 @@ class TestWiredEntryPoints:
     def test_compiled_falls_back_with_warning(self, monkeypatch):
         """No backend => numpy results plus one RuntimeWarning per process."""
         log_b, transitions, gaps = random_stack(13)
-        monkeypatch.setattr(_kernels, "use_kernel", lambda: False)
+        monkeypatch.setattr(_kernels, "available", lambda: False)
         monkeypatch.setattr(util_compiled, "_FALLBACK_WARNED", set())
         want = forward_backward_batch(log_b, transitions, gaps)
         with pytest.warns(RuntimeWarning, match="falling back"):

@@ -1,10 +1,9 @@
 """Tests for the compiled replay kernel tier (PR 6).
 
-``repro.tcp._compiled`` keeps three interchangeable implementations of the
+``repro.tcp._compiled`` keeps two interchangeable implementations of the
 whole-batch chunk-download kernel:
 
 * the pure-Python mirror (always importable — the parity oracle),
-* a numba ``njit`` build of the mirror (when numba is installed),
 * a cc + cffi build of a line-for-line C transcription (when a C
   compiler and cffi are present, as in the offline CI image).
 
@@ -14,8 +13,8 @@ exercises the feature-detection/fallback contract
 buildable), and runs whole sessions through the compiled tier against
 serial replay.
 
-Tolerance note: both compiled backends execute the same correctly-rounded
-IEEE-754 float64 operations as the mirror in the same order (the cc build
+Tolerance note: the cc build executes the same correctly-rounded
+IEEE-754 float64 operations as the mirror in the same order (it
 disables FMA contraction and fast-math), so on the platforms we test
 results are bit-identical.  The documented cross-platform tolerance for
 the compiled tier is ``rtol=1e-12``; the dedicated tolerance test below
@@ -95,7 +94,7 @@ def run_kernel(problem, force_python: bool, monkeypatch):
 
 class TestBackendDispatch:
     def test_backend_is_known(self):
-        assert _compiled.backend() in ("python", "numba", "cc")
+        assert _compiled.backend() in ("python", "cc")
 
     def test_available_tracks_backend(self):
         # available() must agree with the dispatcher: a non-Python backend
@@ -140,7 +139,9 @@ class TestBackendDispatch:
             "_replay", _compiled._CDEF, _compiled._C_SOURCE
         )
         monkeypatch.setattr(_compiled, "_CC_LIB", fresh)
-        assert _compiled._cc_kernel() is None
+        assert _compiled._CC_LIB.load() is None
+        assert _compiled.backend() == "python"
+        assert not _compiled.available()
 
 
 class TestRawKernelParity:
@@ -240,8 +241,8 @@ class TestCompiledSessionParity:
 
 class TestDecisionKernelDispatch:
     def test_backends_known(self):
-        assert _decisions.backend() in ("python", "numba", "cc")
-        assert _fused.backend() in ("python", "numba", "cc")
+        assert _decisions.backend() in ("python", "cc")
+        assert _fused.backend() in ("python", "cc")
 
     def test_force_python_disables_kernels(self, monkeypatch):
         """The mirror is a per-lane scalar loop, so FORCE_PYTHON keeps the

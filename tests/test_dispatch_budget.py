@@ -19,7 +19,7 @@ the noise and far below the smallest possible lane array.
 ``kernel="compiled"`` makes a stronger promise: the entire session —
 every chunk's download, ABR decision and buffer/stall accounting — runs
 inside **one** compiled call, eliminating per-chunk Python re-entry.
-The dispatch-count test below pins that to exactly one
+The dispatch-count tests below pin that to exactly one
 ``_fused.run_session`` invocation per session, with zero per-chunk
 ``download_batch`` dispatches.
 
@@ -35,6 +35,7 @@ import gc
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from repro.net.trace import PiecewiseConstantTrace, TraceBatch
 from repro.tcp.connection import BatchTCPConnection
@@ -112,9 +113,16 @@ class TestScratchAllocationBudget:
 
 class TestFusedDispatchBudget:
     """``kernel="compiled"``: one compiled call per session, no per-chunk
-    Python re-entry (PR 8 acceptance criterion)."""
+    Python re-entry (PR 8 acceptance criterion).
 
-    def test_single_kernel_call_per_session(self, monkeypatch):
+    The first case pins the routing on the Python mirrors
+    (``FORCE_PYTHON`` on both the download and the session kernel
+    module), so it holds on every CI leg, toolchain or not; the second
+    repeats it on the native build where one loads.
+    """
+
+    @staticmethod
+    def _assert_one_kernel_call(monkeypatch):
         from repro import BatchStreamingSession, SessionConfig, Video, default_ladder
         from repro.abr import BBAAlgorithm, BOLAAlgorithm, MPCAlgorithm
         from repro.player import _fused
@@ -162,6 +170,21 @@ class TestFusedDispatchBudget:
             f"fused session made {chunk_dispatches['n']} per-chunk "
             f"download_batch dispatches; Python re-entry has crept back in"
         )
+
+    def test_single_kernel_call_per_session(self, monkeypatch):
+        from repro.player import _fused
+        from repro.tcp import _compiled
+
+        monkeypatch.setattr(_compiled, "FORCE_PYTHON", True)
+        monkeypatch.setattr(_fused, "FORCE_PYTHON", True)
+        self._assert_one_kernel_call(monkeypatch)
+
+    def test_single_kernel_call_per_session_native(self, monkeypatch):
+        from repro.player import _fused
+
+        if _fused.backend() != "cc":
+            pytest.skip("no cc+cffi build of the session kernel on this machine")
+        self._assert_one_kernel_call(monkeypatch)
 
 
 class TestAbductionDispatchBudget:

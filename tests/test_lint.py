@@ -12,6 +12,7 @@ Three layers:
 
 from __future__ import annotations
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -117,6 +118,38 @@ class TestSeededKernelDrift:
         assert found, "renaming a mirror argument must trip KM104"
         assert "not declared in _CDEF" in found[0].message
 
+    # The seeded function: a per-lane scalar core the fused kernel shares
+    # where the module has one, else the module's first mirror.
+    _HELPERS = {"_compiled": "_download_one", "_decisions": "_bba_one"}
+
+    @staticmethod
+    def _seed_reduction(source: str, func_name: str) -> str:
+        """Insert a ``sum(...)`` call as the first statement of a function."""
+        func = next(
+            node
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.name == func_name
+        )
+        first = func.body[0]
+        lines = source.splitlines(keepends=True)
+        lines.insert(first.lineno - 1, " " * first.col_offset + "sum((0.0,))\n")
+        return "".join(lines)
+
+    @pytest.mark.parametrize(
+        "module", KERNEL_MODULES, ids=lambda p: p.stem.lstrip("_")
+    )
+    def test_num201_catches_reduction_in_kernel_helper(self, module):
+        source = module.read_text(encoding="utf-8")
+        assert fires(source, "NUM201", str(module)) == []
+        helper = self._HELPERS.get(module.stem)
+        if helper is None:
+            match = re.search(r"def (_\w+_mirror)\(", source)
+            assert match is not None
+            helper = match.group(1)
+        found = fires(self._seed_reduction(source, helper), "NUM201", str(module))
+        assert len(found) == 1, "any kernel-module function must obey NUM201"
+        assert repr(helper) in found[0].message
+
     def test_km103_catches_dtype_drift(self):
         source = (SRC / "repro" / "tcp" / "_compiled.py").read_text()
         seeded = source.replace('fb("double[]", sizes)', 'fb("long long[]", sizes)')
@@ -139,7 +172,6 @@ class TestSeededKernelDrift:
     def test_kernel_modules_are_in_scope(self):
         """All four kernel modules parse as kernel modules (have a _CDEF)."""
         from repro.analysis.rules.kernel_mirror import _analyze
-        import ast
 
         for module in KERNEL_MODULES:
             parsed = _analyze(ast.parse(module.read_text()))
