@@ -25,8 +25,8 @@ stricter rule families::
     def _download_scratch(...):  # repro: scratch
         ...                      # ALLOC301: no allocating NumPy calls
 
-    def _prepare_shard(...):  # repro: pool-worker
-        ...                   # POOL501: no module-global mutation
+    def _run_shard(...):  # repro: pool-worker
+        ...               # POOL501: no module-global mutation
 
 and ``# repro: ignore[ALLOC301]`` on a finding's line suppresses it (a
 bare ``# repro: ignore`` suppresses every rule on that line).

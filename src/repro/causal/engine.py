@@ -29,8 +29,10 @@ with the same seeds (bit-identical when it succeeds); under ``"skip"`` a
 trace whose scalar retry also fails is dropped with a structured
 :class:`~repro.runtime.faults.TraceFault` instead of killing the run, and
 every incident lands in the :class:`~repro.runtime.faults.FaultLog`
-attached to the result.  The fork pool is supervised (per-shard timeouts,
-worker-death detection, bounded retries, in-process fallback) and
+attached to the result.  With ``n_workers`` > 1 both corpus stages run
+contiguous trace shards, one per worker, through the serial path's batched
+code on a supervised fork pool (per-shard timeouts, worker-death
+detection, bounded retries, in-process fallback).
 ``prepare_corpus(checkpoint_dir=...)`` persists each completed trace's
 artifacts content-addressed by (trace, Setting-A, model, seed) so a
 restart re-does zero deployment/abduction work for finished traces.
@@ -42,6 +44,7 @@ import dataclasses
 import json
 import multiprocessing
 import threading
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -262,36 +265,21 @@ class PreparedCorpus:
         return len(self.per_trace)
 
 
-# Shared state for forked pool workers.  Settings carry ABR factory
-# closures that cannot cross a pickle boundary, so the parallel paths rely
-# on fork inheritance: the state is installed before the pool spawns and
-# workers receive only indices.  The lock serialises concurrent calls for
-# the span where workers may still fork, so one call's state cannot leak
-# into another's workers.
+# Shared state for forked pool workers: the ``(method, args)`` pair of
+# :meth:`CounterfactualEngine._run_shards`.  Settings carry ABR factory
+# closures that cannot cross a pickle boundary, so the pool relies on fork
+# inheritance: the state is installed before the pool spawns and workers
+# receive only their shard's trace indices.  The lock serialises
+# concurrent calls for the span where workers may still fork, so one
+# call's state cannot leak into another's workers.
 _FORK_STATE: tuple | None = None
 _FORK_LOCK = threading.Lock()
 
 
 # repro: pool-worker
-def _prepare_shard(
-    indices: "tuple[int, ...]",
-) -> "tuple[list[PreparedTrace], list[TraceFault]]":
-    engine, traces, setting_a, seeds, policy, checkpoint = _FORK_STATE
-    return engine._prepare_traces_safe(
-        indices, traces, setting_a, seeds, policy, checkpoint
-    )
-
-
-# repro: pool-worker
-def _replay_task(
-    task: tuple[int, int],
-) -> "tuple[int, int, TraceCounterfactual | None, list[TraceFault]]":
-    engine, per_trace, settings_b, policy = _FORK_STATE
-    setting_index, trace_index = task
-    outcome, faults = engine._replay_one_safe(
-        per_trace[trace_index], settings_b[setting_index], policy
-    )
-    return setting_index, trace_index, outcome, faults
+def _run_shard(shard: "tuple[int, ...]"):
+    method, args = _FORK_STATE
+    return method(shard, *args)
 
 
 # ----------------------------------------------------------------------
@@ -364,10 +352,12 @@ def _abr_fingerprint(abr) -> str:
 class CounterfactualEngine:
     """Runs the full Fig.-6 pipeline over a corpus of ground-truth traces.
 
-    ``n_workers`` > 1 fans the corpus-level methods out over a process
-    pool.  Every trace gets its seed from the same ``spawn_seeds`` schedule
-    and each per-trace step is deterministic given its seed, so parallel
-    results are bit-identical to serial ones.
+    ``n_workers`` > 1 splits the traces of the corpus-level methods into
+    ``min(n_workers, traces)`` contiguous shards on a supervised fork
+    pool; each shard runs the batched prepare or replay code the serial
+    path runs over the whole corpus.  Every trace gets its seed from the
+    same ``spawn_seeds`` schedule and each per-trace step is deterministic
+    given its seed, so pooled results are bit-identical to serial ones.
 
     ``use_batch`` (the default) routes both halves of the pipeline
     through the lockstep batch engine.  On the replay side, all lanes of
@@ -459,35 +449,14 @@ class CounterfactualEngine:
         setting_b: Setting,
         seed: SeedLike = None,
     ) -> TraceCounterfactual:
-        """Answer the counterfactual for one ground-truth trace."""
-        # 1. Deploy Setting A; this log is the only observable.
-        log_a = run_setting(setting_a, ground_truth)
-        metrics_a = compute_metrics(log_a)
+        """Answer the counterfactual for one ground-truth trace.
 
-        # Replays can outlast the original session (different ABR/buffer),
-        # so reconstructions are extended well past the video duration.
-        replay_horizon = max(
-            ground_truth.end_time, 3.0 * setting_b.video.duration_s
-        )
-
-        # 2a/2b/2c. Truth, Baseline reconstruction, and the K Veritas
-        # posterior samples, replayed under Setting B — batched in lockstep
-        # groups when enabled (bit-identical to per-lane serial replay).
-        base = baseline_trace(log_a, duration_s=replay_horizon)
-        posterior = self.abduction.solve(log_a, trace_duration_s=replay_horizon)
-        rng = ensure_rng(seed)
-        samples = posterior.sample_traces(self.n_samples, seed=rng)
-        lanes = [ground_truth.extended(replay_horizon), base]
-        lanes.extend(sample.extended(replay_horizon) for sample in samples)
-        metrics = self._replay_tasks([(setting_b, lane) for lane in lanes])
-
-        return TraceCounterfactual(
-            trace_index=trace_index,
-            setting_a_metrics=metrics_a,
-            truth_metrics=metrics[0],
-            baseline_metrics=metrics[1],
-            veritas_metrics=tuple(metrics[2:]),
-        )
+        Deploys Setting A and reconstructs the trace once
+        (:meth:`_prepare_trace`), then replays Setting B over the truth,
+        the baseline and the K posterior samples.
+        """
+        prepared = self._prepare_trace(trace_index, ground_truth, setting_a, seed)
+        return self._replay_prepared(prepared, setting_b)
 
     # ------------------------------------------------------------------
     def _prepare_trace(
@@ -519,7 +488,7 @@ class CounterfactualEngine:
 
     def _prepare_traces(
         self,
-        indices: "Iterable[int]",
+        indices: "Sequence[int]",
         traces: "list[PiecewiseConstantTrace]",
         setting_a: Setting,
         seeds: "list[int]",
@@ -540,12 +509,7 @@ class CounterfactualEngine:
         with no same-grid peers, and everything when ``use_batch`` is off
         or the ABR needs serial replay, fall back to the per-trace path.
         """
-        indices = list(indices)
-        if (
-            not self.use_batch
-            or len(indices) == 1
-            or not abr_supports_batch_replay(setting_a.make_abr())
-        ):
+        if not self.use_batch or not abr_supports_batch_replay(setting_a.make_abr()):
             return [
                 self._prepare_trace(i, traces[i], setting_a, seeds[i])
                 for i in indices
@@ -680,11 +644,10 @@ class CounterfactualEngine:
         the K posterior samples per trace — into one task list so
         :meth:`_replay_tasks` can fuse lanes across both traces and
         settings, then reassembles the per-setting per-trace
-        counterfactuals.  Mirrors the replay half of
-        :meth:`evaluate_trace` exactly: the reconstructions hold their
-        final value beyond their span, so extending them to the
-        (Setting-B-dependent) replay horizon yields bit-identical session
-        logs.
+        counterfactuals.  The reconstructions hold their final value
+        beyond their span, so each lane is extended to its setting's
+        replay horizon (three times Setting B's video, at least the
+        ground truth's span).
         """
         tasks: "list[tuple[Setting, PiecewiseConstantTrace]]" = []
         lane_counts: "list[int]" = []
@@ -770,7 +733,7 @@ class CounterfactualEngine:
     # ------------------------------------------------------------------
     def _prepare_traces_safe(
         self,
-        indices: "Iterable[int]",
+        indices: "Sequence[int]",
         traces: "list[PiecewiseConstantTrace]",
         setting_a: Setting,
         seeds: "list[int]",
@@ -783,55 +746,82 @@ class CounterfactualEngine:
         are persisted to ``checkpoint`` as soon as the shard completes, so
         a crash later in the run never loses finished work.
         """
-        indices = list(indices)
         faults: "list[TraceFault]" = []
-        if policy == "raise":
+        try:
             prepared = self._prepare_traces(indices, traces, setting_a, seeds)
-        else:
-            try:
-                prepared = self._prepare_traces(
-                    indices, traces, setting_a, seeds
+        except Exception as batch_exc:
+            if policy == "raise":
+                raise
+            faults.append(
+                TraceFault.from_exception(
+                    -1, "prepare", batch_exc, tier="batch", skipped=False
                 )
-            except Exception as batch_exc:
-                faults.append(
-                    TraceFault.from_exception(
-                        -1, "prepare", batch_exc, tier="batch", skipped=False
+            )
+            prepared = []
+            for i in indices:
+                try:
+                    prepared.append(
+                        self._prepare_trace(i, traces[i], setting_a, seeds[i])
                     )
-                )
-                prepared = []
-                for i in indices:
-                    try:
-                        prepared.append(
-                            self._prepare_trace(
-                                i, traces[i], setting_a, seeds[i]
-                            )
+                except Exception as exc:
+                    if policy == "degrade":
+                        raise
+                    faults.append(
+                        TraceFault.from_exception(
+                            i,
+                            "prepare",
+                            exc,
+                            tier="reference",
+                            retries=1,
+                            skipped=True,
                         )
-                    except Exception as exc:
-                        if policy == "degrade":
-                            raise
-                        faults.append(
-                            TraceFault.from_exception(
-                                i,
-                                "prepare",
-                                exc,
-                                tier="reference",
-                                retries=1,
-                                skipped=True,
-                            )
-                        )
+                    )
         self._checkpoint_save(checkpoint, prepared)
         return prepared, faults
+
+    def _replay_shard_safe(
+        self,
+        indices: "Sequence[int]",
+        per_trace: "list[PreparedTrace]",
+        settings_b: "list[Setting]",
+        policy: str,
+    ) -> "tuple[list[list[TraceCounterfactual | None]], list[TraceFault]]":
+        """Answer every setting for ``per_trace[i]``, ``i`` in ``indices``.
+
+        Runs in pool workers and in-process alike.  The shard replays as
+        one fused :meth:`_replay_settings` call; if that fails under
+        ``"degrade"``/``"skip"``, each (trace, setting) answer is retried
+        on its own through :meth:`_replay_one_safe`, and ``None`` marks an
+        answer ``"skip"`` dropped.
+        """
+        shard = [per_trace[i] for i in indices]
+        try:
+            return self._replay_settings(shard, settings_b), []
+        except Exception as batch_exc:
+            if policy == "raise":
+                raise
+            faults = [
+                TraceFault.from_exception(
+                    -1, "replay", batch_exc, tier="batch", skipped=False
+                )
+            ]
+        answers: "list[list[TraceCounterfactual | None]]" = []
+        for setting_b in settings_b:
+            answers.append([])
+            for item in shard:
+                outcome, item_faults = self._replay_one_safe(item, setting_b, policy)
+                answers[-1].append(outcome)
+                faults.extend(item_faults)
+        return answers, faults
 
     def _replay_one_safe(
         self, prepared: PreparedTrace, setting_b: Setting, policy: str
     ) -> "tuple[TraceCounterfactual | None, list[TraceFault]]":
-        """One (trace, setting) answer under ``policy``.
+        """One (trace, setting) answer under ``"degrade"``/``"skip"``.
 
         Returns ``(outcome, faults)`` where ``outcome`` is ``None`` only
         when ``policy == "skip"`` and the scalar retry also failed.
         """
-        if policy == "raise":
-            return self._replay_prepared(prepared, setting_b), []
         try:
             return self._replay_prepared(prepared, setting_b), []
         except Exception as batch_exc:
@@ -927,9 +917,10 @@ class CounterfactualEngine:
         corpus-lockstep: same-grid traces deploy Setting A as one fused
         batch session and same-shape logs share stacked abduction and
         sampling passes (see :meth:`_prepare_traces`) — bit-identical to
-        the per-trace path.  ``n_workers`` > 1 fans contiguous trace
-        shards over the supervised fork pool; each worker batches within
-        its shard, so pooled results equal serial ones float for float.
+        the per-trace path.  ``n_workers`` > 1 splits the traces into
+        contiguous shards, one per worker, on the supervised fork pool;
+        each worker batches within its shard, so pooled results equal
+        serial ones float for float.
 
         ``on_error`` (default: the engine-level policy) gates three fault
         classes: invalid input traces (NaN/Inf bandwidths etc. — rejected
@@ -1000,28 +991,16 @@ class CounterfactualEngine:
 
         todo = [i for i in valid if i not in loaded]
         prepared_all = list(loaded.values())
-        if todo and self._use_pool(workers, len(todo)):
-            shard_count = min(workers, len(todo))
-            shards = [
-                tuple(int(i) for i in shard)
-                for shard in np.array_split(np.asarray(todo), shard_count)
-                if shard.size
-            ]
-            for prepared, shard_faults in self._run_pool(
-                _prepare_shard,
-                shards,
-                (self, traces, setting_a, seeds, policy, checkpoint),
-                shard_count,
-                fault_log=faults,
+        if todo:
+            for prepared, shard_faults in self._run_shards(
+                self._prepare_traces_safe,
+                todo,
+                (traces, setting_a, seeds, policy, checkpoint),
+                workers,
+                faults,
             ):
                 prepared_all.extend(prepared)
                 faults.traces.extend(shard_faults)
-        elif todo:
-            prepared, shard_faults = self._prepare_traces_safe(
-                todo, traces, setting_a, seeds, policy, checkpoint
-            )
-            prepared_all.extend(prepared)
-            faults.traces.extend(shard_faults)
 
         prepared_all.sort(key=lambda item: item.trace_index)
         corpus.per_trace.extend(prepared_all)
@@ -1036,14 +1015,15 @@ class CounterfactualEngine:
     ) -> "list[CounterfactualResult]":
         """Answer several Setting-B queries against one prepared corpus.
 
-        Fans the (trace × setting) replay tasks over the supervised
-        process pool when ``n_workers`` > 1; results are bit-identical to
-        running :meth:`evaluate_corpus` once per setting (see the parity
-        suite).
+        The traces run as contiguous shards, one in-process or one per
+        worker on the supervised fork pool when ``n_workers`` > 1, and
+        each shard answers every query in one fused replay.  Results are
+        bit-identical whatever the sharding, and to running
+        :meth:`evaluate_corpus` once per setting (see the parity suite).
 
         ``on_error`` (default: the engine-level policy) controls per-trace
-        replay isolation: under ``"degrade"``/``"skip"`` a replay that
-        fails in the fused batch path is retried per trace (batch first,
+        replay isolation: under ``"degrade"``/``"skip"`` a shard whose
+        fused replay fails is retried per (trace, setting) (batch first,
         then the scalar reference path — same inputs, bit-identical when
         it succeeds), and under ``"skip"`` a trace whose scalar retry also
         fails is dropped from that query's ``per_trace`` with a
@@ -1058,62 +1038,30 @@ class CounterfactualEngine:
         policy = resolve_on_error(on_error, self.on_error)
         workers = self._resolve_workers(n_workers)
         faults = FaultLog()
-        results = [
+        shards = self._run_shards(
+            self._replay_shard_safe,
+            list(range(len(prepared.per_trace))),
+            (prepared.per_trace, settings_b, policy),
+            workers,
+            faults,
+        )
+        for _, shard_faults in shards:
+            faults.traces.extend(shard_faults)
+        return [
             CounterfactualResult(
                 setting_a=prepared.setting_a.describe(),
                 setting_b=setting_b.describe(),
-                per_trace=[None] * len(prepared.per_trace),
+                # Answers "skip" dropped come back as None.
+                per_trace=[
+                    answer
+                    for answers, _ in shards
+                    for answer in answers[si]
+                    if answer is not None
+                ],
                 faults=faults,
             )
-            for setting_b in settings_b
+            for si, setting_b in enumerate(settings_b)
         ]
-        tasks = [
-            (si, ti)
-            for si in range(len(settings_b))
-            for ti in range(len(prepared.per_trace))
-        ]
-        if self._use_pool(workers, len(tasks)):
-            outcomes = self._run_pool(
-                _replay_task,
-                tasks,
-                (self, list(prepared.per_trace), list(settings_b), policy),
-                min(workers, len(tasks)),
-                fault_log=faults,
-            )
-            for si, ti, outcome, task_faults in outcomes:
-                results[si].per_trace[ti] = outcome
-                faults.traces.extend(task_faults)
-        else:
-            # In-process: hand the whole (setting x trace) grid over at
-            # once so the lockstep batch path can fuse replay lanes across
-            # traces AND settings.
-            try:
-                per_setting = self._replay_settings(
-                    prepared.per_trace, settings_b
-                )
-                for si in range(len(settings_b)):
-                    results[si].per_trace = per_setting[si]
-            except Exception as batch_exc:
-                if policy == "raise":
-                    raise
-                # The fused replay died: isolate per (trace, setting),
-                # degrading each casualty to the scalar reference path.
-                faults.record_trace(
-                    TraceFault.from_exception(
-                        -1, "replay", batch_exc, tier="batch", skipped=False
-                    )
-                )
-                for si, setting_b in enumerate(settings_b):
-                    for ti, item in enumerate(prepared.per_trace):
-                        outcome, task_faults = self._replay_one_safe(
-                            item, setting_b, policy
-                        )
-                        results[si].per_trace[ti] = outcome
-                        faults.traces.extend(task_faults)
-        # Skipped (trace, setting) answers leave None placeholders.
-        for result in results:
-            result.per_trace = [t for t in result.per_trace if t is not None]
-        return results
 
     def evaluate_corpus(
         self,
@@ -1155,44 +1103,44 @@ class CounterfactualEngine:
             raise ValueError(f"n_workers must be >= 1, got {workers}")
         return workers
 
-    @staticmethod
-    def _use_pool(workers: int | None, n_tasks: int) -> bool:
-        return (
-            workers is not None
-            and workers > 1
-            and n_tasks > 1
-            and "fork" in multiprocessing.get_all_start_methods()
-        )
-
-    def _run_pool(
+    def _run_shards(
         self,
-        fn,
-        tasks,
-        state: tuple,
-        workers: int,
-        fault_log: FaultLog | None = None,
+        method: Callable,
+        indices: "list[int]",
+        args: tuple,
+        workers: int | None,
+        faults: FaultLog,
     ) -> list:
-        """Fan ``fn`` over ``tasks`` on supervised forked workers.
+        """Run ``method(shard, *args)`` over contiguous shards of ``indices``.
 
-        The supervisor (:func:`repro.runtime.supervisor.run_supervised`)
-        adds per-shard timeouts, worker-death detection, bounded retries
-        with backoff and in-process fallback; its incidents land on
-        ``fault_log``.  The in-process fallback executes ``fn`` in the
-        parent, where ``_FORK_STATE`` is also installed, so it sees the
-        exact state the workers would have inherited.
+        Returns one result per shard, in index order.  With one worker, one
+        index or no fork start method, the whole of ``indices`` is one
+        in-process shard.  Otherwise ``min(workers, len(indices))`` shards
+        run on forked workers under the supervisor
+        (:func:`repro.runtime.supervisor.run_supervised`: per-shard
+        timeouts, worker-death detection, bounded retries with backoff and
+        in-process fallback), whose incidents land on ``faults``.  Workers
+        inherit ``(method, args)`` through ``_FORK_STATE``, which the
+        in-process fallback reads in the parent as well.
         """
+        count = min(workers or 1, len(indices))
+        if count == 1 or "fork" not in multiprocessing.get_all_start_methods():
+            return [method(indices, *args)]
+        shards = [
+            tuple(int(i) for i in shard)
+            for shard in np.array_split(np.asarray(indices), count)
+        ]
         global _FORK_STATE
-        context = multiprocessing.get_context("fork")
         with _FORK_LOCK:
-            _FORK_STATE = state
+            _FORK_STATE = (method, args)
             try:
                 return run_supervised(
-                    fn,
-                    list(tasks),
-                    workers=workers,
-                    mp_context=context,
+                    _run_shard,
+                    shards,
+                    workers=count,
+                    mp_context=multiprocessing.get_context("fork"),
                     config=self.supervisor,
-                    fault_log=fault_log,
+                    fault_log=faults,
                 )
             finally:
                 _FORK_STATE = None

@@ -69,6 +69,29 @@ from .tcp.connection import DEFAULT_KERNEL, KERNEL_TIERS
 __all__ = ["main", "build_parser"]
 
 
+# argparse types for numeric flags: an out-of-range value is a usage error
+# (exit 2, one line naming the flag) instead of a library traceback.
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -99,12 +122,12 @@ def build_parser() -> argparse.ArgumentParser:
              "deployed and abduction solved once)",
     )
     cf.add_argument("--buffer-s", type=float, default=30.0)
-    cf.add_argument("--traces", type=int, default=5)
+    cf.add_argument("--traces", type=positive_int, default=5)
     cf.add_argument("--duration-s", type=float, default=900.0)
-    cf.add_argument("--samples", type=int, default=5)
+    cf.add_argument("--samples", type=positive_int, default=5)
     cf.add_argument("--seed", type=int, default=2023)
     cf.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=positive_int, default=1,
         help="process-pool size for corpus evaluation (1 = serial; results "
              "are bit-identical either way)",
     )
@@ -156,12 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
              "restart",
     )
     cf.add_argument(
-        "--shard-timeout", type=float, default=None, metavar="SECONDS",
+        "--shard-timeout", type=positive_float, default=None, metavar="SECONDS",
         help="per-shard watchdog for --workers pools: a shard past this "
              "deadline is retried on a fresh pool (default: no timeout)",
     )
     cf.add_argument(
-        "--max-retries", type=int, default=2,
+        "--max-retries", type=non_negative_int, default=2,
         help="pool attempts per shard beyond the first before falling back "
              "to in-process execution (default: 2)",
     )

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+import multiprocessing
+
 import numpy as np
 import pytest
 
+import repro.causal.engine as engine_module
 from repro import (
     CounterfactualEngine,
     Setting,
@@ -21,7 +25,7 @@ from repro import (
     scheme_summaries,
 )
 from repro.causal.engine import VeritasRange
-from repro.player import SessionConfig
+from repro.player import QoEMetrics, SessionConfig
 from repro.video import short_video
 
 
@@ -172,6 +176,48 @@ class TestEngine:
         table_b = pooled.metric_table("mean_ssim")
         for key in table_a:
             assert np.array_equal(table_a[key], table_b[key])
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs fork start method",
+    )
+    def test_pooled_evaluate_many_matches_serial(self, setting_a, monkeypatch):
+        """A pooled evaluate_many replays one contiguous trace shard per
+        worker and answers every query exactly as the serial run does.
+
+        BBA decides vectorised, rate-based takes per-lane scalar decisions
+        inside the fused loop and veritas-abr (an ``observe_download`` ABR)
+        replays serially inside its shard.
+        """
+        traces = [
+            random_walk_trace(m, 300.0, seed=s, low=1.5, high=9.0, step_mbps=1.0)
+            for m, s in [(4.0, 1), (6.0, 2), (5.0, 3), (3.0, 4)]
+        ]
+        settings_b = [
+            change_abr(setting_a, name) for name in ("bba", "rate", "veritas-abr")
+        ]
+        engine = CounterfactualEngine(paper_veritas_config(), n_samples=2, seed=3)
+        prepared = engine.prepare_corpus(traces, setting_a)
+        serial = engine.evaluate_many(prepared, settings_b)
+
+        shard_counts = []
+        supervised = engine_module.run_supervised
+
+        def spy(fn, tasks, **kwargs):
+            shard_counts.append(len(tasks))
+            return supervised(fn, tasks, **kwargs)
+
+        monkeypatch.setattr(engine_module, "run_supervised", spy)
+        pooled = engine.evaluate_many(prepared, settings_b, n_workers=2)
+
+        assert shard_counts == [2]
+        for got, want in zip(pooled, serial, strict=True):
+            assert [t.trace_index for t in got.per_trace] == [0, 1, 2, 3]
+            for metric in (f.name for f in dataclasses.fields(QoEMetrics)):
+                got_table = got.metric_table(metric)
+                want_table = want.metric_table(metric)
+                for key in want_table:
+                    assert np.array_equal(got_table[key], want_table[key])
 
     def test_rejects_bad_worker_count(self, corpus, setting_a):
         with pytest.raises(ValueError):

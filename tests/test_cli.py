@@ -52,6 +52,28 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["counterfactual", "--query", "nope"])
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--workers", "0"),
+            ("--samples", "0"),
+            ("--traces", "0"),
+            ("--max-retries", "-1"),
+            ("--shard-timeout", "0"),
+        ],
+    )
+    def test_counterfactual_numeric_flags_are_usage_errors(
+        self, flag, value, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["counterfactual", flag, value])
+        assert exit_info.value.code == 2
+        errors = [
+            line for line in capsys.readouterr().err.splitlines() if "error:" in line
+        ]
+        assert len(errors) == 1
+        assert flag in errors[0]
+
 
 class TestEndToEnd:
     def test_simulate_then_abduct(self, tmp_path, capsys):

@@ -262,10 +262,11 @@ def _times_ten(task):
     return task * 10
 
 
-def _sabotage_prepare(marker, mode):
-    """Class-level wrapper: children crash/hang while ``marker`` exists."""
+def _sabotage(method, marker, mode):
+    """Class-level wrapper of ``method``: children crash/hang while
+    ``marker`` exists."""
     parent = os.getpid()
-    original = CounterfactualEngine._prepare_traces_safe
+    original = getattr(CounterfactualEngine, method)
 
     def wrapper(self, *args, **kwargs):
         if os.getpid() != parent and marker.exists():
@@ -292,7 +293,7 @@ class TestPoolSupervision:
         monkeypatch.setattr(
             CounterfactualEngine,
             "_prepare_traces_safe",
-            _sabotage_prepare(marker, "kill"),
+            _sabotage("_prepare_traces_safe", marker, "kill"),
         )
         engine = make_engine()
         prepared = engine.prepare_corpus(corpus, setting_a, n_workers=2)
@@ -303,6 +304,67 @@ class TestPoolSupervision:
         assert fault.kind == "worker-death"
         assert fault.recovered == "pool-retry"
 
+    def test_replay_worker_death_recovers_bit_identical(
+        self, corpus, setting_a, tmp_path, monkeypatch
+    ):
+        settings_b = [change_abr(setting_a, "bola"), change_buffer(setting_a, 30.0)]
+        engine = make_engine()
+        prepared = engine.prepare_corpus(corpus, setting_a)
+        reference = engine.evaluate_many(prepared, settings_b)
+        marker = tmp_path / "kill-once"
+        marker.touch()
+        monkeypatch.setattr(
+            CounterfactualEngine,
+            "_replay_shard_safe",
+            _sabotage("_replay_shard_safe", marker, "kill"),
+        )
+        results = engine.evaluate_many(prepared, settings_b, n_workers=2)
+
+        for got, want in zip(results, reference, strict=True):
+            assert_same_trace_answers(got.per_trace, want.per_trace)
+        faults = results[0].faults
+        assert len(faults.pool) == 1
+        assert faults.pool[0].kind == "worker-death"
+        assert faults.pool[0].recovered == "pool-retry"
+
+    def test_pooled_replay_skip_matches_in_process(
+        self, corpus, setting_a, monkeypatch
+    ):
+        """Shards isolate failures like the in-process run: the fused
+        replay fails in every shard and trace 0 fails on both retry paths."""
+        setting_b = change_buffer(setting_a, 30.0)
+        engine = make_engine(on_error="skip")
+        prepared = engine.prepare_corpus(corpus, setting_a)
+        serial = CounterfactualEngine._replay_prepared_serial
+
+        def boom_for_first(self, item, setting):
+            if item.trace_index == 0:
+                raise RuntimeError("trace 0 is cursed")
+            return serial(self, item, setting)
+
+        monkeypatch.setattr(
+            CounterfactualEngine,
+            "_replay_settings",
+            lambda self, per_trace, settings: (_ for _ in ()).throw(
+                RuntimeError("fused replay exploded")
+            ),
+        )
+        monkeypatch.setattr(CounterfactualEngine, "_replay_prepared", boom_for_first)
+        monkeypatch.setattr(
+            CounterfactualEngine, "_replay_prepared_serial", boom_for_first
+        )
+        in_process = engine.evaluate_many(prepared, [setting_b])[0]
+        pooled = engine.evaluate_many(prepared, [setting_b], n_workers=2)[0]
+
+        for result in (in_process, pooled):
+            assert [t.trace_index for t in result.per_trace] == [1, 2]
+            assert result.faults.skipped_trace_indices() == {0}
+        assert_same_trace_answers(pooled.per_trace, in_process.per_trace)
+        assert [f for f in pooled.faults.traces if f.trace_index >= 0] == [
+            f for f in in_process.faults.traces if f.trace_index >= 0
+        ]
+        assert not pooled.faults.pool
+
     def test_hung_worker_times_out_and_recovers(
         self, corpus, setting_a, tmp_path, monkeypatch
     ):
@@ -312,7 +374,7 @@ class TestPoolSupervision:
         monkeypatch.setattr(
             CounterfactualEngine,
             "_prepare_traces_safe",
-            _sabotage_prepare(marker, "hang"),
+            _sabotage("_prepare_traces_safe", marker, "hang"),
         )
         engine = make_engine(shard_timeout_s=10.0)
         prepared = engine.prepare_corpus(corpus, setting_a, n_workers=2)

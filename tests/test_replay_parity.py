@@ -23,6 +23,8 @@ here (known closed-form answers) and in ``test_trace.py`` /
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,7 @@ from repro.causal.engine import run_setting
 from repro.net.trace import PiecewiseConstantTrace
 from repro.tcp.connection import KERNEL_TIERS, TCPConnection
 from repro.util.rng import spawn_seeds
+from repro.video import short_video
 
 
 def random_trace(
@@ -173,9 +176,22 @@ class TestPreparedCorpusParity:
             assert shared.setting_b == solo.setting_b
             assert shared.per_trace == solo.per_trace  # exact equality
 
-    def test_matches_per_trace_evaluate_trace(self, fixtures):
+    @pytest.mark.parametrize(
+        "video_s",
+        [None, 900.0, 120.0],
+        ids=["setting-a-video", "longer-video", "shorter-video"],
+    )
+    def test_matches_per_trace_evaluate_trace(self, fixtures, video_s):
+        """Per-trace answers equal the prepared-corpus path's whatever
+        Setting B's video is: the replay horizon follows Setting B's video,
+        so a longer one replays past Setting A's horizon (600 s video) and
+        a shorter one well within it."""
         setting_a, traces, engine = fixtures
         setting_b = change_abr(setting_a, "bba")
+        if video_s is not None:
+            setting_b = dataclasses.replace(
+                setting_b, video=short_video(duration_s=video_s, seed=11)
+            )
         seeds = spawn_seeds(5, len(traces))
         direct = [
             engine.evaluate_trace(i, tr, setting_a, setting_b, seed=s)
