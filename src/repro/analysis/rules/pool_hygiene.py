@@ -10,8 +10,7 @@ installed and return results.
 
 A function counts as a pool worker if it carries a
 ``# repro: pool-worker`` pragma, or if its name is passed as the first
-argument to a ``run_supervised(...)`` / ``_run_pool(...)`` call in the
-same module.
+argument to a ``run_supervised(...)`` call in the same module.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from . import Rule, register
 
 __all__ = ["NoWorkerGlobalMutation"]
 
-_DISPATCHERS = {"run_supervised", "_run_pool"}
+_DISPATCHERS = {"run_supervised"}
 
 
 def _dispatched_names(tree: ast.Module) -> set[str]:

@@ -5,7 +5,9 @@ This is the paper's primary contribution wired end to end:
 1. build the EHMM for the logged session (emission = Gaussian around the
    TCP throughput estimator ``f``, transitions = ``A^Δn``),
 2. run the Viterbi variant for the maximum-likelihood capacity path,
-3. run forward-backward for the pairwise posterior Γ,
+3. run forward-backward for the pairwise posterior Γ — on first use of
+   :attr:`VeritasPosterior.smoothing`, so callers that need only the MAP
+   path (interventional queries) never run it,
 4. draw K posterior capacity paths with the Algorithm-1 sampler, and
 5. interpolate each path into a full δ-grid bandwidth trace ready for
    counterfactual replay.
@@ -152,15 +154,32 @@ class VeritasPosterior:
     """The abduction result for one session.
 
     Wraps the Viterbi path and forward-backward posteriors and turns hidden
-    state paths into replayable bandwidth traces.
+    state paths into replayable bandwidth traces.  :attr:`smoothing` runs
+    forward-backward on :attr:`problem` the first time it is read and keeps
+    the result (stacked :meth:`VeritasAbduction.solve_batch` posteriors
+    come with theirs), so the MAP path, :meth:`map_trace` and
+    :meth:`expected_capacity_after` cost no forward-backward pass.
     """
 
     problem: EHMMProblem
     viterbi: ViterbiResult
-    smoothing: ForwardBackwardResult
+    _smoothing: "ForwardBackwardResult | None" = field(default=None)
     _trace_duration_s: float = field(default=0.0)
 
     # ------------------------------------------------------------------
+    @property
+    def smoothing(self) -> ForwardBackwardResult:
+        """Forward-backward posteriors Γ and ξ, computed on first read.
+
+        Raises :class:`FloatingPointError` if the forward pass underflows.
+        """
+        if self._smoothing is None:
+            problem = self.problem
+            self._smoothing = forward_backward(
+                problem.log_emissions, problem.transitions, problem.deltas
+            )
+        return self._smoothing
+
     @property
     def log_likelihood(self) -> float:
         return self.smoothing.log_likelihood
@@ -261,6 +280,8 @@ class VeritasAbduction:
             sigma_mbps=self.config.sigma_mbps,
             estimator=_EMISSION_ESTIMATORS[self.config.emission_kind],
         )
+        # (models, settings, records, posterior) of the last solve().
+        self._last_solve: "tuple | None" = None
 
     def solve(
         self, log: SessionLog, trace_duration_s: float | None = None
@@ -269,24 +290,50 @@ class VeritasAbduction:
 
         ``trace_duration_s`` optionally extends the reconstructed traces
         (counterfactual replays can run longer than the original session).
+
+        The engine remembers its last solve and returns that posterior
+        again while nothing it depends on has changed: ``log.records``
+        equal by value (a copy is kept, so editing the list in place is
+        noticed), an equal ``trace_duration_s``, the same ``grid``,
+        ``transitions`` and ``emission`` objects (reassigning
+        ``transitions``, as EM does, forces a fresh solve) and an equal
+        ``config.delta_s``.  Asking about one session prefix many times —
+        one interventional question per candidate chunk size — thus costs
+        one emission build and one Viterbi pass.  The returned posterior is
+        shared between those calls and must be treated as read-only.
+
+        Forward-backward runs on the first read of
+        :attr:`VeritasPosterior.smoothing` (or ``log_likelihood``), so its
+        underflow :class:`FloatingPointError` surfaces there rather than
+        here; the emission model's 5% outlier mixture keeps every emission
+        positive, so this engine does not reach it.
         """
+        duration = trace_duration_s or 0.0
+        models = (self.grid, self.transitions, self.emission)
+        settings = (self.config.delta_s, duration)
+        if self._last_solve is not None:
+            last_models, last_settings, last_records, last = self._last_solve
+            if (
+                all(a is b for a, b in zip(last_models, models))
+                and last_settings == settings
+                and last_records == log.records
+            ):
+                return last
         problem = build_problem(
             log, self.grid, self.transitions, self.emission, self.config.delta_s
         )
-        return self._posterior_from_problem(problem, trace_duration_s or 0.0)
+        posterior = self._posterior_from_problem(problem, duration)
+        self._last_solve = (models, settings, list(log.records), posterior)
+        return posterior
 
     def _posterior_from_problem(
         self, problem: EHMMProblem, trace_duration_s: float
     ) -> VeritasPosterior:
-        """Scalar Viterbi + forward-backward tail shared by solve paths."""
+        """Scalar Viterbi tail shared by solve paths (smoothing is lazy)."""
         vit = viterbi_path(problem.log_emissions, problem.transitions, problem.deltas)
-        smooth = forward_backward(
-            problem.log_emissions, problem.transitions, problem.deltas
-        )
         return VeritasPosterior(
             problem=problem,
             viterbi=vit,
-            smoothing=smooth,
             _trace_duration_s=trace_duration_s,
         )
 
@@ -380,7 +427,7 @@ class VeritasAbduction:
                     posterior = VeritasPosterior(
                         problem=problems[i],
                         viterbi=vits.session(t),
-                        smoothing=smooths.session(t),
+                        _smoothing=smooths.session(t),
                         _trace_duration_s=durations[i],
                     )
                     # Remember the owning stack so sample_traces_batch can

@@ -10,6 +10,14 @@ so far, take the most likely (Viterbi/MAP) path, project its final state
 forward through the transition matrix to the next chunk's start window, and
 feed the expected capacity into the TCP throughput estimator ``f`` together
 with the connection's current TCP state.
+
+One question asks about every candidate size of the next chunk against the
+same prefix.  :meth:`VeritasAbduction.solve` returns its last posterior
+while the prefix is unchanged, so the question costs one emission build and
+one Viterbi pass; :meth:`VeritasDownloadPredictor.predict` reads only the
+MAP path and so never runs forward-backward, which
+:meth:`~VeritasDownloadPredictor.predict_distribution` runs once per prefix
+when it first samples.
 """
 
 from __future__ import annotations
@@ -77,6 +85,29 @@ class VeritasDownloadPredictor:
     def config(self) -> VeritasConfig:
         return self._abduction.config
 
+    def _window_gap(
+        self,
+        history: SessionLog,
+        candidate_size_bytes: float,
+        next_start_time_s: float,
+    ) -> int:
+        """Validate one question; return its δ-window gap past the last chunk."""
+        if history.n_chunks == 0:
+            raise ValueError("need at least one observed chunk to predict")
+        if candidate_size_bytes <= 0:
+            raise ValueError(
+                f"candidate size must be positive, got {candidate_size_bytes}"
+            )
+        last_start = float(history.records[-1].start_time_s)
+        if next_start_time_s < last_start:
+            raise ValueError(
+                "next chunk cannot start before the last observed chunk"
+            )
+        delta_s = self.config.delta_s
+        return window_index(next_start_time_s, delta_s) - window_index(
+            last_start, delta_s
+        )
+
     def predict(
         self,
         history: SessionLog,
@@ -99,23 +130,8 @@ class VeritasDownloadPredictor:
             The connection's TCP state at that moment (observable via
             ``tcp_info`` in a real deployment).
         """
-        if history.n_chunks == 0:
-            raise ValueError("need at least one observed chunk to predict")
-        if candidate_size_bytes <= 0:
-            raise ValueError(
-                f"candidate size must be positive, got {candidate_size_bytes}"
-            )
-        last_start = float(history.start_times_s()[-1])
-        if next_start_time_s < last_start:
-            raise ValueError(
-                "next chunk cannot start before the last observed chunk"
-            )
-
+        gap = self._window_gap(history, candidate_size_bytes, next_start_time_s)
         posterior = self._abduction.solve(history)
-        delta_s = self.config.delta_s
-        gap = window_index(next_start_time_s, delta_s) - window_index(
-            last_start, delta_s
-        )
         expected_capacity = posterior.expected_capacity_after(gap)
         download_s = estimate_download_time(
             expected_capacity, tcp_state, candidate_size_bytes
@@ -142,21 +158,12 @@ class VeritasDownloadPredictor:
         evaluates ``f``.  The spread reflects both inversion ambiguity and
         future bandwidth uncertainty.
         """
-        if history.n_chunks == 0:
-            raise ValueError("need at least one observed chunk to predict")
-        if candidate_size_bytes <= 0:
-            raise ValueError(
-                f"candidate size must be positive, got {candidate_size_bytes}"
-            )
+        gap = self._window_gap(history, candidate_size_bytes, next_start_time_s)
         if n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {n_samples}")
 
         posterior = self._abduction.solve(history)
         problem = posterior.problem
-        last_start = float(history.start_times_s()[-1])
-        gap = window_index(next_start_time_s, self.config.delta_s) - window_index(
-            last_start, self.config.delta_s
-        )
         rng = ensure_rng(seed)
         values = problem.grid.values_mbps
 

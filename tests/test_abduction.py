@@ -8,6 +8,8 @@ observations.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,9 @@ from repro import (
     paper_veritas_config,
     random_walk_trace,
 )
+from repro.core import abduction
+from repro.core.forward_backward import forward_backward
+from repro.core.transitions import TransitionModel, sticky_matrix
 from repro.video import short_video
 
 
@@ -158,3 +163,120 @@ class TestRecoveryAccuracy:
         # MAP should mostly lie within the sampled envelope.
         inside = np.mean((map_vals >= lo - 0.5) & (map_vals <= hi + 0.5))
         assert inside > 0.8
+
+
+class TestSolveReuse:
+    """``solve`` returns its last posterior while its inputs are unchanged,
+    and the posterior runs forward-backward only when ``smoothing`` is read."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = {"build_problem": 0, "viterbi_path": 0, "forward_backward": 0}
+        for name in calls:
+            real = getattr(abduction, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(abduction, name, counting)
+        return calls
+
+    @staticmethod
+    def _counts(build, viterbi, fb):
+        return {"build_problem": build, "viterbi_path": viterbi, "forward_backward": fb}
+
+    @staticmethod
+    def _assert_fresh(posterior, log, trace_duration_s=None, transitions=None):
+        """``posterior`` equals a solve by an engine with no history."""
+        solver = VeritasAbduction(paper_veritas_config())
+        if transitions is not None:
+            solver.transitions = transitions
+        fresh = solver.solve(log, trace_duration_s)
+        assert np.array_equal(posterior.viterbi.states, fresh.viterbi.states)
+        assert np.array_equal(posterior.smoothing.gamma, fresh.smoothing.gamma)
+        assert np.array_equal(posterior.smoothing.xi, fresh.smoothing.xi)
+        assert np.array_equal(posterior.log_likelihood, fresh.log_likelihood)
+
+    def test_repeat_solve_returns_same_posterior(self, monkeypatch, mpc_log):
+        solver = VeritasAbduction(paper_veritas_config())
+        calls = self._spy(monkeypatch)
+        first = solver.solve(mpc_log)
+        assert solver.solve(mpc_log) is first
+        assert calls == self._counts(1, 1, 0)
+
+    def test_truncated_copy_hits(self, monkeypatch, mpc_log):
+        copy = mpc_log.truncated(mpc_log.n_chunks)
+        assert copy is not mpc_log and copy.records is not mpc_log.records
+        assert all(a is b for a, b in zip(copy.records, mpc_log.records))
+        solver = VeritasAbduction(paper_veritas_config())
+        calls = self._spy(monkeypatch)
+        first = solver.solve(mpc_log)
+        assert solver.solve(copy) is first
+        assert calls == self._counts(1, 1, 0)
+
+    def test_in_place_append_misses(self, monkeypatch, mpc_log):
+        log = mpc_log.truncated(mpc_log.n_chunks - 1)
+        solver = VeritasAbduction(paper_veritas_config())
+        calls = self._spy(monkeypatch)
+        first = solver.solve(log)
+        log.records.append(mpc_log.records[-1])
+        second = solver.solve(log)
+        assert second is not first
+        assert second.problem.n_chunks == mpc_log.n_chunks
+        assert calls == self._counts(2, 2, 0)
+        self._assert_fresh(second, log)
+
+    def test_in_place_replace_misses(self, monkeypatch, mpc_log):
+        log = mpc_log.truncated(mpc_log.n_chunks)
+        solver = VeritasAbduction(paper_veritas_config())
+        calls = self._spy(monkeypatch)
+        first = solver.solve(log)
+        last = log.records[-1]
+        log.records[-1] = dataclasses.replace(last, size_bytes=4 * last.size_bytes)
+        second = solver.solve(log)
+        assert second is not first
+        assert calls == self._counts(2, 2, 0)
+        assert not np.array_equal(
+            second.problem.log_emissions, first.problem.log_emissions
+        )
+        self._assert_fresh(second, log)
+
+    def test_other_trace_duration_misses(self, monkeypatch, mpc_log):
+        solver = VeritasAbduction(paper_veritas_config())
+        calls = self._spy(monkeypatch)
+        first = solver.solve(mpc_log)
+        second = solver.solve(mpc_log, trace_duration_s=2000.0)
+        assert second is not first
+        assert second.map_trace().end_time >= 2000.0
+        assert calls == self._counts(2, 2, 0)
+        self._assert_fresh(second, mpc_log, trace_duration_s=2000.0)
+
+    def test_reassigned_transitions_miss(self, monkeypatch, mpc_log):
+        solver = VeritasAbduction(paper_veritas_config())
+        calls = self._spy(monkeypatch)
+        first = solver.solve(mpc_log)
+        sticky = TransitionModel(sticky_matrix(solver.grid.n_states))
+        solver.transitions = sticky
+        second = solver.solve(mpc_log)
+        assert second is not first
+        assert second.problem.transitions is sticky
+        assert calls == self._counts(2, 2, 0)
+        assert second.log_likelihood != first.log_likelihood
+        self._assert_fresh(second, mpc_log, transitions=sticky)
+
+    def test_smoothing_runs_forward_backward_once(self, monkeypatch, mpc_log):
+        solver = VeritasAbduction(paper_veritas_config())
+        calls = self._spy(monkeypatch)
+        posterior = solver.solve(mpc_log)
+        assert calls["forward_backward"] == 0
+        smoothing = posterior.smoothing
+        assert posterior.smoothing is smoothing
+        assert calls == self._counts(1, 1, 1)
+        problem = posterior.problem
+        eager = forward_backward(
+            problem.log_emissions, problem.transitions, problem.deltas
+        )
+        assert np.array_equal(smoothing.gamma, eager.gamma)
+        assert np.array_equal(smoothing.xi, eager.xi)
+        assert np.array_equal(smoothing.log_likelihood, eager.log_likelihood)

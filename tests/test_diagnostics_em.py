@@ -16,6 +16,7 @@ from repro import (
     random_walk_trace,
 )
 from repro.core import diagnose_posterior, learn_transition_matrix
+from repro.core.transitions import TransitionModel
 from repro.video import short_video
 
 
@@ -133,3 +134,37 @@ class TestEM:
     def test_model_property(self, logs):
         result = learn_transition_matrix(logs, iterations=1)
         assert result.model.n_states == result.matrix.shape[0]
+
+    def test_single_log_em_matches_fresh_engines(self, logs):
+        """EM reassigns ``solver.transitions`` and solves the *same* log
+        again, so every iteration must score the new matrix — exactly what
+        a fresh engine per iteration computes."""
+        log = logs[0]
+        iterations, tolerance = 5, 1e-3
+        result = learn_transition_matrix([log], iterations=iterations)
+
+        prior = VeritasAbduction().transitions.matrix
+        matrix = prior
+        expected: list[float] = []
+
+        def score(matrix):
+            solver = VeritasAbduction()
+            solver.transitions = TransitionModel(matrix)
+            posterior = solver.solve(log)
+            expected.append(posterior.log_likelihood)
+            return posterior
+
+        for _ in range(iterations):
+            posterior = score(matrix)
+            if len(expected) >= 2 and expected[-1] - expected[-2] < tolerance:
+                break
+            unit = posterior.problem.deltas[1:] == 1
+            counts = posterior.smoothing.xi[unit].sum(axis=0)
+            matrix = counts + prior
+            matrix = matrix / matrix.sum(axis=1, keepdims=True)
+        else:
+            score(matrix)
+
+        assert result.log_likelihoods == tuple(expected)
+        assert np.array_equal(result.matrix, matrix)
+        assert len(expected) >= 3 and expected[-1] > expected[0]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -11,10 +14,13 @@ from repro import (
     RandomABRAlgorithm,
     SessionConfig,
     StreamingSession,
+    VeritasAbduction,
     VeritasDownloadPredictor,
     constant_trace,
     paper_veritas_config,
+    random_walk_trace,
 )
+from repro.core import abduction
 from repro.video import short_video
 
 
@@ -24,10 +30,23 @@ def predictor():
 
 
 @pytest.fixture(scope="module")
-def session_log():
-    video = short_video(duration_s=120.0, seed=6)
+def video():
+    return short_video(duration_s=120.0, seed=6)
+
+
+@pytest.fixture(scope="module")
+def session_log(video):
     trace = constant_trace(5.0, 2000.0)
     return StreamingSession(video, MPCAlgorithm(), trace, SessionConfig()).run()
+
+
+@pytest.fixture(scope="module")
+def walk_log(video):
+    """Random rungs over a wandering link, like the Fig. 12 sessions."""
+    trace = random_walk_trace(4.0, 2000.0, seed=8, low=1.0, high=9.0)
+    return StreamingSession(
+        video, RandomABRAlgorithm(seed=3), trace, SessionConfig()
+    ).run()
 
 
 class TestVeritasPredictor:
@@ -53,6 +72,30 @@ class TestVeritasPredictor:
             predictor.predict(
                 session_log.truncated(10), 500_000,
                 0.0, record.tcp_state,
+            )
+
+    @pytest.mark.parametrize("method", ["predict", "predict_distribution"])
+    @pytest.mark.parametrize(
+        "n_chunks, size, start_s, message",
+        [
+            (0, 500_000, None, "need at least one observed chunk to predict"),
+            (10, -1, None, "candidate size must be positive, got -1"),
+            (
+                10, 500_000, 0.0,
+                "next chunk cannot start before the last observed chunk",
+            ),
+        ],
+        ids=["empty-history", "bad-size", "backwards-start"],
+    )
+    def test_both_methods_validate_alike(
+        self, predictor, session_log, method, n_chunks, size, start_s, message
+    ):
+        record = session_log.records[10]
+        if start_s is None:
+            start_s = record.start_time_s
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            getattr(predictor, method)(
+                session_log.truncated(n_chunks), size, start_s, record.tcp_state
             )
 
     def test_prediction_close_to_actual(self, predictor, session_log):
@@ -89,6 +132,127 @@ class TestVeritasPredictor:
         assert d_small < d_huge
         # An 8 MB chunk on a 5 Mbps link takes at least 12.8 s.
         assert d_huge > 10.0
+
+
+class TestOneAbductionPerQuestion:
+    """A question — every rung of the next chunk against one prefix — costs
+    one emission build and one Viterbi pass, and answers never depend on
+    which questions came before."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = {
+            "solve": 0,
+            "build_problem": 0,
+            "viterbi_path": 0,
+            "forward_backward": 0,
+        }
+
+        def counting(real, name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            VeritasAbduction, "solve", counting(VeritasAbduction.solve, "solve")
+        )
+        for name in ("build_problem", "viterbi_path", "forward_backward"):
+            monkeypatch.setattr(
+                abduction, name, counting(getattr(abduction, name), name)
+            )
+        return calls
+
+    def test_all_rungs_cost_one_abduction(self, monkeypatch, video, walk_log):
+        n = 30
+        record = walk_log.records[n]
+        prefix = walk_log.truncated(n)
+        sizes = video.sizes_for_chunk(n)
+        assert len(sizes) == 7
+        predictor = VeritasDownloadPredictor(paper_veritas_config())
+        calls = self._spy(monkeypatch)
+        for size in sizes:
+            predictor.predict(
+                prefix, float(size), record.start_time_s, record.tcp_state
+            )
+        assert calls == {
+            "solve": 7,
+            "build_problem": 1,
+            "viterbi_path": 1,
+            "forward_backward": 0,
+        }
+
+    def test_answers_independent_of_question_order(
+        self, video, session_log, walk_log
+    ):
+        config = paper_veritas_config()
+        shared = VeritasDownloadPredictor(config)
+
+        def check(history, record, size):
+            args = (history, size, record.start_time_s, record.tcp_state)
+            answer = shared.predict(*args)
+            assert answer == VeritasDownloadPredictor(config).predict(*args)
+            return answer
+
+        def ask(log, n, rungs):
+            for q in rungs:
+                size = float(video.sizes_for_chunk(n)[q])
+                check(log.truncated(n), log.records[n], size)
+
+        # Three prefixes of each of two sessions, three of the six asked
+        # twice, shuffled; each visit asks about three rungs of the next
+        # chunk.
+        rng = np.random.default_rng(2)
+        prefixes = [(log, n) for log in (session_log, walk_log) for n in (12, 25, 40)]
+        prefixes += prefixes[::2]
+        plan = [prefixes[i] for i in rng.permutation(len(prefixes))]
+        assert any(
+            a[0] is b[0] and a[1] > b[1] for a, b in zip(plan, plan[1:])
+        ), "the plan must ask a shorter prefix right after a longer one"
+
+        half = len(plan) // 2
+        for log, n in plan[:half]:
+            ask(log, n, rng.permutation(7)[:3])
+
+        # One history object edited in place between questions.
+        size = float(video.sizes_for_chunk(19)[6])
+        growing = walk_log.truncated(18)
+        check(growing, walk_log.records[18], size)
+        growing.records.append(walk_log.records[18])
+        appended = check(growing, walk_log.records[19], size)
+        # The last three downloads took four times as long.
+        growing.records[-3:] = [
+            dataclasses.replace(r, end_time_s=r.start_time_s + 4 * r.download_time_s)
+            for r in growing.records[-3:]
+        ]
+        replaced = check(growing, walk_log.records[19], size)
+        assert replaced != appended  # a stale posterior would be visible
+
+        for log, n in plan[half:]:
+            ask(log, n, rng.permutation(7)[:3])
+
+    def test_distribution_after_predict(self, monkeypatch, video, walk_log):
+        n = 25
+        record = walk_log.records[n]
+        args = (
+            walk_log.truncated(n),
+            float(video.sizes_for_chunk(n)[-1]),
+            record.start_time_s,
+            record.tcp_state,
+        )
+        predictor = VeritasDownloadPredictor(paper_veritas_config())
+        calls = self._spy(monkeypatch)
+        predictor.predict(*args)
+        spread = predictor.predict_distribution(*args, n_samples=20, seed=7)
+        assert calls == {
+            "solve": 2,
+            "build_problem": 1,
+            "viterbi_path": 1,
+            "forward_backward": 1,
+        }
+        fresh = VeritasDownloadPredictor(paper_veritas_config())
+        assert spread == fresh.predict_distribution(*args, n_samples=20, seed=7)
 
 
 class TestFuguBias:

@@ -199,6 +199,36 @@ class TestSuppressions:
         assert len(fires(self.SOURCE.format(comment=""), "HYG604")) == 1
 
 
+class TestPoolWorkerDispatch:
+    """POOL501 treats a function passed to ``run_supervised`` as a pool
+    worker even without the ``pool-worker`` pragma the fixture uses."""
+
+    SOURCE = (
+        "from repro.runtime.supervisor import run_supervised\n"
+        "\n"
+        "_CACHE = None\n"
+        "\n"
+        "\n"
+        "def work(task):\n"
+        "    global _CACHE\n"
+        "    _CACHE = task\n"
+        "    return task\n"
+        "\n"
+        "\n"
+        "def run(tasks):\n"
+        "    return run_supervised(work, tasks)\n"
+    )
+
+    def test_dispatched_worker_fires_at_global(self):
+        found = fires(self.SOURCE, "POOL501")
+        assert len(found) == 1, found
+        assert found[0].line == self.SOURCE.splitlines().index("    global _CACHE") + 1
+
+    def test_undispatched_function_is_not_a_worker(self):
+        source = self.SOURCE.replace("run_supervised(work, tasks)", "work(tasks)")
+        assert fires(source, "POOL501") == []
+
+
 class TestDriver:
     def test_syntax_error_is_a_finding(self):
         found = lint_source("def broken(:\n", "bad.py")
