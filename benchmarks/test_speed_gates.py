@@ -1,0 +1,327 @@
+"""Speed gates: each fast path must beat the slower path it replaces.
+
+Every test times a fast path and the path it replaces on the same
+bench-scale workload and asserts the ratio of their wall times.  The
+parity suites under ``tests/`` pin the answers of every pair (bit-identical,
+or within the documented tolerance); these tests gate speed only, and the
+end-to-end benchmark in ``benchmarks/e2e/`` measures throughput.
+
+Both sides of a ratio are timed by :func:`best_times`: one untimed
+warm-up call per variant, then rounds that run every variant in turn,
+keeping each variant's fastest round.  A burst of CPU noise on a shared
+machine then slows one round of every variant instead of every round of
+one.  A ratio that needs the cc backend is not checked without it.
+
+Run: ``PYTHONPATH=src python -m pytest -q benchmarks/test_speed_gates.py``.
+"""
+
+from __future__ import annotations
+
+import math
+import time
+from typing import Callable
+
+import numpy as np
+import pytest
+
+from common import (
+    CORPUS_SEED,
+    ENGINE_SEED,
+    N_SAMPLES,
+    N_TRACES,
+    TRACE_DURATION_S,
+    bench_setting_a,
+)
+from repro import (
+    CounterfactualEngine,
+    change_abr,
+    paper_corpus,
+    paper_veritas_config,
+    run_setting,
+)
+
+# The fig9-style query sweep of the replay gates, over 4 bench traces.
+SWEEP_QUERIES = ("bba", "bola", "bba", "bola", "bba")
+
+
+def best_times(
+    variants: dict[str, Callable[[], object]], rounds: int
+) -> dict[str, float]:
+    """Fastest wall time of each variant over ``rounds`` interleaved rounds."""
+    for run in variants.values():
+        run()  # warm caches and compiled builds
+    best = dict.fromkeys(variants, math.inf)
+    for _ in range(rounds):
+        for name, run in variants.items():
+            start = time.perf_counter()
+            run()
+            best[name] = min(best[name], time.perf_counter() - start)
+    return best
+
+
+def make_engine(**kwargs) -> CounterfactualEngine:
+    return CounterfactualEngine(
+        paper_veritas_config(), n_samples=N_SAMPLES, seed=ENGINE_SEED, **kwargs
+    )
+
+
+def sweep_workload():
+    """Setting A, the five Setting-B queries and the sweep corpus."""
+    setting_a = bench_setting_a()
+    settings_b = [change_abr(setting_a, query) for query in SWEEP_QUERIES]
+    corpus = paper_corpus(
+        count=min(N_TRACES, 4), duration_s=TRACE_DURATION_S, seed=CORPUS_SEED
+    )
+    return setting_a, settings_b, corpus
+
+
+def test_replay_kernel(monkeypatch):
+    """The scalar closed-form walk against the per-RTT loop.
+
+    A scalar connection on the default scratch tier runs the closed-form
+    interval walk; the reference tier runs the golden per-RTT loop.  On
+    bench-scale sessions slow start is geometric and a download takes a
+    handful of rounds, so the two must be comparable (>= 0.8x).  On a
+    window-limited download toward a large BDP the loop pays one
+    iteration per RTT and the walk one per interval (>= 1.5x).
+    """
+    from repro.net.trace import PiecewiseConstantTrace
+    from repro.tcp import connection
+
+    setting_b = change_abr(bench_setting_a(), "bba")
+    trace = paper_corpus(count=1, duration_s=TRACE_DURATION_S, seed=CORPUS_SEED)[0]
+
+    def sessions(kernel: str):
+        def run():
+            with monkeypatch.context() as patch:
+                patch.setattr(connection, "DEFAULT_KERNEL", kernel)
+                for _ in range(5):
+                    run_setting(setting_b, trace)
+
+        return run
+
+    stress_trace = PiecewiseConstantTrace.from_uniform(
+        np.random.default_rng(3).uniform(35, 50, 600), 5.0
+    )
+
+    def stress(kernel: str):
+        def run():
+            # Congestion avoidance from 12 segments: ~100 rounds per download.
+            conn = connection.TCPConnection(stress_trace, rtt_s=0.25, kernel=kernel)
+            conn.download(1e6, 0.0)
+            t = conn.state.last_send_time_s
+            for _ in range(150):
+                conn.state.cwnd_segments = 10
+                conn.state.ssthresh_segments = 12
+                t = conn.download(10_000_000.0, t).end_time_s
+
+        return run
+
+    session_s = best_times(
+        {"walk": sessions("scratch"), "loop": sessions("reference")}, rounds=3
+    )
+    stress_s = best_times(
+        {"walk": stress("scratch"), "loop": stress("reference")}, rounds=1
+    )
+    session_speedup = session_s["loop"] / session_s["walk"]
+    stress_speedup = stress_s["loop"] / stress_s["walk"]
+    assert session_speedup >= 0.8, f"bench sessions: {session_speedup:.2f}x"
+    assert stress_speedup >= 1.5, f"window-limited download: {stress_speedup:.2f}x"
+
+
+def test_query_sweep():
+    """A prepared 5-query sweep beats 5 single-query pipelines (> 1.0x)."""
+    setting_a, settings_b, corpus = sweep_workload()
+    engine = make_engine()
+
+    def sweep():
+        engine.evaluate_many(engine.prepare_corpus(corpus, setting_a), settings_b)
+
+    best = best_times(
+        {
+            "sweep": sweep,
+            "single": lambda: engine.evaluate_corpus(
+                corpus, setting_a, settings_b[0]
+            ),
+        },
+        rounds=1,
+    )
+    speedup = len(settings_b) * best["single"] / best["sweep"]
+    assert speedup > 1.0, f"prepared sweep: {speedup:.2f}x"
+
+
+def test_batch_replay():
+    """Lockstep replay of a query sweep is >= 1.3x ``use_batch=False``."""
+    setting_a, settings_b, corpus = sweep_workload()
+    batch = make_engine()
+    serial = make_engine(use_batch=False)
+    prepared = batch.prepare_corpus(corpus, setting_a)
+
+    best = best_times(
+        {
+            "batch": lambda: batch.evaluate_many(prepared, settings_b),
+            "serial": lambda: serial.evaluate_many(prepared, settings_b),
+        },
+        rounds=3,
+    )
+    speedup = best["serial"] / best["batch"]
+    assert speedup >= 1.3, f"lockstep replay: {speedup:.2f}x"
+
+
+def test_kernel_tiers(monkeypatch):
+    """Compiled replay is >= 1.5x scratch; the whole-session kernel is
+    >= 1.5x the per-chunk compiled loop.
+
+    The per-chunk loop is the compiled tier with the fused plan withheld
+    (``_fused_plan`` returning ``None``).
+    """
+    from repro.player import _fused, batch_session
+    from repro.tcp import _compiled
+
+    if not _compiled.available():
+        pytest.skip("no compiled replay backend")
+    setting_a, settings_b, corpus = sweep_workload()
+    engines = {tier: make_engine(kernel=tier) for tier in ("scratch", "compiled")}
+    prepared = engines["scratch"].prepare_corpus(corpus, setting_a)
+
+    def sweep(tier: str, per_chunk: bool = False):
+        def run():
+            with monkeypatch.context() as patch:
+                if per_chunk:
+                    patch.setattr(batch_session, "_fused_plan", lambda *args: None)
+                engines[tier].evaluate_many(prepared, settings_b)
+
+        return run
+
+    variants = {"scratch": sweep("scratch"), "compiled": sweep("compiled")}
+    if _fused.backend() != "python":
+        variants["per_chunk"] = sweep("compiled", per_chunk=True)
+    best = best_times(variants, rounds=3)
+
+    tier_speedup = best["scratch"] / best["compiled"]
+    assert tier_speedup >= 1.5, f"compiled over scratch: {tier_speedup:.2f}x"
+    if "per_chunk" in best:
+        session_speedup = best["per_chunk"] / best["compiled"]
+        assert session_speedup >= 1.5, f"whole session: {session_speedup:.2f}x"
+
+
+def test_decision_kernels(monkeypatch):
+    """Every compiled ABR decision kernel is >= 0.8x its NumPy decider.
+
+    A session-shaped sweep: one decision per chunk of the bench video (at
+    most 120, since the NumPy MPC sweep is slow) for 1,024 lanes, MPC's
+    predictor state advancing chunk to chunk.  ``FORCE_PYTHON`` routes
+    the deciders to NumPy.
+    """
+    from repro.abr import BBAAlgorithm, BOLAAlgorithm, MPCAlgorithm, _decisions
+    from repro.abr.base import BatchABRContext
+
+    if not _decisions.use_kernel():
+        pytest.skip("no compiled decision backend")
+    video = bench_setting_a().video
+    n_chunks = min(video.n_chunks, 120)
+    k = 1024
+    capacity = 15.0
+    rng = np.random.default_rng(9)
+    buffers = rng.uniform(0.0, capacity, (n_chunks, k))
+    throughputs = rng.uniform(0.3, 30.0, (n_chunks, k))
+
+    def sweep(abr, force_python: bool):
+        def run():
+            with monkeypatch.context() as patch:
+                patch.setattr(_decisions, "FORCE_PYTHON", force_python)
+                abr.reset()
+                # MPC allocates its own output; BBA/BOLA take an out= buffer.
+                out = (
+                    np.empty(k, dtype=np.int64)
+                    if getattr(abr, "batch_out_safe", False)
+                    else None
+                )
+                last = None
+                history: list[np.ndarray] = []
+                for n in range(n_chunks):
+                    context = BatchABRContext(
+                        chunk_index=n,
+                        buffer_s=buffers[n],
+                        buffer_capacity_s=capacity,
+                        last_quality=last,
+                        video=video,
+                        throughput_history_mbps=history,
+                    )
+                    if out is None:
+                        result = abr.choose_quality_batch(context)
+                    else:
+                        result = abr.choose_quality_batch(context, out=out)
+                    last = np.array(result, dtype=np.int64)
+                    history.append(throughputs[n])
+
+        return run
+
+    abrs = {"bba": BBAAlgorithm(), "bola": BOLAAlgorithm(), "mpc": MPCAlgorithm()}
+    variants = {}
+    for path, force_python in (("kernel", False), ("numpy", True)):
+        for name, abr in abrs.items():
+            variants[f"{name}_{path}"] = sweep(abr, force_python)
+    best = best_times(variants, rounds=2)
+
+    speedups = {
+        name: best[f"{name}_numpy"] / best[f"{name}_kernel"] for name in abrs
+    }
+    assert min(speedups.values()) >= 0.8, f"decision kernels: {speedups}"
+
+
+def test_prepare_corpus():
+    """Batch preparation and the abduction tiers.
+
+    Corpus-lockstep ``prepare_corpus`` is >= 1.3x the per-trace
+    ``use_batch=False`` pipeline.  On pre-deployed logs, the abduction
+    stage (``solve_batch`` + ``sample_traces_batch``) is >= 2.0x numpy on
+    the compiled tier, and >= 1.0x the scalar reference on numpy.
+    """
+    from repro.core import VeritasAbduction, _kernels
+    from repro.core.abduction import ABDUCTION_TIERS, sample_traces_batch
+    from repro.util.rng import spawn_seeds
+
+    setting_a = bench_setting_a()
+    corpus = paper_corpus(
+        count=max(20, 2 * N_TRACES), duration_s=TRACE_DURATION_S, seed=CORPUS_SEED
+    )
+    batch = make_engine()
+    serial = make_engine(use_batch=False)
+    prepare_s = best_times(
+        {
+            "batch": lambda: batch.prepare_corpus(corpus, setting_a),
+            "serial": lambda: serial.prepare_corpus(corpus, setting_a),
+        },
+        rounds=3,
+    )
+
+    kernel_live = _kernels.backend() != "python"
+    logs = [run_setting(setting_a, trace) for trace in corpus]
+    seeds = list(spawn_seeds(ENGINE_SEED, len(logs)))
+
+    def abduct(tier: str):
+        solver = VeritasAbduction(paper_veritas_config(), kernel=tier)
+
+        def run():
+            posteriors = solver.solve_batch(logs)
+            sample_traces_batch(posteriors, N_SAMPLES, seeds, kernel=tier)
+
+        return run
+
+    abduct_s = best_times(
+        {
+            tier: abduct(tier)
+            for tier in ABDUCTION_TIERS
+            if kernel_live or tier != "compiled"
+        },
+        rounds=3,
+    )
+
+    prepare_speedup = prepare_s["serial"] / prepare_s["batch"]
+    assert prepare_speedup >= 1.3, f"batch prepare: {prepare_speedup:.2f}x"
+    if kernel_live:
+        compiled_speedup = abduct_s["numpy"] / abduct_s["compiled"]
+        assert compiled_speedup >= 2.0, f"compiled abduction: {compiled_speedup:.2f}x"
+    numpy_speedup = abduct_s["reference"] / abduct_s["numpy"]
+    assert numpy_speedup >= 1.0, f"numpy abduction: {numpy_speedup:.2f}x"

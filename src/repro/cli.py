@@ -100,14 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run Setting A and save session logs")
-    sim.add_argument("--traces", type=int, default=5)
-    sim.add_argument("--duration-s", type=float, default=900.0)
+    sim.add_argument("--traces", type=positive_int, default=5)
+    sim.add_argument("--duration-s", type=positive_float, default=900.0)
     sim.add_argument("--seed", type=int, default=2023)
     sim.add_argument("--out", type=Path, required=True)
 
     abd = sub.add_parser("abduct", help="infer GTBW traces from a saved log")
     abd.add_argument("log", type=Path)
-    abd.add_argument("--samples", type=int, default=5)
+    abd.add_argument("--samples", type=positive_int, default=5)
     abd.add_argument("--seed", type=int, default=0)
     abd.add_argument("--out", type=Path, default=None,
                      help="optional JSON file for the sampled traces")
@@ -121,9 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="repeatable; all queries share one prepared corpus (Setting A "
              "deployed and abduction solved once)",
     )
-    cf.add_argument("--buffer-s", type=float, default=30.0)
+    cf.add_argument("--buffer-s", type=positive_float, default=30.0)
     cf.add_argument("--traces", type=positive_int, default=5)
-    cf.add_argument("--duration-s", type=float, default=900.0)
+    cf.add_argument("--duration-s", type=positive_float, default=900.0)
     cf.add_argument("--samples", type=positive_int, default=5)
     cf.add_argument("--seed", type=int, default=2023)
     cf.add_argument(

@@ -126,15 +126,11 @@ class EmissionModel:
         self,
         tcp_states: Sequence[TCPStateSnapshot],
         sizes_bytes: Sequence[float],
-        memo: dict | None = None,
     ) -> np.ndarray:
         """``f(c, W_n, S_n)`` for every chunk and state (``(n_chunks, n_states)``).
 
-        ``memo`` caches predictions keyed on ``(tcp_state, size)``: DASH
-        ladders reuse a handful of encoded chunk sizes, so repeated
-        ``(state, size)`` pairs are common within a session.  Pass a dict to
-        share the memo across calls (e.g. per session); ``None`` memoises
-        within this call only.
+        One batched call when the estimator has a whole-session twin in
+        ``_BATCH_ESTIMATORS``; otherwise the estimator runs row by row.
         """
         states = list(tcp_states)
         sizes = list(sizes_bytes)
@@ -142,54 +138,11 @@ class EmissionModel:
             raise ValueError("TCP states and sizes must have equal length")
         values = self.grid.values_mbps
         batch = _BATCH_ESTIMATORS.get(self.estimator)
-        if memo is None and batch is not None:
-            # No memo requested: hashing 200 snapshots costs more than the
-            # batched evaluation itself, so go straight through.
+        if batch is not None:
             return batch(values, states, np.asarray(sizes, dtype=float))
-
-        cache: dict = {} if memo is None else memo
         predicted = np.empty((len(states), values.size))
-
-        # Deduplicate (tcp_state, size) pairs, serve repeats and memo hits
-        # from cache, and evaluate the remainder in one batched call when
-        # the estimator has a whole-session implementation.
-        unique_index: dict = {}
-        missing_states: list[TCPStateSnapshot] = []
-        missing_sizes: list[float] = []
-        rows_by_chunk: list = [None] * len(states)
-        scatter: list[list[int]] = []
         for n, (state, size) in enumerate(zip(states, sizes)):
-            key = (state, float(size))
-            row = cache.get(key)
-            if row is not None:
-                rows_by_chunk[n] = row
-                continue
-            slot = unique_index.get(key)
-            if slot is None:
-                slot = len(missing_states)
-                unique_index[key] = slot
-                missing_states.append(state)
-                missing_sizes.append(float(size))
-                scatter.append([n])
-            else:
-                scatter[slot].append(n)
-
-        if missing_states:
-            if batch is not None:
-                computed = batch(values, missing_states, np.asarray(missing_sizes))
-            else:
-                computed = [
-                    self.estimator(values, state, size)
-                    for state, size in zip(missing_states, missing_sizes)
-                ]
-            for key, slot in unique_index.items():
-                row = computed[slot]
-                cache[key] = row
-                for n in scatter[slot]:
-                    rows_by_chunk[n] = row
-
-        for n, row in enumerate(rows_by_chunk):
-            predicted[n] = row
+            predicted[n] = self.estimator(values, state, float(size))
         return predicted
 
     def log_prob_matrix(
@@ -197,14 +150,13 @@ class EmissionModel:
         observed_mbps: Sequence[float],
         tcp_states: Sequence[TCPStateSnapshot],
         sizes_bytes: Sequence[float],
-        memo: dict | None = None,
         kernel: str | None = None,
     ) -> np.ndarray:
         """Log emissions for a whole session (shape ``(n_chunks, n_states)``).
 
         Batch fast path: the per-state predictions are assembled into one
-        ``(n_chunks, n_states)`` matrix (memoised on ``(tcp_state, size)``)
-        and the Gaussian/outlier mixture is evaluated with array ops.
+        ``(n_chunks, n_states)`` matrix and the Gaussian/outlier mixture is
+        evaluated with array ops.
         Produces exactly what stacking :meth:`log_prob_row` (the scalar
         reference) row by row would.
 
@@ -254,7 +206,7 @@ class EmissionModel:
                     self.grid.max_mbps,
                 )
 
-        predicted = self.predicted_throughput_matrix(states, sizes, memo=memo)
+        predicted = self.predicted_throughput_matrix(states, sizes)
         # In-place evaluation of the same expression log_prob_row computes:
         # the (n_chunks, n_states) buffer is transformed step by step.
         out = observed[:, None] - predicted

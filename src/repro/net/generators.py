@@ -23,6 +23,14 @@ from ..util.rng import SeedLike, ensure_rng
 from .trace import PiecewiseConstantTrace
 
 
+def _require_positive(**values: float) -> None:
+    # Checked before any ``duration / interval``: a non-positive duration
+    # would otherwise become one interval, and a zero interval divide by 0.
+    for name, value in values.items():
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
+
+
 def constant_trace(mbps: float, duration: float) -> PiecewiseConstantTrace:
     """A constant-bandwidth link (used by the Fig. 2(c) / Fig. 5 studies)."""
     return PiecewiseConstantTrace.constant(mbps, duration)
@@ -36,8 +44,7 @@ def square_wave_trace(
     start_high: bool = False,
 ) -> PiecewiseConstantTrace:
     """Alternate between ``low`` and ``high`` Mbps every ``period`` seconds."""
-    if period <= 0:
-        raise ValueError(f"period must be positive, got {period}")
+    _require_positive(period=period, duration=duration)
     count = max(1, int(np.ceil(duration / period)))
     pattern = [high, low] if start_high else [low, high]
     values = [pattern[i % 2] for i in range(count)]
@@ -71,6 +78,7 @@ def random_walk_trace(
     they are what push a deployed ABR to low qualities — producing the
     small-chunk observed-throughput bias that Veritas exists to undo.
     """
+    _require_positive(duration=duration, interval=interval)
     if not 0 <= stay_prob <= 1:
         raise ValueError(f"stay_prob must be in [0, 1], got {stay_prob}")
     if step_mbps <= 0:
@@ -138,6 +146,7 @@ def markov_trace_from_matrix(
     Used by tests to generate data whose generative process matches the
     EHMM prior exactly (state ``i`` means bandwidth ``i * epsilon`` Mbps).
     """
+    _require_positive(duration=duration, interval=interval)
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("transition matrix must be square")

@@ -60,6 +60,9 @@ class TestParser:
             ("--traces", "0"),
             ("--max-retries", "-1"),
             ("--shard-timeout", "0"),
+            ("--duration-s", "-5"),
+            ("--duration-s", "0"),
+            ("--buffer-s", "0"),
         ],
     )
     def test_counterfactual_numeric_flags_are_usage_errors(
@@ -67,6 +70,26 @@ class TestParser:
     ):
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(["counterfactual", flag, value])
+        assert exit_info.value.code == 2
+        errors = [
+            line for line in capsys.readouterr().err.splitlines() if "error:" in line
+        ]
+        assert len(errors) == 1
+        assert flag in errors[0]
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate", "--out", "logs", "--traces", "-1"], "--traces"),
+            (["simulate", "--out", "logs", "--duration-s", "0"], "--duration-s"),
+            (["abduct", "session.json", "--samples", "0"], "--samples"),
+        ],
+    )
+    def test_simulate_and_abduct_numeric_flags_are_usage_errors(
+        self, argv, flag, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
         assert exit_info.value.code == 2
         errors = [
             line for line in capsys.readouterr().err.splitlines() if "error:" in line

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import time
 
 import numpy as np
@@ -30,7 +31,9 @@ from repro import (
     change_abr,
     change_buffer,
     make_abr,
+    paper_corpus,
     paper_veritas_config,
+    paper_video,
     random_walk_trace,
 )
 from repro.net import (
@@ -530,6 +533,72 @@ class TestCompiledFallbackWarning:
         with _warnings.catch_warnings():
             _warnings.simplefilter("error")
             build()  # second degrade must be silent
+
+
+# ---------------------------------------------------------------------------
+# Clean-path overhead of the fault bookkeeping
+# ---------------------------------------------------------------------------
+def count_calls(fn) -> int:
+    """Python and C function calls made while ``fn()`` runs.
+
+    Counts the ``call`` and ``c_call`` events of :func:`sys.setprofile`
+    on this thread: a cost that repeats exactly, unlike a wall time.
+    """
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestCleanPathOverhead:
+    def test_skip_policy_call_count_within_two_percent(self):
+        """``on_error="skip"`` bookkeeping is near free on a clean corpus.
+
+        ``"skip"`` wraps every corpus stage in isolation try/excepts and
+        threads a FaultLog through the call tree.  One ``evaluate_many``
+        sweep (4 paper traces of 1,200 s, the 600 s paper video, MPC
+        Setting A, BBA and BOLA queries, 5 samples) runs under ``"raise"``
+        and under ``"skip"`` after one warm-up each, and the gate counts
+        the function calls of each.  The counts repeat exactly, where the
+        wall times of two identical code paths differ by several percent
+        on a shared machine.  A C call counts once however long it runs,
+        so the gate sees Python-level bookkeeping, not native work.
+        """
+        setting_a = Setting(
+            name="settingA",
+            abr_factory=lambda: make_abr("mpc"),
+            config=SessionConfig(buffer_capacity_s=5.0, rtt_s=0.08),
+            video=paper_video(seed=7),
+        )
+        settings_b = [change_abr(setting_a, q) for q in ["bba", "bola"]]
+        corpus = paper_corpus(count=4, duration_s=1200.0, seed=2023)
+        engines = {
+            policy: CounterfactualEngine(
+                paper_veritas_config(), n_samples=5, seed=7, on_error=policy
+            )
+            for policy in ["raise", "skip"]
+        }
+        prepared = engines["raise"].prepare_corpus(corpus, setting_a)
+
+        for engine in engines.values():  # warm caches
+            results = engine.evaluate_many(prepared, settings_b)
+            assert not any(r.faults for r in results)
+        calls = {
+            policy: count_calls(
+                lambda e=engine: e.evaluate_many(prepared, settings_b)
+            )
+            for policy, engine in engines.items()
+        }
+        assert abs(calls["skip"] / calls["raise"] - 1.0) < 0.02, calls
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,26 @@ class TestMarkovFromMatrix:
             markov_trace_from_matrix(np.eye(2), 1.0, 10.0, initial_state=5)
 
 
+GRID_GENERATORS = {
+    "square_wave": lambda **kw: square_wave_trace(1.0, 5.0, period=10.0, **kw),
+    "random_walk": lambda **kw: random_walk_trace(5.0, seed=0, **kw),
+    "markov": lambda **kw: markov_trace_from_matrix(np.eye(2), 1.0, seed=0, **kw),
+}
+
+
+class TestSpanValidation:
+    @pytest.mark.parametrize("duration", [0.0, -5.0])
+    @pytest.mark.parametrize("generator", sorted(GRID_GENERATORS))
+    def test_rejects_non_positive_duration(self, generator, duration):
+        with pytest.raises(ValueError, match="duration must be positive"):
+            GRID_GENERATORS[generator](duration=duration)
+
+    @pytest.mark.parametrize("generator", ["random_walk", "markov"])
+    def test_rejects_zero_interval(self, generator):
+        with pytest.raises(ValueError, match="interval must be positive"):
+            GRID_GENERATORS[generator](duration=60.0, interval=0.0)
+
+
 class TestCorpora:
     def test_trace_corpus_count_and_determinism(self):
         a = trace_corpus(5, (3.0, 8.0), 100.0, seed=9)

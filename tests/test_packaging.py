@@ -92,15 +92,7 @@ class TestTrackedArtifacts:
             for path in tracked_files
             if ".egg-info" in path
             or path.startswith((".pytest_cache/", ".benchmarks/"))
-            # BENCH_baseline.json is the committed perf baseline the CI
-            # perf-regression job diffs against; every other
-            # BENCH_*.json is a local run artifact that must stay
-            # untracked.
-            or (
-                path.startswith("BENCH_")
-                and path.endswith(".json")
-                and path != "BENCH_baseline.json"
-            )
+            or (path.startswith("BENCH_") and path.endswith(".json"))
         ]
         assert offenders == [], f"build residue committed to git: {offenders}"
 

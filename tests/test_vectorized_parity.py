@@ -100,7 +100,7 @@ class TestEmissionParity:
         grid = CapacityGrid(0.5, 10.0)
         model = EmissionModel(grid, outlier_mass=outlier_mass)
         states, sizes, observed = random_session(rng, n_chunks=40)
-        # Repeated (state, size) pairs exercise the memoised path too.
+        # A repeated (state, size) pair must give a repeated row.
         states[7], sizes[7] = states[2], sizes[2]
         matrix = model.log_prob_matrix(observed, states, sizes)
         rows = np.vstack(
@@ -110,17 +110,6 @@ class TestEmissionParity:
             ]
         )
         assert np.allclose(matrix, rows, atol=TOL, rtol=0)
-
-    def test_memoised_path_matches_batch_path(self):
-        rng = np.random.default_rng(300)
-        grid = CapacityGrid(0.5, 10.0)
-        model = EmissionModel(grid)
-        states, sizes, observed = random_session(rng, n_chunks=20)
-        memo: dict = {}
-        with_memo = model.log_prob_matrix(observed, states, sizes, memo=memo)
-        without = model.log_prob_matrix(observed, states, sizes)
-        assert np.allclose(with_memo, without, atol=TOL, rtol=0)
-        assert len(memo) == 20  # all pairs distinct -> all cached
 
     def test_single_chunk_session(self):
         grid = CapacityGrid(0.5, 10.0)
