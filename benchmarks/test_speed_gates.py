@@ -75,60 +75,6 @@ def sweep_workload():
     return setting_a, settings_b, corpus
 
 
-def test_replay_kernel(monkeypatch):
-    """The scalar closed-form walk against the per-RTT loop.
-
-    A scalar connection on the default scratch tier runs the closed-form
-    interval walk; the reference tier runs the golden per-RTT loop.  On
-    bench-scale sessions slow start is geometric and a download takes a
-    handful of rounds, so the two must be comparable (>= 0.8x).  On a
-    window-limited download toward a large BDP the loop pays one
-    iteration per RTT and the walk one per interval (>= 1.5x).
-    """
-    from repro.net.trace import PiecewiseConstantTrace
-    from repro.tcp import connection
-
-    setting_b = change_abr(bench_setting_a(), "bba")
-    trace = paper_corpus(count=1, duration_s=TRACE_DURATION_S, seed=CORPUS_SEED)[0]
-
-    def sessions(kernel: str):
-        def run():
-            with monkeypatch.context() as patch:
-                patch.setattr(connection, "DEFAULT_KERNEL", kernel)
-                for _ in range(5):
-                    run_setting(setting_b, trace)
-
-        return run
-
-    stress_trace = PiecewiseConstantTrace.from_uniform(
-        np.random.default_rng(3).uniform(35, 50, 600), 5.0
-    )
-
-    def stress(kernel: str):
-        def run():
-            # Congestion avoidance from 12 segments: ~100 rounds per download.
-            conn = connection.TCPConnection(stress_trace, rtt_s=0.25, kernel=kernel)
-            conn.download(1e6, 0.0)
-            t = conn.state.last_send_time_s
-            for _ in range(150):
-                conn.state.cwnd_segments = 10
-                conn.state.ssthresh_segments = 12
-                t = conn.download(10_000_000.0, t).end_time_s
-
-        return run
-
-    session_s = best_times(
-        {"walk": sessions("scratch"), "loop": sessions("reference")}, rounds=3
-    )
-    stress_s = best_times(
-        {"walk": stress("scratch"), "loop": stress("reference")}, rounds=1
-    )
-    session_speedup = session_s["loop"] / session_s["walk"]
-    stress_speedup = stress_s["loop"] / stress_s["walk"]
-    assert session_speedup >= 0.8, f"bench sessions: {session_speedup:.2f}x"
-    assert stress_speedup >= 1.5, f"window-limited download: {stress_speedup:.2f}x"
-
-
 def test_query_sweep():
     """A prepared 5-query sweep beats 5 single-query pipelines (> 1.0x)."""
     setting_a, settings_b, corpus = sweep_workload()

@@ -92,6 +92,23 @@ def positive_float(text: str) -> float:
     return value
 
 
+def session_log(text: str) -> SessionLog:
+    """``abduct``'s log: a readable JSON session log with at least one chunk."""
+    try:
+        log = SessionLog.load(text)
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot read {text}: {exc.strerror}")
+    except json.JSONDecodeError as exc:
+        raise argparse.ArgumentTypeError(f"{text} is not JSON: {exc}")
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(f"{text} has no {exc} field")
+    except (TypeError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"{text} is not a session log: {exc}")
+    if not log.records:
+        raise argparse.ArgumentTypeError(f"{text} has no chunks")
+    return log
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -106,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", type=Path, required=True)
 
     abd = sub.add_parser("abduct", help="infer GTBW traces from a saved log")
-    abd.add_argument("log", type=Path)
+    abd.add_argument("log")
     abd.add_argument("--samples", type=positive_int, default=5)
     abd.add_argument("--seed", type=int, default=0)
     abd.add_argument("--out", type=Path, default=None,
@@ -244,8 +261,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_abduct(args: argparse.Namespace) -> int:
-    log = SessionLog.load(args.log)
-    posterior = VeritasAbduction(paper_veritas_config()).solve(log)
+    posterior = VeritasAbduction(paper_veritas_config()).solve(args.log)
     print(f"log-likelihood: {posterior.log_likelihood:.2f}")
     samples = posterior.sample_traces(count=args.samples, seed=args.seed)
     map_trace = posterior.map_trace()
@@ -380,7 +396,16 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "abduct":
+        # session_log runs after parsing rather than as the positional's
+        # type=, which argparse would call before the flags that follow
+        # the log: ``abduct LOG --samples 0`` must still report --samples.
+        try:
+            args.log = session_log(args.log)
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"argument log: {exc}")
     handlers = {
         "simulate": _cmd_simulate,
         "abduct": _cmd_abduct,

@@ -1,14 +1,14 @@
 """Lockstep multi-session replay: one chunk loop over K trace lanes.
 
-After PR 2 made a single replay's TCP kernel analytic, per-chunk CPython
-work (ABR decision calls, record construction, buffer bookkeeping)
-dominated counterfactual replay — and every Setting-B query paid it once
-per posterior sample.  :class:`BatchStreamingSession` removes that
-multiplier: it replays streaming sessions over ``K`` bandwidth lanes at
-once, advancing all sessions chunk by chunk in lockstep with array-valued
-buffer levels, stall accounting and congestion state, and writing a
-column-oriented :class:`~repro.player.logs.SessionLogBatch` instead of K
-record lists.
+A scalar replay (:class:`~repro.player.session.StreamingSession`) pays
+per-chunk CPython work (the TCP download, the ABR decision call, record
+construction, buffer bookkeeping) on every chunk, and every Setting-B
+query pays it once per posterior sample.  :class:`BatchStreamingSession`
+removes that multiplier: it replays streaming sessions over ``K``
+bandwidth lanes at once, advancing all sessions chunk by chunk in
+lockstep with array-valued buffer levels, stall accounting and congestion
+state, and writing a column-oriented
+:class:`~repro.player.logs.SessionLogBatch` instead of K record lists.
 
 Lanes are organised into **partitions**: contiguous runs of lanes sharing
 one ABR algorithm and player config.  A single counterfactual query uses

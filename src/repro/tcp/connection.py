@@ -19,34 +19,32 @@ This produces exactly the observable biases the paper documents: small
 chunks see throughput far below GTBW (Fig. 2(c)), idle gaps reset the
 window, and only > BDP transfers observe throughput close to GTBW.
 
-Three kernel tiers implement the replay, selected by the ``kernel=``
-argument (``None`` picks the module-level ``DEFAULT_KERNEL``):
+Three kernel tiers implement the batch replay, selected by the
+``kernel=`` argument of :class:`BatchTCPConnection` (``None`` picks the
+module-level ``DEFAULT_KERNEL``):
 
-=========  ==============  ===============  =================  ==================
-tier       job             scalar           batch download     session loop
-                           connection
-=========  ==============  ===============  =================  ==================
-reference  golden          per-RTT loop     K scalar per-RTT   per-chunk loop
-           reference                        loops
-scratch    portable NumPy  closed-form      allocation-free    per-chunk loop
-           (default)       interval walk    NumPy pass
-compiled   fastest native  closed-form      one compiled call  one compiled call
-                           interval walk    per chunk          per session, else
-                                                               the per-chunk loop
-=========  ==============  ===============  =================  ==================
+=========  ==============  ==================  ==================
+tier       job             batch download      session loop
+=========  ==============  ==================  ==================
+reference  golden          K scalar per-RTT    per-chunk loop
+           reference       loops
+scratch    portable NumPy  allocation-free     per-chunk loop
+           (default)       NumPy pass
+compiled   fastest native  one compiled call   one compiled call
+                           per chunk           per session, else
+                                               the per-chunk loop
+=========  ==============  ==================  ==================
 
 * The **per-RTT loop** (:func:`_reference_download`) is the golden parity
-  target every other path is pinned against.
-* The **closed-form interval walk** (:func:`_analytic_download`) resolves
-  each constant-bandwidth trace interval from a precomputed
-  ``(cwnd, ssthresh)`` round schedule, so a download costs O(intervals
-  touched) instead of O(rounds).  A scalar connection has no batch to
-  amortise over, so both non-reference tiers run it there.
+  target every other path is pinned against.  It is also the one scalar
+  kernel: a :class:`TCPConnection` has no batch to amortise over, takes
+  no tier and always runs it.
 * The **allocation-free NumPy pass** runs every steady-state chunk through
   ``out=`` ufuncs on preallocated per-batch buffers
   (``tests/test_dispatch_budget.py`` pins zero allocations); ragged chunks
-  take a vectorised round skip, and lanes whose window-limited phase
-  crosses an interval fall back to the closed-form walk per lane.
+  take a vectorised round skip, and the lanes it cannot resolve (a
+  window-limited phase that crosses a trace interval, or outruns the
+  ``_ScheduleTable`` horizon) spill to the per-RTT loop per lane.
 * The **compiled** tier runs :func:`repro.tcp._compiled.download_chunk`
   per chunk, and :class:`~repro.player.batch_session.BatchStreamingSession`
   runs the whole session in one :func:`repro.player._fused.run_session`
@@ -58,8 +56,8 @@ compiled   fastest native  closed-form      one compiled call  one compiled call
   records the effective tier.
 
 All tiers evaluate the same float predicates in the same order, so they
-produce bit-identical :class:`DownloadResult`s / batch columns and session
-logs (see ``tests/test_replay_parity.py``, ``tests/test_batch_replay.py``;
+produce batch columns and session logs bit-identical to scalar
+connections (see ``tests/test_replay_parity.py``, ``tests/test_batch_replay.py``;
 the compiled tier is pinned at a documented ``rtol=1e-12`` tolerance,
 bit-identical in practice on every platform we test).  Unknown kernel names
 raise ``ValueError`` at construction time, listing the available tiers.
@@ -68,7 +66,6 @@ raise ``ValueError`` at construction time, listing the available tiers.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,8 +108,8 @@ def resolve_kernel(kernel: str | None) -> str:
     """Resolve ``kernel`` against the tier registry or raise ``ValueError``.
 
     ``None`` picks the module-level ``DEFAULT_KERNEL``.  All construction
-    paths (scalar and batch connections, sessions, the engine, the CLI)
-    funnel through here so an unknown name fails loudly with the list of
+    paths (batch connections, batch sessions, the engine, the CLI) funnel
+    through here so an unknown name fails loudly with the list of
     available tiers instead of silently running a default.
     """
     resolved = DEFAULT_KERNEL if kernel is None else kernel
@@ -130,61 +127,19 @@ def _grow_window(cwnd: int, ssthresh: int) -> int:
     return min(cwnd + 1, MAX_CWND_SEGMENTS)
 
 
-# Round schedules keyed by (cwnd0, ssthresh): cwnds[r] is the congestion
-# window at the start of round r, cum[r] the segments sent over rounds
-# 0..r-1, cwnd_bytes[r] == cwnds[r] * MSS as a float (so bisection against
-# byte quantities uses exactly the comparisons the reference loop makes).
-# Entries grow on demand and are shared across downloads and traces —
-# restarted connections revisit the same (cwnd, ssthresh) pairs constantly.
-_SCHEDULE_CACHE: dict[tuple[int, int], tuple[list[int], list[int], list[float]]] = {}
-_SCHEDULE_CACHE_MAX = 4096
-
-
-def _schedule(cwnd0: int, ssthresh: int) -> tuple[list[int], list[int], list[float]]:
-    key = (cwnd0, ssthresh)
-    entry = _SCHEDULE_CACHE.get(key)
-    if entry is None:
-        if len(_SCHEDULE_CACHE) >= _SCHEDULE_CACHE_MAX:
-            _SCHEDULE_CACHE.clear()
-        entry = ([cwnd0], [0], [float(cwnd0 * MSS_BYTES)])
-        _SCHEDULE_CACHE[key] = entry
-    return entry
-
-
-def _extend_schedule_for(
-    entry: tuple[list[int], list[int], list[float]],
-    ssthresh: int,
-    size_bytes: float,
-) -> bool:
-    """Grow ``entry`` until its cumulative bytes cover ``size_bytes``.
-
-    Returns False when the window saturates at ``MAX_CWND_SEGMENTS`` first —
-    the caller falls back to the reference loop for that (pathological,
-    multi-Gbps) download.
-    """
-    cwnds, cum, cwnd_bytes = entry
-    while cum[-1] * MSS_BYTES < size_bytes:
-        cwnd = cwnds[-1]
-        if cwnd >= MAX_CWND_SEGMENTS:
-            return False
-        cum.append(cum[-1] + cwnd)
-        nxt = _grow_window(cwnd, ssthresh)
-        cwnds.append(nxt)
-        cwnd_bytes.append(float(nxt * MSS_BYTES))
-    return True
-
-
 class _ScheduleTable:
-    """Padded 2D mirrors of the window schedules for the scratch kernel.
+    """Padded 2D window schedules for the scratch kernel's round skip.
 
     One row per distinct ``(cwnd0, ssthresh)`` pair, every row populated
     out to a fixed ``HORIZON`` of rounds: ``cb[p, r]`` is the congestion
-    window in bytes at the start of round ``r`` (the same
-    ``float(cwnd * MSS)`` values the list schedules hold), ``cum_mss`` the
-    bytes sent over rounds ``0..r-1``, and ``cover = cb + cum_mss`` — all
-    exact in float64, so ``cwnd_bytes[r] >= size - cum[r] * MSS`` and the
-    countable ``cover[r] >= size`` agree bit for bit.  ``cwnds`` keeps one
-    extra column so round ``r``'s post-growth window is a plain gather.
+    window in bytes at the start of round ``r`` (the ``cwnd * MSS`` the
+    per-RTT loop compares against the BDP and the remaining bytes),
+    ``cum_mss`` the bytes sent over rounds ``0..r-1``, and
+    ``cover = cb + cum_mss`` — all exact in float64, so the loop's
+    ``cwnd * MSS >= size - sent * MSS`` and the countable
+    ``cover[r] >= size`` agree bit for bit.  ``cwnds`` keeps one extra
+    column so round ``r``'s post-growth window is a plain gather.  A lane
+    whose window-limited phase outruns the horizon runs the per-RTT loop.
 
     Row lookup is a single ``searchsorted`` over the packed sorted keys,
     so a whole lane batch resolves its per-lane schedules without any
@@ -248,7 +203,7 @@ class _ScheduleTable:
         ssthresh = missing & ((1 << 21) - 1)
         cum = np.zeros(p, dtype=np.int64)
         # All quantities are integers below 2**53, so the float columns
-        # hold exactly the values the scalar schedule lists hold.
+        # hold exactly the values the per-RTT loop computes.
         for r in range(h):
             cwnds[:, r] = c
             cb[:, r] = c * MSS_BYTES
@@ -279,10 +234,10 @@ class _ScheduleTable:
 _SCHED_TABLE = _ScheduleTable()
 
 
-# The two download kernels, shared between the scalar TCPConnection and the
-# per-lane fallback of BatchTCPConnection.  Module-level (rather than
-# methods) so the batch engine runs *exactly* this code for lanes its
-# vectorised fast path cannot cover — bit-identity by construction.
+# The per-RTT download kernel, shared between the scalar TCPConnection and
+# the per-lane paths of BatchTCPConnection.  Module-level (rather than a
+# method) so the batch engine runs *exactly* this code for lanes its
+# vectorised pass cannot cover — bit-identity by construction.
 
 
 def _fluid_finish(
@@ -339,101 +294,6 @@ def _reference_download(
         rounds += 1
 
 
-def _analytic_download(
-    trace: PiecewiseConstantTrace,
-    rtt: float,
-    size_bytes: float,
-    t0: float,
-    cwnd0: int,
-    ssthresh: int,
-) -> tuple[float, int, int]:
-    """Interval-wise closed form of :func:`_reference_download`.
-
-    Within one constant-bandwidth trace interval the BDP is constant,
-    so the first pipe-full round is a bisection of the precomputed
-    window schedule against the BDP, and the data-exhaustion round a
-    bisection of the monotone ``cwnd >= remaining`` predicate.  Only
-    interval crossings are walked explicitly.
-    """
-    bounds, values, _, _ = trace._scalar_mirrors()
-    last_start = bounds[-2]
-
-    entry = _schedule(cwnd0, ssthresh)
-    if not _extend_schedule_for(entry, ssthresh, size_bytes):
-        return _reference_download(trace, rtt, size_bytes, t0, cwnd0, ssthresh)
-    cwnds, cum, cwnd_bytes = entry
-    n_sched = len(cum)
-
-    n_intervals = len(values)
-    r = 0
-    while True:
-        t = t0 + r * rtt
-        # Inline interval lookup (clamped bisect, as in trace.value_at).
-        i = bisect_right(bounds, t) - 1
-        if i < 0:
-            i = 0
-        elif i >= n_intervals:
-            i = n_intervals - 1
-        bdp_bytes = mbps_to_bytes_per_sec(values[i]) * rtt
-        if cwnd_bytes[r] >= bdp_bytes:
-            # Pipe already full at the current round (the common case
-            # once the window has opened): straight to the fluid drain,
-            # skipping the boundary/data searches entirely.
-            remaining = size_bytes - cum[r] * MSS_BYTES
-            return _fluid_finish(trace, rtt, t, remaining, r, cwnds[r])
-
-        # Rounds available before the next interval boundary (None when
-        # the final value holds forever).
-        if t >= last_start:
-            n_boundary = None
-        else:
-            seg_end = bounds[i + 1]
-            n = int(math.ceil((seg_end - t) / rtt))
-            if n < 1:
-                n = 1
-            while t0 + (r + n) * rtt < seg_end:
-                n += 1
-            while n > 1 and t0 + (r + n - 1) * rtt >= seg_end:
-                n -= 1
-            n_boundary = n
-
-        # First round (>= r) whose window fills this interval's pipe.
-        k_fluid = bisect_left(cwnd_bytes, bdp_bytes, r) - r
-
-        # First round (>= r) whose window covers the remaining bytes:
-        # cwnd_bytes[j] >= size - cum[j] * MSS, monotone in j, and
-        # guaranteed true by the end of the schedule.
-        lo, hi = r, n_sched - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cwnd_bytes[mid] >= size_bytes - cum[mid] * MSS_BYTES:
-                hi = mid
-            else:
-                lo = mid + 1
-        k_data = lo - r
-
-        in_interval = (
-            n_boundary is None
-            or k_fluid < n_boundary
-            or k_data < n_boundary
-        )
-        if in_interval and k_fluid <= k_data:
-            # Pipe full at round r + k_fluid (ties go to the fluid
-            # check, mirroring the reference's per-round order).
-            r += k_fluid
-            t = t0 + r * rtt
-            remaining = size_bytes - cum[r] * MSS_BYTES
-            return _fluid_finish(trace, rtt, t, remaining, r, cwnds[r])
-        if in_interval:
-            # Data exhausted: round r + k_data is the final
-            # window-limited round.
-            r += k_data
-            return t0 + (r + 1) * rtt, r + 1, _grow_window(cwnds[r], ssthresh)
-        # Neither fires before the boundary: cross into the next
-        # interval having spent n_boundary full window rounds.
-        r += n_boundary
-
-
 @dataclass(frozen=True, slots=True)
 class DownloadResult:
     """Outcome of a single chunk download."""
@@ -465,13 +325,10 @@ class TCPConnection:
         End-to-end round-trip propagation delay (the paper uses 80 ms).
     start_time_s:
         Wall-clock time at which the connection is established.
-    kernel:
-        A tier from ``KERNEL_TIERS``; ``None`` picks the module-level
-        ``DEFAULT_KERNEL``.  All tiers produce bit-identical results —
-        ``"reference"`` runs the golden per-RTT loop, and the batch tiers
-        (``"scratch"``, ``"compiled"``) have nothing to amortise over on a
-        single scalar connection, so they run the closed-form interval
-        walk here.
+
+    Every download runs the golden per-RTT loop; the kernel tiers
+    (``KERNEL_TIERS``) belong to :class:`BatchTCPConnection`, whose lanes
+    are pinned bit-identical to this class.
     """
 
     def __init__(
@@ -479,17 +336,11 @@ class TCPConnection:
         trace: PiecewiseConstantTrace,
         rtt_s: float = 0.08,
         start_time_s: float = 0.0,
-        kernel: str | None = None,
     ):
         if rtt_s <= 0:
             raise ValueError(f"rtt must be positive, got {rtt_s}")
-        resolved = resolve_kernel(kernel)
         self.trace = trace
         self.rtt_s = rtt_s
-        self.kernel = resolved
-        self._run = (
-            _reference_download if resolved == "reference" else _analytic_download
-        )
         self.state = MutableTCPState(last_send_time_s=start_time_s)
         # The handshake measures the first RTT sample.
         self.state.observe_rtt(rtt_s)
@@ -504,11 +355,18 @@ class TCPConnection:
         """Download ``size_bytes`` starting at ``start_time_s``.
 
         Advances the connection's congestion state and returns the timing of
-        the transfer.  Raises :class:`RuntimeError` if the trace bandwidth is
-        zero forever after the start time (the transfer would never finish).
+        the transfer.  Raises :class:`ValueError`, before touching any
+        state, unless the size is finite and positive and the start time
+        finite, and :class:`RuntimeError` if the trace bandwidth is zero
+        forever after the start time (the transfer would never finish).
         """
-        if size_bytes <= 0:
-            raise ValueError(f"size must be positive, got {size_bytes}")
+        # NaN slips through ordered comparisons, and on a link whose BDP
+        # exceeds the window cap the per-RTT loop never finishes a NaN or
+        # infinite size.
+        if not (math.isfinite(size_bytes) and size_bytes > 0):
+            raise ValueError(f"size must be finite and positive, got {size_bytes}")
+        if not math.isfinite(start_time_s):
+            raise ValueError(f"start time must be finite, got {start_time_s}")
         if start_time_s < self.state.last_send_time_s:
             raise ValueError(
                 f"download at {start_time_s} precedes last send at "
@@ -528,7 +386,7 @@ class TCPConnection:
         # The HTTP request consumes one round trip before payload flows;
         # the client-side download time (what logs record) includes it.
         t0 = float(start_time_s) + self.rtt_s
-        end_time, rounds, cwnd = self._run(
+        end_time, rounds, cwnd = _reference_download(
             self.trace, self.rtt_s, float(size_bytes), t0, cwnd, ssthresh
         )
 
@@ -849,19 +707,18 @@ class BatchTCPConnection:
     ) -> None:
         """Vectorised closed-form round skip for a ragged chunk (all lanes).
 
-        The batch mirror of :func:`_analytic_download`'s no-crossing fast
-        case: within one constant-bandwidth interval the BDP is constant,
-        so the first pipe-full round (``kf``) and the data-exhaustion
-        round (``kd``) are bisections of the per-lane window schedule —
-        no per-RTT loop.  Per-lane schedules resolve through the shared
-        :class:`_ScheduleTable` (one ``searchsorted`` row lookup, then a
-        broadcast count against the padded rows — bisect_left as a
-        monotone-predicate sum), pipe-full-at-round-0 lanes fall out with
-        ``k == 0``, and all fluid drains merge into one batched
-        :meth:`~repro.net.trace.TraceBatch.transfer_drain` call.
-        Lanes whose window-limited phase would cross an interval boundary
-        or outrun the table horizon fall back to the scalar closed-form
-        kernel per lane.
+        Within one constant-bandwidth interval the BDP is constant, so the
+        first round of :func:`_reference_download` to fill the pipe
+        (``kf``) and its data-exhaustion round (``kd``) are bisections of
+        the per-lane window schedule — no per-RTT loop.  Per-lane
+        schedules resolve through the shared :class:`_ScheduleTable` (one
+        ``searchsorted`` row lookup, then a broadcast count against the
+        padded rows — bisect_left as a monotone-predicate sum),
+        pipe-full-at-round-0 lanes fall out with ``k == 0``, and all fluid
+        drains merge into one batched
+        :meth:`~repro.net.trace.TraceBatch.transfer_drain` call.  Lanes
+        whose window-limited phase would cross an interval boundary or
+        outrun the table horizon spill to the per-RTT loop per lane.
         """
         b = self._scratch
         ws = self._ws
@@ -889,9 +746,9 @@ class BatchTCPConnection:
         ok = (k < h) & ((idx0 == last) | (tk < bounds[idx0 + 1]))
         if np.count_nonzero(ok) != ok.size:
             # Interval crossing mid-phase (or a horizon overrun): per-lane
-            # scalar closed-form kernel.
+            # per-RTT loop.
             for j in np.flatnonzero(~ok):
-                e, _, grown = _analytic_download(
+                e, _, grown = _reference_download(
                     tb.lane(int(j)),
                     rtt,
                     float(sizes[j]),

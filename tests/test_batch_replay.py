@@ -553,28 +553,33 @@ class TestKernelTierParity:
 
     @pytest.mark.parametrize("tier", KERNEL_TIERS)
     def test_round_count_boundaries(self, tier):
-        """Downloads engineered to take 3/11/12/13 reference rounds, all
-        bit-identical."""
+        """Downloads engineered to take 3/11/12/13 and 31/32/33/40
+        reference rounds, all bit-identical."""
         from repro.tcp.connection import BatchTCPConnection, TCPConnection
 
-        targets = [3, 11, 12, 13]
+        targets = [3, 11, 12, 13, 31, 32, 33, 40]
         # 400 Mbps: the BDP (4 MB) exceeds cwnd*MSS through round 13, so
         # the loop below never exits pipe-full before its target round.
-        trace = PiecewiseConstantTrace.from_uniform([400.0] * 4, 50.0)
+        # 4000 Mbps: the BDP exceeds the window cap, so the pipe never
+        # fills.  The scratch pass's schedule table holds 32 rounds: the
+        # 33- and 40-round lanes outrun it and spill per lane.
+        slow = PiecewiseConstantTrace.from_uniform([400.0] * 4, 50.0)
+        fast = PiecewiseConstantTrace.from_uniform([4000.0] * 4, 50.0)
+        traces = [slow] * 4 + [fast] * 4
         sizes = np.array([self._size_for_rounds(r) for r in targets])
         starts = np.zeros(len(targets))
 
-        refs = [TCPConnection(trace, kernel="reference") for _ in targets]
+        refs = [TCPConnection(trace) for trace in traces]
         want_results = [
             ref.download(float(sizes[k]), 0.0) for k, ref in enumerate(refs)
         ]
         for k, (target, want) in enumerate(zip(targets, want_results)):
             assert want.rounds == target  # the sizes hit their targets
 
-        conn = BatchTCPConnection(TraceBatch([trace] * len(targets)), kernel=tier)
+        conn = BatchTCPConnection(TraceBatch(traces), kernel=tier)
         got = conn.download_batch(sizes, starts)
         for k, want in enumerate(want_results):
-            assert got.end_times_s[k] == want.end_time_s
+            assert got.end_times_s[k] == want.end_time_s, targets[k]
             assert conn._cwnd[k] == refs[k].state.cwnd_segments
             assert conn._ssthresh[k] == refs[k].state.ssthresh_segments
 
@@ -589,7 +594,7 @@ class TestKernelTierParity:
         n = 6
         rng = np.random.default_rng(17)
         conn = BatchTCPConnection(TraceBatch([trace] * n), kernel=tier)
-        serial = [TCPConnection(trace, kernel="reference") for _ in range(n)]
+        serial = [TCPConnection(trace) for _ in range(n)]
         starts = np.zeros(n)
         for _ in range(4):
             sizes = 10 ** rng.uniform(4.5, 6.5, n)

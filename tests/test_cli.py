@@ -97,6 +97,35 @@ class TestParser:
         assert len(errors) == 1
         assert flag in errors[0]
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (None, "No such file"),
+            ("not json", "not JSON"),
+            ('{"abr_name": "mpc"}', "no 'records' field"),
+            (
+                '{"abr_name": "mpc", "buffer_capacity_s": 30.0, '
+                '"chunk_duration_s": 4.0, "rtt_s": 0.08, "startup_time_s": 0.0, '
+                '"total_rebuffer_s": 0.0, "records": []}',
+                "no chunks",
+            ),
+        ],
+        ids=["missing", "not-json", "no-records", "no-chunks"],
+    )
+    def test_abduct_bad_log_is_usage_error(self, content, reason, tmp_path, capsys):
+        path = tmp_path / "session.json"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["abduct", str(path)])
+        assert exit_info.value.code == 2
+        errors = [
+            line for line in capsys.readouterr().err.splitlines() if "error:" in line
+        ]
+        assert len(errors) == 1
+        assert "argument log" in errors[0]
+        assert reason in errors[0]
+
 
 class TestEndToEnd:
     def test_simulate_then_abduct(self, tmp_path, capsys):

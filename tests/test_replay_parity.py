@@ -1,24 +1,22 @@
-"""Parity suite for the replay fast paths (PR 2).
+"""Parity suite for the replay paths.
 
-Three layers each keep a scalar reference implementation alive; this suite
-pins the fast paths to them bit for bit:
+Each layer keeps one scalar reference, and this suite pins the paths
+built on it:
 
-* ``PiecewiseConstantTrace.time_to_transfer`` (bisection over the
-  cumulative-bytes integral) vs ``time_to_transfer_reference`` (interval
-  walk),
-* ``TCPConnection``'s closed-form interval kernel (what the scratch and
-  compiled tiers run on a scalar connection) vs the per-RTT reference
-  loop — including whole sessions under BBA/BOLA/MPC,
+* ``PiecewiseConstantTrace.time_to_transfer`` (the scalar interval walk)
+  against known closed-form answers,
+* every ``BatchTCPConnection`` tier against scalar ``TCPConnection``
+  objects (the golden per-RTT loop) on random traces, RTTs, idle gaps and
+  sizes, bit for bit,
 * ``CounterfactualEngine.evaluate_many`` over a prepared corpus vs
-  back-to-back ``evaluate_corpus`` / per-trace ``evaluate_trace`` calls.
+  back-to-back ``evaluate_corpus`` / per-trace ``evaluate_trace`` calls,
+  and the engine's kernel tiers against each other.
 
-Scope note: bit-identity between fast path and reference is only
-achievable because they share head/bookkeeping helpers
-(``_transfer_prefix``, ``_grow_window``, ``_fluid_finish``), so these
-parity tests pin the *search/stepping* logic, not the shared helpers.
-Defects in the shared code are instead caught by the value-level tests
-here (known closed-form answers) and in ``test_trace.py`` /
-``test_tcp_connection.py`` (integral round-trips, session semantics).
+The batch tiers share helpers with the scalar loop (``_grow_window``,
+``_fluid_finish``), so the parity tests pin the stepping logic, not the
+shared helpers.  Defects in shared code are instead caught by the
+value-level tests here and in ``test_trace.py`` / ``test_tcp_connection.py``
+(integral round-trips, session semantics).
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-import repro.tcp.connection as connection_module
 from repro import (
     CounterfactualEngine,
     change_abr,
@@ -37,125 +34,82 @@ from repro import (
     paper_setting_a,
     paper_veritas_config,
 )
-from repro.causal.engine import run_setting
-from repro.net.trace import PiecewiseConstantTrace
-from repro.tcp.connection import KERNEL_TIERS, TCPConnection
+from repro.net.trace import PiecewiseConstantTrace, TraceBatch
+from repro.tcp.connection import KERNEL_TIERS, BatchTCPConnection, TCPConnection
 from repro.util.rng import spawn_seeds
 from repro.video import short_video
 
 
-def random_trace(
-    rng: np.random.Generator,
-    with_gaps: bool = True,
-    trailing_positive: bool = False,
-):
-    """A random piecewise trace, optionally with zero-bandwidth intervals."""
+def random_lanes(rng: np.random.Generator, n_lanes: int):
+    """Random piecewise traces sharing one irregular boundary grid.
+
+    Interior zero-bandwidth gaps stay in play, but every tail is positive:
+    a download over a trace that ends at zero bandwidth never finishes.
+    """
     k = int(rng.integers(1, 14))
     bounds = np.cumsum(rng.uniform(0.05, 8.0, k + 1)) - 2.0
-    vals = rng.uniform(0.0, 10.0, k)
-    if with_gaps:
+    lanes = []
+    for _ in range(n_lanes):
+        vals = rng.uniform(0.0, 10.0, k)
         vals[rng.random(k) < 0.3] = 0.0
-    if vals[-1] == 0.0 and (trailing_positive or rng.random() < 0.7):
-        vals[-1] = float(rng.uniform(0.5, 5.0))
-    return PiecewiseConstantTrace(bounds, vals)
+        if vals[-1] == 0.0:
+            vals[-1] = float(rng.uniform(0.5, 5.0))
+        lanes.append(PiecewiseConstantTrace(bounds, vals))
+    return lanes
 
 
 class TestTimeToTransferParity:
-    def test_randomized_bit_identical(self):
-        rng = np.random.default_rng(7)
-        checked = 0
-        for _ in range(1500):
-            tr = random_trace(rng)
-            start = float(rng.uniform(tr.start_time - 5, tr.end_time + 5))
-            size = float(10 ** rng.uniform(-2, 7))
-            try:
-                fast = tr.time_to_transfer(start, size)
-                fast_err = None
-            except RuntimeError:
-                fast = fast_err = "stalled"
-            try:
-                ref = tr.time_to_transfer_reference(start, size)
-                ref_err = None
-            except RuntimeError:
-                ref = ref_err = "stalled"
-            assert fast_err == ref_err
-            assert fast == ref  # bit-identical, no tolerance
-            checked += 1
-        assert checked == 1500
+    """Known answers of the scalar interval walk that every batch drain
+    and compiled kernel transcribes."""
 
     def test_start_past_end_time(self):
         tr = PiecewiseConstantTrace([0.0, 10.0], [4.0])
         for start in (10.0, 25.0):
-            fast = tr.time_to_transfer(start, 1e6)
-            assert fast == tr.time_to_transfer_reference(start, 1e6)
-            assert fast == pytest.approx(2.0)
+            assert tr.time_to_transfer(start, 1e6) == pytest.approx(2.0)
 
     def test_sub_interval_transfer(self):
         tr = PiecewiseConstantTrace([0.0, 5.0, 10.0], [8.0, 2.0])
         size = 1e5  # finishes well inside the first interval
-        fast = tr.time_to_transfer(1.0, size)
-        assert fast == tr.time_to_transfer_reference(1.0, size)
-        assert fast == pytest.approx(size / (8.0 * 1e6 / 8))
+        assert tr.time_to_transfer(1.0, size) == pytest.approx(size / (8.0 * 1e6 / 8))
 
     def test_zero_gap_then_resume(self):
         tr = PiecewiseConstantTrace([0.0, 2.0, 6.0, 8.0], [4.0, 0.0, 4.0])
         size = tr.integrate_bytes(0.0, 7.0)
-        fast = tr.time_to_transfer(0.0, size)
-        assert fast == tr.time_to_transfer_reference(0.0, size)
-        assert fast == pytest.approx(7.0, abs=1e-6)
+        assert tr.time_to_transfer(0.0, size) == pytest.approx(7.0, abs=1e-6)
 
     def test_trailing_zero_raises_in_both(self):
         tr = PiecewiseConstantTrace([0.0, 2.0], [0.0])
         with pytest.raises(RuntimeError):
             tr.time_to_transfer(0.0, 1e5)
-        with pytest.raises(RuntimeError):
-            tr.time_to_transfer_reference(0.0, 1e5)
 
     def test_zero_size_is_free(self):
         tr = PiecewiseConstantTrace([0.0, 2.0], [1.0])
         assert tr.time_to_transfer(0.5, 0.0) == 0.0
-        assert tr.time_to_transfer_reference(0.5, 0.0) == 0.0
 
 
 class TestDownloadKernelParity:
     def test_randomized_download_sequences(self):
-        rng = np.random.default_rng(11)
-        for _ in range(300):
-            # Downloads over a trace that ends at zero bandwidth stall
-            # forever (a RuntimeError in both kernels), so keep the tail
-            # positive; interior zero-bandwidth gaps stay in play.
-            tr = random_trace(rng, trailing_positive=True)
-            rtt = float(rng.uniform(0.02, 0.3))
-            fast = TCPConnection(tr, rtt_s=rtt, kernel="scratch")
-            ref = TCPConnection(tr, rtt_s=rtt, kernel="reference")
-            t = 0.0
-            for _ in range(int(rng.integers(1, 7))):
-                t += float(rng.uniform(0.0, 4.0))
-                size = float(10 ** rng.uniform(3, 6.8))
-                ra = fast.download(size, t)
-                rb = ref.download(size, t)
-                assert ra == rb  # dataclass equality: all fields bit-identical
-                assert fast.state.cwnd_segments == ref.state.cwnd_segments
-                assert fast.state.ssthresh_segments == ref.state.ssthresh_segments
-                t = ra.end_time_s
-
-    def test_unknown_kernel_rejected(self):
-        tr = PiecewiseConstantTrace([0.0, 1.0], [1.0])
-        for name in ("warp-drive", "analytic", "fused"):  # incl. retired tiers
-            with pytest.raises(ValueError, match="available tiers"):
-                TCPConnection(tr, kernel=name)
-
-    @pytest.mark.parametrize("abr", ["bba", "bola", "mpc"])
-    def test_full_session_logs_bit_identical(self, abr, monkeypatch):
-        setting_a = paper_setting_a(seed=7)
-        setting = change_abr(setting_a, abr)
-        traces = paper_corpus(count=2, duration_s=500.0, seed=99)
-        logs = {}
-        for kernel in ("scratch", "reference"):
-            monkeypatch.setattr(connection_module, "DEFAULT_KERNEL", kernel)
-            logs[kernel] = [run_setting(setting, tr) for tr in traces]
-        for log_fast, log_ref in zip(logs["scratch"], logs["reference"]):
-            assert log_fast == log_ref  # SessionLog equality is field-exact
+        """Every tier of a 3-lane batch connection equals one scalar
+        connection per lane, bit for bit, on random traces with irregular
+        interval widths, random RTTs, idle gaps and sizes."""
+        for tier in KERNEL_TIERS:
+            rng = np.random.default_rng(11)
+            for _ in range(300):
+                lanes = random_lanes(rng, 3)
+                rtt = float(rng.uniform(0.02, 0.3))
+                batch = BatchTCPConnection(TraceBatch(lanes), rtt_s=rtt, kernel=tier)
+                scalar = [TCPConnection(tr, rtt_s=rtt) for tr in lanes]
+                ends = np.zeros(len(lanes))
+                for _ in range(int(rng.integers(1, 7))):
+                    starts = ends + rng.uniform(0.0, 4.0, len(lanes))
+                    sizes = 10 ** rng.uniform(3, 6.8, len(lanes))
+                    got = batch.download_batch(sizes, starts)
+                    for k, conn in enumerate(scalar):
+                        want = conn.download(float(sizes[k]), float(starts[k]))
+                        assert got.end_times_s[k] == want.end_time_s, tier
+                        assert batch._cwnd[k] == conn.state.cwnd_segments, tier
+                        assert batch._ssthresh[k] == conn.state.ssthresh_segments, tier
+                    ends = got.end_times_s.copy()
 
 
 class TestPreparedCorpusParity:

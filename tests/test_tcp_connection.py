@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,22 @@ class TestBasics:
         conn = TCPConnection(constant_trace(5.0, 10.0))
         with pytest.raises(ValueError):
             conn.download(0, 1.0)
+
+    @pytest.mark.parametrize(
+        "size, start, name",
+        [
+            (math.nan, 1.0, "size"),
+            (math.inf, 1.0, "size"),
+            (100_000, math.nan, "start"),
+            (100_000, math.inf, "start"),
+        ],
+    )
+    def test_rejects_non_finite_input(self, size, start, name):
+        conn = TCPConnection(constant_trace(5.0, 100.0))
+        before = dataclasses.replace(conn.state)
+        with pytest.raises(ValueError, match=name):
+            conn.download(size, start)
+        assert conn.state == before
 
     def test_rejects_time_travel(self):
         conn = TCPConnection(constant_trace(5.0, 100.0))
