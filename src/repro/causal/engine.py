@@ -102,7 +102,8 @@ def run_setting_batch(
     All lanes must share a boundary grid and the setting's ABR must pass
     :func:`~repro.player.batch_session.abr_supports_batch_replay`; lane
     ``k`` of the result is bit-identical to ``run_setting`` over lane ``k``
-    under every replay kernel tier (``kernel=None`` picks the default).
+    under every replay kernel tier (``kernel=None`` picks the fastest
+    buildable tier, see :func:`~repro.tcp.connection.resolve_kernel`).
     """
     session = BatchStreamingSession(
         video=setting.video,
@@ -374,23 +375,28 @@ class CounterfactualEngine:
     hatch for benchmarking the serial engine.
 
     ``kernel`` selects the replay kernel tier for every batch session the
-    engine runs (see ``repro.tcp.connection.KERNEL_TIERS``; ``None``
-    picks the default).  All tiers are bit-identical; ``"compiled"``
-    runs whole sessions — decisions included — in a single compiled call
-    for the shipped BBA/BOLA/RobustMPC algorithms, and batches each chunk
-    download into one compiled call otherwise.
+    engine runs (see ``repro.tcp.connection.KERNEL_TIERS``).  All tiers
+    are bit-identical; ``"compiled"`` runs whole sessions — decisions
+    included — in a single compiled call for the shipped
+    BBA/BOLA/RobustMPC algorithms, and batches each chunk download into
+    one compiled call otherwise.
 
     ``abduction_kernel`` independently selects the abduction tier for the
     batched solve/sampling paths (see
-    ``repro.core.abduction.ABDUCTION_TIERS``; ``None`` picks the NumPy
-    default, which is bit-identical to the scalar reference).
-    ``"compiled"`` runs each same-length stack's emission build,
-    forward-backward, Viterbi and FFBS as single compiled-kernel calls —
-    Viterbi paths and sampled traces stay bit-identical, float posteriors
-    are within ``rtol=1e-12`` — and degrades to NumPy with a
-    once-per-process warning when no compiled backend exists.  Checkpoint
-    fingerprints do not include the tier: a corpus prepared on one tier
-    reloads cleanly on another.
+    ``repro.core.abduction.ABDUCTION_TIERS``).  ``"numpy"`` is
+    bit-identical to the scalar reference; ``"compiled"`` runs each
+    same-length stack's emission build, forward-backward, Viterbi and
+    FFBS as single compiled-kernel calls — Viterbi paths and sampled
+    traces stay bit-identical, float posteriors are within
+    ``rtol=1e-12``.  An explicit ``"compiled"`` on either ladder degrades
+    to the portable tier with a once-per-process warning when no compiled
+    backend exists.  Checkpoint fingerprints do not include the tier: a
+    corpus prepared on one tier reloads cleanly on another.
+
+    ``None`` on either ladder picks the fastest tier this machine can
+    build — ``"compiled"`` where that ladder's cc+cffi build loads,
+    ``"scratch"`` / ``"numpy"`` elsewhere — silently; :attr:`kernel` and
+    :attr:`abduction_kernel` hold the tiers chosen.
 
     ``on_error`` sets the engine-wide fault policy (overridable per call):
     ``"raise"`` fail-stops (the default), ``"degrade"`` retries failing
@@ -424,14 +430,12 @@ class CounterfactualEngine:
             raise ValueError(f"n_samples must be >= 1, got {n_samples}")
         if n_workers is not None and n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if kernel is not None:
-            resolve_kernel(kernel)  # fail fast on unknown tier names
+        self.kernel = resolve_kernel(kernel)
         self.abduction = VeritasAbduction(veritas_config, kernel=abduction_kernel)
         self.abduction_kernel = self.abduction.kernel
         self.n_samples = n_samples
         self.n_workers = n_workers
         self.use_batch = use_batch
-        self.kernel = kernel
         self.on_error = resolve_on_error(on_error)
         self.supervisor = SupervisorConfig(
             timeout_s=shard_timeout_s,

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -62,9 +63,9 @@ from . import (
 )
 from .net.io import TraceFormatError, load_csv, load_mahimahi
 from .net.validation import validate_trace
-from .core.abduction import ABDUCTION_TIERS, DEFAULT_ABDUCTION_KERNEL
+from .core.abduction import ABDUCTION_TIERS
 from .runtime.faults import ON_ERROR_POLICIES, FaultLog
-from .tcp.connection import DEFAULT_KERNEL, KERNEL_TIERS
+from .tcp.connection import KERNEL_TIERS
 
 __all__ = ["main", "build_parser"]
 
@@ -87,8 +88,8 @@ def non_negative_int(text: str) -> int:
 
 def positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
     return value
 
 
@@ -154,11 +155,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         # Generated from the tier registry so a new tier cannot drift
         # out of this message (results are bit-identical on every tier).
+        # The default is stated in words: resolving it would build the
+        # compiled kernel just to print --help.
         help="replay kernel tier for batch preparation/replay: "
-             f"{', '.join(KERNEL_TIERS)} (default: the library default, "
-             f"currently \"{DEFAULT_KERNEL}\"; reference is the golden "
-             "per-RTT loop, compiled runs whole sessions natively and falls "
-             "back to scratch when no compiled backend is available)",
+             f"{', '.join(KERNEL_TIERS)} (default: compiled where its "
+             "cc+cffi build loads, else scratch; reference is the golden "
+             "per-RTT loop, compiled runs whole sessions natively and, when "
+             "asked for by name, falls back to scratch with a warning when "
+             "no compiled backend is available)",
     )
     cf.add_argument(
         "--abduction-kernel",
@@ -166,11 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         # Generated from the abduction tier registry, like --kernel above.
         help="abduction kernel tier for batched solve/sampling: "
-             f"{', '.join(ABDUCTION_TIERS)} (default: "
-             f"\"{DEFAULT_ABDUCTION_KERNEL}\", bit-identical to the scalar "
-             "reference; \"compiled\" keeps integer outputs bit-identical "
-             "with float posteriors within rtol=1e-12 and falls back to "
-             "numpy when no compiled backend is available)",
+             f"{', '.join(ABDUCTION_TIERS)} (default: compiled where its "
+             "cc+cffi build loads, else numpy; numpy is bit-identical to "
+             "the scalar reference, compiled keeps integer outputs "
+             "bit-identical with float posteriors within rtol=1e-12 and, "
+             "when asked for by name, falls back to numpy with a warning "
+             "when no compiled backend is available)",
     )
     cf.add_argument(
         "--no-batch", action="store_true",
@@ -219,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
              "everything else as a Mahimahi delivery schedule",
     )
     val.add_argument(
-        "--window-s", type=float, default=1.0,
+        "--window-s", type=positive_float, default=1.0,
         help="bandwidth-averaging window for Mahimahi schedules (default 1s)",
     )
 

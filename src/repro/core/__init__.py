@@ -3,16 +3,16 @@
 The batched abduction paths run on one of three kernel tiers
 (:data:`ABDUCTION_TIERS`, selected via ``VeritasAbduction(kernel=...)``
 or the CLI ``--abduction-kernel`` flag): ``"reference"`` solves each log
-with the scalar golden path, ``"numpy"`` (default) runs the stacked
-recursions bit-identical to it, and ``"compiled"`` routes each stack
-through the :mod:`repro.core._kernels` cc+cffi build (integer outputs
-bit-identical, float posteriors within ``rtol=1e-12``, graceful degrade
-to NumPy when the build is unavailable).
+with the scalar golden path, ``"numpy"`` runs the stacked recursions
+bit-identical to it, and ``"compiled"`` routes each stack through the
+:mod:`repro.core._kernels` cc+cffi build (integer outputs bit-identical,
+float posteriors within ``rtol=1e-12``, graceful degrade to NumPy when
+the build is unavailable).  The default is ``"compiled"`` where that
+build loads and ``"numpy"`` elsewhere.
 """
 
 from .abduction import (
     ABDUCTION_TIERS,
-    DEFAULT_ABDUCTION_KERNEL,
     VeritasAbduction,
     VeritasConfig,
     VeritasPosterior,
@@ -66,7 +66,6 @@ from .viterbi import ViterbiBatchResult, ViterbiResult, viterbi_path, viterbi_pa
 
 __all__ = [
     "ABDUCTION_TIERS",
-    "DEFAULT_ABDUCTION_KERNEL",
     "CapacityGrid",
     "CapacityTracePlan",
     "ChunkDiagnostics",

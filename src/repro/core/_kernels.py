@@ -36,8 +36,9 @@ adds, first-maximum argmax and sequential counting, reproduced op for
 op.  Float posteriors (emissions, gamma/xi, log-likelihoods) agree to a
 documented ``rtol=1e-12``: NumPy's pairwise row sums, BLAS dot products
 and SIMD ``exp``/``log1p`` accumulate in a different (equally valid)
-order than the sequential scalar loops here.  The NumPy tier remains the
-default and stays bit-identical to the retained scalar reference.
+order than the sequential scalar loops here.  The NumPy tier stays
+bit-identical to the retained scalar reference and is the default where
+the cc build does not load; where it loads, this tier is the default.
 """
 
 from __future__ import annotations

@@ -20,19 +20,22 @@ Typical use::
 
 Abduction kernel tiers (:data:`ABDUCTION_TIERS`), selected per engine via
 ``VeritasAbduction(config, kernel=...)`` / the CLI ``--abduction-kernel``
-flag, mirroring the replay ``KERNEL_TIERS`` registry:
+flag, mirroring the replay ``KERNEL_TIERS`` registry.  ``None`` picks the
+fastest tier this machine can build: ``"compiled"`` when the cc+cffi
+build of :mod:`repro.core._kernels` loads, else ``"numpy"``
+(:func:`resolve_abduction_kernel`):
 
 * ``"reference"`` — one scalar :meth:`VeritasAbduction.solve` per log;
   the retained golden path.
-* ``"numpy"`` (default) — the corpus-batched stacked recursions;
-  bit-identical to ``"reference"``.
-* ``"compiled"`` — the stacked hot loops (emission build,
-  forward-backward, Viterbi, FFBS) each run as one
+* ``"numpy"`` (default without cc) — the corpus-batched stacked
+  recursions; bit-identical to ``"reference"``.
+* ``"compiled"`` (default with cc) — the stacked hot loops (emission
+  build, forward-backward, Viterbi, FFBS) each run as one
   :mod:`repro.core._kernels` call per same-length stack (cc+cffi
   backend).  Viterbi paths and FFBS samples stay bit-identical; float
-  posteriors are within ``rtol=1e-12``.  Without the cc build the tier
-  degrades to ``"numpy"`` with a once-per-process
-  :class:`RuntimeWarning`.
+  posteriors are within ``rtol=1e-12``.  Without the cc build an
+  explicit ``"compiled"`` degrades to ``"numpy"`` with a
+  once-per-process :class:`RuntimeWarning`.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import numpy as np
 from ..net.trace import PiecewiseConstantTrace
 from ..player.logs import SessionLog
 from ..util.rng import SeedLike, ensure_rng
+from . import _kernels
 from .ehmm import EHMMProblem, build_problem, build_problems_batch
 from .emission import EmissionModel, naive_emission, tcp_estimator_emission
 from .forward_backward import (
@@ -68,7 +72,6 @@ from .viterbi import ViterbiResult, viterbi_path, viterbi_path_batch
 
 __all__ = [
     "ABDUCTION_TIERS",
-    "DEFAULT_ABDUCTION_KERNEL",
     "VeritasConfig",
     "VeritasPosterior",
     "VeritasAbduction",
@@ -79,18 +82,20 @@ __all__ = [
 ABDUCTION_TIERS = ("reference", "numpy", "compiled")
 """Abduction kernel tiers, slowest first (see the module docstring)."""
 
-DEFAULT_ABDUCTION_KERNEL = "numpy"
-
 
 def resolve_abduction_kernel(kernel: "str | None") -> str:
-    """Validate an abduction tier name (``None`` means the default).
+    """Validate an abduction tier name, or pick one for ``None``.
 
-    Backend availability is *not* checked here: an unavailable compiled
-    backend degrades at use time with a once-per-process warning, so one
-    config works across machines with and without a toolchain.
+    ``None`` picks the fastest tier this machine can build: ``"compiled"``
+    when the cc+cffi build of :mod:`repro.core._kernels` loads (its
+    ``backend()`` is ``"cc"``; the first call builds it), else the
+    portable ``"numpy"``, silently.  An explicit name is only validated:
+    an unavailable compiled backend degrades at use time with a
+    once-per-process warning, so one config works across machines with
+    and without a toolchain.
     """
     if kernel is None:
-        return DEFAULT_ABDUCTION_KERNEL
+        return "compiled" if _kernels.backend() == "cc" else "numpy"
     if kernel not in ABDUCTION_TIERS:
         raise ValueError(
             f"unknown abduction kernel {kernel!r}; "
@@ -255,8 +260,10 @@ class VeritasAbduction:
     """End-to-end abduction engine (Fig. 6's "Veritas" box).
 
     ``kernel`` picks the :data:`ABDUCTION_TIERS` entry the batched solve
-    path runs on (``None`` = the NumPy default); scalar :meth:`solve`
-    always takes the reference path regardless.
+    path runs on (``None`` = the fastest buildable tier, see
+    :func:`resolve_abduction_kernel`; :attr:`kernel` holds the tier
+    chosen); scalar :meth:`solve` always takes the reference path
+    regardless.
     """
 
     def __init__(

@@ -16,8 +16,10 @@ capacity state cannot underflow the scaled recursion to 0/0.
 Abduction kernel tiers: :func:`forward_backward_batch` accepts
 ``kernel="compiled"`` to run the whole stacked recursion (including the
 pairwise-posterior build) in one :mod:`repro.core._kernels` call —
-results within ``rtol=1e-12`` of the NumPy tier (the default, which is
-itself bit-identical to :func:`forward_backward_reference`).  When no
+results within ``rtol=1e-12`` of the NumPy tier (what ``kernel=None``
+runs here, itself bit-identical to :func:`forward_backward_reference`;
+the engine-level default is picked by
+:func:`~repro.core.abduction.resolve_abduction_kernel`).  When no
 compiled backend is available the request degrades to the NumPy tier
 with a once-per-process :class:`RuntimeWarning`.
 """

@@ -9,9 +9,9 @@ both chunks then share the same hidden capacity window, as required.
 Abduction kernel tiers: :func:`viterbi_path_batch` accepts
 ``kernel="compiled"`` to extract every stacked session's path in one
 :mod:`repro.core._kernels` call.  Viterbi is pure adds plus first-maximum
-argmax, so the compiled paths are bit-identical to the NumPy tier (the
-default); without a compiled backend the request degrades to NumPy with a
-once-per-process :class:`RuntimeWarning`.
+argmax, so the compiled paths are bit-identical to the NumPy tier (what
+``kernel=None`` runs here); without a compiled backend the request
+degrades to NumPy with a once-per-process :class:`RuntimeWarning`.
 """
 
 from __future__ import annotations

@@ -238,9 +238,9 @@ class BatchStreamingSession:
         )
         self.rtt_s = rtts.pop()
         self.request_overhead_s = overheads.pop()
-        # Fail at construction on unknown tier names (None = default).
-        resolve_kernel(kernel)
-        self.kernel = kernel
+        # Fail at construction on unknown tier names; None picks the
+        # fastest tier this machine can build.
+        self.kernel = resolve_kernel(kernel)
 
     @classmethod
     def fused(
@@ -273,7 +273,7 @@ class BatchStreamingSession:
         connection = BatchTCPConnection(
             tb, rtt_s=self.rtt_s, start_time_s=0.0, kernel=self.kernel
         )
-        if connection._tier == "compiled" and _fused.available():
+        if connection.tier == "compiled" and _fused.available():
             plan = _fused_plan(partitions, video, n_lanes)
             if plan is not None:
                 # The whole (lane-batch x session) loop in one compiled

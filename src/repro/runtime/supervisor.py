@@ -28,6 +28,7 @@ returns structured faults instead).
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
@@ -54,12 +55,18 @@ class SupervisorConfig:
     backoff_s: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
+        if self.timeout_s is not None and not (
+            self.timeout_s > 0 and math.isfinite(self.timeout_s)
+        ):
+            raise ValueError(
+                f"timeout_s must be finite and positive, got {self.timeout_s}"
+            )
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_s < 0:
-            raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
+        if not (self.backoff_s >= 0 and math.isfinite(self.backoff_s)):
+            raise ValueError(
+                f"backoff_s must be finite and >= 0, got {self.backoff_s}"
+            )
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:

@@ -17,10 +17,12 @@ same order.
 
 Feature detection:
 
-* the cc build loads -> ``available()`` is True and
-  ``BatchTCPConnection(kernel="compiled")`` runs it;
-* no build -> ``BatchTCPConnection(kernel="compiled")`` falls back to
-  the scratch tier.  The pure-Python mirror remains importable
+* the cc build loads -> ``backend()`` is ``"cc"``, ``available()`` is
+  True, ``BatchTCPConnection(kernel="compiled")`` runs it, and so does
+  the default ``kernel=None``;
+* no build -> the default picks the scratch tier and
+  ``BatchTCPConnection(kernel="compiled")`` falls back to it with a
+  warning.  The pure-Python mirror remains importable
   so the parity suite can pin the kernel's logic bit-for-bit against the
   reference implementation even on machines without any toolchain, and
   tests may set ``FORCE_PYTHON = True`` to drive the compiled code path

@@ -20,8 +20,10 @@ chunks see throughput far below GTBW (Fig. 2(c)), idle gaps reset the
 window, and only > BDP transfers observe throughput close to GTBW.
 
 Three kernel tiers implement the batch replay, selected by the
-``kernel=`` argument of :class:`BatchTCPConnection` (``None`` picks the
-module-level ``DEFAULT_KERNEL``):
+``kernel=`` argument of :class:`BatchTCPConnection`.  ``None`` picks the
+fastest tier this machine can build: ``"compiled"`` when the cc+cffi build
+of :mod:`repro.tcp._compiled` loads, else ``"scratch"``
+(:func:`resolve_kernel`):
 
 =========  ==============  ==================  ==================
 tier       job             batch download      session loop
@@ -29,10 +31,11 @@ tier       job             batch download      session loop
 reference  golden          K scalar per-RTT    per-chunk loop
            reference       loops
 scratch    portable NumPy  allocation-free     per-chunk loop
-           (default)       NumPy pass
+           (default        NumPy pass
+           without cc)
 compiled   fastest native  one compiled call   one compiled call
-                           per chunk           per session, else
-                                               the per-chunk loop
+           (default with   per chunk           per session, else
+           cc)                                 the per-chunk loop
 =========  ==============  ==================  ==================
 
 * The **per-RTT loop** (:func:`_reference_download`) is the golden parity
@@ -51,9 +54,10 @@ compiled   fastest native  one compiled call   one compiled call
   call whenever every partition's ABR has a kernel plan (the shipped
   BBA/BOLA/RobustMPC).  Both kernels are cc + cffi builds of a C
   transcription, made at first use; when the build fails (no C compiler
-  or no cffi), the tier degrades to ``"scratch"`` with a
-  once-per-process ``RuntimeWarning`` and ``BatchTCPConnection._tier``
-  records the effective tier.
+  or no cffi), an explicit ``kernel="compiled"`` degrades to
+  ``"scratch"`` with a once-per-process ``RuntimeWarning``, and the
+  default picks ``"scratch"`` silently.  Either way
+  :attr:`BatchTCPConnection.tier` records the tier actually served.
 
 All tiers evaluate the same float predicates in the same order, so they
 produce batch columns and session logs bit-identical to scalar
@@ -88,7 +92,6 @@ from .constants import (
 from .state import MutableTCPState, TCPStateSnapshot, apply_slow_start_restart
 
 __all__ = [
-    "DEFAULT_KERNEL",
     "KERNEL_TIERS",
     "BatchDownloadResult",
     "BatchTCPConnection",
@@ -97,9 +100,6 @@ __all__ = [
     "resolve_kernel",
 ]
 
-DEFAULT_KERNEL = "scratch"
-"""Kernel used when a connection is constructed without an explicit one."""
-
 KERNEL_TIERS = ("reference", "scratch", "compiled")
 """All selectable kernel tiers, slowest (golden reference) first."""
 
@@ -107,17 +107,23 @@ KERNEL_TIERS = ("reference", "scratch", "compiled")
 def resolve_kernel(kernel: str | None) -> str:
     """Resolve ``kernel`` against the tier registry or raise ``ValueError``.
 
-    ``None`` picks the module-level ``DEFAULT_KERNEL``.  All construction
-    paths (batch connections, batch sessions, the engine, the CLI) funnel
-    through here so an unknown name fails loudly with the list of
-    available tiers instead of silently running a default.
+    ``None`` picks the fastest tier this machine can build: ``"compiled"``
+    when the cc+cffi build of :mod:`repro.tcp._compiled` loads (its
+    ``backend()`` is ``"cc"``; the first call builds it), else the
+    portable ``"scratch"``.  The default never warns; only an explicit
+    ``"compiled"`` that cannot be served degrades with a warning, in
+    :class:`BatchTCPConnection`.  All construction paths (batch
+    connections, batch sessions, the engine, the CLI) funnel through here
+    so an unknown name fails loudly with the list of available tiers
+    instead of silently running a default.
     """
-    resolved = DEFAULT_KERNEL if kernel is None else kernel
-    if resolved not in KERNEL_TIERS:
+    if kernel is None:
+        return "compiled" if _compiled.backend() == "cc" else "scratch"
+    if kernel not in KERNEL_TIERS:
         raise ValueError(
-            f"unknown kernel {resolved!r}; available tiers: {KERNEL_TIERS}"
+            f"unknown kernel {kernel!r}; available tiers: {KERNEL_TIERS}"
         )
-    return resolved
+    return kernel
 
 
 def _grow_window(cwnd: int, ssthresh: int) -> int:
@@ -492,7 +498,9 @@ class BatchTCPConnection:
     Every tier advances all K lanes through one chunk per
     :meth:`download_batch` call (see the tier table in the module
     docstring) — results are bit-identical to K independent scalar
-    connections (see ``tests/test_batch_replay.py``).
+    connections (see ``tests/test_batch_replay.py``).  :attr:`kernel` is
+    the requested tier (``None`` resolved by :func:`resolve_kernel`),
+    :attr:`tier` the one served.
     """
 
     def __init__(
@@ -515,7 +523,7 @@ class BatchTCPConnection:
         if resolved == "compiled" and not _compiled.available():
             warn_fallback("replay", "compiled", "scratch")
             resolved = "scratch"
-        self._tier = resolved
+        self._served = resolved
         n = batch.n_lanes
         self._shared = MutableTCPState(last_send_time_s=start_time_s)
         self._shared.observe_rtt(rtt_s)
@@ -531,6 +539,11 @@ class BatchTCPConnection:
             "scratch": self._download_scratch,
             "compiled": self._download_compiled,
         }[resolved]
+
+    @property
+    def tier(self) -> str:
+        """The tier actually served: :attr:`kernel` after any degrade."""
+        return self._served
 
     @property
     def n_lanes(self) -> int:

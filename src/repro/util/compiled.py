@@ -21,7 +21,9 @@ they share:
   ``tests/test_abduction_kernel.py``;
 * **the degrade warning** (:func:`warn_fallback`) — one once-per-process
   ``RuntimeWarning`` per tier ladder (replay, abduction) naming the
-  requested and the effective tier.
+  requested and the effective tier.  Only an explicit ``"compiled"``
+  request can degrade: the default (``None``) resolves to the portable
+  tier up front whenever the build does not load, and never warns.
 
 Each kernel module keeps its own ``FORCE_PYTHON`` flag (tests monkeypatch
 them independently) and its own dispatchers; only the build machinery
@@ -213,8 +215,10 @@ def warn_fallback(ladder: str, requested: str, effective: str) -> None:
 
     The degrade itself is by design — the effective tier keeps the parity
     contract — but operators asking for ``requested`` should see the
-    ``effective`` tier in their logs.  ``stacklevel`` points at the caller
-    of the function that detected the degrade.
+    ``effective`` tier in their logs.  It fires only for an explicit
+    ``"compiled"`` request: a default (``None``) tier resolves to what
+    the machine can serve before any kernel runs.  ``stacklevel`` points
+    at the caller of the function that detected the degrade.
     """
     if ladder in _FALLBACK_WARNED:
         return

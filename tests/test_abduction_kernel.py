@@ -25,7 +25,6 @@ from repro.core import _kernels
 from repro.core import CapacityGrid, EmissionModel, VeritasAbduction
 from repro.core.abduction import (
     ABDUCTION_TIERS,
-    DEFAULT_ABDUCTION_KERNEL,
     resolve_abduction_kernel,
     sample_traces_batch,
 )
@@ -319,7 +318,11 @@ class TestWiredEntryPoints:
             viterbi_path_batch(log_b, transitions, gaps, kernel="compiled")
 
     def test_resolve_abduction_kernel(self):
-        assert resolve_abduction_kernel(None) == DEFAULT_ABDUCTION_KERNEL
+        # The default is the fastest tier the machine can build.
+        native = _kernels.backend() == "cc"
+        assert resolve_abduction_kernel(None) == (
+            "compiled" if native else "numpy"
+        )
         for tier in ABDUCTION_TIERS:
             assert resolve_abduction_kernel(tier) == tier
         with pytest.raises(ValueError, match="unknown abduction kernel"):
@@ -372,9 +375,9 @@ class TestSolveBatchTiers:
         reference = VeritasAbduction(
             paper_veritas_config(), kernel="reference"
         ).solve_batch(session_logs)
-        numpy_tier = VeritasAbduction(paper_veritas_config()).solve_batch(
-            session_logs
-        )
+        numpy_tier = VeritasAbduction(
+            paper_veritas_config(), kernel="numpy"
+        ).solve_batch(session_logs)
         for a, b in zip(reference, numpy_tier):
             assert np.array_equal(a.viterbi.states, b.viterbi.states)
             assert np.array_equal(a.smoothing.gamma, b.smoothing.gamma)
@@ -384,9 +387,9 @@ class TestSolveBatchTiers:
     def test_compiled_tier_within_contract(self, session_logs):
         from repro import paper_veritas_config
 
-        numpy_tier = VeritasAbduction(paper_veritas_config()).solve_batch(
-            session_logs
-        )
+        numpy_tier = VeritasAbduction(
+            paper_veritas_config(), kernel="numpy"
+        ).solve_batch(session_logs)
         compiled = VeritasAbduction(
             paper_veritas_config(), kernel="compiled"
         ).solve_batch(session_logs)
@@ -401,11 +404,11 @@ class TestSolveBatchTiers:
     def test_compiled_sampling_matches_numpy(self, session_logs):
         from repro import paper_veritas_config
 
-        posteriors = VeritasAbduction(paper_veritas_config()).solve_batch(
-            session_logs
-        )
+        posteriors = VeritasAbduction(
+            paper_veritas_config(), kernel="numpy"
+        ).solve_batch(session_logs)
         seeds = [5, 6, 7]
-        want = sample_traces_batch(posteriors, 4, seeds)
+        want = sample_traces_batch(posteriors, 4, seeds, kernel="numpy")
         got = sample_traces_batch(posteriors, 4, seeds, kernel="compiled")
         for traces_a, traces_b in zip(want, got):
             for a, b in zip(traces_a, traces_b):
@@ -415,11 +418,11 @@ class TestSolveBatchTiers:
     def test_reference_sampling_matches_numpy(self, session_logs):
         from repro import paper_veritas_config
 
-        posteriors = VeritasAbduction(paper_veritas_config()).solve_batch(
-            session_logs
-        )
+        posteriors = VeritasAbduction(
+            paper_veritas_config(), kernel="numpy"
+        ).solve_batch(session_logs)
         seeds = [5, 6, 7]
-        want = sample_traces_batch(posteriors, 4, seeds)
+        want = sample_traces_batch(posteriors, 4, seeds, kernel="numpy")
         got = sample_traces_batch(posteriors, 4, seeds, kernel="reference")
         for traces_a, traces_b in zip(want, got):
             for a, b in zip(traces_a, traces_b):

@@ -180,7 +180,7 @@ class TestStackedRecursions:
 
 class TestSolveBatch:
     def test_solve_batch_matches_solve(self, session_logs):
-        abduction = VeritasAbduction(paper_veritas_config())
+        abduction = VeritasAbduction(paper_veritas_config(), kernel="numpy")
         durations = [500.0 + 10.0 * i for i in range(len(session_logs))]
         batch = abduction.solve_batch(session_logs, trace_duration_s=durations)
         for log, duration, posterior in zip(session_logs, durations, batch):
@@ -196,7 +196,7 @@ class TestSolveBatch:
 
     def test_solve_batch_ragged_chunk_counts(self, session_logs):
         """Sessions of different lengths partition by chunk count."""
-        abduction = VeritasAbduction(paper_veritas_config())
+        abduction = VeritasAbduction(paper_veritas_config(), kernel="numpy")
         ragged = list(session_logs[:3])
         ragged.append(session_logs[0].truncated(20))
         ragged.append(session_logs[1].truncated(20))
@@ -325,9 +325,10 @@ class TestPrepareCorpusParity:
         float posteriors differing only inside rtol=1e-12."""
         corpus = small_corpus(3)
         want = CounterfactualEngine(
-            paper_veritas_config(), n_samples=2, seed=4
+            paper_veritas_config(), n_samples=2, seed=4,
+            abduction_kernel="reference",
         ).prepare_corpus(corpus, setting_a)
-        for abduction_kernel in ("reference", "compiled"):
+        for abduction_kernel in ("numpy", "compiled"):
             got = CounterfactualEngine(
                 paper_veritas_config(),
                 n_samples=2,

@@ -458,10 +458,13 @@ class TestKernelTierRegistry:
     """Construction-time validation of ``kernel=`` names (PR 6)."""
 
     def test_known_tiers(self):
-        from repro.tcp.connection import DEFAULT_KERNEL
+        from repro.tcp import _compiled
+        from repro.tcp.connection import resolve_kernel
 
         assert KERNEL_TIERS == ("reference", "scratch", "compiled")
-        assert DEFAULT_KERNEL == "scratch"
+        # The default is the fastest tier the machine can build.
+        native = _compiled.backend() == "cc"
+        assert resolve_kernel(None) == ("compiled" if native else "scratch")
 
     def test_batch_connection_rejects_unknown_kernel(self):
         from repro.tcp.connection import BatchTCPConnection
@@ -496,9 +499,9 @@ class TestKernelTierRegistry:
             # "compiled" may legitimately degrade to "scratch"; everything
             # else serves exactly the requested tier.
             if tier == "compiled":
-                assert conn._tier in ("compiled", "scratch")
+                assert conn.tier in ("compiled", "scratch")
             else:
-                assert conn._tier == tier
+                assert conn.tier == tier
 
 
 REPLAY_PATHS = ("reference", "scratch", "compiled", "fused")

@@ -63,6 +63,9 @@ class TestParser:
             ("--duration-s", "-5"),
             ("--duration-s", "0"),
             ("--buffer-s", "0"),
+            ("--duration-s", "inf"),
+            ("--buffer-s", "inf"),
+            ("--shard-timeout", "inf"),
         ],
     )
     def test_counterfactual_numeric_flags_are_usage_errors(
@@ -83,6 +86,7 @@ class TestParser:
             (["simulate", "--out", "logs", "--traces", "-1"], "--traces"),
             (["simulate", "--out", "logs", "--duration-s", "0"], "--duration-s"),
             (["abduct", "session.json", "--samples", "0"], "--samples"),
+            (["simulate", "--out", "logs", "--duration-s", "inf"], "--duration-s"),
         ],
     )
     def test_simulate_and_abduct_numeric_flags_are_usage_errors(
@@ -96,6 +100,17 @@ class TestParser:
         ]
         assert len(errors) == 1
         assert flag in errors[0]
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_validate_window_is_usage_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["validate", "trace.mahi", "--window-s", value])
+        assert exit_info.value.code == 2
+        errors = [
+            line for line in capsys.readouterr().err.splitlines() if "error:" in line
+        ]
+        assert len(errors) == 1
+        assert "--window-s" in errors[0]
 
     @pytest.mark.parametrize(
         "content, reason",

@@ -114,7 +114,7 @@ class TestBackendDispatch:
         with pytest.warns(RuntimeWarning, match='"compiled".*"scratch"'):
             conn = BatchTCPConnection(batch, kernel="compiled")
         assert conn.kernel == "compiled"  # the request is remembered...
-        assert conn._tier == "scratch"  # ...but the scratch tier serves it
+        assert conn.tier == "scratch"  # ...but the scratch tier serves it
 
     def test_fallback_warning_once_per_ladder(self, monkeypatch):
         """One degrade warning per tier ladder per process, naming the

@@ -55,7 +55,7 @@ def steady_state_connection():
     """
     trace = PiecewiseConstantTrace([0.0, 1e9], [1.0])
     conn = BatchTCPConnection(TraceBatch([trace] * K), kernel="scratch")
-    assert conn._tier == "scratch"
+    assert conn.tier == "scratch"
     rng = np.random.default_rng(0)
     sizes = rng.uniform(2e4, 6e4, K)
     starts = np.zeros(K)

@@ -426,6 +426,12 @@ class TestPoolSupervision:
         with pytest.raises(ValueError):
             SupervisorConfig(max_retries=-1)
 
+    @pytest.mark.parametrize("field", ["timeout_s", "backoff_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_supervisor_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SupervisorConfig(**{field: value})
+
 
 # ---------------------------------------------------------------------------
 # Checkpoint / resume
@@ -526,7 +532,7 @@ class TestCompiledFallbackWarning:
 
         with pytest.warns(RuntimeWarning, match="falling back"):
             conn = build()
-        assert conn._tier == "scratch"
+        assert conn.tier == "scratch"
 
         import warnings as _warnings
 
