@@ -21,7 +21,6 @@ import math
 import time
 from typing import Callable
 
-import numpy as np
 import pytest
 
 from common import (
@@ -42,6 +41,10 @@ from repro import (
 
 # The fig9-style query sweep of the replay gates, over 4 bench traces.
 SWEEP_QUERIES = ("bba", "bola", "bba", "bola", "bba")
+
+# The portable tiers, named where a gate times the lockstep batch paths
+# against the per-trace path on every machine, native build or not.
+PORTABLE_TIERS = {"kernel": "scratch", "abduction_kernel": "numpy"}
 
 
 def best_times(
@@ -97,10 +100,15 @@ def test_query_sweep():
 
 
 def test_batch_replay():
-    """Lockstep replay of a query sweep is >= 1.3x ``use_batch=False``."""
+    """Lockstep replay of a query sweep is >= 1.3x ``use_batch=False``.
+
+    Both engines run the portable tiers, so on every machine this gates
+    the scratch chunk loop, which also serves the compiled tier's
+    sessions that have no whole-session kernel plan.
+    """
     setting_a, settings_b, corpus = sweep_workload()
-    batch = make_engine()
-    serial = make_engine(use_batch=False)
+    batch = make_engine(**PORTABLE_TIERS)
+    serial = make_engine(use_batch=False, **PORTABLE_TIERS)
     prepared = batch.prepare_corpus(corpus, setting_a)
 
     best = best_times(
@@ -114,115 +122,34 @@ def test_batch_replay():
     assert speedup >= 1.3, f"lockstep replay: {speedup:.2f}x"
 
 
-def test_kernel_tiers(monkeypatch):
-    """Compiled replay is >= 1.5x scratch; the whole-session kernel is
-    >= 1.5x the per-chunk compiled loop.
+def test_kernel_tiers():
+    """Compiled replay is >= 1.5x scratch on the query sweep."""
+    from repro.player import _fused
 
-    The per-chunk loop is the compiled tier with the fused plan withheld
-    (``_fused_plan`` returning ``None``).
-    """
-    from repro.player import _fused, batch_session
-    from repro.tcp import _compiled
-
-    if not _compiled.available():
+    if not _fused.available():
         pytest.skip("no compiled replay backend")
     setting_a, settings_b, corpus = sweep_workload()
     engines = {tier: make_engine(kernel=tier) for tier in ("scratch", "compiled")}
     prepared = engines["scratch"].prepare_corpus(corpus, setting_a)
-
-    def sweep(tier: str, per_chunk: bool = False):
-        def run():
-            with monkeypatch.context() as patch:
-                if per_chunk:
-                    patch.setattr(batch_session, "_fused_plan", lambda *args: None)
-                engines[tier].evaluate_many(prepared, settings_b)
-
-        return run
-
-    variants = {"scratch": sweep("scratch"), "compiled": sweep("compiled")}
-    if _fused.backend() != "python":
-        variants["per_chunk"] = sweep("compiled", per_chunk=True)
-    best = best_times(variants, rounds=3)
-
+    best = best_times(
+        {
+            tier: lambda engine=engine: engine.evaluate_many(prepared, settings_b)
+            for tier, engine in engines.items()
+        },
+        rounds=3,
+    )
     tier_speedup = best["scratch"] / best["compiled"]
     assert tier_speedup >= 1.5, f"compiled over scratch: {tier_speedup:.2f}x"
-    if "per_chunk" in best:
-        session_speedup = best["per_chunk"] / best["compiled"]
-        assert session_speedup >= 1.5, f"whole session: {session_speedup:.2f}x"
-
-
-def test_decision_kernels(monkeypatch):
-    """Every compiled ABR decision kernel is >= 0.8x its NumPy decider.
-
-    A session-shaped sweep: one decision per chunk of the bench video (at
-    most 120, since the NumPy MPC sweep is slow) for 1,024 lanes, MPC's
-    predictor state advancing chunk to chunk.  ``FORCE_PYTHON`` routes
-    the deciders to NumPy.
-    """
-    from repro.abr import BBAAlgorithm, BOLAAlgorithm, MPCAlgorithm, _decisions
-    from repro.abr.base import BatchABRContext
-
-    if not _decisions.use_kernel():
-        pytest.skip("no compiled decision backend")
-    video = bench_setting_a().video
-    n_chunks = min(video.n_chunks, 120)
-    k = 1024
-    capacity = 15.0
-    rng = np.random.default_rng(9)
-    buffers = rng.uniform(0.0, capacity, (n_chunks, k))
-    throughputs = rng.uniform(0.3, 30.0, (n_chunks, k))
-
-    def sweep(abr, force_python: bool):
-        def run():
-            with monkeypatch.context() as patch:
-                patch.setattr(_decisions, "FORCE_PYTHON", force_python)
-                abr.reset()
-                # MPC allocates its own output; BBA/BOLA take an out= buffer.
-                out = (
-                    np.empty(k, dtype=np.int64)
-                    if getattr(abr, "batch_out_safe", False)
-                    else None
-                )
-                last = None
-                history: list[np.ndarray] = []
-                for n in range(n_chunks):
-                    context = BatchABRContext(
-                        chunk_index=n,
-                        buffer_s=buffers[n],
-                        buffer_capacity_s=capacity,
-                        last_quality=last,
-                        video=video,
-                        throughput_history_mbps=history,
-                    )
-                    if out is None:
-                        result = abr.choose_quality_batch(context)
-                    else:
-                        result = abr.choose_quality_batch(context, out=out)
-                    last = np.array(result, dtype=np.int64)
-                    history.append(throughputs[n])
-
-        return run
-
-    abrs = {"bba": BBAAlgorithm(), "bola": BOLAAlgorithm(), "mpc": MPCAlgorithm()}
-    variants = {}
-    for path, force_python in (("kernel", False), ("numpy", True)):
-        for name, abr in abrs.items():
-            variants[f"{name}_{path}"] = sweep(abr, force_python)
-    best = best_times(variants, rounds=2)
-
-    speedups = {
-        name: best[f"{name}_numpy"] / best[f"{name}_kernel"] for name in abrs
-    }
-    assert min(speedups.values()) >= 0.8, f"decision kernels: {speedups}"
 
 
 def test_prepare_corpus():
     """Batch preparation and the abduction tiers.
 
     Corpus-lockstep ``prepare_corpus`` is >= 1.3x the per-trace
-    ``use_batch=False`` pipeline.  On pre-deployed logs, the abduction
-    stage (``solve_batch`` + ``sample_traces_batch``) is >= 2.0x numpy on
-    the compiled tier, and >= 1.0x the scalar reference on numpy.
+    ``use_batch=False`` pipeline, both on the portable tiers.  On
+    pre-deployed logs, the abduction stage (``solve_batch`` +
+    ``sample_traces_batch``) is >= 2.0x numpy on the compiled tier, and
+    >= 1.0x the scalar reference on numpy.
     """
     from repro.core import VeritasAbduction, _kernels
     from repro.core.abduction import ABDUCTION_TIERS, sample_traces_batch
@@ -232,8 +159,8 @@ def test_prepare_corpus():
     corpus = paper_corpus(
         count=max(20, 2 * N_TRACES), duration_s=TRACE_DURATION_S, seed=CORPUS_SEED
     )
-    batch = make_engine()
-    serial = make_engine(use_batch=False)
+    batch = make_engine(**PORTABLE_TIERS)
+    serial = make_engine(use_batch=False, **PORTABLE_TIERS)
     prepare_s = best_times(
         {
             "batch": lambda: batch.prepare_corpus(corpus, setting_a),

@@ -1,60 +1,36 @@
-"""Compiled ABR decision kernels (BBA / BOLA / MPC batch decisions).
+"""Per-lane ABR decision cores linked into :mod:`repro.player._fused`.
 
-PR 6 compiled the chunk *download* into one per-batch call; this module
-does the same for the per-chunk ABR *decision*.  Each of the three
-shipped algorithms' ``choose_quality_batch`` loops is transcribed into a
-``repro.tcp._compiled``-style kernel — a pure-Python mirror (the parity
-oracle) and a cc + cffi build of a line-for-line C transcription — with
-the same feature detection and ``FORCE_PYTHON`` test hook.
+The whole-session replay kernel (:func:`repro.player._fused.run_session`)
+makes every chunk decision of the shipped algorithms through the scalar
+cores defined here:
 
-The kernels:
-
-* :func:`bba_decide` — BBA's reservoir/upper threshold map with the
-  linear bitrate interpolation and ``searchsorted`` ladder lookup.
-* :func:`bola_decide` — BOLA's drift-plus-penalty argmax with the scalar
-  loop's strict-improvement (first-maximum) tie rule.
-* :func:`mpc_observe_predict` / :func:`mpc_decide` — RobustMPC.  The
+* :func:`_bba_one` — BBA's reservoir/upper threshold map with the linear
+  bitrate interpolation and ``searchsorted`` ladder lookup;
+* :func:`_bola_one` — BOLA's drift-plus-penalty argmax with the scalar
+  loop's strict-improvement (first-maximum) tie rule;
+* :func:`_mpc_obs_pred_one` / :func:`_mpc_decide_one` — RobustMPC.  The
   harmonic-mean predictor's state lives in flat per-lane ring buffers
-  (``hist`` observation window, ``errs`` error window, ``last_pred``)
-  driven *inside* the kernel, and the horizon search runs the QoE-table
-  scaling, buffer recursion, stall/switch penalties and first-max argmax
-  per lane with zero NumPy dispatches.
+  (``hist`` observation window, ``errs`` error window, ``last_pred``),
+  and the horizon search runs the QoE-table scaling, buffer recursion,
+  stall/switch penalties and first-max argmax per lane.
 
-Every kernel performs the same correctly-rounded IEEE-754 float64
-operations in the same order as the NumPy batch implementations (which
-are themselves pinned bit-identical to the scalar reference), so
-decisions are expected bit-identical between the mirror and the C build;
-the documented cross-platform tolerance for the MPC compiled backend is
-``rtol=1e-12``.
+Each core exists twice, in lockstep: plain Python, which mirrors the
+NumPy batch deciders (themselves pinned bit-identical to the scalar
+``choose_quality``) float for float and is what the session kernel's
+mirror runs, and a line-for-line C transcription (:data:`C_HELPERS`)
+that ``_fused`` compiles into its library.  The C uses only IEEE-754
+basic operations, no libm, and is built with ``-fno-fast-math
+-ffp-contract=off``, so the two make bit-identical decisions.
 
-The per-lane scalar cores (``_bba_one`` … ``_mpc_decide_one`` and the
-``C_HELPERS`` fragment) are shared with the fused session kernel in
-:mod:`repro.player._fused`, which inlines them into its multi-chunk
-loop so one compiled call advances chunk → decision → chunk.
+This module builds nothing itself.  :func:`backend` reports the backend
+of the library its cores are compiled into, ``player._fused``.
 """
+
+# repro: kernel-module
 
 from __future__ import annotations
 
-from ..util.compiled import CcLibrary
-
-__all__ = [
-    "FORCE_PYTHON",
-    "backend",
-    "use_kernel",
-    "bba_decide",
-    "bola_decide",
-    "mpc_observe_predict",
-    "mpc_decide",
-]
-
-FORCE_PYTHON = False
-"""Test hook: route every decision kernel through the Python mirror."""
-
-
-# ----------------------------------------------------------------------
-# Per-lane scalar cores.  These mirror the NumPy batch decisions
-# float-for-float and are reused by the fused session kernel.
-# ----------------------------------------------------------------------
+__all__ = ["C_HELPERS", "backend"]
 
 
 def _bba_one(buf, reservoir, upper, lowest, highest, r_min, r_max, rates,
@@ -187,79 +163,12 @@ def _mpc_decide_one(b0, p, lq, n, h, n_seq, seq, size_flat, db_flat,
 
 
 # ----------------------------------------------------------------------
-# Batch mirrors: loop the scalar cores over all lanes in one call.
+# The C transcription of the cores above, compiled into repro.player._fused.
 # ----------------------------------------------------------------------
-
-
-def _bba_decide_mirror(buffer_s, reservoir, upper, lowest, highest, r_min,
-                       r_max, rates, out):
-    n_qualities = rates.shape[0]
-    for k in range(buffer_s.shape[0]):
-        out[k] = _bba_one(
-            buffer_s[k], reservoir, upper, lowest, highest, r_min, r_max,
-            rates, n_qualities,
-        )
-    return 0
-
-
-def _bola_decide_mirror(buffer_s, weights, sizes, out):
-    n_qualities = weights.shape[0]
-    for k in range(buffer_s.shape[0]):
-        out[k] = _bola_one(buffer_s[k], weights, sizes, n_qualities)
-    return 0
-
-
-def _mpc_observe_predict_mirror(hist, errs, last_pred, n_obs, window,
-                                error_window, cold_start, out_pred):
-    for k in range(hist.shape[0]):
-        pred = _mpc_obs_pred_one(
-            hist[k], errs[k], last_pred[k], n_obs, window, error_window,
-            cold_start,
-        )
-        last_pred[k] = pred
-        out_pred[k] = pred
-    return 0
-
-
-def _mpc_decide_mirror(n, h, n_seq, seq, size_flat, db_flat, n_qualities,
-                       dbsum_row, switch_row, buffer_s, pred, last_q,
-                       capacity, chunk_dur, rebuffer_penalty, switch_penalty,
-                       out):
-    for k in range(buffer_s.shape[0]):
-        out[k] = _mpc_decide_one(
-            buffer_s[k], pred[k], last_q[k], n, h, n_seq, seq, size_flat,
-            db_flat, n_qualities, dbsum_row, switch_row, capacity, chunk_dur,
-            rebuffer_penalty, switch_penalty,
-        )
-    return 0
-
-
-# ----------------------------------------------------------------------
-# cc + cffi backend: line-for-line C transcription of the mirrors.
-# ----------------------------------------------------------------------
-
-_CDEF = """
-long long bba_decide(long long n_lanes, const double *buffer_s,
-    double reservoir, double upper, long long lowest, long long highest,
-    double r_min, double r_max, const double *rates, long long n_qualities,
-    long long *out);
-long long bola_decide(long long n_lanes, const double *buffer_s,
-    const double *weights, const double *sizes, long long n_qualities,
-    long long *out);
-long long mpc_observe_predict(long long n_lanes, const double *hist,
-    double *errs, double *last_pred, long long n_obs, long long window,
-    long long error_window, double cold_start, double *out_pred);
-long long mpc_decide(long long n_lanes, long long n, long long h,
-    long long n_seq, const long long *seq, const double *size_flat,
-    const double *db_flat, long long n_qualities, const double *dbsum_row,
-    const double *switch_row, const double *buffer_s, const double *pred,
-    const long long *last_q, double capacity, double chunk_dur,
-    double rebuffer_penalty, double switch_penalty, long long *out);
-"""
 
 C_HELPERS = r"""
-/* ABR decision kernels: C transcription of the Python mirrors in
- * repro/abr/_decisions.py.  Like the replay kernel, compiled WITHOUT
+/* ABR decision cores: C transcription of the Python cores in
+ * repro/abr/_decisions.py.  Like the download core, compiled WITHOUT
  * fast-math or FMA contraction so every double op matches NumPy's. */
 
 static int64_t bba_one(double buf, double reservoir, double upper,
@@ -363,148 +272,11 @@ static int64_t mpc_decide_one(double b0, double p, int64_t lq, int64_t n,
 }
 """
 
-_C_ENTRY = r"""
-long long bba_decide(long long n_lanes, const double *buffer_s,
-    double reservoir, double upper, long long lowest, long long highest,
-    double r_min, double r_max, const double *rates, long long n_qualities,
-    long long *out) {
-    for (int64_t k = 0; k < n_lanes; k++)
-        out[k] = bba_one(buffer_s[k], reservoir, upper, lowest, highest,
-                         r_min, r_max, rates, n_qualities);
-    return 0;
-}
-
-long long bola_decide(long long n_lanes, const double *buffer_s,
-    const double *weights, const double *sizes, long long n_qualities,
-    long long *out) {
-    for (int64_t k = 0; k < n_lanes; k++)
-        out[k] = bola_one(buffer_s[k], weights, sizes, n_qualities);
-    return 0;
-}
-
-long long mpc_observe_predict(long long n_lanes, const double *hist,
-    double *errs, double *last_pred, long long n_obs, long long window,
-    long long error_window, double cold_start, double *out_pred) {
-    for (int64_t k = 0; k < n_lanes; k++) {
-        double pred = mpc_obs_pred_one(
-            hist + k * window, errs + k * error_window, last_pred[k],
-            n_obs, window, error_window, cold_start);
-        last_pred[k] = pred;
-        out_pred[k] = pred;
-    }
-    return 0;
-}
-
-long long mpc_decide(long long n_lanes, long long n, long long h,
-    long long n_seq, const long long *seq, const double *size_flat,
-    const double *db_flat, long long n_qualities, const double *dbsum_row,
-    const double *switch_row, const double *buffer_s, const double *pred,
-    const long long *last_q, double capacity, double chunk_dur,
-    double rebuffer_penalty, double switch_penalty, long long *out) {
-    for (int64_t k = 0; k < n_lanes; k++)
-        out[k] = mpc_decide_one(
-            buffer_s[k], pred[k], last_q[k], n, h, n_seq, seq, size_flat,
-            db_flat, n_qualities, dbsum_row, switch_row, capacity,
-            chunk_dur, rebuffer_penalty, switch_penalty);
-    return 0;
-}
-"""
-
-_C_SOURCE = "#include <stdint.h>\n" + C_HELPERS + _C_ENTRY
-
-_CC_LIB = CcLibrary("_decisions", _CDEF, _C_SOURCE)
-
 
 def backend() -> str:
-    """Which implementation serves the decision kernels right now."""
-    return _CC_LIB.backend(FORCE_PYTHON)
+    """The backend of the library these cores are compiled into:
+    :func:`repro.player._fused.backend`."""
+    # repro.player imports repro.abr, so the import waits for the call.
+    from ..player import _fused
 
-
-def use_kernel() -> bool:
-    """Whether the ABR batch deciders should route through the kernels.
-
-    True only for the cc build: the pure-Python mirror is a per-lane
-    scalar loop, so without the cc build the vectorised NumPy decisions
-    stay faster and remain the production path.
-    """
-    return backend() == "cc"
-
-
-def bba_decide(buffer_s, reservoir, upper, lowest, highest, r_min, r_max,
-               rates, out):
-    """Backend-dispatching BBA batch decision (writes ladder indices to
-    ``out``; int64, shape ``(K,)``)."""
-    if not FORCE_PYTHON:
-        lib = _CC_LIB.load()
-        if lib is not None:
-            fb = _CC_LIB.ffi.from_buffer
-            return lib.bba_decide(
-                buffer_s.shape[0], fb("double[]", buffer_s), reservoir,
-                upper, lowest, highest, r_min, r_max, fb("double[]", rates),
-                rates.shape[0], fb("long long[]", out),
-            )
-    return _bba_decide_mirror(
-        buffer_s, reservoir, upper, lowest, highest, r_min, r_max, rates, out
-    )
-
-
-def bola_decide(buffer_s, weights, sizes, out):
-    """Backend-dispatching BOLA batch decision."""
-    if not FORCE_PYTHON:
-        lib = _CC_LIB.load()
-        if lib is not None:
-            fb = _CC_LIB.ffi.from_buffer
-            return lib.bola_decide(
-                buffer_s.shape[0], fb("double[]", buffer_s),
-                fb("double[]", weights), fb("double[]", sizes),
-                weights.shape[0], fb("long long[]", out),
-            )
-    return _bola_decide_mirror(buffer_s, weights, sizes, out)
-
-
-def mpc_observe_predict(hist, errs, last_pred, n_obs, window, error_window,
-                        cold_start, out_pred):
-    """Backend-dispatching RobustMPC observe + predict for all lanes.
-
-    ``hist`` is the ``(K, window)`` observation ring (slot ``i % window``
-    of each row holds observation ``i``), ``errs`` the
-    ``(K, error_window)`` error ring — both updated in place along with
-    ``last_pred``.  Predictions land in ``out_pred``.
-    """
-    if not FORCE_PYTHON:
-        lib = _CC_LIB.load()
-        if lib is not None:
-            fb = _CC_LIB.ffi.from_buffer
-            return lib.mpc_observe_predict(
-                hist.shape[0], fb("double[]", hist), fb("double[]", errs),
-                fb("double[]", last_pred), n_obs, window, error_window,
-                cold_start, fb("double[]", out_pred),
-            )
-    return _mpc_observe_predict_mirror(
-        hist, errs, last_pred, n_obs, window, error_window, cold_start,
-        out_pred,
-    )
-
-
-def mpc_decide(n, h, n_seq, seq, size_flat, db_flat, n_qualities, dbsum_row,
-               switch_row, buffer_s, pred, last_q, capacity, chunk_dur,
-               rebuffer_penalty, switch_penalty, out):
-    """Backend-dispatching MPC horizon search for all lanes."""
-    if not FORCE_PYTHON:
-        lib = _CC_LIB.load()
-        if lib is not None:
-            fb = _CC_LIB.ffi.from_buffer
-            return lib.mpc_decide(
-                buffer_s.shape[0], n, h, n_seq, fb("long long[]", seq),
-                fb("double[]", size_flat), fb("double[]", db_flat),
-                n_qualities, fb("double[]", dbsum_row),
-                fb("double[]", switch_row), fb("double[]", buffer_s),
-                fb("double[]", pred), fb("long long[]", last_q), capacity,
-                chunk_dur, rebuffer_penalty, switch_penalty,
-                fb("long long[]", out),
-            )
-    return _mpc_decide_mirror(
-        n, h, n_seq, seq, size_flat, db_flat, n_qualities, dbsum_row,
-        switch_row, buffer_s, pred, last_q, capacity, chunk_dur,
-        rebuffer_penalty, switch_penalty, out,
-    )
+    return _fused.backend()

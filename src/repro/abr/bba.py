@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _decisions
 from .base import ABRAlgorithm, ABRContext, BatchABRContext
 
 __all__ = ["BBAAlgorithm"]
@@ -78,9 +77,9 @@ class BBAAlgorithm(ABRAlgorithm):
         return plan
 
     def decision_kernel_plan(self, video, capacity: float) -> tuple:
-        """Scalar plan consumed by the compiled decision / fused session
-        kernels: ``(reservoir, upper, lowest, highest, r_min, r_max,
-        rates)``."""
+        """Scalar plan consumed by the fused session kernel
+        (:mod:`repro.player._fused`): ``(reservoir, upper, lowest,
+        highest, r_min, r_max, rates)``."""
         plan = self._ensure_plan(video, capacity)
         _, _, reservoir, upper, lowest, highest, r_min, r_max, rates = plan
         return reservoir, upper, lowest, highest, r_min, r_max, rates
@@ -114,19 +113,11 @@ class BBAAlgorithm(ABRAlgorithm):
         per-instance scratch buffers: the ``searchsorted`` becomes one
         broadcast ``target >= rate`` table plus a row reduction
         (identical index arithmetic — both count the rates at or below
-        target).  When a compiled decision backend is live
-        (:mod:`repro.abr._decisions`) the whole decision is one kernel
-        call with zero NumPy dispatches."""
+        target)."""
         plan = self._ensure_plan(context.video, context.buffer_capacity_s)
         _, _, reservoir, upper, lowest, highest, r_min, r_max, rates = plan
 
         buffer_s = context.buffer_s
-        if out is not None and _decisions.use_kernel():
-            _decisions.bba_decide(
-                buffer_s, reservoir, upper, lowest, highest, r_min, r_max,
-                rates, out,
-            )
-            return out
         if out is None:
             fraction = (buffer_s - reservoir) / (upper - reservoir)
             target_rate = r_min + fraction * (r_max - r_min)

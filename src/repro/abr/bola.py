@@ -26,7 +26,6 @@ import math
 import numpy as np
 
 from ..video.chunks import Video
-from . import _decisions
 from .base import ABRAlgorithm, ABRContext, BatchABRContext
 
 __all__ = ["BOLAAlgorithm"]
@@ -132,7 +131,7 @@ class BOLAAlgorithm(ABRAlgorithm):
 
     def decision_kernel_weights(self, video: Video, capacity: float) -> np.ndarray:
         """Per-quality objective weights ``v * (utility + gp)`` consumed by
-        the compiled decision / fused session kernels."""
+        the fused session kernel (:mod:`repro.player._fused`)."""
         self._calibrate(video, capacity)
         return self._weights_arr
 
@@ -143,19 +142,10 @@ class BOLAAlgorithm(ABRAlgorithm):
 
         One ``(K, Q)`` drift-plus-penalty score matrix per chunk; the
         row-wise ``argmax`` keeps the first maximum, matching the scalar
-        loop's strict-improvement tie rule.  When a compiled decision
-        backend is live the score loop runs as one kernel call instead
-        of the ``(K, Q)`` matrix."""
+        loop's strict-improvement tie rule."""
         video = context.video
         self._calibrate(video, context.buffer_capacity_s)
         sizes = video.sizes_for_chunk(context.chunk_index)
-        if _decisions.use_kernel():
-            if out is None:
-                out = np.empty(context.n_lanes, dtype=np.int64)
-            _decisions.bola_decide(
-                context.buffer_s, self._weights_arr, sizes, out
-            )
-            return out
         scores = (self._weights_arr[None, :] - context.buffer_s[:, None]) / sizes[
             None, :
         ]

@@ -23,7 +23,6 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from ..video.ladder import ssim_to_db
-from . import _decisions
 from .base import (
     ABRAlgorithm,
     ABRContext,
@@ -85,15 +84,15 @@ def _video_tables(video, sequences: np.ndarray, n_qualities: int, horizon: int):
     return None if tables[0] is None else tables
 
 
-# Flattened per-chunk horizon-search workspaces for the compiled decision
-# and fused session kernels, keyed by the Video object (dies with it).
-# The entry for a (video, horizon) pair is ``None`` when the QoE tables
-# exceed the precomputation budget — callers then keep the NumPy path.
+# Flattened per-chunk horizon-search workspaces for the fused session
+# kernel, keyed by the Video object (dies with it).  The entry for a
+# (video, horizon) pair is ``None`` when the QoE tables exceed the
+# precomputation budget — such sessions then run the chunk loop.
 _KERNEL_PACKS: "WeakKeyDictionary" = WeakKeyDictionary()
 
 
 def _kernel_pack(video, horizon: int):
-    """Per-chunk flattened sequence/QoE tables for the compiled kernels.
+    """Per-chunk flattened sequence/QoE tables for the fused session kernel.
 
     Returns ``(meta, seq_flat, dbsum_flat, switch_flat, size_flat,
     db_flat)`` or ``None``.  ``meta[n]`` is ``[h_n, n_seq, seq_off,
@@ -214,14 +213,10 @@ class MPCAlgorithm(ABRAlgorithm):
         self._sequence_cache: dict[tuple[int, int], np.ndarray] = {}
         self._plan_cache: dict[tuple[int, int], tuple] = {}
         self._batch_scratch_cache: dict[tuple[int, int, int], tuple] = {}
-        # Predictor ring buffers + scratch for the compiled decision
-        # kernels, sized per lane count (see _choose_batch_kernel).
-        self._kernel_state: tuple | None = None
 
     def reset(self) -> None:
         self._predictor.reset()
         self._batch_predictor = None
-        self._kernel_state = None
 
     # ------------------------------------------------------------------
     def _sequences(self, n_qualities: int, horizon: int) -> np.ndarray:
@@ -367,17 +362,6 @@ class MPCAlgorithm(ABRAlgorithm):
             raise ValueError(f"chunk index {n} beyond video end")
         n_lanes = context.n_lanes
 
-        if self.robust and _decisions.use_kernel():
-            # RobustMPC through the compiled decision kernels: the
-            # predictor's observe/predict and the whole horizon search
-            # run per lane with zero NumPy dispatches.  (Plain MPC keeps
-            # the NumPy path: its un-discounted harmonic mean uses
-            # np.sum's pairwise reduction, which a sequential kernel
-            # loop cannot reproduce bit-for-bit at window 8.)
-            pack = _kernel_pack(video, self.horizon)
-            if pack is not None:
-                return self._choose_batch_kernel(context, pack, n)
-
         predictor = self._batch_predictor
         if predictor is None or predictor.n_lanes != n_lanes:
             scalar = self._predictor
@@ -480,75 +464,12 @@ class MPCAlgorithm(ABRAlgorithm):
 
     # ------------------------------------------------------------------
     def decision_kernel_pack(self, video):
-        """Flattened horizon-search tables consumed by the compiled
-        decision / fused session kernels, or ``None`` when this instance
-        cannot run in-kernel (plain MPC, or QoE tables over budget)."""
+        """Flattened horizon-search tables consumed by the fused session
+        kernel (:mod:`repro.player._fused`), or ``None`` when this
+        instance cannot run in-kernel: QoE tables over budget, or plain
+        MPC, whose un-discounted harmonic mean uses ``np.sum``'s pairwise
+        reduction, which the kernel's sequential loop cannot reproduce
+        bit for bit at window 8."""
         if not self.robust:
             return None
         return _kernel_pack(video, self.horizon)
-
-    def _choose_batch_kernel(
-        self, context: BatchABRContext, pack: tuple, n: int
-    ) -> np.ndarray:
-        """One lockstep decision through :mod:`repro.abr._decisions`.
-
-        Predictor state lives in flat per-lane ring buffers updated
-        inside the kernel: ``hist`` (observation window; slot
-        ``i % window`` holds observation ``i``), ``errs`` (error window;
-        slot ``(i - 1) % error_window`` holds the error recorded at
-        decision ``i``) and ``last_pred`` (the previous *unclamped*
-        prediction, ``-1`` before the first).  Every counter derives
-        from the observation count, so the state needs no side channel
-        — the fused session kernel advances the same buffers across a
-        whole session in one call.
-        """
-        video = context.video
-        meta, seq_flat, dbsum_flat, switch_flat, size_flat, db_flat = pack
-        n_lanes = context.n_lanes
-        scalar = self._predictor
-        window = scalar.window
-        error_window = scalar.error_window
-
-        state = self._kernel_state
-        if state is None or state[0] != n_lanes:
-            state = self._kernel_state = (
-                n_lanes,
-                np.empty((n_lanes, window)),
-                np.zeros((n_lanes, error_window)),
-                np.full(n_lanes, -1.0),
-                np.empty(n_lanes),
-                np.empty(n_lanes, dtype=np.int64),
-                np.full(n_lanes, -1, dtype=np.int64),
-            )
-        _, hist, errs, last_pred, pred, out, lastq_none = state
-
-        history = context.throughput_history_mbps
-        n_obs = len(history)
-        if n_obs:
-            hist[:, (n_obs - 1) % window] = history[-1]
-        _decisions.mpc_observe_predict(
-            hist, errs, last_pred, n_obs, window, error_window,
-            scalar.cold_start_mbps, pred,
-        )
-
-        if context.last_quality is None:
-            last_q = lastq_none
-        else:
-            last_q = np.ascontiguousarray(context.last_quality, dtype=np.int64)
-        h = int(meta[n, 0])
-        n_seq = int(meta[n, 1])
-        seq_off = int(meta[n, 2])
-        row_off = int(meta[n, 3])
-        _decisions.mpc_decide(
-            n, h, n_seq,
-            seq_flat[seq_off : seq_off + n_seq * h],
-            size_flat, db_flat, video.n_qualities,
-            dbsum_flat[row_off : row_off + n_seq],
-            switch_flat[row_off : row_off + n_seq],
-            np.ascontiguousarray(context.buffer_s), pred, last_q,
-            context.buffer_capacity_s, video.chunk_duration_s,
-            self.rebuffer_penalty, self.switch_penalty, out,
-        )
-        # The runner keeps the returned array as context.last_quality;
-        # hand it a copy so the reused scratch stays private.
-        return out.copy()

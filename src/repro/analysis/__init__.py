@@ -1,11 +1,12 @@
 """Static analysis for the kernel contracts (``repro lint``).
 
-The repo's four triple-backend kernel modules (:mod:`repro.tcp._compiled`,
-:mod:`repro.abr._decisions`, :mod:`repro.player._fused`,
-:mod:`repro.core._kernels`) rest on hand-maintained invariants — Python
-mirror ↔ native kernel structural parity, IEEE-strict arithmetic in the C
-transcriptions, allocation-free scratch paths, seed discipline — that the
-dynamic parity suites only catch *after* a drift has shipped.  This
+The repo's two native kernel modules (:mod:`repro.player._fused`, which
+compiles in the per-lane cores of :mod:`repro.tcp._compiled` and
+:mod:`repro.abr._decisions`, and :mod:`repro.core._kernels`) rest on
+hand-maintained invariants — Python mirror ↔ native kernel structural
+parity, IEEE-strict arithmetic in the C transcriptions, allocation-free
+scratch paths, seed discipline — that the dynamic parity suites only
+catch *after* a drift has shipped.  This
 package checks them statically, before any benchmark runs:
 
 * :mod:`repro.analysis.rules` — the rule registry.  Each rule is a class

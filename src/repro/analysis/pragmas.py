@@ -13,7 +13,11 @@ grep for the prefix finds every contract annotation in the tree):
 * ``# repro: kernel-module`` — at module level: opts the whole file into
   the determinism rules even outside the ``repro.core`` / ``repro.tcp``
   / ``repro.player`` / ``repro.abr`` package paths (used by fixtures and
-  out-of-tree kernels).
+  out-of-tree kernels), and into
+  :class:`~repro.analysis.rules.numerics.NoReassociatingReductions`
+  (NUM201) like a file that assigns ``_CDEF``.  The per-lane core
+  modules that :mod:`repro.player._fused` compiles in
+  (:mod:`repro.tcp._compiled`, :mod:`repro.abr._decisions`) carry it.
 
 and one suppression form, honoured by the driver:
 

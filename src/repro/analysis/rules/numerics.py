@@ -10,10 +10,12 @@ expression tree.  Two things break that silently:
 * a C build that drops IEEE strictness (``-ffast-math`` or fused
   multiply-adds), which reassociates on the native side instead.
 
-These rules pin both ends: every function of a kernel module (a file
-that assigns ``_CDEF``) accumulates with explicit loops, and every
-``CC_FLAGS``-style flag list keeps ``-fno-fast-math`` and
-``-ffp-contract=off``.
+These rules pin both ends: every function of a kernel module
+accumulates with explicit loops, and every ``CC_FLAGS``-style flag list
+keeps ``-fno-fast-math`` and ``-ffp-contract=off``.  A kernel module is
+a file that assigns ``_CDEF`` or carries the module-level
+``# repro: kernel-module`` pragma; the per-lane core modules that a
+``_CDEF`` module compiles into its library carry the pragma.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import ast
 
 from ..findings import Finding
+from ..pragmas import module_has_pragma
 from . import Rule, _iter_function_defs, register
 
 __all__ = ["CcFlagsStrict", "KernelBuildImport", "NoReassociatingReductions"]
@@ -43,13 +46,14 @@ def _assigns_cdef(tree: ast.Module) -> bool:
 class NoReassociatingReductions(Rule):
     id = "NUM201"
     description = (
-        "functions of kernel modules (files assigning _CDEF) must not use "
-        "reassociating reductions (builtin sum, math.fsum); accumulate "
-        "with an explicit loop so mirror and C run the same expression tree"
+        "functions of kernel modules (files assigning _CDEF or carrying the "
+        "kernel-module pragma) must not use reassociating reductions "
+        "(builtin sum, math.fsum); accumulate with an explicit loop so "
+        "mirror and C run the same expression tree"
     )
 
     def check(self, tree: ast.Module, source: str, path: str) -> list[Finding]:
-        if not _assigns_cdef(tree):
+        if not (_assigns_cdef(tree) or module_has_pragma(source, "kernel-module")):
             return []
         findings: list[Finding] = []
         seen: set[int] = set()

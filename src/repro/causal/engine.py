@@ -378,8 +378,8 @@ class CounterfactualEngine:
     engine runs (see ``repro.tcp.connection.KERNEL_TIERS``).  All tiers
     are bit-identical; ``"compiled"`` runs whole sessions — decisions
     included — in a single compiled call for the shipped
-    BBA/BOLA/RobustMPC algorithms, and batches each chunk download into
-    one compiled call otherwise.
+    BBA/BOLA/RobustMPC algorithms, and the scratch tier's chunk loop
+    otherwise.  It is the only tier that runs native replay code.
 
     ``abduction_kernel`` independently selects the abduction tier for the
     batched solve/sampling paths (see

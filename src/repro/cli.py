@@ -120,13 +120,13 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run Setting A and save session logs")
     sim.add_argument("--traces", type=positive_int, default=5)
     sim.add_argument("--duration-s", type=positive_float, default=900.0)
-    sim.add_argument("--seed", type=int, default=2023)
+    sim.add_argument("--seed", type=non_negative_int, default=2023)
     sim.add_argument("--out", type=Path, required=True)
 
     abd = sub.add_parser("abduct", help="infer GTBW traces from a saved log")
     abd.add_argument("log")
     abd.add_argument("--samples", type=positive_int, default=5)
-    abd.add_argument("--seed", type=int, default=0)
+    abd.add_argument("--seed", type=non_negative_int, default=0)
     abd.add_argument("--out", type=Path, default=None,
                      help="optional JSON file for the sampled traces")
 
@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     cf.add_argument("--traces", type=positive_int, default=5)
     cf.add_argument("--duration-s", type=positive_float, default=900.0)
     cf.add_argument("--samples", type=positive_int, default=5)
-    cf.add_argument("--seed", type=int, default=2023)
+    cf.add_argument("--seed", type=non_negative_int, default=2023)
     cf.add_argument(
         "--workers", type=positive_int, default=1,
         help="process-pool size for corpus evaluation (1 = serial; results "

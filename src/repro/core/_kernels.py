@@ -2,8 +2,8 @@
 
 Whole-stack transcriptions of the four abduction hot loops that dominate
 ``prepare_corpus`` (emission build, forward-backward, Viterbi, FFBS
-sampling), mirroring the proven :mod:`repro.tcp._compiled` /
-:mod:`repro.abr._decisions` pattern.  One call per same-length session
+sampling), following the pattern of the replay kernel in
+:mod:`repro.player._fused`.  One call per same-length session
 stack replaces the per-chunk NumPy dispatch of the batch implementations:
 
 * :func:`emission_log_probs` — the ``(M, K)`` log emission matrix for

@@ -264,7 +264,8 @@ class PiecewiseConstantTrace:
         otherwise the walk visits the following intervals one at a time
         against the precomputed cumulative-bytes integral.  This is the
         golden reference that :class:`TraceBatch`'s drains and the
-        compiled kernels transcribe (pinned by ``tests/test_batch_replay.py``).
+        compiled session kernel transcribe (pinned by
+        ``tests/test_batch_replay.py``).
         """
         if size_bytes < 0:
             raise ValueError(f"size must be non-negative, got {size_bytes}")

@@ -1,21 +1,22 @@
-"""Fused session kernel (the session half of the ``kernel="compiled"`` tier).
+"""Whole-session replay kernel (the native code of ``kernel="compiled"``).
 
 One call to :func:`run_session` advances a whole lane batch through an
 *entire* streaming session — per-chunk buffer/stall accounting, the ABR
 decision (BBA / BOLA / RobustMPC, including the harmonic-mean predictor's
 ring-buffer state), the TCP chunk download and every
 :class:`~repro.player.logs.SessionLogBatch` column write — with no
-per-chunk Python re-entry at all.  :mod:`repro.tcp._compiled` batches the
-*download* into one call per chunk; this kernel batches the remaining
-chunk → decision → chunk loop into one call per session, and
+per-chunk Python re-entry at all.
 :class:`~repro.player.batch_session.BatchStreamingSession` runs it on the
-compiled tier whenever every partition's ABR has a kernel plan.
+compiled tier whenever every partition's ABR has a kernel plan; a session
+it cannot plan runs the chunk loop on the scratch pass with the NumPy
+deciders, exactly what ``kernel="scratch"`` runs.  This is the only
+replay code that runs natively: the ``reference`` and ``scratch`` tiers
+run none.
 
-The kernel is the same scalar code the per-chunk loop runs:
+The kernel is the same scalar code the chunk loop evaluates:
 
 * the per-lane download core is :func:`repro.tcp._compiled._download_one`
-  (Python mirror) / ``download_one`` (C), shared with the per-chunk
-  compiled download;
+  (Python mirror) / ``download_one`` (C);
 * the per-lane decision cores are ``_bba_one`` / ``_bola_one`` /
   ``_mpc_obs_pred_one`` / ``_mpc_decide_one`` from
   :mod:`repro.abr._decisions` (Python) and its ``C_HELPERS`` fragment (C);
@@ -24,18 +25,18 @@ The kernel is the same scalar code the per-chunk loop runs:
   (``max(x, 0)`` clamps written as ``if x <= 0.0`` so signed zeros match
   ``np.maximum``).
 
-Backend detection mirrors :mod:`repro.tcp._compiled`: a cc + cffi build
-of the concatenated C fragments (compiled without fast-math / FMA
-contraction) when a C compiler and cffi are present, else the
-pure-Python mirror, which stays importable for parity tests via
-``FORCE_PYTHON``; :func:`available` is False without the cc build and
-the compiled tier then runs its per-chunk loop instead.
+The native backend is a cc + cffi build of the concatenated C fragments
+when a C compiler and cffi are present; the pure-Python mirror stays
+importable for parity tests via ``FORCE_PYTHON``.  :func:`available` is
+False without the cc build: an explicit ``kernel="compiled"`` then
+degrades to scratch with a warning, and the default picks scratch.
 
 Lanes are fully independent inside a session (the RTT estimator state is
 a precomputed shared sequence), so the kernel loops lane-outer /
-chunk-inner; element-wise results are order-independent and stay
-bit-identical to the lockstep per-chunk loops (documented cross-platform
-tolerance ``rtol=1e-12``, matching the compiled tier).
+chunk-inner; element-wise results are order-independent.  The C uses
+only IEEE-754 basic operations, no libm, and is built with
+``-fno-fast-math -ffp-contract=off``, so the native build, the mirror
+and the chunk loop produce bit-identical session logs.
 """
 
 from __future__ import annotations
@@ -168,8 +169,8 @@ def _run_session_mirror(
             lq = q
             size = size_flat[n * n_qualities + q]
 
-            # 3. Chunk download (shared per-lane core of the per-chunk
-            #    compiled download), with the logged pre-restart snapshot.
+            # 3. Chunk download (the per-lane core of repro.tcp._compiled),
+            #    with the logged pre-restart snapshot.
             idle = now - ls
             if idle < 0.0:
                 idle = 0.0
@@ -227,8 +228,8 @@ def _run_session_mirror(
 
 
 # ----------------------------------------------------------------------
-# cc + cffi backend: the fused loop transcribed to C, linked against the
-# exact same scalar helper fragments the per-chunk kernels compile.
+# cc + cffi backend: the fused loop transcribed to C, compiled together
+# with the C fragments of the per-lane cores it calls.
 # ----------------------------------------------------------------------
 
 _CDEF = """
@@ -258,7 +259,8 @@ long long run_session(
 _C_FUSED = r"""
 /* Fused session loop: C transcription of _run_session_mirror in
  * repro/player/_fused.py.  The download/decision helpers above are the
- * same fragments the per-chunk kernels compile. */
+ * C transcriptions of the per-lane cores in repro/tcp/_compiled.py and
+ * repro/abr/_decisions.py. */
 
 long long run_session(
     long long n_lanes, long long n_chunks, long long n_intervals,
@@ -392,6 +394,10 @@ _C_SOURCE = (
 )
 
 _CC_LIB = CcLibrary("_fused", _CDEF, _C_SOURCE)
+"""The one replay library, built once per source hash.  Any build failure
+— no compiler, no cffi, an unwritable cache dir, a compile error — is
+swallowed and remembered: the compiled tier then reports itself
+unavailable."""
 
 
 def backend() -> str:
@@ -400,11 +406,12 @@ def backend() -> str:
 
 
 def available() -> bool:
-    """Whether the compiled tier can run whole sessions in this kernel.
+    """Whether the compiled tier can be served.
 
     ``FORCE_PYTHON`` counts as available so parity tests can drive the
-    mirror end to end; without it the pure-Python mirror is a per-lane
-    per-chunk interpreter loop, so the per-chunk loop serves instead.
+    mirror end to end; without it only a loaded cc build does (the
+    mirror is a per-lane per-chunk interpreter loop, far slower than the
+    scratch tier).
     """
     return _CC_LIB.available(FORCE_PYTHON)
 

@@ -273,7 +273,7 @@ class BatchStreamingSession:
         connection = BatchTCPConnection(
             tb, rtt_s=self.rtt_s, start_time_s=0.0, kernel=self.kernel
         )
-        if connection.tier == "compiled" and _fused.available():
+        if connection.tier == "compiled":
             plan = _fused_plan(partitions, video, n_lanes)
             if plan is not None:
                 # The whole (lane-batch x session) loop in one compiled
@@ -283,8 +283,8 @@ class BatchStreamingSession:
                 ).run()
             # Some partition cannot run in-kernel (custom ABR, per-lane
             # scalar fallback, plain MPC, QoE tables over budget): the
-            # chunk loop below drives this session, with downloads on the
-            # compiled kernel.
+            # chunk loop below drives this session on the scratch pass
+            # with the NumPy deciders, exactly as kernel="scratch" does.
         runner = _ScratchRunner(
             self, partitions, single, capacity, abr_names, connection
         )

@@ -1,42 +1,30 @@
-"""Compiled chunk-download kernel (the ``kernel="compiled"`` tier).
+"""Per-lane TCP download cores linked into :mod:`repro.player._fused`.
 
-One call to :func:`download_chunk` advances a whole lane batch through one
-chunk download — slow-start-restart decay, the per-RTT window-limited
-round loop and the fluid drain — as straight-line scalar code per lane,
-with no NumPy ufunc dispatch at all.  The function is written as plain
-Python mirroring the scalar reference kernels in
-:mod:`repro.tcp.connection` / :mod:`repro.net.trace` float-for-float, and
-a line-for-line C transcription of that mirror is the native backend:
-when a C compiler and cffi are present it is compiled once into a small
-shared library (cached under :mod:`repro.util.compiled`'s ``_ccache``
-directory, or ``$REPRO_COMPILED_CACHE``) and called through cffi's ABI
-mode.  The build deliberately disables FMA contraction and fast-math
-(``-ffp-contract=off -fno-fast-math``) so every float64 operation is the
-same correctly-rounded IEEE-754 op the Python mirror performs, in the
-same order.
+The whole-session replay kernel (:func:`repro.player._fused.run_session`)
+downloads each chunk of each lane through the scalar core defined here:
+slow-start-restart decay, the per-RTT window-limited round loop and the
+fluid drain.  The core exists twice, in lockstep:
 
-Feature detection:
+* plain Python (:func:`_download_one` and its helpers), which mirrors the
+  scalar reference kernels in :mod:`repro.tcp.connection` /
+  :mod:`repro.net.trace` float for float and is what the session
+  kernel's mirror runs;
+* a line-for-line C transcription (:data:`C_DEFINES` + :data:`C_HELPERS`)
+  that ``_fused`` concatenates into the one shared library it builds.
 
-* the cc build loads -> ``backend()`` is ``"cc"``, ``available()`` is
-  True, ``BatchTCPConnection(kernel="compiled")`` runs it, and so does
-  the default ``kernel=None``;
-* no build -> the default picks the scratch tier and
-  ``BatchTCPConnection(kernel="compiled")`` falls back to it with a
-  warning.  The pure-Python mirror remains importable
-  so the parity suite can pin the kernel's logic bit-for-bit against the
-  reference implementation even on machines without any toolchain, and
-  tests may set ``FORCE_PYTHON = True`` to drive the compiled code path
-  end to end through the interpreter.
+The C uses only IEEE-754 basic operations, no libm, and is built with
+``-fno-fast-math -ffp-contract=off``, so every float64 operation is the
+same correctly-rounded op the mirror performs, in the same order: the
+two are bit-identical, and so are the session logs they produce.
 
-The C backend performs the same IEEE-754 float64 operations in the same
-order as the Python mirror, so results are expected bit-identical; the
-parity suite nevertheless documents a ``rtol=1e-12`` tolerance for the
-compiled tier to absorb libm/codegen differences across platforms.
+This module builds nothing itself.  :func:`backend` reports the backend
+of the library its cores are compiled into, ``player._fused``.
 """
+
+# repro: kernel-module
 
 from __future__ import annotations
 
-from ..util.compiled import CcLibrary
 from .constants import (
     INIT_CWND_SEGMENTS,
     MAX_CWND_SEGMENTS,
@@ -44,15 +32,7 @@ from .constants import (
     SLOW_START_GROWTH,
 )
 
-__all__ = [
-    "FORCE_PYTHON",
-    "available",
-    "backend",
-    "download_chunk",
-]
-
-FORCE_PYTHON = False
-"""Test hook: route ``kernel="compiled"`` through the Python mirror."""
+__all__ = ["C_DEFINES", "C_HELPERS", "backend"]
 
 _EPS_BYTES = 1e-9  # matches repro.net.trace._EPS_BYTES
 
@@ -142,9 +122,7 @@ def _download_one(
     """One lane's chunk download: restart decay plus the per-RTT loop.
 
     Returns ``(end, cwnd, ssthresh)`` — ``end < 0.0`` signals a transfer
-    that can never complete (zero trailing bandwidth).  Shared per-lane
-    scalar core of both the batch download kernel and the fused session
-    kernel, so the two stay float-for-float identical.
+    that can never complete (zero trailing bandwidth).
     """
     # RFC 2861 slow-start restart (mirrors apply_slow_start_restart).
     if idle > rto and c > INIT_CWND_SEGMENTS:
@@ -197,80 +175,14 @@ def _download_one(
     return end, c, st
 
 
-def _download_chunk_mirror(
-    bounds,
-    values2d,
-    rates2d,
-    cum2d,
-    sizes,
-    starts,
-    rtt,
-    rto,
-    cwnd,
-    ssthresh,
-    last_send,
-    ends,
-    idle_out,
-    cwnd_pre,
-    ssthresh_pre,
-):
-    """Advance every lane through one chunk download in one call.
-
-    ``cwnd`` / ``ssthresh`` / ``last_send`` are the live per-lane state
-    arrays, updated in place (``ends`` may alias ``last_send``: each
-    lane's prior send time is read before its end time is written).
-    ``idle_out`` / ``cwnd_pre`` / ``ssthresh_pre`` receive the logged
-    pre-restart snapshot columns.  Returns 0 on success, 1 when some
-    lane's transfer can never complete (zero trailing bandwidth).
-    """
-    n_lanes = sizes.shape[0]
-    n_intervals = values2d.shape[1]
-    for j in range(n_lanes):
-        start = starts[j]
-        size = sizes[j]
-        idle = start - last_send[j]
-        if idle < 0.0:
-            idle = 0.0
-        idle_out[j] = idle
-        cwnd_pre[j] = cwnd[j]
-        ssthresh_pre[j] = ssthresh[j]
-
-        end, c, st = _download_one(
-            bounds, values2d, rates2d, cum2d, n_intervals, j, start, size,
-            idle, rtt, rto, cwnd[j], ssthresh[j],
-        )
-        if end < 0.0:
-            return 1
-
-        cwnd[j] = c
-        ssthresh[j] = st
-        ends[j] = end
-    return 0
-
-
 # ----------------------------------------------------------------------
-# cc + cffi backend: a line-for-line C transcription of the mirror above,
-# built once at first use and loaded through cffi's ABI mode.
+# The C transcription of the cores above, in two fragments that
+# repro.player._fused concatenates into its own source.
 # ----------------------------------------------------------------------
-
-_CDEF = """
-long long download_chunk(
-    long long n_lanes, long long n_intervals,
-    const double *bounds, const double *values2d, const double *rates2d,
-    const double *cum2d, const double *sizes, const double *starts,
-    double rtt, double rto,
-    long long *cwnd, long long *ssthresh, double *last_send, double *ends,
-    double *idle_out, long long *cwnd_pre, long long *ssthresh_pre);
-"""
-
-# The C transcription is kept in reusable fragments: C_DEFINES + C_HELPERS
-# form the shared per-lane download core that the fused session kernel
-# (repro.player._fused) concatenates into its own source, so both shared
-# libraries are compiled from the exact same scalar code.
 
 C_DEFINES = (
     r"""
-/* Compiled replay kernel: C transcription of the Python mirror in
+/* Per-lane download core: C transcription of the Python helpers in
  * repro/tcp/_compiled.py.  Must be compiled WITHOUT fast-math or FMA
  * contraction so every double op is the same correctly-rounded IEEE-754
  * operation NumPy performs.  All quantities stay below 2^53, so the
@@ -421,102 +333,11 @@ static double download_one(const double *bounds, const double *values,
 }
 """
 
-_C_DOWNLOAD = r"""
-long long download_chunk(
-    long long n_lanes, long long n_intervals,
-    const double *bounds, const double *values2d, const double *rates2d,
-    const double *cum2d, const double *sizes, const double *starts,
-    double rtt, double rto,
-    long long *cwnd, long long *ssthresh, double *last_send, double *ends,
-    double *idle_out, long long *cwnd_pre, long long *ssthresh_pre) {
-    for (int64_t j = 0; j < n_lanes; j++) {
-        const double *values = values2d + j * n_intervals;
-        const double *rates = rates2d + j * n_intervals;
-        const double *cum = cum2d + j * (n_intervals + 1);
-        double start = starts[j];
-        double size = sizes[j];
-        double idle = start - last_send[j];
-        if (idle < 0.0) idle = 0.0;
-        idle_out[j] = idle;
-        int64_t c = cwnd[j];
-        int64_t st = ssthresh[j];
-        cwnd_pre[j] = c;
-        ssthresh_pre[j] = st;
-
-        double end = download_one(bounds, values, rates, cum, n_intervals,
-                                  start, size, idle, rtt, rto, &c, &st);
-        if (end < 0.0) return 1;
-
-        cwnd[j] = c;
-        ssthresh[j] = st;
-        ends[j] = end;
-    }
-    return 0;
-}
-"""
-
-_C_SOURCE = C_DEFINES + C_HELPERS + _C_DOWNLOAD
-
-_CC_LIB = CcLibrary("_replay", _CDEF, _C_SOURCE)
-"""The C kernel, built once per source hash.  Any build failure — no
-compiler, no cffi, unwritable cache dir, a compile error — is swallowed
-and remembered: the tier then reports itself unavailable and
-``kernel="compiled"`` falls back to scratch."""
-
 
 def backend() -> str:
-    """Which implementation serves :func:`download_chunk` right now."""
-    return _CC_LIB.backend(FORCE_PYTHON)
+    """The backend of the library these cores are compiled into:
+    :func:`repro.player._fused.backend`."""
+    # repro.player imports repro.tcp, so the import waits for the call.
+    from ..player import _fused
 
-
-def available() -> bool:
-    """Whether the compiled tier can serve ``kernel="compiled"`` requests."""
-    return _CC_LIB.available(FORCE_PYTHON)
-
-
-def download_chunk(
-    bounds,
-    values2d,
-    rates2d,
-    cum2d,
-    sizes,
-    starts,
-    rtt,
-    rto,
-    cwnd,
-    ssthresh,
-    last_send,
-    ends,
-    idle_out,
-    cwnd_pre,
-    ssthresh_pre,
-):
-    """Backend-dispatching entry point (see :func:`_download_chunk_mirror`)."""
-    if not FORCE_PYTHON:
-        lib = _CC_LIB.load()
-        if lib is not None:
-            ffi = _CC_LIB.ffi
-            fb = ffi.from_buffer
-            return lib.download_chunk(
-                sizes.shape[0],
-                values2d.shape[1],
-                fb("double[]", bounds),
-                fb("double[]", values2d),
-                fb("double[]", rates2d),
-                fb("double[]", cum2d),
-                fb("double[]", sizes),
-                fb("double[]", starts),
-                rtt,
-                rto,
-                fb("long long[]", cwnd),
-                fb("long long[]", ssthresh),
-                fb("double[]", last_send),
-                fb("double[]", ends),
-                fb("double[]", idle_out),
-                fb("long long[]", cwnd_pre),
-                fb("long long[]", ssthresh_pre),
-            )
-    return _download_chunk_mirror(
-        bounds, values2d, rates2d, cum2d, sizes, starts, rtt, rto,
-        cwnd, ssthresh, last_send, ends, idle_out, cwnd_pre, ssthresh_pre,
-    )
+    return _fused.backend()

@@ -20,23 +20,24 @@ chunks see throughput far below GTBW (Fig. 2(c)), idle gaps reset the
 window, and only > BDP transfers observe throughput close to GTBW.
 
 Three kernel tiers implement the batch replay, selected by the
-``kernel=`` argument of :class:`BatchTCPConnection`.  ``None`` picks the
-fastest tier this machine can build: ``"compiled"`` when the cc+cffi build
-of :mod:`repro.tcp._compiled` loads, else ``"scratch"``
+``kernel=`` argument of :class:`BatchTCPConnection` and
+:class:`~repro.player.batch_session.BatchStreamingSession`.  ``None``
+picks the fastest tier this machine can build: ``"compiled"`` when the
+cc+cffi build of :mod:`repro.player._fused` loads, else ``"scratch"``
 (:func:`resolve_kernel`):
 
-=========  ==============  ==================  ==================
-tier       job             batch download      session loop
-=========  ==============  ==================  ==================
-reference  golden          K scalar per-RTT    per-chunk loop
+=========  ==============  ===================  =====================
+tier       job             batch download       session loop
+=========  ==============  ===================  =====================
+reference  golden          K scalar per-RTT     per-chunk loop
            reference       loops
-scratch    portable NumPy  allocation-free     per-chunk loop
+scratch    portable NumPy  allocation-free      per-chunk loop
            (default        NumPy pass
            without cc)
-compiled   fastest native  one compiled call   one compiled call
-           (default with   per chunk           per session, else
-           cc)                                 the per-chunk loop
-=========  ==============  ==================  ==================
+compiled   fastest native  allocation-free      one compiled call per
+           (default with   NumPy pass           session, else the
+           cc)                                  scratch per-chunk loop
+=========  ==============  ===================  =====================
 
 * The **per-RTT loop** (:func:`_reference_download`) is the golden parity
   target every other path is pinned against.  It is also the one scalar
@@ -48,23 +49,27 @@ compiled   fastest native  one compiled call   one compiled call
   take a vectorised round skip, and the lanes it cannot resolve (a
   window-limited phase that crosses a trace interval, or outruns the
   ``_ScheduleTable`` horizon) spill to the per-RTT loop per lane.
-* The **compiled** tier runs :func:`repro.tcp._compiled.download_chunk`
-  per chunk, and :class:`~repro.player.batch_session.BatchStreamingSession`
-  runs the whole session in one :func:`repro.player._fused.run_session`
-  call whenever every partition's ABR has a kernel plan (the shipped
-  BBA/BOLA/RobustMPC).  Both kernels are cc + cffi builds of a C
-  transcription, made at first use; when the build fails (no C compiler
-  or no cffi), an explicit ``kernel="compiled"`` degrades to
-  ``"scratch"`` with a once-per-process ``RuntimeWarning``, and the
-  default picks ``"scratch"`` silently.  Either way
-  :attr:`BatchTCPConnection.tier` records the tier actually served.
+* The **compiled** tier runs the whole session in one
+  :func:`repro.player._fused.run_session` call whenever every
+  partition's ABR has a kernel plan (the shipped BBA/BOLA/RobustMPC);
+  any other session runs the per-chunk loop on the scratch pass with the
+  NumPy deciders, exactly what ``"scratch"`` runs.  ``run_session`` is
+  the only native replay code: ``"reference"`` and ``"scratch"`` run
+  none.  It is a cc + cffi build of a C transcription, made at first
+  use; when the build fails (no C compiler or no cffi), an explicit
+  ``kernel="compiled"`` degrades to ``"scratch"`` with a once-per-process
+  ``RuntimeWarning``, and the default picks ``"scratch"`` silently.
+  Either way :attr:`BatchTCPConnection.tier` records the tier actually
+  served.
 
 All tiers evaluate the same float predicates in the same order, so they
 produce batch columns and session logs bit-identical to scalar
-connections (see ``tests/test_replay_parity.py``, ``tests/test_batch_replay.py``;
-the compiled tier is pinned at a documented ``rtol=1e-12`` tolerance,
-bit-identical in practice on every platform we test).  Unknown kernel names
-raise ``ValueError`` at construction time, listing the available tiers.
+connections (see ``tests/test_replay_parity.py``,
+``tests/test_batch_replay.py``, ``tests/test_compiled_kernel.py``).  The
+compiled tier is bit-identical too: its C uses only IEEE-754 basic
+operations, no libm, and is built with ``-fno-fast-math
+-ffp-contract=off``.  Unknown kernel names raise ``ValueError`` at
+construction time, listing the available tiers.
 """
 
 from __future__ import annotations
@@ -81,7 +86,6 @@ from ..net.trace import (
 )
 from ..util.compiled import warn_fallback
 from ..util.units import mbps_to_bytes_per_sec, throughput_mbps
-from . import _compiled
 from .constants import (
     INIT_CWND_SEGMENTS,
     INITIAL_SSTHRESH_SEGMENTS,
@@ -108,17 +112,20 @@ def resolve_kernel(kernel: str | None) -> str:
     """Resolve ``kernel`` against the tier registry or raise ``ValueError``.
 
     ``None`` picks the fastest tier this machine can build: ``"compiled"``
-    when the cc+cffi build of :mod:`repro.tcp._compiled` loads (its
-    ``backend()`` is ``"cc"``; the first call builds it), else the
-    portable ``"scratch"``.  The default never warns; only an explicit
-    ``"compiled"`` that cannot be served degrades with a warning, in
-    :class:`BatchTCPConnection`.  All construction paths (batch
-    connections, batch sessions, the engine, the CLI) funnel through here
-    so an unknown name fails loudly with the list of available tiers
-    instead of silently running a default.
+    when the cc+cffi build of the one replay library,
+    :mod:`repro.player._fused`, loads (its ``backend()`` is ``"cc"``; the
+    first call builds it), else the portable ``"scratch"``.  The default
+    never warns; only an explicit ``"compiled"`` that cannot be served
+    degrades with a warning, in :class:`BatchTCPConnection`.  All
+    construction paths (batch connections, batch sessions, the engine,
+    the CLI) funnel through here so an unknown name fails loudly with the
+    list of available tiers instead of silently running a default.
     """
     if kernel is None:
-        return "compiled" if _compiled.backend() == "cc" else "scratch"
+        # repro.player imports this module, so the import waits for the call.
+        from ..player import _fused
+
+        return "compiled" if _fused.backend() == "cc" else "scratch"
     if kernel not in KERNEL_TIERS:
         raise ValueError(
             f"unknown kernel {kernel!r}; available tiers: {KERNEL_TIERS}"
@@ -496,11 +503,14 @@ class BatchTCPConnection:
     RTT, so their ``srtt``/``rto`` sequences are identical).
 
     Every tier advances all K lanes through one chunk per
-    :meth:`download_batch` call (see the tier table in the module
-    docstring) — results are bit-identical to K independent scalar
-    connections (see ``tests/test_batch_replay.py``).  :attr:`kernel` is
-    the requested tier (``None`` resolved by :func:`resolve_kernel`),
-    :attr:`tier` the one served.
+    :meth:`download_batch` call: ``"reference"`` on K scalar per-RTT
+    loops, ``"scratch"`` and ``"compiled"`` on the allocation-free NumPy
+    pass (the compiled tier's native code runs whole sessions, in
+    :class:`~repro.player.batch_session.BatchStreamingSession`; see the
+    tier table in the module docstring).  Results are bit-identical to K
+    independent scalar connections (see ``tests/test_batch_replay.py``).
+    :attr:`kernel` is the requested tier (``None`` resolved by
+    :func:`resolve_kernel`), :attr:`tier` the one served.
     """
 
     def __init__(
@@ -517,12 +527,15 @@ class BatchTCPConnection:
         self.rtt_s = rtt_s
         self.kernel = resolved
         # Effective tier: "compiled" degrades to "scratch" when the cc+cffi
-        # kernel is not buildable — the parity contract is unchanged
-        # either way, and a once-per-process RuntimeWarning surfaces the
-        # effective tier to operators.
-        if resolved == "compiled" and not _compiled.available():
-            warn_fallback("replay", "compiled", "scratch")
-            resolved = "scratch"
+        # session kernel is not buildable — the parity contract is
+        # unchanged either way, and a once-per-process RuntimeWarning
+        # surfaces the effective tier to operators.
+        if resolved == "compiled":
+            from ..player import _fused
+
+            if not _fused.available():
+                warn_fallback("replay", "compiled", "scratch")
+                resolved = "scratch"
         self._served = resolved
         n = batch.n_lanes
         self._shared = MutableTCPState(last_send_time_s=start_time_s)
@@ -534,11 +547,11 @@ class BatchTCPConnection:
         self._ws = batch.make_transfer_scratch()
         self._scratch = _BatchScratch(n)
         self._result = BatchDownloadResult()
-        self._download = {
-            "reference": self._download_reference,
-            "scratch": self._download_scratch,
-            "compiled": self._download_compiled,
-        }[resolved]
+        self._download = (
+            self._download_reference
+            if resolved == "reference"
+            else self._download_scratch
+        )
 
     @property
     def tier(self) -> str:
@@ -847,48 +860,6 @@ class BatchTCPConnection:
             np.add(rowk, kk, out=rowk)
             table.cwnds_flat.take(rowk, out=b.ti, mode="clip")
             np.copyto(cwnd, b.ti, where=gd)
-
-    # ------------------------------------------------------------------
-    # The compiled tier
-    # ------------------------------------------------------------------
-    # repro: scratch
-    def _download_compiled(
-        self, size_bytes: np.ndarray, start_times_s: np.ndarray
-    ) -> BatchDownloadResult:
-        """One compiled-kernel call advances every lane through the chunk."""
-        b = self._scratch
-        tb = self.batch
-        rtt = self.rtt_s
-        shared = self._shared
-        starts = np.asarray(start_times_s, dtype=float)
-        sizes = np.asarray(size_bytes, dtype=float)
-        srtt = shared.srtt_s
-        min_rtt = shared.min_rtt_s
-        rto = shared.rto_s
-        ends = self._last_send  # read-before-write per lane in the kernel
-        status = _compiled.download_chunk(
-            tb._bounds,
-            tb._values2d,
-            tb._rates2d,
-            tb._cum2d,
-            sizes,
-            starts,
-            rtt,
-            rto,
-            self._cwnd,
-            self._ssthresh,
-            self._last_send,
-            ends,
-            b.idle,
-            b.cwnd_pre,
-            b.ssthresh_pre,
-        )
-        if status:
-            raise RuntimeError(
-                "transfer cannot complete: trailing bandwidth is zero"
-            )
-        shared.observe_rtt(rtt)
-        return self._fill_result(starts, ends, sizes, srtt, min_rtt, rto)
 
     def _fill_result(self, starts, ends, sizes, srtt, min_rtt, rto):  # repro: scratch
         """Populate the reusable result record (columns alias buffers)."""

@@ -1,10 +1,12 @@
 """Shared build plumbing for the compiled kernels.
 
-Four modules ship a native kernel with the same two-backend contract —
-:mod:`repro.tcp._compiled` (chunk downloads), :mod:`repro.abr._decisions`
-(ABR decisions), :mod:`repro.player._fused` (whole sessions) and
+Two modules ship a native kernel with the same two-backend contract —
+:mod:`repro.player._fused` (whole replay sessions) and
 :mod:`repro.core._kernels` (abduction) — and this module owns the pieces
-they share:
+they share.  ``_fused`` compiles in the per-lane cores of
+:mod:`repro.tcp._compiled` (chunk downloads) and
+:mod:`repro.abr._decisions` (ABR decisions), which build nothing of
+their own and report ``_fused``'s backend.  The shared pieces are:
 
 * **cc + cffi builds** (:func:`build_cc_lib`, :class:`CcLibrary`) — when
   a C compiler and cffi are present, each kernel's line-for-line C
@@ -27,14 +29,21 @@ they share:
 
 Each kernel module keeps its own ``FORCE_PYTHON`` flag (tests monkeypatch
 them independently) and its own dispatchers; only the build machinery
-lives here.
+lives here.  ``_fused.FORCE_PYTHON`` drives the whole compiled replay
+tier through its Python mirror, cores included.
 
 Kernel contract
 ---------------
 
 Every kernel module carries four coupled artefacts that must stay in
 lockstep — ``repro lint`` (:mod:`repro.analysis`) enforces this shape
-statically, and the rules below are the written form of what it checks:
+statically, and the rules below are the written form of what it checks.
+A module may also take C fragments and their Python twins from a core
+module (``_fused`` concatenates ``repro.tcp._compiled.C_DEFINES`` /
+``C_HELPERS`` and ``repro.abr._decisions.C_HELPERS`` into its source and
+calls the matching Python helpers from its mirror); a core module
+carries the ``# repro: kernel-module`` pragma so rule ``NUM201`` checks
+it like the module that compiles it in:
 
 1. **``_CDEF``** — the cffi declaration string.  It is the single source
    of truth for kernel names, parameter names, parameter order and C
@@ -67,8 +76,8 @@ Supporting pragmas (all comments, all checked by ``repro lint``):
 ``# repro: scratch`` marks a function allocation-free (no
 ``np.zeros``/``np.empty``/... in the body), ``# repro: pool-worker``
 marks a supervisor-dispatched worker (no ``global`` mutation),
-``# repro: kernel-module`` opts a module outside ``repro.{core,tcp,
-player,abr}`` into the no-ambient-entropy rule.  A finding that is a
+``# repro: kernel-module`` opts a module into ``NUM201`` and, outside
+``repro.{core,tcp,player,abr}``, into the no-ambient-entropy rule.  A finding that is a
 deliberate exception is silenced line-scoped with
 ``# repro: ignore[RULE1,RULE2] -- reason``.
 """

@@ -75,16 +75,17 @@ class TestBackendConsistency:
 
     def test_all_kernel_modules_report_canonical_tiers(self):
         backends = {
-            "_compiled": _compiled.backend(),
-            "_decisions": _decisions.backend(),
             "_fused": _fused.backend(),
             "_kernels": _kernels.backend(),
         }
         for module, name in backends.items():
             assert name in BACKEND_NAMES, (module, name)
-        # One toolchain, one answer: every module feature-detects through
+        # One toolchain, one answer: both libraries feature-detect through
         # repro.util.compiled, so the resolved tier cannot differ.
         assert len(set(backends.values())) == 1, backends
+        # The per-lane core modules build nothing: they report the backend
+        # of the replay library they are compiled into.
+        assert _compiled.backend() == _decisions.backend() == _fused.backend()
 
     def test_force_python_reports_python(self, monkeypatch):
         force_python(monkeypatch)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.player.batch_session as batch_session_module
 import repro.player.logs as logs_module
 from repro import (
     BatchStreamingSession,
@@ -46,6 +45,7 @@ from repro import (
 )
 from repro.abr import BBAAlgorithm, BOLAAlgorithm, MPCAlgorithm
 from repro.net.trace import _EPS_BYTES, PiecewiseConstantTrace, boundary_key
+from repro.player import _fused
 from repro.player.batch_session import LaneGroup, abr_supports_batch_replay
 from repro.tcp.connection import KERNEL_TIERS
 
@@ -458,12 +458,12 @@ class TestKernelTierRegistry:
     """Construction-time validation of ``kernel=`` names (PR 6)."""
 
     def test_known_tiers(self):
-        from repro.tcp import _compiled
+        from repro.player import _fused
         from repro.tcp.connection import resolve_kernel
 
         assert KERNEL_TIERS == ("reference", "scratch", "compiled")
         # The default is the fastest tier the machine can build.
-        native = _compiled.backend() == "cc"
+        native = _fused.backend() == "cc"
         assert resolve_kernel(None) == ("compiled" if native else "scratch")
 
     def test_batch_connection_rejects_unknown_kernel(self):
@@ -506,15 +506,16 @@ class TestKernelTierRegistry:
 
 REPLAY_PATHS = ("reference", "scratch", "compiled", "fused")
 """Every session-replay path under parity: the three tiers, with
-``kernel="compiled"`` split into its two runners — ``"compiled"`` pins the
-per-chunk compiled download (no fused plan), ``"fused"`` the
-whole-session kernel."""
+``kernel="compiled"`` run on both backends of its whole-session kernel —
+``"compiled"`` on the Python mirror (``_fused.FORCE_PYTHON``, so every
+machine runs it), ``"fused"`` on the build this machine has (native
+where cc+cffi loads)."""
 
 
 def replay_kernel(path: str, monkeypatch) -> str:
     """The ``kernel=`` value that drives replay path ``path``."""
     if path == "compiled":
-        monkeypatch.setattr(batch_session_module, "_fused_plan", lambda *a: None)
+        monkeypatch.setattr(_fused, "FORCE_PYTHON", True)
     return "compiled" if path == "fused" else path
 
 

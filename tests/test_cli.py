@@ -66,6 +66,7 @@ class TestParser:
             ("--duration-s", "inf"),
             ("--buffer-s", "inf"),
             ("--shard-timeout", "inf"),
+            ("--seed", "-1"),
         ],
     )
     def test_counterfactual_numeric_flags_are_usage_errors(
@@ -87,6 +88,8 @@ class TestParser:
             (["simulate", "--out", "logs", "--duration-s", "0"], "--duration-s"),
             (["abduct", "session.json", "--samples", "0"], "--samples"),
             (["simulate", "--out", "logs", "--duration-s", "inf"], "--duration-s"),
+            (["simulate", "--out", "logs", "--seed", "-1"], "--seed"),
+            (["abduct", "session.json", "--seed", "-1"], "--seed"),
         ],
     )
     def test_simulate_and_abduct_numeric_flags_are_usage_errors(

@@ -1,28 +1,28 @@
-"""Tests for the compiled replay kernel tier (PR 6).
+"""Tests for the compiled replay tier.
 
-``repro.tcp._compiled`` keeps two interchangeable implementations of the
-whole-batch chunk-download kernel:
+The compiled tier's only native code is the whole-session kernel,
+``repro.player._fused.run_session``.  It keeps two interchangeable
+implementations:
 
-* the pure-Python mirror (always importable — the parity oracle),
-* a cc + cffi build of a line-for-line C transcription (when a C
-  compiler and cffi are present, as in the offline CI image).
+* the pure-Python mirror (always importable — the parity oracle, run
+  under ``_fused.FORCE_PYTHON``), which calls the per-lane download and
+  decision cores of ``repro.tcp._compiled`` and ``repro.abr._decisions``;
+* a cc + cffi build of a line-for-line C transcription of the mirror and
+  those cores (when a C compiler and cffi are present, as in the offline
+  CI image).
 
-This suite pins the active backend to the Python mirror bit-for-bit,
-exercises the feature-detection/fallback contract
-(``kernel="compiled"`` degrades to the scratch tier when no backend is
-buildable), and runs whole sessions through the compiled tier against
-serial replay.
-
-Tolerance note: the cc build executes the same correctly-rounded
-IEEE-754 float64 operations as the mirror in the same order (it
-disables FMA contraction and fast-math), so on the platforms we test
-results are bit-identical.  The documented cross-platform tolerance for
-the compiled tier is ``rtol=1e-12``; the dedicated tolerance test below
-asserts it explicitly while the lockstep tests pin exact equality.
+This suite pins the native build to the mirror bit for bit, exercises
+the feature-detection/fallback contract (``kernel="compiled"`` degrades
+to the scratch tier when no backend is buildable), checks that the
+``reference`` and ``scratch`` tiers run no native code, and runs whole
+sessions through the compiled tier against serial replay.  The C uses
+only IEEE-754 basic operations, no libm, and is built without FMA
+contraction or fast-math, so every comparison here is exact.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -36,10 +36,10 @@ from repro import (
     default_ladder,
 )
 from repro.abr import BBAAlgorithm, BOLAAlgorithm, MPCAlgorithm, _decisions
-from repro.abr import mpc as mpc_module
 from repro.net.trace import PiecewiseConstantTrace, TraceBatch
 from repro.player import _fused
 from repro.player.batch_session import LaneGroup
+from repro.player.logs import SessionLogBatch
 from repro.tcp import _compiled
 from repro.tcp.connection import BatchTCPConnection
 from repro.util import compiled as util_compiled
@@ -53,62 +53,67 @@ from test_batch_replay import (  # noqa: F401
 )
 
 
-def make_problem(seed: int, n_lanes: int = 13, n_intervals: int = 40):
-    """A random lane batch plus download state for the raw kernel call."""
+NATIVE = _fused.backend() == "cc"
+
+needs_native = pytest.mark.skipif(
+    not NATIVE, reason="no cc+cffi build of the session kernel on this machine"
+)
+
+
+def assert_batches_identical(got: SessionLogBatch, want: SessionLogBatch):
+    """Every column of two batch logs equal, bit for bit and dtype for dtype."""
+    for field in dataclasses.fields(SessionLogBatch):
+        a = getattr(got, field.name)
+        b = getattr(want, field.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype, field.name
+            assert np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+def random_lanes(seed: int, n_lanes: int, n_intervals: int = 40):
+    """Shared-grid lanes with irregular interval widths, interior zero
+    intervals and a positive tail (every transfer terminates)."""
     rng = np.random.default_rng(seed)
     bounds = np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 3.0, n_intervals))))
-    values2d = rng.uniform(0.0, 8.0, (n_lanes, n_intervals))
-    values2d[rng.random((n_lanes, n_intervals)) < 0.1] = 0.0
-    values2d[:, -1] = np.maximum(values2d[:, -1], 0.5)  # transfers terminate
-    widths = np.diff(bounds)
-    rates2d = values2d * 1_000_000 / 8
-    cum2d = np.concatenate(
-        [np.zeros((n_lanes, 1)), np.cumsum(rates2d * widths, axis=1)], axis=1
-    )
-    cwnd = np.full(n_lanes, 10, dtype=np.int64)
-    cwnd[n_lanes // 2] = 500  # one lane deep into a grown window
-    ssthresh = np.full(n_lanes, 100, dtype=np.int64)
-    ssthresh[n_lanes // 2] = 4
-    last_send = rng.uniform(0.0, 5.0, n_lanes)
-    sizes = 10 ** rng.uniform(4.0, 6.8, n_lanes)
-    starts = last_send + rng.uniform(0.0, 1.0, n_lanes)  # idle gaps: restarts
-    return bounds, values2d, rates2d, cum2d, cwnd, ssthresh, last_send, sizes, starts
+    traces = []
+    for _ in range(n_lanes):
+        values = rng.uniform(0.0, 8.0, n_intervals)
+        values[rng.random(n_intervals) < 0.1] = 0.0
+        values[-1] = max(values[-1], 0.5)
+        traces.append(PiecewiseConstantTrace(bounds, values))
+    return traces
 
 
-def run_kernel(problem, force_python: bool, monkeypatch):
-    bounds, values2d, rates2d, cum2d, cwnd, ssthresh, last_send, sizes, starts = (
-        problem
-    )
-    monkeypatch.setattr(_compiled, "FORCE_PYTHON", force_python)
-    n = sizes.shape[0]
-    cwnd, ssthresh, last_send = cwnd.copy(), ssthresh.copy(), last_send.copy()
-    ends, idle = np.empty(n), np.empty(n)
-    cwnd_pre = np.empty(n, dtype=np.int64)
-    ssthresh_pre = np.empty(n, dtype=np.int64)
-    status = _compiled.download_chunk(
-        bounds, values2d, rates2d, cum2d, sizes, starts, 0.08, 0.2,
-        cwnd, ssthresh, last_send, ends, idle, cwnd_pre, ssthresh_pre,
-    )
-    return status, cwnd, ssthresh, ends, idle, cwnd_pre, ssthresh_pre
+def run_on_backends(run, monkeypatch):
+    """``run()`` on the native build, then on the mirror."""
+    monkeypatch.setattr(_fused, "FORCE_PYTHON", False)
+    native = run()
+    monkeypatch.setattr(_fused, "FORCE_PYTHON", True)
+    return native, run()
 
 
 class TestBackendDispatch:
     def test_backend_is_known(self):
-        assert _compiled.backend() in ("python", "cc")
+        assert _fused.backend() in ("python", "cc")
+        # The per-lane core modules build nothing: they report the
+        # backend of the library they are compiled into.
+        assert _compiled.backend() == _decisions.backend() == _fused.backend()
 
     def test_available_tracks_backend(self):
         # available() must agree with the dispatcher: a non-Python backend
         # means the tier is servable, FORCE_PYTHON means it always is.
-        if _compiled.backend() != "python":
-            assert _compiled.available()
+        if _fused.backend() != "python":
+            assert _fused.available()
 
     def test_force_python_makes_tier_available(self, monkeypatch):
-        monkeypatch.setattr(_compiled, "FORCE_PYTHON", True)
-        assert _compiled.available()
-        assert _compiled.backend() == "python"
+        monkeypatch.setattr(_fused, "FORCE_PYTHON", True)
+        assert _fused.available()
+        assert _fused.backend() == "python"
 
     def test_unavailable_compiled_falls_back_to_scratch(self, monkeypatch):
-        monkeypatch.setattr(_compiled, "available", lambda: False)
+        monkeypatch.setattr(_fused, "available", lambda: False)
         monkeypatch.setattr(util_compiled, "_FALLBACK_WARNED", set())
         batch = TraceBatch(lane_traces(3))
         with pytest.warns(RuntimeWarning, match='"compiled".*"scratch"'):
@@ -135,45 +140,58 @@ class TestBackendDispatch:
         blocked = tmp_path / "blocked"
         blocked.write_text("not a directory")  # makedirs fails even as root
         monkeypatch.setenv("REPRO_COMPILED_CACHE", str(blocked / "cache"))
-        fresh = util_compiled.CcLibrary(
-            "_replay", _compiled._CDEF, _compiled._C_SOURCE
-        )
-        monkeypatch.setattr(_compiled, "_CC_LIB", fresh)
-        assert _compiled._CC_LIB.load() is None
-        assert _compiled.backend() == "python"
-        assert not _compiled.available()
+        fresh = util_compiled.CcLibrary("_fused", _fused._CDEF, _fused._C_SOURCE)
+        monkeypatch.setattr(_fused, "_CC_LIB", fresh)
+        assert _fused._CC_LIB.load() is None
+        assert _fused.backend() == "python"
+        assert not _fused.available()
+        assert _compiled.backend() == _decisions.backend() == "python"
 
 
 class TestRawKernelParity:
-    @pytest.mark.skipif(
-        _compiled.backend() == "python",
-        reason="no compiled backend on this machine",
-    )
+    """The native session kernel against its Python mirror, bit for bit,
+    on random lane batches mixing all three in-kernel ABRs."""
+
+    @staticmethod
+    def _random_session(seed: int, video):  # noqa: F811
+        rng = np.random.default_rng(100 + seed)
+        traces = random_lanes(seed, n_lanes=9)
+        factories = [BBAAlgorithm, BOLAAlgorithm, MPCAlgorithm]
+        groups = [
+            LaneGroup(
+                factories[i],
+                SessionConfig(buffer_capacity_s=float(rng.uniform(4.0, 30.0))),
+                traces[3 * i : 3 * i + 3],
+            )
+            for i in range(3)
+        ]
+        return BatchStreamingSession.fused(video, groups, kernel="compiled")
+
+    @needs_native
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_backend_bit_identical_to_mirror(self, seed, monkeypatch):
-        problem = make_problem(seed)
-        mirror = run_kernel(problem, True, monkeypatch)
-        native = run_kernel(problem, False, monkeypatch)
-        assert mirror[0] == native[0] == 0
-        for got, want in zip(native[1:], mirror[1:]):
-            assert np.array_equal(got, want)
+    def test_backend_bit_identical_to_mirror(self, seed, video, monkeypatch):  # noqa: F811
+        native, mirror = run_on_backends(
+            lambda: self._random_session(seed, video).run(), monkeypatch
+        )
+        assert_batches_identical(native, mirror)
 
     def test_zero_trailing_bandwidth_status(self, monkeypatch):
-        problem = make_problem(4)
-        bounds, values2d = problem[0], problem[1].copy()
-        values2d[2, :] = 0.0  # one dead lane
-        widths = np.diff(bounds)
-        rates2d = values2d * 1_000_000 / 8
-        cum2d = np.concatenate(
-            [np.zeros((values2d.shape[0], 1)), np.cumsum(rates2d * widths, axis=1)],
-            axis=1,
-        )
-        sizes = problem[7].copy()
-        sizes[2] = 1e12
-        doomed = (bounds, values2d, rates2d, cum2d, *problem[4:7], sizes, problem[8])
-        assert run_kernel(doomed, True, monkeypatch)[0] == 1
-        if _compiled.backend() != "python":
-            assert run_kernel(doomed, False, monkeypatch)[0] == 1
+        """A lane whose bandwidth never resumes makes the kernel return
+        its status 1 on every backend, surfaced as the same RuntimeError
+        the chunk loop raises."""
+        dead = PiecewiseConstantTrace.from_uniform([0.4, 0.2, 0.0], 5.0)
+        live = PiecewiseConstantTrace.from_uniform([0.4, 0.2, 3.0], 5.0)
+        tiny = Video.generate(default_ladder(), duration_s=120.0, seed=13)
+        for force_python in (True, False) if NATIVE else (True,):
+            monkeypatch.setattr(_fused, "FORCE_PYTHON", force_python)
+            with pytest.raises(RuntimeError, match="trailing bandwidth"):
+                BatchStreamingSession(
+                    tiny,
+                    BBAAlgorithm,
+                    [live, dead],
+                    SessionConfig(buffer_capacity_s=5.0),
+                    kernel="compiled",
+                ).run()
 
     def test_batch_connection_raises_on_dead_lane(self, video):  # noqa: F811
         dead = PiecewiseConstantTrace.from_uniform([2.0, 1.0, 0.0], 5.0)
@@ -185,15 +203,15 @@ class TestRawKernelParity:
 class TestCompiledSessionParity:
     @pytest.mark.parametrize("abr_factory", [BBAAlgorithm, BOLAAlgorithm, MPCAlgorithm])
     def test_sessions_bit_identical_to_serial(self, video, abr_factory, monkeypatch):  # noqa: F811
-        """Shipped ABRs on ``kernel="compiled"``: the whole-session kernel,
-        then the per-chunk compiled loop with the fused plan withheld."""
+        """Shipped ABRs on ``kernel="compiled"``: the whole-session kernel
+        as built, then its Python mirror."""
         traces = lane_traces(6, seed=21)
         config = SessionConfig(buffer_capacity_s=5.0)
         serial = [
             StreamingSession(video, abr_factory(), trace, config).run()
             for trace in traces
         ]
-        for path in ("fused", "compiled"):  # "compiled" patches the plan out
+        for path in ("fused", "compiled"):  # "compiled" runs the mirror
             batch_log = BatchStreamingSession(
                 video, abr_factory, traces, config,
                 kernel=replay_kernel(path, monkeypatch),
@@ -204,7 +222,7 @@ class TestCompiledSessionParity:
     def test_force_python_sessions_bit_identical(self, video, monkeypatch):  # noqa: F811
         """The pure-Python mirror must satisfy the same session contract —
         this keeps the compiled code path testable with no toolchain."""
-        monkeypatch.setattr(_compiled, "FORCE_PYTHON", True)
+        monkeypatch.setattr(_fused, "FORCE_PYTHON", True)
         traces = lane_traces(5, seed=22)
         config = SessionConfig(buffer_capacity_s=6.0)
         batch_log = BatchStreamingSession(
@@ -215,27 +233,44 @@ class TestCompiledSessionParity:
             assert_logs_identical(serial, batch_log.lane(k))
 
     def test_documented_tolerance(self, video):  # noqa: F811
-        """The compiled tier's cross-platform guarantee is rtol=1e-12 on
-        every logged float column (bit-exact where we can test)."""
+        """The compiled tier's documented contract is bit-identity: every
+        float and int column of the batch log equals the scratch tier's,
+        for each in-kernel ABR."""
         traces = lane_traces(4, seed=23)
         config = SessionConfig(buffer_capacity_s=5.0)
-        compiled_log = BatchStreamingSession(
-            video, BBAAlgorithm, traces, config, kernel="compiled"
-        ).run()
-        scratch_log = BatchStreamingSession(
-            video, BBAAlgorithm, traces, config, kernel="scratch"
-        ).run()
-        np.testing.assert_allclose(
-            compiled_log.end_times_s, scratch_log.end_times_s, rtol=1e-12, atol=0.0
-        )
-        np.testing.assert_allclose(
-            compiled_log.rebuffer_s, scratch_log.rebuffer_s, rtol=1e-12, atol=0.0
-        )
-        assert np.array_equal(compiled_log.qualities, scratch_log.qualities)
+        for abr_factory in (BBAAlgorithm, BOLAAlgorithm, MPCAlgorithm):
+            compiled_log = BatchStreamingSession(
+                video, abr_factory, traces, config, kernel="compiled"
+            ).run()
+            scratch_log = BatchStreamingSession(
+                video, abr_factory, traces, config, kernel="scratch"
+            ).run()
+            assert_batches_identical(compiled_log, scratch_log)
+
+
+class TestNonNativeTiers:
+    """``reference`` and ``scratch`` run no native code on any machine, so
+    they stay an independent check on the compiled tier's C."""
+
+    @pytest.mark.parametrize("tier", ["reference", "scratch"])
+    def test_tier_runs_no_native_code(self, video, tier, monkeypatch):  # noqa: F811
+        def refuse(self):
+            raise AssertionError(f"{tier} tier loaded the native {self.stem} library")
+
+        monkeypatch.setattr(util_compiled.CcLibrary, "load", refuse)
+        traces = lane_traces(3, seed=24)
+        config = SessionConfig(buffer_capacity_s=8.0)
+        for abr_factory in (BBAAlgorithm, BOLAAlgorithm, MPCAlgorithm):
+            batch_log = BatchStreamingSession(
+                video, abr_factory, traces, config, kernel=tier
+            ).run()
+            for k, trace in enumerate(traces):
+                serial = StreamingSession(video, abr_factory(), trace, config).run()
+                assert_logs_identical(serial, batch_log.lane(k))
 
 
 # ----------------------------------------------------------------------
-# Compiled ABR decision kernels (PR 8).
+# The per-lane decision cores, compiled into the session kernel.
 # ----------------------------------------------------------------------
 
 
@@ -245,129 +280,72 @@ class TestDecisionKernelDispatch:
         assert _fused.backend() in ("python", "cc")
 
     def test_force_python_disables_kernels(self, monkeypatch):
-        """The mirror is a per-lane scalar loop, so FORCE_PYTHON keeps the
-        vectorised NumPy deciders in production — but the fused session
-        tier stays available (its mirror is still a valid backend)."""
-        monkeypatch.setattr(_decisions, "FORCE_PYTHON", True)
+        """``_fused.FORCE_PYTHON`` is the one hook: it routes the session
+        kernel, cores included, through the mirror, and the compiled tier
+        stays available (its mirror is still a valid backend)."""
         monkeypatch.setattr(_fused, "FORCE_PYTHON", True)
-        assert not _decisions.use_kernel()
         assert _decisions.backend() == "python"
+        assert _compiled.backend() == "python"
         assert _fused.available()
         assert _fused.backend() == "python"
 
-    def test_use_kernel_tracks_backend(self):
-        if _decisions.backend() != "python":
-            assert _decisions.use_kernel()
-        else:
-            assert not _decisions.use_kernel()
-
 
 class TestDecisionKernelParity:
-    """Raw mirror-vs-native parity for the decision kernels.
+    """Native-vs-mirror parity of each decision core, driven through the
+    only entry point that runs it, ``run_session``.
 
-    The session suites pin the kernels against serial replay end to end;
-    these tests pin the native backends against the Python mirror on the
-    bare arrays, including the in-place predictor ring updates.
+    The session suites pin the kernel against serial replay; these tests
+    pin the native build against the Python mirror on every column,
+    one in-kernel ABR at a time.
     """
 
-    pytestmark = pytest.mark.skipif(
-        _decisions.backend() == "python",
-        reason="no compiled decision backend on this machine",
-    )
+    pytestmark = needs_native
+
+    @staticmethod
+    def _assert_backends_agree(video, factory, traces, capacities, monkeypatch):  # noqa: F811
+        groups = [
+            LaneGroup(factory, SessionConfig(buffer_capacity_s=cap), traces)
+            for cap in capacities
+        ]
+
+        def run():
+            return BatchStreamingSession.fused(
+                video, groups, kernel="compiled"
+            ).run()
+
+        native, mirror = run_on_backends(run, monkeypatch)
+        assert_batches_identical(native, mirror)
 
     def test_bba_bit_identical(self, video, monkeypatch):  # noqa: F811
-        abr = BBAAlgorithm()
-        reservoir, upper, lowest, highest, r_min, r_max, rates = (
-            abr.decision_kernel_plan(video, 20.0)
+        """Buffers below the reservoir, above the upper threshold and in
+        between: capacities from 4 s to 40 s move the thresholds."""
+        self._assert_backends_agree(
+            video, BBAAlgorithm, random_lanes(5, 4), (4.0, 15.0, 40.0),
+            monkeypatch,
         )
-        rng = np.random.default_rng(0)
-        buffers = np.concatenate(
-            [rng.uniform(0.0, 25.0, 64), [0.0, reservoir, upper, 25.0]]
-        )
-        got = np.empty(buffers.shape[0], dtype=np.int64)
-        want = np.empty_like(got)
-        _decisions.bba_decide(
-            buffers, reservoir, upper, lowest, highest, r_min, r_max, rates, got
-        )
-        monkeypatch.setattr(_decisions, "FORCE_PYTHON", True)
-        _decisions.bba_decide(
-            buffers, reservoir, upper, lowest, highest, r_min, r_max, rates, want
-        )
-        assert np.array_equal(got, want)
 
     def test_bola_bit_identical(self, video, monkeypatch):  # noqa: F811
-        abr = BOLAAlgorithm()
-        weights = abr.decision_kernel_weights(video, 12.0)
-        rng = np.random.default_rng(1)
-        sizes = np.ascontiguousarray(video.sizes_for_chunk(3))
-        buffers = rng.uniform(0.0, 12.0, 48)
-        got = np.empty(48, dtype=np.int64)
-        want = np.empty_like(got)
-        _decisions.bola_decide(buffers, weights, sizes, got)
-        monkeypatch.setattr(_decisions, "FORCE_PYTHON", True)
-        _decisions.bola_decide(buffers, weights, sizes, want)
-        assert np.array_equal(got, want)
-
-    def test_mpc_observe_predict_bit_identical(self, monkeypatch):
-        """Predictions AND the in-place ring mutations (errs, last_pred)
-        must match the mirror at every step, including post-stall
-        observations (tiny throughputs → large relative errors)."""
-        window, error_window, cold_start = 5, 5, 1.0
-        rng = np.random.default_rng(2)
-        n_lanes, n_steps = 9, 12
-        obs = rng.uniform(0.05, 20.0, (n_steps, n_lanes))
-        obs[:, 0] = 1e-3  # starved lane: stall-like observations
-        states = {}
-        for force in (False, True):
-            hist = np.zeros((n_lanes, window))
-            errs = np.zeros((n_lanes, error_window))
-            last_pred = np.full(n_lanes, -1.0)
-            preds = np.empty((n_steps + 1, n_lanes))
-            monkeypatch.setattr(_decisions, "FORCE_PYTHON", force)
-            for n_obs in range(n_steps + 1):
-                if n_obs > 0:
-                    hist[:, (n_obs - 1) % window] = obs[n_obs - 1]
-                _decisions.mpc_observe_predict(
-                    hist, errs, last_pred, n_obs, window, error_window,
-                    cold_start, preds[n_obs],
-                )
-            states[force] = (preds, errs, last_pred)
-        for got, want in zip(states[False], states[True]):
-            assert np.array_equal(got, want)
+        self._assert_backends_agree(
+            video, BOLAAlgorithm, random_lanes(6, 4), (4.0, 12.0, 30.0),
+            monkeypatch,
+        )
 
     def test_mpc_decide_bit_identical(self, video, monkeypatch):  # noqa: F811
-        """The horizon search agrees with the mirror on every chunk —
-        including the end-of-video rows where the horizon truncates."""
-        pack = mpc_module._kernel_pack(video, 5)
-        assert pack is not None
-        meta, seq_flat, dbsum_flat, switch_flat, size_flat, db_flat = pack
-        n_chunks = meta.shape[0]
-        n_qualities = video.n_qualities
+        """The predictor rings and the horizon search, including the
+        end-of-video rows where the horizon truncates and starved lanes
+        whose large relative errors shrink the robust prediction."""
         rng = np.random.default_rng(3)
-        k = 16
-        for n in [0, 1, n_chunks - 5, n_chunks - 2, n_chunks - 1]:
-            h, n_seq, seq_off, row_off = (int(x) for x in meta[n])
-            buffers = rng.uniform(0.0, 10.0, k)
-            pred = rng.uniform(1e-4, 30.0, k)
-            last_q = rng.integers(-1, n_qualities, k).astype(np.int64)
-            seq = seq_flat[seq_off : seq_off + n_seq * h]
-            dbsum_row = dbsum_flat[row_off : row_off + n_seq]
-            switch_row = switch_flat[row_off : row_off + n_seq]
-            got = np.empty(k, dtype=np.int64)
-            want = np.empty_like(got)
-            monkeypatch.setattr(_decisions, "FORCE_PYTHON", False)
-            _decisions.mpc_decide(
-                n, h, n_seq, seq, size_flat, db_flat, n_qualities, dbsum_row,
-                switch_row, buffers, pred, last_q, 8.0,
-                video.chunk_duration_s, 100.0, 2.0, got,
-            )
-            monkeypatch.setattr(_decisions, "FORCE_PYTHON", True)
-            _decisions.mpc_decide(
-                n, h, n_seq, seq, size_flat, db_flat, n_qualities, dbsum_row,
-                switch_row, buffers, pred, last_q, 8.0,
-                video.chunk_duration_s, 100.0, 2.0, want,
-            )
-            assert np.array_equal(got, want)
+        starved = [
+            PiecewiseConstantTrace.from_uniform(rng.uniform(0.02, 0.15, 30), 5.0)
+            for _ in range(2)
+        ]
+        fast = [
+            PiecewiseConstantTrace.from_uniform(rng.uniform(0.5, 30.0, 30), 5.0)
+            for _ in range(2)
+        ]
+        self._assert_backends_agree(
+            video, MPCAlgorithm, starved + fast, (5.0, 20.0), monkeypatch
+        )
 
 
 def tie_video(n_chunks: int = 12) -> Video:
@@ -509,37 +487,34 @@ class TestFusedTier:
             assert_logs_identical(serial, batch_log.lane(k))
 
     def test_unavailable_fused_falls_back(self, video, monkeypatch):  # noqa: F811
-        """Without a session-kernel backend, ``kernel="compiled"`` quietly
-        runs the chunk loop on the per-chunk compiled download (the Python
-        mirror here, so every machine takes this path) — bit-identical to
-        serial replay, no warning."""
+        """Without a session-kernel backend, an explicit ``kernel="compiled"``
+        warns once and runs the scratch chunk loop, never the kernel —
+        bit-identical to serial replay."""
         monkeypatch.setattr(_fused, "available", lambda: False)
-        monkeypatch.setattr(_compiled, "FORCE_PYTHON", True)
-        calls = {"download_chunk": 0, "run_session": 0}
-        for module, name in ((_compiled, "download_chunk"), (_fused, "run_session")):
-            real = getattr(module, name)
+        monkeypatch.setattr(util_compiled, "_FALLBACK_WARNED", set())
+        calls = {"run_session": 0}
+        real = _fused.run_session
 
-            def counting(*args, _real=real, _name=name):
-                calls[_name] += 1
-                return _real(*args)
+        def counting(*args):
+            calls["run_session"] += 1
+            return real(*args)
 
-            monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(_fused, "run_session", counting)
         traces = lane_traces(3, seed=58)
         config = SessionConfig(buffer_capacity_s=5.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+        with pytest.warns(RuntimeWarning, match='"compiled".*"scratch"'):
             batch_log = BatchStreamingSession(
                 video, MPCAlgorithm, traces, config, kernel="compiled"
             ).run()
-        assert calls == {"download_chunk": video.n_chunks, "run_session": 0}
+        assert calls == {"run_session": 0}
         for k, trace in enumerate(traces):
             serial = StreamingSession(video, MPCAlgorithm(), trace, config).run()
             assert_logs_identical(serial, batch_log.lane(k))
 
     def test_fused_scalar_fallback_abr_uses_chunk_loop(self, video):  # noqa: F811
         """An ABR outside the fused kernel's reach (scalar decisions) on
-        kernel="compiled" silently takes the per-chunk loop on the same
-        connection — identical results, no error."""
+        kernel="compiled" silently takes the scratch chunk loop on the
+        same connection — identical results, no error."""
 
         class PinnedBBA(BBAAlgorithm):
             name = "pinned-bba"
@@ -558,7 +533,7 @@ class TestFusedTier:
 
     def test_fused_non_robust_mpc_uses_chunk_loop(self, video):  # noqa: F811
         """Plain (non-robust) MPC has no kernel pack, so the compiled tier
-        must fall back to the per-chunk loop and still match serial."""
+        must fall back to the scratch chunk loop and still match serial."""
         factory = lambda: MPCAlgorithm(robust=False)  # noqa: E731
         traces = lane_traces(3, seed=55)
         config = SessionConfig(buffer_capacity_s=8.0)
@@ -571,7 +546,7 @@ class TestFusedTier:
 
     def test_fused_mixed_mpc_horizons_use_chunk_loop(self, video):  # noqa: F811
         """Two MPC partitions with different horizons cannot share one
-        kernel pack; the fused plan rejects the mix and the per-chunk
+        kernel pack; the fused plan rejects the mix and the scratch chunk
         loop serves it bit-identically."""
         traces = lane_traces(4, seed=56)
         groups = [

@@ -28,8 +28,8 @@ from repro import (
 )
 from repro.core import _kernels
 from repro.core.abduction import resolve_abduction_kernel
+from repro.player import _fused
 from repro.player.metrics import QoEMetrics
-from repro.tcp import _compiled
 from repro.tcp.connection import resolve_kernel
 from repro.util import compiled as util_compiled
 
@@ -48,13 +48,13 @@ def corpus():
 
 def force_portable(monkeypatch):
     """Make both ladders' cc builds look absent (their mirrors serve)."""
-    monkeypatch.setattr(_compiled, "FORCE_PYTHON", True)
+    monkeypatch.setattr(_fused, "FORCE_PYTHON", True)
     monkeypatch.setattr(_kernels, "FORCE_PYTHON", True)
 
 
 class TestResolveDefault:
     @pytest.mark.skipif(
-        _compiled.backend() != "cc" or _kernels.backend() != "cc",
+        _fused.backend() != "cc" or _kernels.backend() != "cc",
         reason="needs the cc+cffi builds",
     )
     def test_native_build_picks_compiled(self):
@@ -68,7 +68,7 @@ class TestResolveDefault:
         # FORCE_PYTHON keeps available() true, so the rule must read
         # backend(): a default run must not land on the Python mirrors.
         force_portable(monkeypatch)
-        assert _compiled.available() and _kernels.available()
+        assert _fused.available() and _kernels.available()
         assert resolve_kernel(None) == "scratch"
         assert resolve_abduction_kernel(None) == "numpy"
 

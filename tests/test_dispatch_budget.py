@@ -115,10 +115,10 @@ class TestFusedDispatchBudget:
     """``kernel="compiled"``: one compiled call per session, no per-chunk
     Python re-entry (PR 8 acceptance criterion).
 
-    The first case pins the routing on the Python mirrors
-    (``FORCE_PYTHON`` on both the download and the session kernel
-    module), so it holds on every CI leg, toolchain or not; the second
-    repeats it on the native build where one loads.
+    The first case pins the routing on the session kernel's Python
+    mirror (``_fused.FORCE_PYTHON``), so it holds on every CI leg,
+    toolchain or not; the second repeats it on the native build where
+    one loads.
     """
 
     @staticmethod
@@ -173,9 +173,7 @@ class TestFusedDispatchBudget:
 
     def test_single_kernel_call_per_session(self, monkeypatch):
         from repro.player import _fused
-        from repro.tcp import _compiled
 
-        monkeypatch.setattr(_compiled, "FORCE_PYTHON", True)
         monkeypatch.setattr(_fused, "FORCE_PYTHON", True)
         self._assert_one_kernel_call(monkeypatch)
 

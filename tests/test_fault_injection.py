@@ -516,10 +516,11 @@ class TestCheckpointResume:
 class TestCompiledFallbackWarning:
     def test_warns_once_per_process(self, monkeypatch):
         from repro.net.trace import TraceBatch
-        from repro.tcp import _compiled, connection
+        from repro.player import _fused
+        from repro.tcp import connection
         from repro.util import compiled as util_compiled
 
-        monkeypatch.setattr(_compiled, "available", lambda: False)
+        monkeypatch.setattr(_fused, "available", lambda: False)
         monkeypatch.setattr(util_compiled, "_FALLBACK_WARNED", set())
         batch = TraceBatch(
             [PiecewiseConstantTrace.from_uniform([5.0, 5.0], 1.0)]

@@ -37,11 +37,18 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures" / "lint"
 
 RULE_IDS = [rule.id for rule in all_rules()]
 
+# The modules that assign _CDEF and build a native library.
+CDEF_MODULES = [
+    SRC / "repro" / "player" / "_fused.py",
+    SRC / "repro" / "core" / "_kernels.py",
+]
+
+# Every module NUM201 checks: the _CDEF modules plus the per-lane core
+# modules _fused compiles in, which carry the kernel-module pragma.
 KERNEL_MODULES = [
     SRC / "repro" / "tcp" / "_compiled.py",
     SRC / "repro" / "abr" / "_decisions.py",
-    SRC / "repro" / "player" / "_fused.py",
-    SRC / "repro" / "core" / "_kernels.py",
+    *CDEF_MODULES,
 ]
 
 
@@ -108,7 +115,7 @@ class TestSeededKernelDrift:
         return source[:start] + name + "_renamed" + source[end:]
 
     @pytest.mark.parametrize(
-        "module", KERNEL_MODULES, ids=lambda p: p.stem.lstrip("_")
+        "module", CDEF_MODULES, ids=lambda p: p.stem.lstrip("_")
     )
     def test_km104_catches_renamed_mirror_argument(self, module):
         source = module.read_text(encoding="utf-8")
@@ -151,17 +158,19 @@ class TestSeededKernelDrift:
         assert repr(helper) in found[0].message
 
     def test_km103_catches_dtype_drift(self):
-        source = (SRC / "repro" / "tcp" / "_compiled.py").read_text()
-        seeded = source.replace('fb("double[]", sizes)', 'fb("long long[]", sizes)')
+        source = (SRC / "repro" / "player" / "_fused.py").read_text()
+        seeded = source.replace(
+            'fb("double[]", rto_seq)', 'fb("long long[]", rto_seq)'
+        )
         assert seeded != source
         found = fires(seeded, "KM103")
         assert found and "declared double *" in found[0].message
 
     def test_km102_catches_c_source_drift(self):
-        source = (SRC / "repro" / "tcp" / "_compiled.py").read_text()
+        source = (SRC / "repro" / "player" / "_fused.py").read_text()
         # Rename a parameter in the C *definition* (followed by "{") only;
         # the cdef declaration (followed by ";") keeps the original name.
-        match = re.search(r"long long download_chunk\([^)]*\)[ \t\n]*\{", source)
+        match = re.search(r"long long run_session\([^)]*\)[ \t\n]*\{", source)
         assert match is not None
         block = match.group(0)
         seeded = source.replace(block, re.sub(r"\brtt\b", "rtt_s", block, count=1), 1)
@@ -170,14 +179,20 @@ class TestSeededKernelDrift:
         assert found and "disagrees with _CDEF" in found[0].message
 
     def test_kernel_modules_are_in_scope(self):
-        """All four kernel modules parse as kernel modules (have a _CDEF)."""
+        """Both native modules parse as kernel modules (have a _CDEF), and
+        both per-lane core modules opt into NUM201 by pragma."""
+        from repro.analysis.pragmas import module_has_pragma
         from repro.analysis.rules.kernel_mirror import _analyze
 
-        for module in KERNEL_MODULES:
+        for module in CDEF_MODULES:
             parsed = _analyze(ast.parse(module.read_text()))
             assert parsed is not None, module
             assert parsed.cdef_error is None
             assert parsed.functions and parsed.dispatchers
+        for module in set(KERNEL_MODULES) - set(CDEF_MODULES):
+            source = module.read_text()
+            assert _analyze(ast.parse(source)) is None, module
+            assert module_has_pragma(source, "kernel-module"), module
 
 
 class TestSuppressions:
@@ -317,7 +332,7 @@ class TestCParse:
             parse_cdef("typedef int x;")
 
     def test_parse_cdef_live_modules(self):
-        for module in KERNEL_MODULES:
+        for module in CDEF_MODULES:
             source = module.read_text(encoding="utf-8")
             match = re.search(r'_CDEF = """(.*?)"""', source, re.S)
             assert match is not None, module
