@@ -43,7 +43,8 @@ from repro import (
 SWEEP_QUERIES = ("bba", "bola", "bba", "bola", "bba")
 
 # The portable tiers, named where a gate times the lockstep batch paths
-# against the per-trace path on every machine, native build or not.
+# against the per-trace path (``use_batch=False``, the reference tiers) on
+# every machine, native build or not.
 PORTABLE_TIERS = {"kernel": "scratch", "abduction_kernel": "numpy"}
 
 
@@ -102,13 +103,14 @@ def test_query_sweep():
 def test_batch_replay():
     """Lockstep replay of a query sweep is >= 1.3x ``use_batch=False``.
 
-    Both engines run the portable tiers, so on every machine this gates
-    the scratch chunk loop, which also serves the compiled tier's
-    sessions that have no whole-session kernel plan.
+    The batch engine runs the portable tiers, so on every machine this
+    gates the scratch chunk loop, which also serves the compiled tier's
+    sessions that have no whole-session kernel plan; ``use_batch=False``
+    is the reference tiers, one scalar session per lane.
     """
     setting_a, settings_b, corpus = sweep_workload()
     batch = make_engine(**PORTABLE_TIERS)
-    serial = make_engine(use_batch=False, **PORTABLE_TIERS)
+    serial = make_engine(use_batch=False)
     prepared = batch.prepare_corpus(corpus, setting_a)
 
     best = best_times(
@@ -145,8 +147,8 @@ def test_kernel_tiers():
 def test_prepare_corpus():
     """Batch preparation and the abduction tiers.
 
-    Corpus-lockstep ``prepare_corpus`` is >= 1.3x the per-trace
-    ``use_batch=False`` pipeline, both on the portable tiers.  On
+    Corpus-lockstep ``prepare_corpus`` on the portable tiers is >= 1.3x
+    the per-trace ``use_batch=False`` pipeline (the reference tiers).  On
     pre-deployed logs, the abduction stage (``solve_batch`` +
     ``sample_traces_batch``) is >= 2.0x numpy on the compiled tier, and
     >= 1.0x the scalar reference on numpy.
@@ -160,7 +162,7 @@ def test_prepare_corpus():
         count=max(20, 2 * N_TRACES), duration_s=TRACE_DURATION_S, seed=CORPUS_SEED
     )
     batch = make_engine(**PORTABLE_TIERS)
-    serial = make_engine(use_batch=False, **PORTABLE_TIERS)
+    serial = make_engine(use_batch=False)
     prepare_s = best_times(
         {
             "batch": lambda: batch.prepare_corpus(corpus, setting_a),
@@ -174,10 +176,10 @@ def test_prepare_corpus():
     seeds = list(spawn_seeds(ENGINE_SEED, len(logs)))
 
     def abduct(tier: str):
-        solver = VeritasAbduction(paper_veritas_config(), kernel=tier)
+        solver = VeritasAbduction(paper_veritas_config())
 
         def run():
-            posteriors = solver.solve_batch(logs)
+            posteriors = solver.solve_batch(logs, kernel=tier)
             sample_traces_batch(posteriors, N_SAMPLES, seeds, kernel=tier)
 
         return run

@@ -78,8 +78,8 @@ class BatchABRContext:
     receive it as column rows: entry ``n`` of each history list is the
     ``(K,)`` per-lane observation for chunk ``n``, with lane ``k``'s value
     bit-identical to the scalar :class:`ABRContext` history entry.
-    Algorithms with per-session learning state that cannot be vectorised
-    run through the engine's automatic per-lane scalar fallback instead.
+    Algorithms with no ``choose_quality_batch`` never see this context:
+    the engine replays them on the scalar session, one per lane.
     """
 
     chunk_index: int
@@ -116,8 +116,8 @@ class ABRAlgorithm(ABC):
     one vectorised decision for all K lockstep lanes per chunk.  The
     contract is exactness: lane ``k`` of the returned array must equal what
     :meth:`choose_quality` would return for lane ``k``'s scalar context
-    (BBA and BOLA ship such implementations; anything else falls back to
-    per-lane scalar decisions automatically).
+    (BBA, BOLA and MPC ship such implementations; the engine replays
+    anything else on the scalar session, one per lane).
     """
 
     name: str = "abr"

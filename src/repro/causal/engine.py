@@ -25,7 +25,8 @@ the same path and stays bit-identical to evaluating each trace end to end.
 points take an ``on_error`` policy (``"raise"`` | ``"degrade"`` |
 ``"skip"``).  Under ``"degrade"``/``"skip"`` a trace that fails in the
 batch fast path is deterministically retried on the scalar reference path
-with the same seeds (bit-identical when it succeeds); under ``"skip"`` a
+(the ``"reference"`` replay tier, the scalar prepare) with the same seeds
+(bit-identical when it succeeds); under ``"skip"`` a
 trace whose scalar retry also fails is dropped with a structured
 :class:`~repro.runtime.faults.TraceFault` instead of killing the run, and
 every incident lands in the :class:`~repro.runtime.faults.FaultLog`
@@ -51,7 +52,12 @@ from pathlib import Path
 import numpy as np
 
 from ..baselines.observed import baseline_trace
-from ..core.abduction import VeritasAbduction, VeritasConfig, sample_traces_batch
+from ..core.abduction import (
+    VeritasAbduction,
+    VeritasConfig,
+    resolve_abduction_kernel,
+    sample_traces_batch,
+)
 from ..net.trace import PiecewiseConstantTrace, TraceBatch, boundary_key
 from ..net.validation import check_corpus, validate_corpus
 from ..runtime.checkpoint import CheckpointStore, fingerprint
@@ -101,9 +107,12 @@ def run_setting_batch(
 
     All lanes must share a boundary grid and the setting's ABR must pass
     :func:`~repro.player.batch_session.abr_supports_batch_replay`; lane
-    ``k`` of the result is bit-identical to ``run_setting`` over lane ``k``
-    under every replay kernel tier (``kernel=None`` picks the fastest
-    buildable tier, see :func:`~repro.tcp.connection.resolve_kernel`).
+    ``k`` of the result is bit-identical to :func:`run_setting` over lane
+    ``k``.  It serves the ``"scratch"`` and ``"compiled"`` tiers
+    (``kernel=None`` picks the fastest buildable one, see
+    :func:`~repro.tcp.connection.resolve_kernel`); ``kernel="reference"``
+    or an ABR the lockstep loop cannot drive is a ``ValueError``, because
+    that replay is :func:`run_setting` per lane.
     """
     session = BatchStreamingSession(
         video=setting.video,
@@ -334,19 +343,30 @@ def _prepared_from_payload(
     )
 
 
+_SCALAR_TYPES = (bool, int, float, str, type(None))
+
+
+def _scalar_attributes(obj) -> dict:
+    return {
+        key: value
+        for key, value in sorted(vars(obj).items())
+        if isinstance(value, _SCALAR_TYPES)
+    }
+
+
 def _abr_fingerprint(abr) -> str:
     """A stable identity string for an ABR instance.
 
     Captures the registered name plus every scalar attribute of a freshly
-    constructed instance — enough to distinguish parameterised variants
-    (e.g. different MPC horizons) without trying to hash arbitrary
-    objects.
+    constructed instance and of each object it owns (e.g. the window of
+    its throughput predictor) — enough to distinguish parameterised
+    variants (different MPC horizons, rate-based windows) without trying
+    to hash arbitrary objects.
     """
-    simple = {
-        key: value
-        for key, value in sorted(vars(abr).items())
-        if isinstance(value, (bool, int, float, str, type(None)))
-    }
+    simple = _scalar_attributes(abr)
+    for key, value in sorted(vars(abr).items()):
+        if hasattr(value, "__dict__"):
+            simple[key] = _scalar_attributes(value)
     return f"{abr.name}:{simple!r}"
 
 
@@ -360,26 +380,24 @@ class CounterfactualEngine:
     same ``spawn_seeds`` schedule and each per-trace step is deterministic
     given its seed, so pooled results are bit-identical to serial ones.
 
-    ``use_batch`` (the default) routes both halves of the pipeline
-    through the lockstep batch engine.  On the replay side, all lanes of
-    a query — truth, baseline and the K posterior samples, across every
-    trace being answered — are grouped by boundary grid and each group
-    advances chunk by chunk as one
-    :class:`~repro.player.batch_session.BatchStreamingSession`.  On the
-    preparation side, :meth:`prepare_corpus` deploys Setting A the same
-    way over the ground-truth traces and stacks same-shape session logs
-    through batched abduction and posterior sampling.  Both are
-    bit-identical to the per-lane/per-trace serial paths; ABRs the batch
-    loop cannot drive (``observe_download`` hooks) fall back to the
-    serial path automatically, so ``use_batch=False`` is only an escape
-    hatch for benchmarking the serial engine.
-
-    ``kernel`` selects the replay kernel tier for every batch session the
-    engine runs (see ``repro.tcp.connection.KERNEL_TIERS``).  All tiers
-    are bit-identical; ``"compiled"`` runs whole sessions — decisions
-    included — in a single compiled call for the shipped
-    BBA/BOLA/RobustMPC algorithms, and the scratch tier's chunk loop
-    otherwise.  It is the only tier that runs native replay code.
+    ``kernel`` selects the replay tier (see
+    ``repro.tcp.connection.KERNEL_TIERS``); all tiers are bit-identical.
+    On ``"scratch"`` and ``"compiled"``, all lanes of a query — truth,
+    baseline and the K posterior samples, across every trace being
+    answered — are grouped by boundary grid and each group advances chunk
+    by chunk as one
+    :class:`~repro.player.batch_session.BatchStreamingSession`;
+    ``"compiled"`` runs whole sessions — decisions included — in a single
+    compiled call for the shipped BBA/BOLA/RobustMPC algorithms, and the
+    scratch tier's chunk loop otherwise.  It is the only tier that runs
+    native replay code.  ``"reference"`` replays every lane on its own
+    scalar :class:`~repro.player.session.StreamingSession`
+    (:func:`run_setting` + ``compute_metrics``), and so does every tier
+    for a setting whose ABR the lockstep loop cannot drive (an
+    ``observe_download`` hook or no trusted vectorised decider, see
+    :func:`~repro.player.batch_session.abr_supports_batch_replay`).
+    :meth:`prepare_corpus` deploys Setting A the same way over the
+    ground-truth traces.
 
     ``abduction_kernel`` independently selects the abduction tier for the
     batched solve/sampling paths (see
@@ -395,8 +413,11 @@ class CounterfactualEngine:
 
     ``None`` on either ladder picks the fastest tier this machine can
     build — ``"compiled"`` where that ladder's cc+cffi build loads,
-    ``"scratch"`` / ``"numpy"`` elsewhere — silently; :attr:`kernel` and
-    :attr:`abduction_kernel` hold the tiers chosen.
+    ``"scratch"`` / ``"numpy"`` elsewhere — silently; :attr:`kernel` holds
+    the replay tier that serves (after any degrade) and
+    :attr:`abduction_kernel` the abduction tier chosen.
+    ``use_batch=False`` is another spelling of ``kernel="reference",
+    abduction_kernel="reference"`` and overrides the tiers passed.
 
     ``on_error`` sets the engine-wide fault policy (overridable per call):
     ``"raise"`` fail-stops (the default), ``"degrade"`` retries failing
@@ -430,12 +451,13 @@ class CounterfactualEngine:
             raise ValueError(f"n_samples must be >= 1, got {n_samples}")
         if n_workers is not None and n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+        if not use_batch:
+            kernel = abduction_kernel = "reference"
         self.kernel = resolve_kernel(kernel)
-        self.abduction = VeritasAbduction(veritas_config, kernel=abduction_kernel)
-        self.abduction_kernel = self.abduction.kernel
+        self.abduction_kernel = resolve_abduction_kernel(abduction_kernel)
+        self.abduction = VeritasAbduction(veritas_config)
         self.n_samples = n_samples
         self.n_workers = n_workers
-        self.use_batch = use_batch
         self.on_error = resolve_on_error(on_error)
         self.supervisor = SupervisorConfig(
             timeout_s=shard_timeout_s,
@@ -501,23 +523,18 @@ class CounterfactualEngine:
 
         The corpus-lockstep twin of :meth:`_prepare_trace`: ground-truth
         traces sharing a boundary grid deploy Setting A as one fused
-        :class:`~repro.player.batch_session.BatchStreamingSession`
-        (BBA/BOLA/MPC decide vectorised; other ABRs take the per-lane
-        scalar-decision fallback inside the batch loop), and the
-        resulting logs run
-        abduction and posterior sampling through the stacked inference
-        pipeline (:meth:`VeritasAbduction.solve_batch` /
-        :func:`~repro.core.abduction.sample_traces_batch`).  Every
-        per-trace output is bit-identical to :meth:`_prepare_trace` under
-        the same seed (pinned by ``tests/test_batch_prepare.py``); traces
-        with no same-grid peers, and everything when ``use_batch`` is off
-        or the ABR needs serial replay, fall back to the per-trace path.
+        :class:`~repro.player.batch_session.BatchStreamingSession`, and
+        the resulting logs run abduction and posterior sampling through
+        the stacked inference pipeline on the engine's abduction tier
+        (:meth:`VeritasAbduction.solve_batch` /
+        :func:`~repro.core.abduction.sample_traces_batch`).  Traces with no
+        same-grid peers deploy on the scalar session, and so does every
+        trace on the ``"reference"`` replay tier or under an ABR the
+        lockstep loop cannot drive.  Every per-trace output is
+        bit-identical to :meth:`_prepare_trace` under the same seed
+        (pinned by ``tests/test_batch_prepare.py``).
         """
-        if not self.use_batch or not abr_supports_batch_replay(setting_a.make_abr()):
-            return [
-                self._prepare_trace(i, traces[i], setting_a, seeds[i])
-                for i in indices
-            ]
+        lockstep = self._lockstep(setting_a, self.kernel)
 
         # 1. Deployment: one lockstep session per shared boundary grid
         #    (the corpus generators emit one uniform grid by construction,
@@ -528,11 +545,11 @@ class CounterfactualEngine:
         logs: "list[SessionLog | None]" = [None] * len(indices)
         metrics: "list[QoEMetrics | None]" = [None] * len(indices)
         for positions in groups.values():
-            if len(positions) == 1:
-                pos = positions[0]
-                log = run_setting(setting_a, traces[indices[pos]])
-                logs[pos] = log
-                metrics[pos] = compute_metrics(log)
+            if not lockstep or len(positions) == 1:
+                for pos in positions:
+                    log = run_setting(setting_a, traces[indices[pos]])
+                    logs[pos] = log
+                    metrics[pos] = compute_metrics(log)
                 continue
             lanes = [traces[indices[pos]] for pos in positions]
             log_batch = run_setting_batch(setting_a, lanes, kernel=self.kernel)
@@ -549,7 +566,9 @@ class CounterfactualEngine:
             baseline_trace(log, duration_s=horizon)
             for log, horizon in zip(logs, horizons)
         ]
-        posteriors = self.abduction.solve_batch(logs, trace_duration_s=horizons)
+        posteriors = self.abduction.solve_batch(
+            logs, trace_duration_s=horizons, kernel=self.abduction_kernel
+        )
         samples = sample_traces_batch(
             posteriors, self.n_samples, [seeds[i] for i in indices],
             kernel=self.abduction_kernel,
@@ -568,20 +587,28 @@ class CounterfactualEngine:
             for pos, i in enumerate(indices)
         ]
 
+    @staticmethod
+    def _lockstep(setting: Setting, kernel: str) -> bool:
+        """Whether ``setting`` replays in lockstep on replay tier ``kernel``."""
+        return kernel != "reference" and abr_supports_batch_replay(
+            setting.make_abr()
+        )
+
     def _replay_tasks(
-        self, tasks: "list[tuple[Setting, PiecewiseConstantTrace]]"
+        self, tasks: "list[tuple[Setting, PiecewiseConstantTrace]]", kernel: str
     ) -> "list[QoEMetrics]":
         """QoE metrics of one session per ``(setting, trace)`` task.
 
-        The batch path fuses tasks sharing a boundary grid, video, RTT and
-        request overhead into one lockstep replay — across *different*
-        settings (ABR / buffer capacity become per-partition / per-lane),
-        so a query sweep's truth, baseline and posterior-sample lanes all
-        amortise the chunk loop — and reads metrics straight off the
-        column logs.  Leftover singleton lanes, and every lane when
-        ``use_batch`` is off or a setting's ABR needs per-chunk feedback,
-        replay serially.  Both paths produce bit-identical metrics (pinned
-        by ``tests/test_batch_replay.py``).
+        On the ``"scratch"`` and ``"compiled"`` tiers, tasks sharing a
+        boundary grid, video, RTT and request overhead fuse into one
+        lockstep replay — across *different* settings (ABR / buffer
+        capacity become per-partition / per-lane), so a query sweep's
+        truth, baseline and posterior-sample lanes all amortise the chunk
+        loop — and metrics are read straight off the column logs.
+        Leftover singleton lanes, every lane on the ``"reference"`` tier
+        and every lane of a setting whose ABR the lockstep loop cannot
+        drive replay on the scalar session.  Both paths produce
+        bit-identical metrics (pinned by ``tests/test_batch_replay.py``).
         """
         metrics: "list[QoEMetrics | None]" = [None] * len(tasks)
         batchable: dict[int, bool] = {}
@@ -594,9 +621,7 @@ class CounterfactualEngine:
             sid = id(setting)
             ok = batchable.get(sid)
             if ok is None:
-                ok = batchable[sid] = self.use_batch and abr_supports_batch_replay(
-                    setting.make_abr()
-                )
+                ok = batchable[sid] = self._lockstep(setting, kernel)
             if not ok:
                 metrics[i] = compute_metrics(run_setting(setting, trace))
                 continue
@@ -631,7 +656,7 @@ class CounterfactualEngine:
                     lane_groups[-1].traces.append(trace)
             video = tasks[indices[0]][0].video
             log_batch = BatchStreamingSession.fused(
-                video, lane_groups, kernel=self.kernel
+                video, lane_groups, kernel=kernel
             ).run()
             for i, m in zip(indices, compute_metrics_batch(log_batch)):
                 metrics[i] = m
@@ -641,6 +666,7 @@ class CounterfactualEngine:
         self,
         prepared_traces: "list[PreparedTrace]",
         settings_b: "list[Setting]",
+        kernel: str | None = None,
     ) -> "list[list[TraceCounterfactual]]":
         """Answer several Setting-B queries for several prepared traces.
 
@@ -651,7 +677,8 @@ class CounterfactualEngine:
         counterfactuals.  The reconstructions hold their final value
         beyond their span, so each lane is extended to its setting's
         replay horizon (three times Setting B's video, at least the
-        ground truth's span).
+        ground truth's span).  ``kernel`` overrides the engine's replay
+        tier.
         """
         tasks: "list[tuple[Setting, PiecewiseConstantTrace]]" = []
         lane_counts: "list[int]" = []
@@ -675,7 +702,7 @@ class CounterfactualEngine:
                 lane_counts.append(len(lanes))
                 tasks.extend((setting_b, lane) for lane in lanes)
 
-        metrics = self._replay_tasks(tasks)
+        metrics = self._replay_tasks(tasks, kernel or self.kernel)
 
         out: "list[list[TraceCounterfactual]]" = []
         pos = 0
@@ -699,35 +726,18 @@ class CounterfactualEngine:
         return out
 
     def _replay_prepared(
-        self, prepared: PreparedTrace, setting_b: Setting
+        self,
+        prepared: PreparedTrace,
+        setting_b: Setting,
+        kernel: str | None = None,
     ) -> TraceCounterfactual:
-        """Answer one Setting-B query from one trace's cached reconstructions."""
-        return self._replay_settings([prepared], [setting_b])[0][0]
+        """Answer one Setting-B query from one trace's cached reconstructions.
 
-    def _replay_prepared_serial(
-        self, prepared: PreparedTrace, setting_b: Setting
-    ) -> TraceCounterfactual:
-        """The scalar reference path for one (trace, setting) answer.
-
-        One :func:`run_setting` session per lane, no batching and no fast
-        kernels anywhere — the deterministic retry target the ``on_error``
-        degrade policy falls back to (bit-identical to the batch path by
-        the parity contract).
+        ``kernel="reference"`` is the scalar reference path the ``on_error``
+        degrade policy retries on: one :func:`run_setting` session per
+        lane, bit-identical to every other tier.
         """
-        gt = prepared.ground_truth
-        horizon = max(gt.end_time, 3.0 * setting_b.video.duration_s)
-        lanes = [gt.extended(horizon), prepared.baseline.extended(horizon)]
-        lanes.extend(s.extended(horizon) for s in prepared.samples)
-        metrics = [
-            compute_metrics(run_setting(setting_b, lane)) for lane in lanes
-        ]
-        return TraceCounterfactual(
-            trace_index=prepared.trace_index,
-            setting_a_metrics=prepared.setting_a_metrics,
-            truth_metrics=metrics[0],
-            baseline_metrics=metrics[1],
-            veritas_metrics=tuple(metrics[2:]),
-        )
+        return self._replay_settings([prepared], [setting_b], kernel)[0][0]
 
     # ------------------------------------------------------------------
     # Fault-isolation wrappers: same work as the methods they wrap, but a
@@ -830,7 +840,7 @@ class CounterfactualEngine:
             return self._replay_prepared(prepared, setting_b), []
         except Exception as batch_exc:
             try:
-                outcome = self._replay_prepared_serial(prepared, setting_b)
+                outcome = self._replay_prepared(prepared, setting_b, "reference")
             except Exception as exc:
                 if policy == "degrade":
                     raise
@@ -917,14 +927,15 @@ class CounterfactualEngine:
         ``on_error="skip"`` drops neighbours — and downstream replays are
         bit-identical to the end-to-end path.
 
-        With ``use_batch`` (the default) the preparation itself runs
-        corpus-lockstep: same-grid traces deploy Setting A as one fused
-        batch session and same-shape logs share stacked abduction and
-        sampling passes (see :meth:`_prepare_traces`) — bit-identical to
-        the per-trace path.  ``n_workers`` > 1 splits the traces into
-        contiguous shards, one per worker, on the supervised fork pool;
-        each worker batches within its shard, so pooled results equal
-        serial ones float for float.
+        The preparation itself runs corpus-lockstep: same-grid traces
+        deploy Setting A as one fused batch session (on the ``"scratch"``
+        and ``"compiled"`` replay tiers) and same-shape logs share stacked
+        abduction and sampling passes on the abduction tier (see
+        :meth:`_prepare_traces`) — bit-identical to the per-trace path.
+        ``n_workers`` > 1 splits the traces into contiguous shards, one
+        per worker, on the supervised fork pool; each worker batches
+        within its shard, so pooled results equal serial ones float for
+        float.
 
         ``on_error`` (default: the engine-level policy) gates three fault
         classes: invalid input traces (NaN/Inf bandwidths etc. — rejected

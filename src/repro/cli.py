@@ -29,6 +29,13 @@ reconstructions::
 
     python -m repro.cli counterfactual --query bba --query bola --query buffer
 
+``--kernel`` and ``--abduction-kernel`` pick the replay and abduction
+tiers; every tier prints the same report.  ``--kernel reference
+--abduction-kernel reference`` is the golden path: one scalar session per
+replay lane and one scalar solve per session log::
+
+    python -m repro.cli counterfactual --kernel reference --abduction-kernel reference
+
 Robustness knobs on ``counterfactual`` (see :mod:`repro.runtime`):
 ``--on-error skip`` keeps a corpus run alive across malformed traces and
 per-trace failures (degrading each casualty to the scalar reference path
@@ -157,12 +164,13 @@ def build_parser() -> argparse.ArgumentParser:
         # out of this message (results are bit-identical on every tier).
         # The default is stated in words: resolving it would build the
         # compiled kernel just to print --help.
-        help="replay kernel tier for batch preparation/replay: "
-             f"{', '.join(KERNEL_TIERS)} (default: compiled where its "
-             "cc+cffi build loads, else scratch; reference is the golden "
-             "per-RTT loop, compiled runs whole sessions natively and, when "
-             "asked for by name, falls back to scratch with a warning when "
-             "no compiled backend is available)",
+        help="replay kernel tier for Setting-A deployment and Setting-B "
+             f"replay: {', '.join(KERNEL_TIERS)} (default: compiled where "
+             "its cc+cffi build loads, else scratch; reference replays one "
+             "scalar session per lane on the golden per-RTT loop, scratch "
+             "replays lanes in lockstep with NumPy, compiled runs whole "
+             "sessions natively and, when asked for by name, falls back to "
+             "scratch with a warning when no compiled backend is available)",
     )
     cf.add_argument(
         "--abduction-kernel",
@@ -176,13 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
              "bit-identical with float posteriors within rtol=1e-12 and, "
              "when asked for by name, falls back to numpy with a warning "
              "when no compiled backend is available)",
-    )
-    cf.add_argument(
-        "--no-batch", action="store_true",
-        help="prepare and replay counterfactual sessions one trace/lane at "
-             "a time instead of in lockstep batches (the escape hatch "
-             "mirroring kernel=\"reference\"; results are bit-identical "
-             "either way)",
     )
     cf.add_argument(
         "--on-error",
@@ -348,7 +349,6 @@ def _cmd_counterfactual(args: argparse.Namespace) -> int:
         n_samples=args.samples,
         seed=args.seed,
         n_workers=args.workers,
-        use_batch=not args.no_batch,
         kernel=args.kernel,
         abduction_kernel=args.abduction_kernel,
         on_error=args.on_error,

@@ -1,8 +1,9 @@
 """Veritas core: the EHMM, its algorithms, and the abduction engine.
 
 The batched abduction paths run on one of three kernel tiers
-(:data:`ABDUCTION_TIERS`, selected via ``VeritasAbduction(kernel=...)``
-or the CLI ``--abduction-kernel`` flag): ``"reference"`` solves each log
+(:data:`ABDUCTION_TIERS`, selected via
+``VeritasAbduction.solve_batch(..., kernel=...)`` or the CLI
+``--abduction-kernel`` flag): ``"reference"`` solves each log
 with the scalar golden path, ``"numpy"`` runs the stacked recursions
 bit-identical to it, and ``"compiled"`` routes each stack through the
 :mod:`repro.core._kernels` cc+cffi build (integer outputs bit-identical,

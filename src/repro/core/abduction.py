@@ -18,12 +18,14 @@ Typical use::
     posterior = veritas.solve(session_log)
     traces = posterior.sample_traces(count=5, seed=0)
 
-Abduction kernel tiers (:data:`ABDUCTION_TIERS`), selected per engine via
-``VeritasAbduction(config, kernel=...)`` / the CLI ``--abduction-kernel``
-flag, mirroring the replay ``KERNEL_TIERS`` registry.  ``None`` picks the
-fastest tier this machine can build: ``"compiled"`` when the cc+cffi
-build of :mod:`repro.core._kernels` loads, else ``"numpy"``
-(:func:`resolve_abduction_kernel`):
+Abduction kernel tiers (:data:`ABDUCTION_TIERS`), selected per call via
+``VeritasAbduction.solve_batch(logs, kernel=...)`` /
+:func:`sample_traces_batch` (per engine via
+``CounterfactualEngine(abduction_kernel=...)`` / the CLI
+``--abduction-kernel`` flag), mirroring the replay ``KERNEL_TIERS``
+registry.  ``None`` picks the fastest tier this machine can build:
+``"compiled"`` when the cc+cffi build of :mod:`repro.core._kernels`
+loads, else ``"numpy"`` (:func:`resolve_abduction_kernel`):
 
 * ``"reference"`` — one scalar :meth:`VeritasAbduction.solve` per log;
   the retained golden path.
@@ -259,20 +261,15 @@ class VeritasPosterior:
 class VeritasAbduction:
     """End-to-end abduction engine (Fig. 6's "Veritas" box).
 
-    ``kernel`` picks the :data:`ABDUCTION_TIERS` entry the batched solve
-    path runs on (``None`` = the fastest buildable tier, see
-    :func:`resolve_abduction_kernel`; :attr:`kernel` holds the tier
-    chosen); scalar :meth:`solve` always takes the reference path
-    regardless.
+    Scalar :meth:`solve` always takes the reference path;
+    :meth:`solve_batch` takes its :data:`ABDUCTION_TIERS` entry per call.
+    Constructing one builds no compiled library, so callers that only
+    solve scalar (interventional predictors, EM, ``repro abduct``) never
+    load :mod:`repro.core._kernels`.
     """
 
-    def __init__(
-        self,
-        config: VeritasConfig | None = None,
-        kernel: "str | None" = None,
-    ):
+    def __init__(self, config: VeritasConfig | None = None):
         self.config = config or VeritasConfig()
-        self.kernel = resolve_abduction_kernel(kernel)
         self.grid = CapacityGrid(
             epsilon_mbps=self.config.epsilon_mbps,
             max_mbps=self.config.max_capacity_mbps,
@@ -348,6 +345,7 @@ class VeritasAbduction:
         self,
         logs: "list[SessionLog]",
         trace_duration_s: "float | list[float] | None" = None,
+        kernel: "str | None" = None,
     ) -> "list[VeritasPosterior]":
         """Infer GTBW posteriors for many session logs at once.
 
@@ -372,13 +370,15 @@ class VeritasAbduction:
         (up to ~0.8 MB x 128 sessions at paper scale); deep-copy the
         slices if one posterior must outlive the batch.
 
-        The engine's abduction tier governs the execution path: the
+        ``kernel`` picks the abduction tier (``None`` = the fastest
+        buildable tier, see :func:`resolve_abduction_kernel`): the
         ``"reference"`` tier solves each log scalar (the bit-identity
         yardstick), ``"numpy"`` runs the stacked recursions above, and
         ``"compiled"`` additionally routes each stack through
         :mod:`repro.core._kernels` (posteriors within ``rtol=1e-12``,
         Viterbi paths bit-identical).
         """
+        kernel = resolve_abduction_kernel(kernel)
         logs = list(logs)
         if not logs:
             raise ValueError("need at least one session log")
@@ -394,12 +394,12 @@ class VeritasAbduction:
                     f"for {len(logs)} logs"
                 )
 
-        if self.kernel == "reference":
+        if kernel == "reference":
             return [
                 self.solve(log, duration)
                 for log, duration in zip(logs, durations)
             ]
-        stack_kernel = self.kernel if self.kernel == "compiled" else None
+        stack_kernel = kernel if kernel == "compiled" else None
 
         problems = build_problems_batch(
             logs,

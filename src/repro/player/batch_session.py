@@ -28,17 +28,20 @@ This relies on three facts:
   (per-lane buffer capacities broadcast the same way);
 * the RTT estimator sees the same constant RTT once per chunk on every
   lane, so its state is a shared scalar, not a column;
-* ABR decisions either come from an exact vectorised
-  ``choose_quality_batch`` (BBA, BOLA — pure threshold/index arithmetic;
-  MPC — per-lane predictor state advanced in lockstep from column
-  observation histories) or fall back to per-lane scalar
-  ``choose_quality`` calls on per-lane contexts (custom ABRs) while
-  downloads and logging stay batched.
+* ABR decisions come from an exact vectorised ``choose_quality_batch``
+  (BBA, BOLA — pure threshold/index arithmetic; MPC — per-lane predictor
+  state advanced in lockstep from column observation histories).
 
-ABRs with an ``observe_download`` feedback hook (e.g. the
-Veritas-in-the-loop ABR) need materialized per-chunk records mid-session
-and are not batchable — :func:`abr_supports_batch_replay` reports this so
-callers can route those replays through the serial engine.
+The lockstep layer runs vectorised code only.  An ABR without a trusted
+``choose_quality_batch`` (rate-based, random, a subclass that overrides
+``choose_quality``), or with an ``observe_download`` feedback hook (e.g.
+the Veritas-in-the-loop ABR, which needs materialized per-chunk records
+mid-session), is rejected with ``ValueError``, as is the ``"reference"``
+tier: both replay on the scalar
+:class:`~repro.player.session.StreamingSession`, one per lane, through
+:func:`~repro.causal.engine.run_setting`.
+:func:`abr_supports_batch_replay` reports which ABRs qualify so callers
+can route the others.
 """
 
 from __future__ import annotations
@@ -48,13 +51,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..abr.base import ABRAlgorithm, ABRContext, BatchABRContext
+from ..abr.base import ABRAlgorithm, BatchABRContext
 from ..abr.bba import BBAAlgorithm
 from ..abr.bola import BOLAAlgorithm
 from ..abr.mpc import MPCAlgorithm
 from ..net.trace import PiecewiseConstantTrace, TraceBatch
 from ..tcp.connection import BatchTCPConnection, resolve_kernel
-from ..util.units import throughput_mbps
 from ..video.chunks import Video
 from . import _fused
 from .logs import SessionLogBatch
@@ -66,12 +68,15 @@ __all__ = ["BatchStreamingSession", "LaneGroup", "abr_supports_batch_replay"]
 def abr_supports_batch_replay(abr: ABRAlgorithm) -> bool:
     """Whether lockstep replay can drive ``abr``.
 
-    Anything without an ``observe_download`` feedback hook qualifies:
-    algorithms exposing ``choose_quality_batch`` decide vectorised, all
-    others transparently run per-lane scalar decisions inside the batch
-    loop.
+    It can when ``abr`` decides through a trusted vectorised
+    ``choose_quality_batch`` (:func:`_vectorised_decider`) and has no
+    ``observe_download`` feedback hook.  Every other ABR replays on the
+    scalar session, one per lane.
     """
-    return getattr(abr, "observe_download", None) is None
+    return (
+        getattr(abr, "observe_download", None) is None
+        and _vectorised_decider(abr) is not None
+    )
 
 
 def _vectorised_decider(abr: ABRAlgorithm):
@@ -81,9 +86,9 @@ def _vectorised_decider(abr: ABRAlgorithm):
     class that defined it.  A subclass that overrides ``choose_quality``
     but *inherits* ``choose_quality_batch`` (e.g. a tweaked BBA) would
     silently diverge from serial replay on the vectorised path, so such
-    algorithms are routed to the per-lane scalar fallback instead: the
-    batch method is only trusted when ``choose_quality`` is not overridden
-    below the class that defined it.
+    algorithms replay on the scalar session instead: the batch method is
+    only trusted when ``choose_quality`` is not overridden below the class
+    that defined it.
     """
     scalar_depth = batch_depth = None
     for depth, klass in enumerate(type(abr).__mro__):
@@ -118,16 +123,7 @@ class LaneGroup:
 class _Partition:
     """Runtime decision state for one lane group."""
 
-    __slots__ = (
-        "start",
-        "stop",
-        "choose_batch",
-        "context",
-        "lane_abrs",
-        "lane_contexts",
-        "name",
-        "wants_history",
-    )
+    __slots__ = ("start", "stop", "choose_batch", "context", "name", "wants_history")
 
     def __init__(self, start: int, stop: int, group: LaneGroup, video: Video):
         self.start = start
@@ -135,52 +131,24 @@ class _Partition:
         abr = group.abr_factory()
         if not abr_supports_batch_replay(abr):
             raise ValueError(
-                f"{abr.name}: observe_download hooks need materialized "
-                "records; replay this ABR with StreamingSession per lane"
+                f"{abr.name}: lockstep replay needs a trusted "
+                "choose_quality_batch and no observe_download hook; replay "
+                "this ABR with run_setting per lane"
             )
         self.name = abr.name
-        self.choose_batch = _vectorised_decider(abr)
-        if self.choose_batch is not None:
-            abr.reset()
-            self.context = BatchABRContext(
-                chunk_index=0,
-                buffer_s=np.zeros(stop - start),
-                buffer_capacity_s=group.config.buffer_capacity_s,
-                last_quality=None,
-                video=video,
-            )
-            # History-driven vectorised deciders (MPC's throughput
-            # predictor) get per-chunk (K,) observation rows appended
-            # after each download; threshold deciders skip the cost.
-            self.wants_history = bool(
-                getattr(abr, "uses_throughput_history", False)
-            )
-            self.lane_abrs = None
-            self.lane_contexts = None
-        else:
-            # Automatic per-lane scalar fallback (custom ABRs): one
-            # independent algorithm instance and context per lane, as
-            # serial replay would create, with downloads and logging still
-            # batched.
-            self.context = None
-            self.wants_history = False
-            self.lane_abrs = [abr] + [
-                group.abr_factory() for _ in range(stop - start - 1)
-            ]
-            self.lane_contexts = []
-            for lane_abr in self.lane_abrs:
-                lane_abr.reset()
-                self.lane_contexts.append(
-                    ABRContext(
-                        chunk_index=0,
-                        buffer_s=0.0,
-                        buffer_capacity_s=group.config.buffer_capacity_s,
-                        last_quality=None,
-                        video=video,
-                        throughput_history_mbps=[],
-                        download_time_history_s=[],
-                    )
-                )
+        self.choose_batch = abr.choose_quality_batch
+        abr.reset()
+        self.context = BatchABRContext(
+            chunk_index=0,
+            buffer_s=np.zeros(stop - start),
+            buffer_capacity_s=group.config.buffer_capacity_s,
+            last_quality=None,
+            video=video,
+        )
+        # History-driven vectorised deciders (MPC's throughput predictor)
+        # get per-chunk (K,) observation rows appended after each
+        # download; threshold deciders skip the cost.
+        self.wants_history = bool(getattr(abr, "uses_throughput_history", False))
 
 
 class BatchStreamingSession:
@@ -196,10 +164,14 @@ class BatchStreamingSession:
       differ in ABR and buffer capacity but must share the video, RTT and
       request overhead (the engine checks this when fusing queries).
 
-    All lanes must share one trace boundary grid.  ``abr_factory`` is
-    called once for batch-capable algorithms and once per lane for the
-    scalar fallback — exactly the per-session independence the serial
-    engine has.
+    All lanes must share one trace boundary grid, and every group's ABR
+    must pass :func:`abr_supports_batch_replay`; ``abr_factory`` is called
+    once per group per :meth:`run`.  The session serves the ``"scratch"``
+    and ``"compiled"`` tiers; :attr:`kernel` holds the tier that serves
+    (see :func:`~repro.tcp.connection.resolve_kernel`).  The
+    ``"reference"`` tier, like an ABR the lockstep loop cannot drive, is
+    a ``ValueError``: it replays on the scalar session through
+    :func:`~repro.causal.engine.run_setting`.
     """
 
     def __init__(
@@ -211,6 +183,14 @@ class BatchStreamingSession:
         kernel: str | None = None,
         groups: "Sequence[LaneGroup] | None" = None,
     ):
+        # Fail at construction on unknown tier names; None picks the
+        # fastest tier this machine can build.
+        self.kernel = resolve_kernel(kernel)
+        if self.kernel == "reference":
+            raise ValueError(
+                'kernel="reference" is the scalar session: replay each '
+                "lane with run_setting"
+            )
         prebuilt: TraceBatch | None = None
         if groups is None:
             if abr_factory is None or traces is None:
@@ -238,9 +218,6 @@ class BatchStreamingSession:
         )
         self.rtt_s = rtts.pop()
         self.request_overhead_s = overheads.pop()
-        # Fail at construction on unknown tier names; None picks the
-        # fastest tier this machine can build.
-        self.kernel = resolve_kernel(kernel)
 
     @classmethod
     def fused(
@@ -270,10 +247,8 @@ class BatchStreamingSession:
             capacity[part.start : part.stop] = group.config.buffer_capacity_s
         abr_names = [p.name for p in partitions for _ in range(p.stop - p.start)]
 
-        connection = BatchTCPConnection(
-            tb, rtt_s=self.rtt_s, start_time_s=0.0, kernel=self.kernel
-        )
-        if connection.tier == "compiled":
+        connection = BatchTCPConnection(tb, rtt_s=self.rtt_s, start_time_s=0.0)
+        if self.kernel == "compiled":
             plan = _fused_plan(partitions, video, n_lanes)
             if plan is not None:
                 # The whole (lane-batch x session) loop in one compiled
@@ -281,8 +256,8 @@ class BatchStreamingSession:
                 return _FusedRunner(
                     self, capacity, abr_names, connection, plan
                 ).run()
-            # Some partition cannot run in-kernel (custom ABR, per-lane
-            # scalar fallback, plain MPC, QoE tables over budget): the
+            # Some partition cannot run in-kernel (a subclassed ABR,
+            # plain MPC, QoE tables over budget, mixed MPC configs): the
             # chunk loop below drives this session on the scratch pass
             # with the NumPy deciders, exactly as kernel="scratch" does.
         runner = _ScratchRunner(
@@ -294,21 +269,21 @@ class BatchStreamingSession:
 
 
 class _ScratchRunner:
-    """Allocation-free lockstep chunk loop shared by every kernel tier.
+    """Allocation-free lockstep chunk loop of the scratch and compiled tiers.
 
     Mirrors :meth:`~repro.player.session.StreamingSession.run` float for
     float — the same IEEE float64 operations in the same order, routed
     through preallocated per-batch buffers via ``out=`` ufuncs instead of
     fresh temporaries — so session logs stay bit-identical to the serial
-    player across every kernel tier.  In steady state a :meth:`step`
-    performs zero new array allocations (``tests/test_dispatch_budget.py``
-    pins this with tracemalloc); the object exposes per-chunk stepping
-    precisely so that test can warm the loop up and trace single steps.
+    player.  In steady state a :meth:`step` performs zero new array
+    allocations (``tests/test_dispatch_budget.py`` pins this with
+    tracemalloc); the object exposes per-chunk stepping precisely so that
+    test can warm the loop up and trace single steps.
 
     Vectorised deciders that advertise ``batch_out_safe`` and accept an
-    ``out=`` buffer (BBA) decide allocation-free too; other batch deciders
-    (BOLA, MPC) and the per-lane scalar fallback keep their allocating
-    calls while the surrounding loop stays scratch-buffered.
+    ``out=`` buffer (BBA) decide allocation-free too; the other deciders
+    (BOLA, MPC) keep their allocating calls while the surrounding loop
+    stays scratch-buffered.
     """
 
     def __init__(
@@ -376,11 +351,10 @@ class _ScratchRunner:
 
         # Per-partition decision plumbing: persistent lane-slice views into
         # the shared buffers, bound to each partition's context once.
-        # modes: 0 = vectorised with out= (allocation-free), 1 = vectorised,
-        # 2 = per-lane scalar fallback.
+        # ``out_ok``: the decider writes into the quality view itself
+        # (allocation-free).
         self._decide = []
         self._hist = []
-        self._scalar_hist = []
         for part in partitions:
             if single is not None:
                 q_view = self.quality
@@ -395,29 +369,20 @@ class _ScratchRunner:
                 s_view = self.sizes[sl]
                 d_view = self.duration[sl]
                 m_view = self.bmask[sl]
-            if part.choose_batch is not None:
-                context = part.context
-                context.buffer_s = b_view
-                abr = getattr(part.choose_batch, "__self__", None)
-                out_ok = getattr(abr, "batch_out_safe", False) and (
-                    "out"
-                    in inspect.signature(part.choose_batch).parameters
+            context = part.context
+            context.buffer_s = b_view
+            choose = part.choose_batch
+            out_ok = getattr(choose.__self__, "batch_out_safe", False) and (
+                "out" in inspect.signature(choose).parameters
+            )
+            self._decide.append((out_ok, choose, context, q_view))
+            if part.wants_history:
+                kp = part.stop - part.start
+                thr = np.empty((n_chunks, kp))
+                dur = np.empty((n_chunks, kp))
+                self._hist.append(
+                    (s_view, d_view, m_view, list(thr), list(dur), context)
                 )
-                self._decide.append(
-                    (0 if out_ok else 1, part.choose_batch, context, q_view)
-                )
-                if part.wants_history:
-                    kp = part.stop - part.start
-                    thr = np.empty((n_chunks, kp))
-                    dur = np.empty((n_chunks, kp))
-                    self._hist.append(
-                        (s_view, d_view, m_view, list(thr), list(dur), context)
-                    )
-            else:
-                self._decide.append(
-                    (2, None, None, (part.lane_abrs, part.lane_contexts, part.start))
-                )
-                self._scalar_hist.append((part.start, part.lane_contexts))
 
     def step(self, n: int) -> None:
         """Advance every lane through chunk ``n``."""
@@ -447,24 +412,15 @@ class _ScratchRunner:
         #    hold persistent views of buf_before, refreshed in place.
         np.copyto(self.buf_before, level)
         quality = self.quality
-        for mode, choose, context, payload in self._decide:
-            if mode == 0:
-                context.chunk_index = n
-                choose(context, out=payload)
-                context.last_quality = payload
-            elif mode == 1:
-                context.chunk_index = n
-                chosen = choose(context)
-                np.copyto(payload, chosen)
-                context.last_quality = chosen
+        for out_ok, choose, context, q_view in self._decide:
+            context.chunk_index = n
+            if out_ok:
+                choose(context, out=q_view)
+                context.last_quality = q_view
             else:
-                lane_abrs, lane_contexts, start = payload
-                for k, (lane_abr, ctx) in enumerate(
-                    zip(lane_abrs, lane_contexts)
-                ):
-                    ctx.chunk_index = n
-                    ctx.buffer_s = float(self.buf_before[start + k])
-                    quality[start + k] = lane_abr.choose_quality(ctx)
+                chosen = choose(context)
+                np.copyto(q_view, chosen)
+                context.last_quality = chosen
         q_min = int(quality.min())
         q_max = int(quality.max())
         if q_min < 0 or q_max >= self.n_qualities:
@@ -511,15 +467,6 @@ class _ScratchRunner:
         np.add(self.total_bytes, sizes, out=self.total_bytes)
 
         # Observation histories (same order as the serial loop).
-        for start, lane_contexts in self._scalar_hist:
-            for k, ctx in enumerate(lane_contexts):
-                j = start + k
-                d = float(duration[j])
-                ctx.throughput_history_mbps.append(
-                    throughput_mbps(float(sizes[j]), d)
-                )
-                ctx.download_time_history_s.append(d)
-                ctx.last_quality = int(quality[j])
         for s_view, d_view, m_view, thr_rows, dur_rows, context in self._hist:
             np.less_equal(d_view, 0.0, out=m_view)
             if m_view.any():
@@ -592,9 +539,7 @@ def _fused_plan(partitions: "list[_Partition]", video: Video, n_lanes: int):
     pack = None
     pred_key = None
     for i, p in enumerate(partitions):
-        abr = getattr(p.choose_batch, "__self__", None)
-        if abr is None:
-            return None
+        abr = p.choose_batch.__self__
         cap = p.context.buffer_capacity_s
         cls = type(abr)
         if cls is BBAAlgorithm:

@@ -19,36 +19,39 @@ This produces exactly the observable biases the paper documents: small
 chunks see throughput far below GTBW (Fig. 2(c)), idle gaps reset the
 window, and only > BDP transfers observe throughput close to GTBW.
 
-Three kernel tiers implement the batch replay, selected by the
-``kernel=`` argument of :class:`BatchTCPConnection` and
+Three kernel tiers implement session replay, selected by the ``kernel=``
+argument of :class:`~repro.causal.engine.CounterfactualEngine` and of
 :class:`~repro.player.batch_session.BatchStreamingSession`.  ``None``
 picks the fastest tier this machine can build: ``"compiled"`` when the
 cc+cffi build of :mod:`repro.player._fused` loads, else ``"scratch"``
 (:func:`resolve_kernel`):
 
-=========  ==============  ===================  =====================
-tier       job             batch download       session loop
-=========  ==============  ===================  =====================
-reference  golden          K scalar per-RTT     per-chunk loop
-           reference       loops
-scratch    portable NumPy  allocation-free      per-chunk loop
-           (default        NumPy pass
+=========  ==============  =====================  ======================
+tier       job             chunk download         session loop
+=========  ==============  =====================  ======================
+reference  golden          scalar per-RTT loop    one scalar
+           reference       (``TCPConnection``)    ``StreamingSession``
+                                                  per lane
+scratch    portable NumPy  allocation-free NumPy  lockstep per-chunk
+           (default        pass over K lanes      loop over K lanes
            without cc)
-compiled   fastest native  allocation-free      one compiled call per
-           (default with   NumPy pass           session, else the
-           cc)                                  scratch per-chunk loop
-=========  ==============  ===================  =====================
+compiled   fastest native  inside the session     one compiled call per
+           (default with   kernel, else the       session, else the
+           cc)             NumPy pass             scratch per-chunk loop
+=========  ==============  =====================  ======================
 
-* The **per-RTT loop** (:func:`_reference_download`) is the golden parity
-  target every other path is pinned against.  It is also the one scalar
-  kernel: a :class:`TCPConnection` has no batch to amortise over, takes
-  no tier and always runs it.
-* The **allocation-free NumPy pass** runs every steady-state chunk through
-  ``out=`` ufuncs on preallocated per-batch buffers
-  (``tests/test_dispatch_budget.py`` pins zero allocations); ragged chunks
-  take a vectorised round skip, and the lanes it cannot resolve (a
-  window-limited phase that crosses a trace interval, or outruns the
-  ``_ScheduleTable`` horizon) spill to the per-RTT loop per lane.
+* The **reference** tier is the scalar session: a
+  :class:`TCPConnection`, whose every download runs the golden per-RTT
+  loop (:func:`_reference_download`), under
+  :class:`~repro.player.session.StreamingSession`.  The engine replays
+  each lane this way; the lockstep layer does not serve it.
+* The **allocation-free NumPy pass** of :class:`BatchTCPConnection` runs
+  every steady-state chunk through ``out=`` ufuncs on preallocated
+  per-batch buffers (``tests/test_dispatch_budget.py`` pins zero
+  allocations); ragged chunks take a vectorised round skip, and the lanes
+  it cannot resolve (a window-limited phase that crosses a trace
+  interval, or outruns the ``_ScheduleTable`` horizon) spill to the
+  per-RTT loop per lane.
 * The **compiled** tier runs the whole session in one
   :func:`repro.player._fused.run_session` call whenever every
   partition's ABR has a kernel plan (the shipped BBA/BOLA/RobustMPC);
@@ -56,20 +59,19 @@ compiled   fastest native  allocation-free      one compiled call per
   NumPy deciders, exactly what ``"scratch"`` runs.  ``run_session`` is
   the only native replay code: ``"reference"`` and ``"scratch"`` run
   none.  It is a cc + cffi build of a C transcription, made at first
-  use; when the build fails (no C compiler or no cffi), an explicit
-  ``kernel="compiled"`` degrades to ``"scratch"`` with a once-per-process
-  ``RuntimeWarning``, and the default picks ``"scratch"`` silently.
-  Either way :attr:`BatchTCPConnection.tier` records the tier actually
-  served.
+  use; when the build fails (no C compiler or no cffi),
+  :func:`resolve_kernel` degrades an explicit ``"compiled"`` to
+  ``"scratch"`` with a once-per-process ``RuntimeWarning``, and the
+  default picks ``"scratch"`` silently.  Either way the resolved name is
+  the tier that serves.
 
 All tiers evaluate the same float predicates in the same order, so they
-produce batch columns and session logs bit-identical to scalar
-connections (see ``tests/test_replay_parity.py``,
-``tests/test_batch_replay.py``, ``tests/test_compiled_kernel.py``).  The
-compiled tier is bit-identical too: its C uses only IEEE-754 basic
-operations, no libm, and is built with ``-fno-fast-math
--ffp-contract=off``.  Unknown kernel names raise ``ValueError`` at
-construction time, listing the available tiers.
+produce session logs bit-identical to the scalar session (see
+``tests/test_replay_parity.py``, ``tests/test_batch_replay.py``,
+``tests/test_compiled_kernel.py``).  The compiled tier is bit-identical
+too: its C uses only IEEE-754 basic operations, no libm, and is built
+with ``-fno-fast-math -ffp-contract=off``.  Unknown kernel names raise
+``ValueError`` at construction time, listing the available tiers.
 """
 
 from __future__ import annotations
@@ -109,27 +111,31 @@ KERNEL_TIERS = ("reference", "scratch", "compiled")
 
 
 def resolve_kernel(kernel: str | None) -> str:
-    """Resolve ``kernel`` against the tier registry or raise ``ValueError``.
+    """The tier that will serve ``kernel``, or ``ValueError`` if unknown.
 
     ``None`` picks the fastest tier this machine can build: ``"compiled"``
     when the cc+cffi build of the one replay library,
     :mod:`repro.player._fused`, loads (its ``backend()`` is ``"cc"``; the
-    first call builds it), else the portable ``"scratch"``.  The default
-    never warns; only an explicit ``"compiled"`` that cannot be served
-    degrades with a warning, in :class:`BatchTCPConnection`.  All
-    construction paths (batch connections, batch sessions, the engine,
-    the CLI) funnel through here so an unknown name fails loudly with the
-    list of available tiers instead of silently running a default.
+    first call builds it), else the portable ``"scratch"``, silently.  An
+    explicit ``"compiled"`` that cannot be served degrades to
+    ``"scratch"`` with a once-per-process ``RuntimeWarning``.  All
+    construction paths (batch sessions, the engine, the CLI) funnel
+    through here, so an unknown name fails loudly with the list of
+    available tiers instead of silently running a default.
     """
-    if kernel is None:
-        # repro.player imports this module, so the import waits for the call.
-        from ..player import _fused
-
-        return "compiled" if _fused.backend() == "cc" else "scratch"
-    if kernel not in KERNEL_TIERS:
+    if kernel is not None and kernel not in KERNEL_TIERS:
         raise ValueError(
             f"unknown kernel {kernel!r}; available tiers: {KERNEL_TIERS}"
         )
+    if kernel is None or kernel == "compiled":
+        # repro.player imports this module, so the import waits for the call.
+        from ..player import _fused
+
+        if kernel is None:
+            return "compiled" if _fused.backend() == "cc" else "scratch"
+        if not _fused.available():
+            warn_fallback("replay", "compiled", "scratch")
+            return "scratch"
     return kernel
 
 
@@ -339,9 +345,9 @@ class TCPConnection:
     start_time_s:
         Wall-clock time at which the connection is established.
 
-    Every download runs the golden per-RTT loop; the kernel tiers
-    (``KERNEL_TIERS``) belong to :class:`BatchTCPConnection`, whose lanes
-    are pinned bit-identical to this class.
+    Every download runs the golden per-RTT loop: this is the connection
+    of the ``"reference"`` replay tier, and :class:`BatchTCPConnection`'s
+    lanes are pinned bit-identical to it.
     """
 
     def __init__(
@@ -451,7 +457,7 @@ def _fluid_grow_batch(
 
 
 class _BatchScratch:
-    """Per-batch scratch buffers shared by every kernel tier."""
+    """Per-batch scratch buffers of :class:`BatchTCPConnection`."""
 
     __slots__ = (
         "idle", "t0", "bdp", "fluid", "f3", "rem", "tf",
@@ -502,15 +508,15 @@ class BatchTCPConnection:
     the RTT estimator state is shared (all lanes observe the same constant
     RTT, so their ``srtt``/``rto`` sequences are identical).
 
-    Every tier advances all K lanes through one chunk per
-    :meth:`download_batch` call: ``"reference"`` on K scalar per-RTT
-    loops, ``"scratch"`` and ``"compiled"`` on the allocation-free NumPy
-    pass (the compiled tier's native code runs whole sessions, in
-    :class:`~repro.player.batch_session.BatchStreamingSession`; see the
-    tier table in the module docstring).  Results are bit-identical to K
-    independent scalar connections (see ``tests/test_batch_replay.py``).
-    :attr:`kernel` is the requested tier (``None`` resolved by
-    :func:`resolve_kernel`), :attr:`tier` the one served.
+    Each :meth:`download_batch` call advances all K lanes through one
+    chunk on the allocation-free NumPy pass.  The connection takes no
+    tier: it serves the lockstep chunk loop of the ``"scratch"`` and
+    ``"compiled"`` tiers, the compiled tier's native code runs whole
+    sessions in :class:`~repro.player.batch_session.BatchStreamingSession`,
+    and the ``"reference"`` tier is the scalar :class:`TCPConnection` (see
+    the tier table in the module docstring).  Results are bit-identical
+    to K independent scalar connections (see
+    ``tests/test_batch_replay.py``).
     """
 
     def __init__(
@@ -518,25 +524,11 @@ class BatchTCPConnection:
         batch: TraceBatch,
         rtt_s: float = 0.08,
         start_time_s: float = 0.0,
-        kernel: str | None = None,
     ):
         if rtt_s <= 0:
             raise ValueError(f"rtt must be positive, got {rtt_s}")
-        resolved = resolve_kernel(kernel)
         self.batch = batch
         self.rtt_s = rtt_s
-        self.kernel = resolved
-        # Effective tier: "compiled" degrades to "scratch" when the cc+cffi
-        # session kernel is not buildable — the parity contract is
-        # unchanged either way, and a once-per-process RuntimeWarning
-        # surfaces the effective tier to operators.
-        if resolved == "compiled":
-            from ..player import _fused
-
-            if not _fused.available():
-                warn_fallback("replay", "compiled", "scratch")
-                resolved = "scratch"
-        self._served = resolved
         n = batch.n_lanes
         self._shared = MutableTCPState(last_send_time_s=start_time_s)
         self._shared.observe_rtt(rtt_s)
@@ -547,71 +539,13 @@ class BatchTCPConnection:
         self._ws = batch.make_transfer_scratch()
         self._scratch = _BatchScratch(n)
         self._result = BatchDownloadResult()
-        self._download = (
-            self._download_reference
-            if resolved == "reference"
-            else self._download_scratch
-        )
-
-    @property
-    def tier(self) -> str:
-        """The tier actually served: :attr:`kernel` after any degrade."""
-        return self._served
 
     @property
     def n_lanes(self) -> int:
         return self.batch.n_lanes
 
-    def download_batch(
-        self, size_bytes: np.ndarray, start_times_s: np.ndarray
-    ) -> BatchDownloadResult:
-        """Download ``size_bytes[k]`` on every lane ``k`` starting at
-        ``start_times_s[k]``; advances all K congestion states.
-
-        Returns a reusable result whose columns alias per-batch buffers:
-        copy anything you keep before the next ``download_batch`` call.
-        """
-        return self._download(size_bytes, start_times_s)
-
     # ------------------------------------------------------------------
-    # The reference tier: K scalar per-RTT loops
-    # ------------------------------------------------------------------
-    def _download_reference(
-        self, size_bytes: np.ndarray, start_times_s: np.ndarray
-    ) -> BatchDownloadResult:
-        """Each lane takes exactly the steps of :meth:`TCPConnection.download`
-        on the golden kernel: pre-restart snapshot, RFC 2861 decay, then
-        :func:`_reference_download` from one RTT after the request."""
-        b = self._scratch
-        tb = self.batch
-        rtt = self.rtt_s
-        shared = self._shared
-        starts = np.asarray(start_times_s, dtype=float)
-        sizes = np.asarray(size_bytes, dtype=float)
-        srtt = shared.srtt_s
-        min_rtt = shared.min_rtt_s
-        rto = shared.rto_s
-        np.copyto(b.cwnd_pre, self._cwnd)
-        np.copyto(b.ssthresh_pre, self._ssthresh)
-        ends = self._last_send  # read-before-write per lane below
-        for j in range(tb.n_lanes):
-            start = float(starts[j])
-            idle = max(0.0, start - float(ends[j]))
-            cwnd, ssthresh, _ = apply_slow_start_restart(
-                int(self._cwnd[j]), int(self._ssthresh[j]), idle, rto
-            )
-            end, _, grown = _reference_download(
-                tb.lane(j), rtt, float(sizes[j]), start + rtt, cwnd, ssthresh
-            )
-            b.idle[j] = idle
-            ends[j] = end
-            self._cwnd[j] = grown
-            self._ssthresh[j] = ssthresh
-        shared.observe_rtt(rtt)
-        return self._fill_result(starts, ends, sizes, srtt, min_rtt, rto)
-
-    # ------------------------------------------------------------------
-    # The scratch tier (allocation-free steady state)
+    # The allocation-free NumPy pass
     # ------------------------------------------------------------------
     def _restart_scratch(self, idle: np.ndarray, rto: float) -> None:  # repro: scratch
         """In-place masked slow-start-restart decay of ``_cwnd``/``_ssthresh``.
@@ -656,10 +590,14 @@ class BatchTCPConnection:
         np.copyto(self._ssthresh, b.ti, where=b.trig)
 
     # repro: scratch
-    def _download_scratch(
+    def download_batch(
         self, size_bytes: np.ndarray, start_times_s: np.ndarray
     ) -> BatchDownloadResult:
-        """The batched closed-form pass over preallocated scratch buffers.
+        """Download ``size_bytes[k]`` on every lane ``k`` starting at
+        ``start_times_s[k]``; advances all K congestion states.
+
+        Returns a reusable result whose columns alias per-batch buffers:
+        copy anything you keep before the next ``download_batch`` call.
 
         Steady-state chunks (every lane pipe-full and finishing inside its
         current trace interval — the overwhelmingly common case once

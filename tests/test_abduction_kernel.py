@@ -329,7 +329,7 @@ class TestWiredEntryPoints:
         with pytest.raises(ValueError, match="unknown abduction kernel"):
             resolve_abduction_kernel("turbo")
         with pytest.raises(ValueError, match="unknown abduction kernel"):
-            VeritasAbduction(kernel="turbo")
+            VeritasAbduction().solve_batch([], kernel="turbo")
 
     def test_cli_exposes_abduction_kernel_flag(self):
         from repro.cli import build_parser
@@ -373,12 +373,9 @@ class TestSolveBatchTiers:
     def test_reference_tier_matches_numpy_bit_for_bit(self, session_logs):
         from repro import paper_veritas_config
 
-        reference = VeritasAbduction(
-            paper_veritas_config(), kernel="reference"
-        ).solve_batch(session_logs)
-        numpy_tier = VeritasAbduction(
-            paper_veritas_config(), kernel="numpy"
-        ).solve_batch(session_logs)
+        abduction = VeritasAbduction(paper_veritas_config())
+        reference = abduction.solve_batch(session_logs, kernel="reference")
+        numpy_tier = abduction.solve_batch(session_logs, kernel="numpy")
         for a, b in zip(reference, numpy_tier):
             assert np.array_equal(a.viterbi.states, b.viterbi.states)
             assert np.array_equal(a.smoothing.gamma, b.smoothing.gamma)
@@ -388,12 +385,9 @@ class TestSolveBatchTiers:
     def test_compiled_tier_within_contract(self, session_logs):
         from repro import paper_veritas_config
 
-        numpy_tier = VeritasAbduction(
-            paper_veritas_config(), kernel="numpy"
-        ).solve_batch(session_logs)
-        compiled = VeritasAbduction(
-            paper_veritas_config(), kernel="compiled"
-        ).solve_batch(session_logs)
+        abduction = VeritasAbduction(paper_veritas_config())
+        numpy_tier = abduction.solve_batch(session_logs, kernel="numpy")
+        compiled = abduction.solve_batch(session_logs, kernel="compiled")
         for a, b in zip(numpy_tier, compiled):
             assert np.array_equal(a.viterbi.states, b.viterbi.states)
             assert np.allclose(
@@ -405,9 +399,9 @@ class TestSolveBatchTiers:
     def test_compiled_sampling_matches_numpy(self, session_logs):
         from repro import paper_veritas_config
 
-        posteriors = VeritasAbduction(
-            paper_veritas_config(), kernel="numpy"
-        ).solve_batch(session_logs)
+        posteriors = VeritasAbduction(paper_veritas_config()).solve_batch(
+            session_logs, kernel="numpy"
+        )
         seeds = [5, 6, 7]
         want = sample_traces_batch(posteriors, 4, seeds, kernel="numpy")
         got = sample_traces_batch(posteriors, 4, seeds, kernel="compiled")
@@ -419,9 +413,9 @@ class TestSolveBatchTiers:
     def test_reference_sampling_matches_numpy(self, session_logs):
         from repro import paper_veritas_config
 
-        posteriors = VeritasAbduction(
-            paper_veritas_config(), kernel="numpy"
-        ).solve_batch(session_logs)
+        posteriors = VeritasAbduction(paper_veritas_config()).solve_batch(
+            session_logs, kernel="numpy"
+        )
         seeds = [5, 6, 7]
         want = sample_traces_batch(posteriors, 4, seeds, kernel="numpy")
         got = sample_traces_batch(posteriors, 4, seeds, kernel="reference")
@@ -436,7 +430,6 @@ class TestSolveBatchTiers:
         engine = CounterfactualEngine(
             paper_veritas_config(), abduction_kernel="compiled"
         )
-        assert engine.abduction.kernel == "compiled"
         assert engine.abduction_kernel == "compiled"
         with pytest.raises(ValueError, match="unknown abduction kernel"):
             CounterfactualEngine(

@@ -9,8 +9,9 @@ per-trace serial path at every layer:
   the same seeds (one uniform block per session either way),
 * ``VeritasAbduction.solve_batch`` / ``sample_traces_batch`` vs per-log
   ``solve`` / ``sample_traces`` — including ragged chunk counts,
-* ``CounterfactualEngine.prepare_corpus`` with ``use_batch=True`` (fused
-  Setting-A deployment + stacked abduction) vs ``use_batch=False``, serial
+* ``CounterfactualEngine.prepare_corpus`` on the batch tiers (fused
+  Setting-A deployment + stacked abduction) vs ``use_batch=False`` (the
+  reference tiers: a scalar session and a scalar solve per trace), serial
   and on the fork pool, down to every ``SessionLog`` record, baseline
   trace and posterior sample.
 """
@@ -180,9 +181,11 @@ class TestStackedRecursions:
 
 class TestSolveBatch:
     def test_solve_batch_matches_solve(self, session_logs):
-        abduction = VeritasAbduction(paper_veritas_config(), kernel="numpy")
+        abduction = VeritasAbduction(paper_veritas_config())
         durations = [500.0 + 10.0 * i for i in range(len(session_logs))]
-        batch = abduction.solve_batch(session_logs, trace_duration_s=durations)
+        batch = abduction.solve_batch(
+            session_logs, trace_duration_s=durations, kernel="numpy"
+        )
         for log, duration, posterior in zip(session_logs, durations, batch):
             scalar = abduction.solve(log, trace_duration_s=duration)
             assert np.array_equal(
@@ -196,12 +199,12 @@ class TestSolveBatch:
 
     def test_solve_batch_ragged_chunk_counts(self, session_logs):
         """Sessions of different lengths partition by chunk count."""
-        abduction = VeritasAbduction(paper_veritas_config(), kernel="numpy")
+        abduction = VeritasAbduction(paper_veritas_config())
         ragged = list(session_logs[:3])
         ragged.append(session_logs[0].truncated(20))
         ragged.append(session_logs[1].truncated(20))
         ragged.append(session_logs[2].truncated(7))  # singleton partition
-        batch = abduction.solve_batch(ragged, trace_duration_s=600.0)
+        batch = abduction.solve_batch(ragged, trace_duration_s=600.0, kernel="numpy")
         for log, posterior in zip(ragged, batch):
             scalar = abduction.solve(log, trace_duration_s=600.0)
             assert np.array_equal(posterior.viterbi.states, scalar.viterbi.states)

@@ -8,11 +8,13 @@ replay at every layer:
   stacked cumulative-bytes integrals, per-lane scalar fallback),
 * ``BatchStreamingSession`` (lockstep chunk loop + ``BatchTCPConnection``)
   vs per-lane ``StreamingSession`` runs — exact vectorised ABR decisions
-  for BBA/BOLA/MPC, the automatic per-lane scalar fallback, and fused
-  multi-setting batches (different ABRs / buffer capacities in one loop),
+  for BBA/BOLA/MPC and fused multi-setting batches (different ABRs /
+  buffer capacities in one loop); ABRs without a trusted vectorised
+  decider are refused, and the engine replays them on the scalar session,
 * ``compute_metrics_batch`` vs per-lane ``compute_metrics`` — without ever
   materializing ``ChunkRecord`` objects,
-* ``CounterfactualEngine`` with ``use_batch=True`` vs ``use_batch=False``.
+* ``CounterfactualEngine`` on the default tiers vs ``use_batch=False``
+  (the ``"reference"`` tiers: one scalar session per lane).
 
 Edge cases covered: stalls (starved lanes), buffer-overflow sleeps (fast
 lanes), zero-capacity intervals mid-trace, K=1 batches, and transfers
@@ -28,6 +30,7 @@ import repro.player.logs as logs_module
 from repro import (
     BatchStreamingSession,
     CounterfactualEngine,
+    QualityLadder,
     SessionConfig,
     StreamingSession,
     TraceBatch,
@@ -47,7 +50,7 @@ from repro.abr import BBAAlgorithm, BOLAAlgorithm, MPCAlgorithm
 from repro.net.trace import _EPS_BYTES, PiecewiseConstantTrace, boundary_key
 from repro.player import _fused
 from repro.player.batch_session import LaneGroup, abr_supports_batch_replay
-from repro.tcp.connection import KERNEL_TIERS
+from repro.tcp.connection import KERNEL_TIERS, BatchTCPConnection
 
 
 def lane_traces(
@@ -282,23 +285,6 @@ class TestBatchSessionParity:
             serial = StreamingSession(video, factory(), trace, config).run()
             assert_logs_identical(serial, batch_log.lane(k))
 
-    def test_history_fallback_abr_bit_identical(self, video):
-        """An ABR without choose_quality_batch that reads throughput history
-        exercises the per-lane fallback contexts (and their history
-        feeding) now that MPC decides vectorised."""
-        from repro.abr import RateBasedAlgorithm
-
-        traces = lane_traces(4, seed=3)
-        config = SessionConfig(buffer_capacity_s=6.0)
-        batch_log = BatchStreamingSession(
-            video, RateBasedAlgorithm, traces, config
-        ).run()
-        for k, trace in enumerate(traces):
-            serial = StreamingSession(
-                video, RateBasedAlgorithm(), trace, config
-            ).run()
-            assert_logs_identical(serial, batch_log.lane(k))
-
     def test_k1_batch_bit_identical(self, video):
         traces = lane_traces(1, seed=4)
         config = SessionConfig(buffer_capacity_s=5.0)
@@ -346,8 +332,9 @@ class TestBatchSessionParity:
 
     def test_overridden_scalar_decision_bypasses_inherited_batch(self, video):
         """A subclass overriding choose_quality but inheriting
-        choose_quality_batch must take the scalar fallback, not the stale
-        vectorised path — parity with serial replay is the contract."""
+        choose_quality_batch must never reach the stale vectorised path:
+        the lockstep loop refuses it, so callers replay it on the scalar
+        session — parity with serial replay is the contract."""
 
         class PinnedBBA(BBAAlgorithm):
             name = "pinned-bba"
@@ -355,13 +342,12 @@ class TestBatchSessionParity:
             def choose_quality(self, context):
                 return min(1, context.video.n_qualities - 1)
 
-        traces = lane_traces(3, seed=12)
+        assert not abr_supports_batch_replay(PinnedBBA())
         config = SessionConfig(buffer_capacity_s=5.0)
-        batch_log = BatchStreamingSession(video, PinnedBBA, traces, config).run()
-        for k, trace in enumerate(traces):
-            serial = StreamingSession(video, PinnedBBA(), trace, config).run()
-            assert_logs_identical(serial, batch_log.lane(k))
-        assert set(batch_log.qualities.ravel().tolist()) == {1}
+        with pytest.raises(ValueError, match="run_setting"):
+            BatchStreamingSession(
+                video, PinnedBBA, lane_traces(3, seed=12), config
+            ).run()
 
     def test_observe_download_abrs_are_rejected(self, video):
         class FeedbackABR(BBAAlgorithm):
@@ -452,6 +438,55 @@ class TestEnginePaths:
             assert_logs_identical(
                 run_setting(setting_b, lane), batch_log.lane(k)
             )
+        with pytest.raises(ValueError, match="run_setting"):
+            run_setting_batch(setting_b, lanes, kernel="reference")
+
+    def test_reference_tier_replays_on_scalar_sessions(
+        self, corpus, setting_a, monkeypatch
+    ):
+        """``kernel="reference"`` deploys and replays every lane on its own
+        scalar session: with the lockstep layer unbuildable, a reference
+        engine still prepares and answers, equal to the default engine."""
+        settings_b = [change_abr(setting_a, "bba"), change_buffer(setting_a, 15.0)]
+        default = CounterfactualEngine(paper_veritas_config(), n_samples=3, seed=0)
+        want = default.evaluate_many(
+            default.prepare_corpus(corpus, setting_a), settings_b
+        )
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"the reference tier built a {type(self).__name__}")
+
+        monkeypatch.setattr(BatchStreamingSession, "__init__", refuse)
+        monkeypatch.setattr(BatchTCPConnection, "__init__", refuse)
+        engine = CounterfactualEngine(
+            paper_veritas_config(), n_samples=3, seed=0, kernel="reference"
+        )
+        got = engine.evaluate_many(engine.prepare_corpus(corpus, setting_a), settings_b)
+        for g, w in zip(got, want, strict=True):
+            assert g.per_trace == w.per_trace
+
+    def test_rate_based_setting_replays_on_scalar_sessions(
+        self, video, corpus, setting_a
+    ):
+        """A rate-based ABR has no vectorised decider: the lockstep loop
+        refuses it, and the engine replays its lanes on the scalar session
+        on every tier, equal to a ``use_batch=False`` engine."""
+        from repro.abr import RateBasedAlgorithm
+
+        with pytest.raises(ValueError, match="run_setting"):
+            BatchStreamingSession(
+                video, RateBasedAlgorithm, lane_traces(4, seed=3),
+                SessionConfig(buffer_capacity_s=6.0),
+            ).run()
+        setting_b = change_abr(setting_a, "rate")
+        engine = CounterfactualEngine(paper_veritas_config(), n_samples=3, seed=0)
+        serial = CounterfactualEngine(
+            paper_veritas_config(), n_samples=3, seed=0, use_batch=False
+        )
+        prepared = engine.prepare_corpus(corpus, setting_a)
+        got = engine.evaluate_many(prepared, [setting_b])[0]
+        want = serial.evaluate_many(prepared, [setting_b])[0]
+        assert got.per_trace == want.per_trace
 
 
 class TestKernelTierRegistry:
@@ -467,13 +502,11 @@ class TestKernelTierRegistry:
         assert resolve_kernel(None) == ("compiled" if native else "scratch")
 
     def test_batch_connection_rejects_unknown_kernel(self):
-        from repro.tcp.connection import BatchTCPConnection
-
         batch = TraceBatch(lane_traces(2))
-        # The retired names fail like any unknown one: the batch analytic
-        # path is gone and the fused session kernel is part of "compiled".
-        for name in ("warp-drive", "analytic", "fused"):
-            with pytest.raises(ValueError, match="available tiers"):
+        # The connection takes no tier at all: it has one download pass,
+        # which the scratch and compiled chunk loops share.
+        for name in ("scratch", "warp-drive", "analytic", "fused"):
+            with pytest.raises(TypeError, match="kernel"):
                 BatchTCPConnection(batch, kernel=name)
 
     def test_batch_session_rejects_unknown_kernel(self, video):
@@ -489,27 +522,42 @@ class TestKernelTierRegistry:
                 paper_veritas_config(), n_samples=2, seed=0, kernel="warp-drive"
             )
 
-    def test_every_tier_constructs(self):
-        from repro.tcp.connection import BatchTCPConnection
-
-        batch = TraceBatch(lane_traces(2))
+    def test_every_tier_constructs(self, video):
         for tier in KERNEL_TIERS:
-            conn = BatchTCPConnection(batch, kernel=tier)
-            assert conn.kernel == tier
+            engine = CounterfactualEngine(paper_veritas_config(), kernel=tier)
             # "compiled" may legitimately degrade to "scratch"; everything
             # else serves exactly the requested tier.
             if tier == "compiled":
-                assert conn.tier in ("compiled", "scratch")
+                assert engine.kernel in ("compiled", "scratch")
             else:
-                assert conn.tier == tier
+                assert engine.kernel == tier
+        # The lockstep layer serves the two batch tiers only.
+        for tier in ("scratch", "compiled"):
+            session = BatchStreamingSession(
+                video, BBAAlgorithm, lane_traces(2), SessionConfig(), kernel=tier
+            )
+            assert session.kernel in (tier, "scratch")
+        with pytest.raises(ValueError, match="run_setting"):
+            BatchStreamingSession(
+                video, BBAAlgorithm, lane_traces(2), SessionConfig(),
+                kernel="reference",
+            )
+
+    def test_use_batch_false_is_the_reference_tiers(self):
+        for tiers in ({}, {"kernel": "compiled", "abduction_kernel": "numpy"}):
+            engine = CounterfactualEngine(
+                paper_veritas_config(), use_batch=False, **tiers
+            )
+            assert engine.kernel == engine.abduction_kernel == "reference"
 
 
-REPLAY_PATHS = ("reference", "scratch", "compiled", "fused")
-"""Every session-replay path under parity: the three tiers, with
-``kernel="compiled"`` run on both backends of its whole-session kernel —
-``"compiled"`` on the Python mirror (``_fused.FORCE_PYTHON``, so every
-machine runs it), ``"fused"`` on the build this machine has (native
-where cc+cffi loads)."""
+REPLAY_PATHS = ("scratch", "compiled", "fused")
+"""Every lockstep session-replay path under parity: the two batch tiers,
+with ``kernel="compiled"`` run on both backends of its whole-session
+kernel — ``"compiled"`` on the Python mirror (``_fused.FORCE_PYTHON``, so
+every machine runs it), ``"fused"`` on the build this machine has (native
+where cc+cffi loads).  The ``"reference"`` tier is the scalar
+``StreamingSession`` every path is compared against."""
 
 
 def replay_kernel(path: str, monkeypatch) -> str:
@@ -520,12 +568,12 @@ def replay_kernel(path: str, monkeypatch) -> str:
 
 
 class TestKernelTierParity:
-    """Threshold-boundary parity across every replay kernel tier (PR 6).
+    """Threshold-boundary parity across every replay tier and path.
 
     Lane counts 1/7/8 and downloads taking 11/12/13 reference rounds sat
     on the scalar-fallback seams of the retired allocating batch path;
     they stay as regression cases for the surviving paths.  Every case
-    must be bit-identical on every tier.
+    must be bit-identical to the scalar reference.
     """
 
     @pytest.mark.parametrize("n_lanes", [1, 7, 8])
@@ -540,6 +588,39 @@ class TestKernelTierParity:
         for k, trace in enumerate(traces):
             serial = StreamingSession(video, BBAAlgorithm(), trace, config).run()
             assert_logs_identical(serial, batch_log.lane(k))
+
+    @staticmethod
+    def _tier_logs(tier, video, traces, config):
+        """Per-lane BBA logs of ``video`` over ``traces`` as ``tier``
+        replays them: one scalar session per lane on ``"reference"``, the
+        lockstep loop (whole-session kernel on ``"compiled"``) otherwise."""
+        if tier == "reference":
+            return [
+                StreamingSession(video, BBAAlgorithm(), trace, config).run()
+                for trace in traces
+            ]
+        log = BatchStreamingSession(
+            video, BBAAlgorithm, traces, config, kernel=tier
+        ).run()
+        return [log.lane(k) for k in range(len(traces))]
+
+    @staticmethod
+    def _assert_downloads_match_scalar(log, trace, config):
+        """Every chunk of ``log`` ends where the scalar per-RTT kernel
+        ends the same transfer requested at the same instant."""
+        from repro.tcp.connection import TCPConnection
+
+        conn = TCPConnection(trace, rtt_s=config.rtt_s)
+        for record in log.records:
+            want = conn.download(record.size_bytes, record.start_time_s)
+            assert record.end_time_s == want.end_time_s, record.index
+            assert record.tcp_state == want.tcp_state_at_start, record.index
+
+    @staticmethod
+    def _one_quality_video(sizes) -> Video:
+        """A single-rung video, so every ABR downloads exactly ``sizes``."""
+        sizes = np.asarray(sizes, dtype=float).reshape(-1, 1)
+        return Video(QualityLadder([1.0]), 2.0, sizes, np.full(sizes.shape, 0.9))
 
     @staticmethod
     def _size_for_rounds(n_rounds: int) -> float:
@@ -558,8 +639,8 @@ class TestKernelTierParity:
     @pytest.mark.parametrize("tier", KERNEL_TIERS)
     def test_round_count_boundaries(self, tier):
         """Downloads engineered to take 3/11/12/13 and 31/32/33/40
-        reference rounds, all bit-identical."""
-        from repro.tcp.connection import BatchTCPConnection, TCPConnection
+        reference rounds, all bit-identical on every tier."""
+        from repro.tcp.connection import TCPConnection
 
         targets = [3, 11, 12, 13, 31, 32, 33, 40]
         # 400 Mbps: the BDP (4 MB) exceeds cwnd*MSS through round 13, so
@@ -580,34 +661,64 @@ class TestKernelTierParity:
         for k, (target, want) in enumerate(zip(targets, want_results)):
             assert want.rounds == target  # the sizes hit their targets
 
-        conn = BatchTCPConnection(TraceBatch(traces), kernel=tier)
-        got = conn.download_batch(sizes, starts)
-        for k, want in enumerate(want_results):
-            assert got.end_times_s[k] == want.end_time_s, targets[k]
-            assert conn._cwnd[k] == refs[k].state.cwnd_segments
-            assert conn._ssthresh[k] == refs[k].state.ssthresh_segments
+        # The tier's session: a first chunk of each engineered size leaves
+        # a fresh connection at t=0, later ones follow on the warm window.
+        config = SessionConfig(buffer_capacity_s=5.0)
+        for k, trace in enumerate(traces):
+            video = self._one_quality_video([sizes[k]] * 3)
+            (log,) = self._tier_logs(tier, video, [trace], config)
+            assert log.records[0].start_time_s == 0.0
+            assert log.records[0].end_time_s == want_results[k].end_time_s
+            self._assert_downloads_match_scalar(log, trace, config)
+
+        if tier == "scratch":
+            # The download pass the scratch and compiled chunk loops share.
+            conn = BatchTCPConnection(TraceBatch(traces))
+            got = conn.download_batch(sizes, starts)
+            for k, want in enumerate(want_results):
+                assert got.end_times_s[k] == want.end_time_s, targets[k]
+                assert conn._cwnd[k] == refs[k].state.cwnd_segments
+                assert conn._ssthresh[k] == refs[k].state.ssthresh_segments
 
     @pytest.mark.parametrize("tier", KERNEL_TIERS)
     def test_zero_capacity_interval_downloads(self, tier):
         """Transfers that must wait out mid-trace zero-capacity intervals
         agree with the scalar kernel on every tier."""
-        from repro.tcp.connection import BatchTCPConnection, TCPConnection
+        from repro.tcp.connection import TCPConnection
 
         vals = [4.0, 0.0, 0.0, 2.0, 6.0]
         trace = PiecewiseConstantTrace.from_uniform(vals, 5.0)
-        n = 6
-        rng = np.random.default_rng(17)
-        conn = BatchTCPConnection(TraceBatch([trace] * n), kernel=tier)
-        serial = [TCPConnection(trace) for _ in range(n)]
-        starts = np.zeros(n)
-        for _ in range(4):
-            sizes = 10 ** rng.uniform(4.5, 6.5, n)
-            got = conn.download_batch(sizes, starts)
-            for k in range(n):
-                want = serial[k].download(float(sizes[k]), float(starts[k]))
-                assert got.end_times_s[k] == want.end_time_s
-                assert conn._cwnd[k] == serial[k].state.cwnd_segments
-            starts = got.end_times_s + rng.uniform(0.0, 0.4, n)
+
+        # The tier's session over lanes whose zero-capacity gaps sit at
+        # different instants (one starts inside a gap) on a shared grid.
+        lanes = [
+            trace,
+            PiecewiseConstantTrace.from_uniform([0.0, 0.0, 4.0, 2.0, 6.0], 5.0),
+            PiecewiseConstantTrace.from_uniform([4.0, 2.0, 0.0, 0.0, 6.0], 5.0),
+            PiecewiseConstantTrace.from_uniform([2.0, 0.0, 4.0, 0.0, 6.0], 5.0),
+        ]
+        sizes = 10 ** np.random.default_rng(19).uniform(4.5, 6.5, 8)
+        video = self._one_quality_video(sizes)
+        config = SessionConfig(buffer_capacity_s=5.0)
+        logs = self._tier_logs(tier, video, lanes, config)
+        for log, lane in zip(logs, lanes, strict=True):
+            self._assert_downloads_match_scalar(log, lane, config)
+
+        if tier == "scratch":
+            # The download pass the scratch and compiled chunk loops share.
+            n = 6
+            rng = np.random.default_rng(17)
+            conn = BatchTCPConnection(TraceBatch([trace] * n))
+            serial = [TCPConnection(trace) for _ in range(n)]
+            starts = np.zeros(n)
+            for _ in range(4):
+                sizes = 10 ** rng.uniform(4.5, 6.5, n)
+                got = conn.download_batch(sizes, starts)
+                for k in range(n):
+                    want = serial[k].download(float(sizes[k]), float(starts[k]))
+                    assert got.end_times_s[k] == want.end_time_s
+                    assert conn._cwnd[k] == serial[k].state.cwnd_segments
+                starts = got.end_times_s + rng.uniform(0.0, 0.4, n)
 
     @pytest.mark.parametrize("abr_factory", [BBAAlgorithm, BOLAAlgorithm, MPCAlgorithm])
     @pytest.mark.parametrize("tier", REPLAY_PATHS)

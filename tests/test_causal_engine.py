@@ -185,9 +185,9 @@ class TestEngine:
         """A pooled evaluate_many replays one contiguous trace shard per
         worker and answers every query exactly as the serial run does.
 
-        BBA decides vectorised, rate-based takes per-lane scalar decisions
-        inside the fused loop and veritas-abr (an ``observe_download`` ABR)
-        replays serially inside its shard.
+        BBA decides vectorised in the fused loop, while rate-based (no
+        vectorised decider) and veritas-abr (an ``observe_download`` ABR)
+        replay on the scalar session inside their shard.
         """
         traces = [
             random_walk_trace(m, 300.0, seed=s, low=1.5, high=9.0, step_mbps=1.0)

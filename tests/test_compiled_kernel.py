@@ -12,12 +12,13 @@ implementations:
   CI image).
 
 This suite pins the native build to the mirror bit for bit, exercises
-the feature-detection/fallback contract (``kernel="compiled"`` degrades
+the feature-detection/fallback contract (``kernel="compiled"`` resolves
 to the scratch tier when no backend is buildable), checks that the
-``reference`` and ``scratch`` tiers run no native code, and runs whole
-sessions through the compiled tier against serial replay.  The C uses
-only IEEE-754 basic operations, no libm, and is built without FMA
-contraction or fast-math, so every comparison here is exact.
+``scratch`` tier and the scalar session of the ``reference`` tier run no
+native code, and runs whole sessions through the compiled tier against
+serial replay.  The C uses only IEEE-754 basic operations, no libm, and
+is built without FMA contraction or fast-math, so every comparison here
+is exact.
 """
 
 from __future__ import annotations
@@ -30,10 +31,12 @@ import pytest
 
 from repro import (
     BatchStreamingSession,
+    CounterfactualEngine,
     SessionConfig,
     StreamingSession,
     Video,
     default_ladder,
+    paper_veritas_config,
 )
 from repro.abr import BBAAlgorithm, BOLAAlgorithm, MPCAlgorithm, _decisions
 from repro.net.trace import PiecewiseConstantTrace, TraceBatch
@@ -41,7 +44,7 @@ from repro.player import _fused
 from repro.player.batch_session import LaneGroup
 from repro.player.logs import SessionLogBatch
 from repro.tcp import _compiled
-from repro.tcp.connection import BatchTCPConnection
+from repro.tcp.connection import BatchTCPConnection, resolve_kernel
 from repro.util import compiled as util_compiled
 
 from test_batch_replay import (  # noqa: F401
@@ -113,13 +116,19 @@ class TestBackendDispatch:
         assert _fused.backend() == "python"
 
     def test_unavailable_compiled_falls_back_to_scratch(self, monkeypatch):
+        """An explicit "compiled" resolves to the tier that serves it, so
+        the engine and the session record "scratch"."""
         monkeypatch.setattr(_fused, "available", lambda: False)
         monkeypatch.setattr(util_compiled, "_FALLBACK_WARNED", set())
-        batch = TraceBatch(lane_traces(3))
         with pytest.warns(RuntimeWarning, match='"compiled".*"scratch"'):
-            conn = BatchTCPConnection(batch, kernel="compiled")
-        assert conn.kernel == "compiled"  # the request is remembered...
-        assert conn.tier == "scratch"  # ...but the scratch tier serves it
+            assert resolve_kernel("compiled") == "scratch"
+        engine = CounterfactualEngine(paper_veritas_config(), kernel="compiled")
+        assert engine.kernel == "scratch"
+        session = BatchStreamingSession(
+            Video.generate(default_ladder(), duration_s=20.0, seed=3),
+            BBAAlgorithm, lane_traces(3), SessionConfig(), kernel="compiled",
+        )
+        assert session.kernel == "scratch"
 
     def test_fallback_warning_once_per_ladder(self, monkeypatch):
         """One degrade warning per tier ladder per process, naming the
@@ -195,7 +204,7 @@ class TestRawKernelParity:
 
     def test_batch_connection_raises_on_dead_lane(self, video):  # noqa: F811
         dead = PiecewiseConstantTrace.from_uniform([2.0, 1.0, 0.0], 5.0)
-        conn = BatchTCPConnection(TraceBatch([dead, dead]), kernel="compiled")
+        conn = BatchTCPConnection(TraceBatch([dead, dead]))
         with pytest.raises(RuntimeError, match="trailing bandwidth"):
             conn.download_batch(np.array([1e9, 1e9]), np.array([0.0, 0.0]))
 
@@ -250,9 +259,11 @@ class TestCompiledSessionParity:
 
 class TestNonNativeTiers:
     """``reference`` and ``scratch`` run no native code on any machine, so
-    they stay an independent check on the compiled tier's C."""
+    they stay an independent check on the compiled tier's C.  The
+    ``reference`` tier is the scalar ``StreamingSession``, which replays
+    the comparison lanes below under the same refusal."""
 
-    @pytest.mark.parametrize("tier", ["reference", "scratch"])
+    @pytest.mark.parametrize("tier", ["scratch"])
     def test_tier_runs_no_native_code(self, video, tier, monkeypatch):  # noqa: F811
         def refuse(self):
             raise AssertionError(f"{tier} tier loaded the native {self.stem} library")
@@ -434,6 +445,44 @@ class TestMPCKernelEdgeCases:
             ).run()
             assert_logs_identical(serial, batch_log.lane(k))
 
+    def test_over_budget_qoe_tables(self, monkeypatch):
+        """Past ``_TABLE_BUDGET_ELEMENTS`` scalar and batch MPC gather the
+        QoE terms per decision, and the fused kernel gets no pack, so the
+        compiled tier runs the chunk loop: serial, scratch and compiled
+        sessions equal the in-budget ones column for column."""
+        from repro.abr import mpc
+        from repro.video import short_video
+
+        traces = lane_traces(4, seed=45)
+        config = SessionConfig(buffer_capacity_s=8.0)
+
+        def sessions(video):
+            serial = [
+                StreamingSession(video, MPCAlgorithm(), trace, config).run()
+                for trace in traces
+            ]
+            batch = [
+                BatchStreamingSession(
+                    video, MPCAlgorithm, traces, config, kernel=tier
+                ).run()
+                for tier in ("scratch", "compiled")
+            ]
+            return serial, batch
+
+        in_serial, in_batch = sessions(short_video(duration_s=60.0, seed=9))
+        monkeypatch.setattr(mpc, "_TABLE_BUDGET_ELEMENTS", 0)
+        # A fresh video object: the tables are cached per video.
+        over_video = short_video(duration_s=60.0, seed=9)
+        over_serial, over_batch = sessions(over_video)
+
+        assert mpc._kernel_pack(over_video, MPCAlgorithm().horizon) is None
+        tables = mpc._VIDEO_TABLES[over_video]
+        assert tables and all(entry == (None,) for entry in tables.values())
+        for got, want in zip(over_serial, in_serial, strict=True):
+            assert_logs_identical(want, got)
+        for got, want in zip(over_batch, in_batch, strict=True):
+            assert_batches_identical(got, want)
+
 
 # ----------------------------------------------------------------------
 # Fused session kernel: the compiled tier's whole-session runner.
@@ -511,24 +560,31 @@ class TestFusedTier:
             serial = StreamingSession(video, MPCAlgorithm(), trace, config).run()
             assert_logs_identical(serial, batch_log.lane(k))
 
-    def test_fused_scalar_fallback_abr_uses_chunk_loop(self, video):  # noqa: F811
-        """An ABR outside the fused kernel's reach (scalar decisions) on
-        kernel="compiled" silently takes the scratch chunk loop on the
-        same connection — identical results, no error."""
+    def test_fused_subclassed_abr_uses_chunk_loop(self, video, monkeypatch):  # noqa: F811
+        """A subclass that keeps BBA's vectorised decider is outside the
+        fused kernel's reach (it may override what the kernel does not
+        see): kernel="compiled" silently takes the scratch chunk loop —
+        identical results, no error, no kernel call."""
 
-        class PinnedBBA(BBAAlgorithm):
-            name = "pinned-bba"
+        class RenamedBBA(BBAAlgorithm):
+            name = "renamed-bba"
 
-            def choose_quality(self, context):
-                return min(1, context.video.n_qualities - 1)
+        calls = {"run_session": 0}
+        real = _fused.run_session
 
+        def counting(*args):
+            calls["run_session"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(_fused, "run_session", counting)
         traces = lane_traces(3, seed=54)
         config = SessionConfig(buffer_capacity_s=5.0)
         batch_log = BatchStreamingSession(
-            video, PinnedBBA, traces, config, kernel="compiled"
+            video, RenamedBBA, traces, config, kernel="compiled"
         ).run()
+        assert calls == {"run_session": 0}
         for k, trace in enumerate(traces):
-            serial = StreamingSession(video, PinnedBBA(), trace, config).run()
+            serial = StreamingSession(video, RenamedBBA(), trace, config).run()
             assert_logs_identical(serial, batch_log.lane(k))
 
     def test_fused_non_robust_mpc_uses_chunk_loop(self, video):  # noqa: F811

@@ -4,7 +4,8 @@
 the fastest tier the machine can build: ``"compiled"`` when that ladder's
 cc+cffi build loads, the portable ``"scratch"`` / ``"numpy"`` otherwise.
 The choice never warns, is recorded as a concrete tier name, changes no
-answer, and is not made just to print ``repro --help``.
+answer, and is not made just to print ``repro --help`` or to answer with
+scalar abduction only.
 """
 
 from __future__ import annotations
@@ -115,31 +116,34 @@ class TestDefaultEngine:
                 )
 
 
-class TestHelpBuildsNothing:
-    def run(self, args, cache: Path):
-        env = dict(os.environ)
-        env["REPRO_COMPILED_CACHE"] = str(cache)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
-        )
-        return subprocess.run(
-            [sys.executable, *args],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=300,
-        )
+def run_fresh(args, cache: Path):
+    """Run ``python *args`` in a fresh process whose compiled-library
+    cache is ``cache``."""
+    env = dict(os.environ)
+    env["REPRO_COMPILED_CACHE"] = str(cache)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
 
+
+class TestHelpBuildsNothing:
     def test_help_leaves_cache_empty(self, tmp_path):
         cache = tmp_path / "cache"
         cache.mkdir()
         for args in (["--help"], ["counterfactual", "--help"]):
-            proc = self.run(["-m", "repro.cli", *args], cache)
+            proc = run_fresh(["-m", "repro.cli", *args], cache)
             assert proc.returncode == 0, proc.stderr
             assert list(cache.iterdir()) == [], args
         # The same environment does build into the cache when a tier is
         # resolved, so an empty cache above means nothing was built.
-        proc = self.run(
+        proc = run_fresh(
             [
                 "-c",
                 "from repro.tcp.connection import resolve_kernel;"
@@ -150,3 +154,30 @@ class TestHelpBuildsNothing:
         assert proc.returncode == 0, proc.stderr
         if proc.stdout.strip() == "compiled":
             assert list(cache.iterdir())
+
+
+class TestScalarAbductionBuildsNothing:
+    def test_predictor_leaves_cache_empty(self, tmp_path):
+        """An interventional question runs scalar abduction only, so it
+        builds no compiled library: the abduction tier is an argument of
+        ``solve_batch``, not of the ``VeritasAbduction`` constructor."""
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        script = "; ".join(
+            [
+                "from repro import MPCAlgorithm, SessionConfig, StreamingSession",
+                "from repro import VeritasDownloadPredictor, constant_trace",
+                "from repro import paper_veritas_config",
+                "from repro.video import short_video",
+                "log = StreamingSession(short_video(duration_s=40.0, seed=6), "
+                "MPCAlgorithm(), constant_trace(5.0, 400.0), SessionConfig()).run()",
+                "record = log.records[10]",
+                "p = VeritasDownloadPredictor(paper_veritas_config()).predict("
+                "log.truncated(10), 500_000, record.start_time_s, record.tcp_state)",
+                "print(p.download_time_s > 0)",
+            ]
+        )
+        proc = run_fresh(["-c", script], cache)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"
+        assert list(cache.iterdir()) == []

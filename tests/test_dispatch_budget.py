@@ -1,6 +1,7 @@
 """Allocation and dispatch budgets of the replay kernel tiers (PR 6, PR 8).
 
-``kernel="scratch"`` promises an **allocation-free steady state**: once a
+The lockstep download pass of ``kernel="scratch"`` (and of the compiled
+tier's chunk loop) promises an **allocation-free steady state**: once a
 ``BatchTCPConnection`` has warmed up, a pipe-full chunk download (every
 lane finishing inside its current trace interval — the overwhelmingly
 common case once windows have opened) runs entirely through ``out=``
@@ -46,7 +47,7 @@ STEADY_CALLS = 25
 
 
 def steady_state_connection():
-    """A warmed-up scratch-tier connection in the pipe-full regime.
+    """A warmed-up batch connection in the pipe-full regime.
 
     One long interval at 1.0 Mbps keeps the BDP (10 kB) below even the
     initial congestion window (15 kB), so every lane is pipe-full from
@@ -54,8 +55,7 @@ def steady_state_connection():
     requests (idle == 0) keep slow-start restart inert.
     """
     trace = PiecewiseConstantTrace([0.0, 1e9], [1.0])
-    conn = BatchTCPConnection(TraceBatch([trace] * K), kernel="scratch")
-    assert conn.tier == "scratch"
+    conn = BatchTCPConnection(TraceBatch([trace] * K))
     rng = np.random.default_rng(0)
     sizes = rng.uniform(2e4, 6e4, K)
     starts = np.zeros(K)
@@ -251,8 +251,8 @@ class TestAbductionDispatchBudget:
         n_stacks = len({log.n_chunks for log in logs})
         assert n_stacks == 2  # the corpus actually spans two lengths
 
-        abduction = VeritasAbduction(paper_veritas_config(), kernel="compiled")
-        posteriors = abduction.solve_batch(logs)
+        abduction = VeritasAbduction(paper_veritas_config())
+        posteriors = abduction.solve_batch(logs, kernel="compiled")
         assert entries["emission"] == 1, (
             f"{entries['emission']} emission kernel entries for one corpus; "
             f"the concatenated matrix must be built in a single call"

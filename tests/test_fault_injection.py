@@ -64,6 +64,19 @@ def nan_trace(duration_s: float = 180.0) -> PiecewiseConstantTrace:
     return PiecewiseConstantTrace.from_uniform(values, 1.0)
 
 
+def break_batch_replay(monkeypatch):
+    """Make every fused replay on the batch tiers fail; the ``"reference"``
+    tier, which the degrade retry runs on, still answers."""
+    real = CounterfactualEngine._replay_settings
+
+    def fused_fails(self, per_trace, settings, kernel=None):
+        if kernel != "reference":
+            raise RuntimeError("fused replay exploded")
+        return real(self, per_trace, settings, kernel)
+
+    monkeypatch.setattr(CounterfactualEngine, "_replay_settings", fused_fails)
+
+
 @pytest.fixture(scope="module")
 def setting_a():
     return Setting(
@@ -200,21 +213,20 @@ class TestTraceIsolation:
         engine = make_engine(on_error="degrade")
         prepared = engine.prepare_corpus(corpus[:2], setting_a)
         original = CounterfactualEngine._replay_prepared
+        retry_tiers = []
 
-        def flaky(self, item, setting):
-            raise RuntimeError("batch replay exploded")
+        def flaky(self, item, setting, kernel=None):
+            # Only the batch tiers fail: the retry runs on the reference tier.
+            if kernel != "reference":
+                raise RuntimeError("batch replay exploded")
+            retry_tiers.append(kernel)
+            return original(self, item, setting, kernel)
 
         monkeypatch.setattr(CounterfactualEngine, "_replay_prepared", flaky)
-        monkeypatch.setattr(
-            CounterfactualEngine,
-            "_replay_settings",
-            lambda self, per_trace, settings: (_ for _ in ()).throw(
-                RuntimeError("fused replay exploded")
-            ),
-        )
+        break_batch_replay(monkeypatch)
         result = engine.evaluate_many(prepared, [setting_b])[0]
-        monkeypatch.setattr(CounterfactualEngine, "_replay_prepared", original)
 
+        assert retry_tiers == ["reference", "reference"]
         assert_same_trace_answers(result.per_trace, reference.per_trace)
         recovered = [f for f in result.faults.traces if f.trace_index >= 0]
         assert len(recovered) == 2
@@ -230,24 +242,16 @@ class TestTraceIsolation:
             make_engine().prepare_corpus(corpus[:2], setting_a), [setting_b]
         )[0]
 
-        serial = CounterfactualEngine._replay_prepared_serial
+        original = CounterfactualEngine._replay_prepared
 
-        def boom_for_first(self, item, setting):
+        def boom_for_first(self, item, setting, kernel=None):
+            # Trace 0 fails on the batch attempt and the reference retry.
             if item.trace_index == 0:
                 raise RuntimeError("trace 0 is cursed")
-            return serial(self, item, setting)
+            return original(self, item, setting, kernel)
 
-        monkeypatch.setattr(
-            CounterfactualEngine,
-            "_replay_settings",
-            lambda self, per_trace, settings: (_ for _ in ()).throw(
-                RuntimeError("fused replay exploded")
-            ),
-        )
+        break_batch_replay(monkeypatch)
         monkeypatch.setattr(CounterfactualEngine, "_replay_prepared", boom_for_first)
-        monkeypatch.setattr(
-            CounterfactualEngine, "_replay_prepared_serial", boom_for_first
-        )
         result = engine.evaluate_many(prepared, [setting_b])[0]
 
         assert [t.trace_index for t in result.per_trace] == [1]
@@ -338,24 +342,16 @@ class TestPoolSupervision:
         setting_b = change_buffer(setting_a, 30.0)
         engine = make_engine(on_error="skip")
         prepared = engine.prepare_corpus(corpus, setting_a)
-        serial = CounterfactualEngine._replay_prepared_serial
+        original = CounterfactualEngine._replay_prepared
 
-        def boom_for_first(self, item, setting):
+        def boom_for_first(self, item, setting, kernel=None):
+            # Trace 0 fails on the batch attempt and the reference retry.
             if item.trace_index == 0:
                 raise RuntimeError("trace 0 is cursed")
-            return serial(self, item, setting)
+            return original(self, item, setting, kernel)
 
-        monkeypatch.setattr(
-            CounterfactualEngine,
-            "_replay_settings",
-            lambda self, per_trace, settings: (_ for _ in ()).throw(
-                RuntimeError("fused replay exploded")
-            ),
-        )
+        break_batch_replay(monkeypatch)
         monkeypatch.setattr(CounterfactualEngine, "_replay_prepared", boom_for_first)
-        monkeypatch.setattr(
-            CounterfactualEngine, "_replay_prepared_serial", boom_for_first
-        )
         in_process = engine.evaluate_many(prepared, [setting_b])[0]
         pooled = engine.evaluate_many(prepared, [setting_b], n_workers=2)[0]
 
@@ -503,6 +499,38 @@ class TestCheckpointResume:
         )
         assert_same_prepared(again.per_trace, first.per_trace)
 
+    def test_predictor_window_misses_checkpoint(
+        self, corpus, setting_a, tmp_path, monkeypatch
+    ):
+        """The Setting-A fingerprint covers the objects the ABR owns: a
+        rate-based Setting A with another predictor window is another
+        checkpoint, never a reload of the first window's logs."""
+        ckpt = tmp_path / "store"
+        narrow = change_abr(setting_a, "rate", window=3)
+        wide = change_abr(setting_a, "rate", window=8)
+        make_engine().prepare_corpus(corpus[:2], narrow, checkpoint_dir=ckpt)
+
+        hits = []
+        real_load = CheckpointStore.load
+
+        def counting_load(self, key):
+            payload = real_load(self, key)
+            if payload is not None:
+                hits.append(key)
+            return payload
+
+        monkeypatch.setattr(CheckpointStore, "load", counting_load)
+        resumed = make_engine().prepare_corpus(corpus[:2], wide, checkpoint_dir=ckpt)
+        assert hits == []
+        assert len(CheckpointStore(ckpt)) == 4
+
+        fresh = make_engine().prepare_corpus(corpus[:2], wide)
+        assert_same_prepared(resumed.per_trace, fresh.per_trace)
+        setting_b = change_abr(setting_a, "bola")
+        got = make_engine().evaluate_many(resumed, [setting_b])[0]
+        want = make_engine().evaluate_many(fresh, [setting_b])[0]
+        assert_same_trace_answers(got.per_trace, want.per_trace)
+
     def test_fingerprint_is_content_addressed(self):
         a = fingerprint(["x", np.arange(4), 3])
         b = fingerprint(["x", np.arange(4), 3])
@@ -515,25 +543,18 @@ class TestCheckpointResume:
 # ---------------------------------------------------------------------------
 class TestCompiledFallbackWarning:
     def test_warns_once_per_process(self, monkeypatch):
-        from repro.net.trace import TraceBatch
         from repro.player import _fused
-        from repro.tcp import connection
         from repro.util import compiled as util_compiled
 
         monkeypatch.setattr(_fused, "available", lambda: False)
         monkeypatch.setattr(util_compiled, "_FALLBACK_WARNED", set())
-        batch = TraceBatch(
-            [PiecewiseConstantTrace.from_uniform([5.0, 5.0], 1.0)]
-        )
 
         def build():
-            return connection.BatchTCPConnection(
-                batch, rtt_s=0.08, kernel="compiled"
-            )
+            return CounterfactualEngine(paper_veritas_config(), kernel="compiled")
 
         with pytest.warns(RuntimeWarning, match="falling back"):
-            conn = build()
-        assert conn.tier == "scratch"
+            engine = build()
+        assert engine.kernel == "scratch"
 
         import warnings as _warnings
 

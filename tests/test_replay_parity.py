@@ -5,14 +5,14 @@ built on it:
 
 * ``PiecewiseConstantTrace.time_to_transfer`` (the scalar interval walk)
   against known closed-form answers,
-* every ``BatchTCPConnection`` tier against scalar ``TCPConnection``
-  objects (the golden per-RTT loop) on random traces, RTTs, idle gaps and
-  sizes, bit for bit,
+* the ``BatchTCPConnection`` download pass against scalar
+  ``TCPConnection`` objects (the golden per-RTT loop) on random traces,
+  RTTs, idle gaps and sizes, bit for bit,
 * ``CounterfactualEngine.evaluate_many`` over a prepared corpus vs
   back-to-back ``evaluate_corpus`` / per-trace ``evaluate_trace`` calls,
   and the engine's kernel tiers against each other.
 
-The batch tiers share helpers with the scalar loop (``_grow_window``,
+The batch pass shares helpers with the scalar loop (``_grow_window``,
 ``_fluid_finish``), so the parity tests pin the stepping logic, not the
 shared helpers.  Defects in shared code are instead caught by the
 value-level tests here and in ``test_trace.py`` / ``test_tcp_connection.py``
@@ -89,27 +89,26 @@ class TestTimeToTransferParity:
 
 class TestDownloadKernelParity:
     def test_randomized_download_sequences(self):
-        """Every tier of a 3-lane batch connection equals one scalar
-        connection per lane, bit for bit, on random traces with irregular
-        interval widths, random RTTs, idle gaps and sizes."""
-        for tier in KERNEL_TIERS:
-            rng = np.random.default_rng(11)
-            for _ in range(300):
-                lanes = random_lanes(rng, 3)
-                rtt = float(rng.uniform(0.02, 0.3))
-                batch = BatchTCPConnection(TraceBatch(lanes), rtt_s=rtt, kernel=tier)
-                scalar = [TCPConnection(tr, rtt_s=rtt) for tr in lanes]
-                ends = np.zeros(len(lanes))
-                for _ in range(int(rng.integers(1, 7))):
-                    starts = ends + rng.uniform(0.0, 4.0, len(lanes))
-                    sizes = 10 ** rng.uniform(3, 6.8, len(lanes))
-                    got = batch.download_batch(sizes, starts)
-                    for k, conn in enumerate(scalar):
-                        want = conn.download(float(sizes[k]), float(starts[k]))
-                        assert got.end_times_s[k] == want.end_time_s, tier
-                        assert batch._cwnd[k] == conn.state.cwnd_segments, tier
-                        assert batch._ssthresh[k] == conn.state.ssthresh_segments, tier
-                    ends = got.end_times_s.copy()
+        """A 3-lane batch connection equals one scalar connection per lane,
+        bit for bit, on random traces with irregular interval widths,
+        random RTTs, idle gaps and sizes."""
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            lanes = random_lanes(rng, 3)
+            rtt = float(rng.uniform(0.02, 0.3))
+            batch = BatchTCPConnection(TraceBatch(lanes), rtt_s=rtt)
+            scalar = [TCPConnection(tr, rtt_s=rtt) for tr in lanes]
+            ends = np.zeros(len(lanes))
+            for _ in range(int(rng.integers(1, 7))):
+                starts = ends + rng.uniform(0.0, 4.0, len(lanes))
+                sizes = 10 ** rng.uniform(3, 6.8, len(lanes))
+                got = batch.download_batch(sizes, starts)
+                for k, conn in enumerate(scalar):
+                    want = conn.download(float(sizes[k]), float(starts[k]))
+                    assert got.end_times_s[k] == want.end_time_s
+                    assert batch._cwnd[k] == conn.state.cwnd_segments
+                    assert batch._ssthresh[k] == conn.state.ssthresh_segments
+                ends = got.end_times_s.copy()
 
 
 class TestPreparedCorpusParity:
