@@ -10,16 +10,23 @@ cores defined here:
   loop's strict-improvement (first-maximum) tie rule;
 * :func:`_mpc_obs_pred_one` / :func:`_mpc_decide_one` — RobustMPC.  The
   harmonic-mean predictor's state lives in flat per-lane ring buffers
-  (``hist`` observation window, ``errs`` error window, ``last_pred``),
-  and the horizon search runs the QoE-table scaling, buffer recursion,
-  stall/switch penalties and first-max argmax per lane.
+  (``hist`` observation window, ``errs`` error window, ``last_pred``).
+  The horizon search walks the prefix tree of the pruned sequences
+  depth first, carrying the buffer and the stall sum down each path, so
+  a shared prefix is simulated once (649 nodes instead of 421 sequences
+  × 5 steps at 7 rungs and horizon 5).  It reads no sequence table: the
+  leaves come in ``_enumerate_sequences`` order, so the precomputed
+  per-sequence QoE rows are indexed by the leaf counter.
 
-Each core exists twice, in lockstep: plain Python, which mirrors the
-NumPy batch deciders (themselves pinned bit-identical to the scalar
-``choose_quality``) float for float and is what the session kernel's
-mirror runs, and a line-for-line C transcription (:data:`C_HELPERS`)
-that ``_fused`` compiles into its library.  The C uses only IEEE-754
-basic operations, no libm, and is built with ``-fno-fast-math
+Each core exists twice, in lockstep: plain Python, which the session
+kernel's mirror runs, and a line-for-line C transcription
+(:data:`C_HELPERS`) that ``_fused`` compiles into its library.  Each
+core makes the NumPy batch decider's decisions (those deciders are
+pinned bit-identical to the scalar ``choose_quality``): BBA and BOLA
+float for float, MPC with the same float operations in the same order
+along every sequence, the NumPy decider evaluating all sequences at
+once and the core walking their shared prefixes once.  The C uses only
+IEEE-754 basic operations, no libm, and is built with ``-fno-fast-math
 -ffp-contract=off``, so the two make bit-identical decisions.
 
 This module builds nothing itself.  :func:`backend` reports the backend
@@ -109,15 +116,46 @@ def _mpc_obs_pred_one(hist_row, err_row, lp, n_obs, window, error_window,
     return harmonic / (1.0 + max_error)
 
 
-def _mpc_decide_one(b0, p, lq, n, h, n_seq, seq, size_flat, db_flat,
-                    n_qualities, dbsum_row, switch_row, capacity, chunk_dur,
-                    rebuffer_penalty, switch_penalty):
-    """One lane's MPC horizon search over the pruned sequence set.
+def _mpc_leaf_qoe(negst, s, jump, has_prev, dbsum_row, switch_row,
+                  rebuffer_penalty, switch_penalty):
+    """QoE of leaf ``s`` of the horizon search: its precomputed SSIM-dB
+    total, its stall sum ``negst`` (a non-positive number of seconds)
+    and its switch penalty, where ``jump`` is the first rung's
+    ``|Δ ssim_db|`` from the previous chunk."""
+    qoe = dbsum_row[s] + negst * rebuffer_penalty
+    if has_prev:
+        qoe -= (switch_row[s] + jump) * switch_penalty
+    elif switch_penalty != 0.0:
+        qoe -= switch_penalty * switch_row[s]
+    return qoe
 
-    ``seq`` is the ``(n_seq, h)`` sequence table flattened row-major;
-    ``dbsum_row`` / ``switch_row`` the precomputed per-sequence SSIM-dB
-    and switch-penalty totals for this chunk; ``lq`` the previous ladder
-    index (``-1`` for the first chunk).  Returns the chosen quality.
+
+def _mpc_decide_one(b0, p, lq, n, h, size_flat, db_flat, n_qualities,
+                    dbsum_row, switch_row, capacity, chunk_dur,
+                    rebuffer_penalty, switch_penalty):
+    """One lane's MPC horizon search: a depth-first walk of the ±1 tree.
+
+    The candidate sequences (first rung free, then ±1 moves, see
+    :func:`repro.abr.mpc._enumerate_sequences`) are the leaves of a
+    prefix tree of depth ``h``.  The walk carries (buffer, stall sum)
+    down each path, so a shared prefix is simulated once, and every path
+    runs the same float operations in the same order as a from-scratch
+    simulation of its sequence.  First rungs ascend and children are
+    visited at rungs q-1, q, q+1, so leaf ``s`` is row ``s`` of the
+    sequence table: ``dbsum_row`` / ``switch_row`` (this chunk's
+    per-sequence SSIM-dB and switch-penalty totals) are indexed by the
+    leaf counter, and the strict ``>`` keeps the first maximum, as
+    ``np.argmax`` does.
+
+    The per-depth stacks (``rung`` / ``top``: the current and the last
+    sibling; ``buf`` / ``neg``: the buffer and stall sum entering that
+    depth) cover depths ``0 .. h-2``.  The walk descends along first
+    children to depth ``h-2``, runs that depth's siblings, each scoring
+    its leaf children in place, then advances the deepest unfinished
+    depth above.  ``h == 1`` scores the one-step leaves directly.  The C
+    keeps the stacks and the ``h × Q`` download seconds in
+    variable-length arrays on its stack.  ``lq`` is the previous ladder
+    index (``-1`` for the first chunk).  Returns the chosen first rung.
     """
     if p < 1e-3:
         p = 1e-3
@@ -129,37 +167,101 @@ def _mpc_decide_one(b0, p, lq, n, h, n_seq, seq, size_flat, db_flat,
         if pn < 0:
             pn = 0
         prev_db = db_flat[pn * n_qualities + lq]
+    # Download seconds of rung q at horizon step hh, slot hh * Q + q:
+    # the multiply every path through that (step, rung) makes.
+    n_cells = h * n_qualities
+    dsec = [0.0] * n_cells
+    base = n * n_qualities
+    for i in range(n_cells):
+        dsec[i] = size_flat[base + i] * scale
     best = 0.0
-    best_s = 0
-    for s in range(n_seq):
-        b = b0
-        negst = 0.0
-        for hh in range(h):
-            q = seq[s * h + hh]
-            d = size_flat[(n + hh) * n_qualities + q] * scale
-            lvl = b - d
+    best_q = 0
+    s = 0
+    jump = 0.0
+    if h == 1:
+        for q in range(n_qualities):
+            lvl = b0 - dsec[q]
+            negst = 0.0
             if lvl < 0.0:
                 negst += lvl
-            if hh + 1 < h:
-                t = lvl
-                if t < 0.0:
-                    t = 0.0
-                t += chunk_dur
-                if t > capacity:
-                    t = capacity
-                b = t
-        qoe = dbsum_row[s] + negst * rebuffer_penalty
-        if has_prev:
-            jump = db_flat[n * n_qualities + seq[s * h]] - prev_db
-            if jump < 0.0:
-                jump = -jump
-            qoe -= (switch_row[s] + jump) * switch_penalty
-        elif switch_penalty != 0.0:
-            qoe -= switch_penalty * switch_row[s]
-        if s == 0 or qoe > best:
-            best = qoe
-            best_s = s
-    return seq[best_s * h]
+            if has_prev:
+                jump = db_flat[base + q] - prev_db
+                if jump < 0.0:
+                    jump = -jump
+            qoe = _mpc_leaf_qoe(negst, s, jump, has_prev, dbsum_row,
+                                switch_row, rebuffer_penalty, switch_penalty)
+            if s == 0 or qoe > best:
+                best = qoe
+                best_q = q
+            s += 1
+        return best_q
+    last = h - 2
+    leaf = (h - 1) * n_qualities
+    rung = [0] * (h - 1)
+    top = [0] * (h - 1)
+    buf = [0.0] * (h - 1)
+    neg = [0.0] * (h - 1)
+    buf[0] = b0
+    neg[0] = 0.0
+    rung[0] = 0
+    top[0] = n_qualities - 1
+    d = 0
+    while True:
+        while d < last:
+            r = rung[d]
+            lvl = buf[d] - dsec[d * n_qualities + r]
+            negst = neg[d]
+            if lvl < 0.0:
+                negst += lvl
+            t = lvl
+            if t < 0.0:
+                t = 0.0
+            t += chunk_dur
+            if t > capacity:
+                t = capacity
+            d += 1
+            buf[d] = t
+            neg[d] = negst
+            rung[d] = r - 1 if r > 0 else 0
+            top[d] = r + 1 if r + 1 < n_qualities else n_qualities - 1
+        b = buf[last]
+        nb = neg[last]
+        for r in range(rung[last], top[last] + 1):
+            q0 = r if last == 0 else rung[0]
+            if has_prev:
+                jump = db_flat[base + q0] - prev_db
+                if jump < 0.0:
+                    jump = -jump
+            lvl = b - dsec[last * n_qualities + r]
+            negst = nb
+            if lvl < 0.0:
+                negst += lvl
+            t = lvl
+            if t < 0.0:
+                t = 0.0
+            t += chunk_dur
+            if t > capacity:
+                t = capacity
+            lo = r - 1 if r > 0 else 0
+            hi = r + 1 if r + 1 < n_qualities else n_qualities - 1
+            for c in range(lo, hi + 1):
+                lvl2 = t - dsec[leaf + c]
+                ng = negst
+                if lvl2 < 0.0:
+                    ng += lvl2
+                qoe = _mpc_leaf_qoe(ng, s, jump, has_prev, dbsum_row,
+                                    switch_row, rebuffer_penalty,
+                                    switch_penalty)
+                if s == 0 or qoe > best:
+                    best = qoe
+                    best_q = q0
+                s += 1
+        d = last - 1
+        while d >= 0 and rung[d] == top[d]:
+            d -= 1
+        if d < 0:
+            return best_q
+        rung[d] += 1
 
 
 # ----------------------------------------------------------------------
@@ -224,10 +326,23 @@ static double mpc_obs_pred_one(const double *hist_row, double *err_row,
     return harmonic / (1.0 + max_error);
 }
 
+static double mpc_leaf_qoe(double negst, int64_t s, double jump,
+                           int has_prev, const double *dbsum_row,
+                           const double *switch_row,
+                           double rebuffer_penalty, double switch_penalty) {
+    double qoe = dbsum_row[s] + negst * rebuffer_penalty;
+    if (has_prev) {
+        qoe -= (switch_row[s] + jump) * switch_penalty;
+    } else if (switch_penalty != 0.0) {
+        qoe -= switch_penalty * switch_row[s];
+    }
+    return qoe;
+}
+
 static int64_t mpc_decide_one(double b0, double p, int64_t lq, int64_t n,
-                              int64_t h, int64_t n_seq, const int64_t *seq,
-                              const double *size_flat, const double *db_flat,
-                              int64_t n_qualities, const double *dbsum_row,
+                              int64_t h, const double *size_flat,
+                              const double *db_flat, int64_t n_qualities,
+                              const double *dbsum_row,
                               const double *switch_row, double capacity,
                               double chunk_dur, double rebuffer_penalty,
                               double switch_penalty) {
@@ -240,35 +355,88 @@ static int64_t mpc_decide_one(double b0, double p, int64_t lq, int64_t n,
         if (pn < 0) pn = 0;
         prev_db = db_flat[pn * n_qualities + lq];
     }
+    int64_t n_cells = h * n_qualities;
+    double dsec[n_cells];
+    int64_t base = n * n_qualities;
+    for (int64_t i = 0; i < n_cells; i++)
+        dsec[i] = size_flat[base + i] * scale;
     double best = 0.0;
-    int64_t best_s = 0;
-    for (int64_t s = 0; s < n_seq; s++) {
-        double b = b0;
-        double negst = 0.0;
-        for (int64_t hh = 0; hh < h; hh++) {
-            int64_t q = seq[s * h + hh];
-            double d = size_flat[(n + hh) * n_qualities + q] * scale;
-            double lvl = b - d;
+    int64_t best_q = 0, s = 0;
+    double jump = 0.0;
+    if (h == 1) {
+        for (int64_t q = 0; q < n_qualities; q++) {
+            double lvl = b0 - dsec[q];
+            double negst = 0.0;
             if (lvl < 0.0) negst += lvl;
-            if (hh + 1 < h) {
-                double t = lvl;
-                if (t < 0.0) t = 0.0;
-                t += chunk_dur;
-                if (t > capacity) t = capacity;
-                b = t;
+            if (has_prev) {
+                jump = db_flat[base + q] - prev_db;
+                if (jump < 0.0) jump = -jump;
+            }
+            double qoe = mpc_leaf_qoe(negst, s, jump, has_prev, dbsum_row,
+                                      switch_row, rebuffer_penalty,
+                                      switch_penalty);
+            if (s == 0 || qoe > best) { best = qoe; best_q = q; }
+            s++;
+        }
+        return best_q;
+    }
+    int64_t last = h - 2;
+    int64_t leaf = (h - 1) * n_qualities;
+    int64_t rung[h - 1], top[h - 1];
+    double buf[h - 1], neg[h - 1];
+    buf[0] = b0;
+    neg[0] = 0.0;
+    rung[0] = 0;
+    top[0] = n_qualities - 1;
+    int64_t d = 0;
+    for (;;) {
+        while (d < last) {
+            int64_t r = rung[d];
+            double lvl = buf[d] - dsec[d * n_qualities + r];
+            double negst = neg[d];
+            if (lvl < 0.0) negst += lvl;
+            double t = lvl;
+            if (t < 0.0) t = 0.0;
+            t += chunk_dur;
+            if (t > capacity) t = capacity;
+            d++;
+            buf[d] = t;
+            neg[d] = negst;
+            rung[d] = r > 0 ? r - 1 : 0;
+            top[d] = r + 1 < n_qualities ? r + 1 : n_qualities - 1;
+        }
+        double b = buf[last], nb = neg[last];
+        for (int64_t r = rung[last]; r <= top[last]; r++) {
+            int64_t q0 = last == 0 ? r : rung[0];
+            if (has_prev) {
+                jump = db_flat[base + q0] - prev_db;
+                if (jump < 0.0) jump = -jump;
+            }
+            double lvl = b - dsec[last * n_qualities + r];
+            double negst = nb;
+            if (lvl < 0.0) negst += lvl;
+            double t = lvl;
+            if (t < 0.0) t = 0.0;
+            t += chunk_dur;
+            if (t > capacity) t = capacity;
+            int64_t lo = r > 0 ? r - 1 : 0;
+            int64_t hi = r + 1 < n_qualities ? r + 1 : n_qualities - 1;
+            for (int64_t c = lo; c <= hi; c++) {
+                double lvl2 = t - dsec[leaf + c];
+                double ng = negst;
+                if (lvl2 < 0.0) ng += lvl2;
+                double qoe = mpc_leaf_qoe(ng, s, jump, has_prev, dbsum_row,
+                                          switch_row, rebuffer_penalty,
+                                          switch_penalty);
+                if (s == 0 || qoe > best) { best = qoe; best_q = q0; }
+                s++;
             }
         }
-        double qoe = dbsum_row[s] + negst * rebuffer_penalty;
-        if (has_prev) {
-            double jump = db_flat[n * n_qualities + seq[s * h]] - prev_db;
-            if (jump < 0.0) jump = -jump;
-            qoe -= (switch_row[s] + jump) * switch_penalty;
-        } else if (switch_penalty != 0.0) {
-            qoe -= switch_penalty * switch_row[s];
-        }
-        if (s == 0 || qoe > best) { best = qoe; best_s = s; }
+        d = last - 1;
+        while (d >= 0 && rung[d] == top[d]) d--;
+        if (d < 0) return best_q;
+        rung[d]++;
     }
-    return seq[best_s * h];
 }
 """
 

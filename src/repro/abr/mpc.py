@@ -13,7 +13,11 @@ To keep per-decision cost bounded the enumeration allows any quality for the
 first step but only ±1 ladder moves for subsequent horizon steps — the
 standard trajectory-pruning trick; unrestricted ladders of 7 qualities over
 horizon 5 would enumerate 16 807 sequences for no measurable QoE gain.
-Candidate evaluation is vectorised across sequences.
+The NumPy deciders (:meth:`MPCAlgorithm.choose_quality` and
+:meth:`~MPCAlgorithm.choose_quality_batch`) evaluate the candidates
+vectorised across sequences; the fused session kernel's per-lane core
+(:func:`repro.abr._decisions._mpc_decide_one`) walks the sequences'
+prefix tree instead, with the same float operations along every path.
 """
 
 from __future__ import annotations
@@ -84,24 +88,26 @@ def _video_tables(video, sequences: np.ndarray, n_qualities: int, horizon: int):
     return None if tables[0] is None else tables
 
 
-# Flattened per-chunk horizon-search workspaces for the fused session
-# kernel, keyed by the Video object (dies with it).  The entry for a
-# (video, horizon) pair is ``None`` when the QoE tables exceed the
-# precomputation budget — such sessions then run the chunk loop.
+# Flattened per-chunk QoE tables for the fused session kernel, keyed by
+# the Video object (dies with it).  The entry for a (video, horizon) pair
+# is ``None`` when the QoE tables exceed the precomputation budget — such
+# sessions then run the chunk loop.
 _KERNEL_PACKS: "WeakKeyDictionary" = WeakKeyDictionary()
 
 
 def _kernel_pack(video, horizon: int):
-    """Per-chunk flattened sequence/QoE tables for the fused session kernel.
+    """Per-chunk flattened QoE tables for the fused session kernel.
 
-    Returns ``(meta, seq_flat, dbsum_flat, switch_flat, size_flat,
-    db_flat)`` or ``None``.  ``meta[n]`` is ``[h_n, n_seq, seq_off,
-    row_off]`` for chunk ``n``: the end-of-video-truncated horizon, the
-    sequence count at that horizon, the offset of the ``(n_seq, h_n)``
-    row-major sequence table inside ``seq_flat``, and the offset of this
-    chunk's precomputed SSIM-dB / switch-penalty rows inside
-    ``dbsum_flat`` / ``switch_flat``.  ``size_flat`` / ``db_flat`` are
-    the raveled ``(n_chunks, n_qualities)`` video matrices.
+    Returns ``(meta, dbsum_flat, switch_flat, size_flat, db_flat)`` or
+    ``None``.  ``meta[n]`` is ``[h_n, n_seq, row_off]`` for chunk ``n``:
+    the end-of-video-truncated horizon, the sequence count at that
+    horizon, and the offset of this chunk's precomputed SSIM-dB /
+    switch-penalty rows inside ``dbsum_flat`` / ``switch_flat``, one
+    entry per sequence in :func:`_enumerate_sequences` order.  The pack
+    holds no sequence table: the kernel's horizon search walks the
+    sequences' prefix tree and visits its leaves in that same order.
+    ``size_flat`` / ``db_flat`` are the raveled ``(n_chunks,
+    n_qualities)`` video matrices.
     """
     per_video = _KERNEL_PACKS.get(video)
     if per_video is None:
@@ -112,10 +118,8 @@ def _kernel_pack(video, horizon: int):
 
     n_chunks = video.n_chunks
     n_qualities = video.n_qualities
-    meta = np.empty((n_chunks, 4), dtype=np.int64)
-    seq_tables: dict[int, tuple[int, np.ndarray]] = {}
-    seq_parts: list[np.ndarray] = []
-    seq_total = 0
+    meta = np.empty((n_chunks, 3), dtype=np.int64)
+    sequences_by_h: dict[int, np.ndarray] = {}
     dbsum_parts: list[np.ndarray] = []
     switch_parts: list[np.ndarray] = []
     row_off = 0
@@ -123,15 +127,9 @@ def _kernel_pack(video, horizon: int):
     complete = True
     for n in range(n_chunks):
         h = min(horizon, n_chunks - n)
-        cached = seq_tables.get(h)
-        if cached is None:
-            sequences = _enumerate_sequences(n_qualities, h)
-            cached = seq_tables[h] = (seq_total, sequences)
-            seq_parts.append(
-                np.ascontiguousarray(sequences, dtype=np.int64).ravel()
-            )
-            seq_total += sequences.size
-        seq_off, sequences = cached
+        sequences = sequences_by_h.get(h)
+        if sequences is None:
+            sequences = sequences_by_h[h] = _enumerate_sequences(n_qualities, h)
         tables = _video_tables(video, sequences, n_qualities, h)
         if tables is None:
             complete = False
@@ -140,15 +138,13 @@ def _kernel_pack(video, horizon: int):
         n_seq = sequences.shape[0]
         meta[n, 0] = h
         meta[n, 1] = n_seq
-        meta[n, 2] = seq_off
-        meta[n, 3] = row_off
+        meta[n, 2] = row_off
         dbsum_parts.append(db_sum[n])
         switch_parts.append(switch_sum[n])
         row_off += n_seq
     if complete:
         pack = (
             meta,
-            np.concatenate(seq_parts),
             np.concatenate(dbsum_parts),
             np.concatenate(switch_parts),
             np.ascontiguousarray(video.size_matrix, dtype=np.float64).ravel(),

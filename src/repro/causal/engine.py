@@ -346,26 +346,33 @@ def _prepared_from_payload(
 _SCALAR_TYPES = (bool, int, float, str, type(None))
 
 
+def _is_dataclass_instance(value) -> bool:
+    return dataclasses.is_dataclass(value) and not isinstance(value, type)
+
+
 def _scalar_attributes(obj) -> dict:
+    """Scalar attributes of ``obj`` as they are, dataclass-instance
+    attributes (configs such as ``VeritasConfig``) by ``repr``."""
     return {
-        key: value
+        key: repr(value) if _is_dataclass_instance(value) else value
         for key, value in sorted(vars(obj).items())
-        if isinstance(value, _SCALAR_TYPES)
+        if isinstance(value, _SCALAR_TYPES) or _is_dataclass_instance(value)
     }
 
 
 def _abr_fingerprint(abr) -> str:
     """A stable identity string for an ABR instance.
 
-    Captures the registered name plus every scalar attribute of a freshly
-    constructed instance and of each object it owns (e.g. the window of
-    its throughput predictor) — enough to distinguish parameterised
-    variants (different MPC horizons, rate-based windows) without trying
-    to hash arbitrary objects.
+    Captures the registered name plus every scalar or dataclass attribute
+    of a freshly constructed instance and of each other object it owns
+    (e.g. the window of its throughput predictor, the ``VeritasConfig``
+    of a veritas-abr's abduction) — enough to distinguish parameterised
+    variants (different MPC horizons, rate-based windows, abduction
+    configs) without trying to hash arbitrary objects.
     """
     simple = _scalar_attributes(abr)
     for key, value in sorted(vars(abr).items()):
-        if hasattr(value, "__dict__"):
+        if hasattr(value, "__dict__") and not _is_dataclass_instance(value):
             simple[key] = _scalar_attributes(value)
     return f"{abr.name}:{simple!r}"
 

@@ -20,6 +20,9 @@ The kernel is the same scalar code the chunk loop evaluates:
 * the per-lane decision cores are ``_bba_one`` / ``_bola_one`` /
   ``_mpc_obs_pred_one`` / ``_mpc_decide_one`` from
   :mod:`repro.abr._decisions` (Python) and its ``C_HELPERS`` fragment (C);
+  MPC's horizon search walks the sequences' prefix tree, so the kernel
+  takes per-chunk QoE rows (:func:`repro.abr.mpc._kernel_pack`) and no
+  sequence table;
 * the session loop transcribes
   :meth:`repro.player.batch_session._ScratchRunner.step` float for float
   (``max(x, 0)`` clamps written as ``if x <= 0.0`` so signed zeros match
@@ -71,7 +74,7 @@ def _run_session_mirror(
     bba_f, bba_i, rates,
     bola_w,
     mpc_pen,
-    meta, seq_flat, dbsum_flat, switch_flat,
+    meta, dbsum_flat, switch_flat,
     hist, errs, last_pred, window, error_window, cold_start,
     cwnd, ssthresh, last_send,
     col_quality, col_size, col_start, col_end, col_before, col_after,
@@ -85,9 +88,12 @@ def _run_session_mirror(
     parameter rows (``bba_f``/``bba_i``: reservoir/upper/r_min/r_max and
     lowest/highest; ``bola_w``: objective weights; ``mpc_pen``:
     rebuffer/switch penalties).  MPC lanes drive the predictor ring
-    buffers (``hist``/``errs``/``last_pred``) and the flattened
-    horizon-search pack (``meta``/``seq_flat``/``dbsum_flat``/
-    ``switch_flat``) built by :func:`repro.abr.mpc._kernel_pack`.
+    buffers (``hist``/``errs``/``last_pred``) and read the per-chunk
+    horizon-search pack built by :func:`repro.abr.mpc._kernel_pack`:
+    ``meta[n]`` is ``[h_n, n_seq, row_off]``, and ``dbsum_flat`` /
+    ``switch_flat`` hold chunk ``n``'s per-sequence QoE totals at
+    ``row_off``.  The pack has no sequence table: ``_mpc_decide_one``
+    walks the sequences' prefix tree and indexes those rows by leaf.
     ``cwnd``/``ssthresh``/``last_send`` are live TCP state, updated in
     place; ``col_*`` are the ``(n_chunks, n_lanes)`` log columns.
 
@@ -157,11 +163,9 @@ def _run_session_mirror(
                 last_pred[k] = pred
                 h = meta[n, 0]
                 n_seq = meta[n, 1]
-                soff = meta[n, 2]
-                roff = meta[n, 3]
+                roff = meta[n, 2]
                 q = _mpc_decide_one(
-                    buf_before, pred, lq, n, h, n_seq,
-                    seq_flat[soff : soff + n_seq * h], size_flat, db_flat,
+                    buf_before, pred, lq, n, h, size_flat, db_flat,
                     n_qualities, dbsum_flat[roff : roff + n_seq],
                     switch_flat[roff : roff + n_seq], cap, chunk_dur,
                     mpc_pen[p, 0], mpc_pen[p, 1],
@@ -244,7 +248,7 @@ long long run_session(
     const long long *kind, const long long *part,
     const double *bba_f, const long long *bba_i, const double *rates,
     const double *bola_w, const double *mpc_pen,
-    const long long *meta, const long long *seq_flat,
+    const long long *meta,
     const double *dbsum_flat, const double *switch_flat,
     double *hist, double *errs, double *last_pred,
     long long window, long long error_window, double cold_start,
@@ -273,7 +277,7 @@ long long run_session(
     const long long *kind, const long long *part,
     const double *bba_f, const long long *bba_i, const double *rates,
     const double *bola_w, const double *mpc_pen,
-    const long long *meta, const long long *seq_flat,
+    const long long *meta,
     const double *dbsum_flat, const double *switch_flat,
     double *hist, double *errs, double *last_pred,
     long long window, long long error_window, double cold_start,
@@ -330,11 +334,9 @@ long long run_session(
                     hist + k * window, errs + k * error_window,
                     last_pred[k], n, window, error_window, cold_start);
                 last_pred[k] = pred;
-                int64_t h = meta[n * 4], n_seq = meta[n * 4 + 1];
-                int64_t soff = meta[n * 4 + 2], roff = meta[n * 4 + 3];
-                q = mpc_decide_one(buf_before, pred, lq, n, h, n_seq,
-                                   seq_flat + soff, size_flat, db_flat,
-                                   n_qualities, dbsum_flat + roff,
+                int64_t h = meta[n * 3], roff = meta[n * 3 + 2];
+                q = mpc_decide_one(buf_before, pred, lq, n, h, size_flat,
+                                   db_flat, n_qualities, dbsum_flat + roff,
                                    switch_flat + roff, cap, chunk_dur,
                                    mpc_pen[p * 2], mpc_pen[p * 2 + 1]);
             }
@@ -424,7 +426,7 @@ def run_session(
     bba_f, bba_i, rates,
     bola_w,
     mpc_pen,
-    meta, seq_flat, dbsum_flat, switch_flat,
+    meta, dbsum_flat, switch_flat,
     hist, errs, last_pred, window, error_window, cold_start,
     cwnd, ssthresh, last_send,
     col_quality, col_size, col_start, col_end, col_before, col_after,
@@ -449,7 +451,7 @@ def run_session(
                 fb("double[]", bba_f), fb("long long[]", bba_i),
                 fb("double[]", rates), fb("double[]", bola_w),
                 fb("double[]", mpc_pen),
-                fb("long long[]", meta), fb("long long[]", seq_flat),
+                fb("long long[]", meta),
                 fb("double[]", dbsum_flat), fb("double[]", switch_flat),
                 fb("double[]", hist), fb("double[]", errs),
                 fb("double[]", last_pred),
@@ -468,9 +470,9 @@ def run_session(
     return _run_session_mirror(
         bounds, values2d, rates2d, cum2d, size_flat, db_flat, n_qualities,
         chunk_dur, capacity, overhead, rtt, rto_seq, kind, part, bba_f,
-        bba_i, rates, bola_w, mpc_pen, meta, seq_flat, dbsum_flat,
-        switch_flat, hist, errs, last_pred, window, error_window,
-        cold_start, cwnd, ssthresh, last_send, col_quality, col_size,
-        col_start, col_end, col_before, col_after, col_rebuffer, col_cwnd,
-        col_ssthresh, col_idle, total_rebuffer, total_bytes, startup_time,
+        bba_i, rates, bola_w, mpc_pen, meta, dbsum_flat, switch_flat, hist,
+        errs, last_pred, window, error_window, cold_start, cwnd, ssthresh,
+        last_send, col_quality, col_size, col_start, col_end, col_before,
+        col_after, col_rebuffer, col_cwnd, col_ssthresh, col_idle,
+        total_rebuffer, total_bytes, startup_time,
     )

@@ -620,15 +620,14 @@ class _FusedRunner:
         kind, part, bba_f, bba_i, bola_w, mpc_pen, pack, pred_key = self.plan
 
         if pack is not None:
-            meta, seq_flat, dbsum_flat, switch_flat, size_flat, db_flat = pack
+            meta, dbsum_flat, switch_flat, size_flat, db_flat = pack
             window, error_window, cold_start = pred_key
             hist = np.empty((n_lanes, window))
             errs = np.zeros((n_lanes, error_window))
             last_pred = np.full(n_lanes, -1.0)
         else:
             # No MPC lanes: 1-element placeholders the kernel never reads.
-            meta = np.zeros((1, 4), dtype=np.int64)
-            seq_flat = np.zeros(1, dtype=np.int64)
+            meta = np.zeros((1, 3), dtype=np.int64)
             dbsum_flat = np.zeros(1)
             switch_flat = np.zeros(1)
             size_flat = np.ascontiguousarray(
@@ -686,7 +685,7 @@ class _FusedRunner:
             size_flat, db_flat, n_qualities, video.chunk_duration_s,
             self.capacity, session.request_overhead_s, rtt, rto_seq,
             kind, part, bba_f, bba_i, rates, bola_w, mpc_pen,
-            meta, seq_flat, dbsum_flat, switch_flat,
+            meta, dbsum_flat, switch_flat,
             hist, errs, last_pred, window, error_window, cold_start,
             connection._cwnd, connection._ssthresh, connection._last_send,
             col_quality, col_size, col_start, col_end, col_before,

@@ -15,10 +15,11 @@ This suite pins the native build to the mirror bit for bit, exercises
 the feature-detection/fallback contract (``kernel="compiled"`` resolves
 to the scratch tier when no backend is buildable), checks that the
 ``scratch`` tier and the scalar session of the ``reference`` tier run no
-native code, and runs whole sessions through the compiled tier against
-serial replay.  The C uses only IEEE-754 basic operations, no libm, and
-is built without FMA contraction or fast-math, so every comparison here
-is exact.
+native code, runs whole sessions through the compiled tier against
+serial replay, and pins the mirror's MPC prefix-tree walk against a
+flat search over the sequence table on generated inputs.  The C uses
+only IEEE-754 basic operations, no libm, and is built without FMA
+contraction or fast-math, so every comparison here is exact.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     BatchStreamingSession,
@@ -38,7 +41,8 @@ from repro import (
     default_ladder,
     paper_veritas_config,
 )
-from repro.abr import BBAAlgorithm, BOLAAlgorithm, MPCAlgorithm, _decisions
+from repro.abr import BBAAlgorithm, BOLAAlgorithm, MPCAlgorithm, _decisions, mpc
+from repro.abr._decisions import _mpc_decide_one
 from repro.net.trace import PiecewiseConstantTrace, TraceBatch
 from repro.player import _fused
 from repro.player.batch_session import LaneGroup
@@ -46,6 +50,7 @@ from repro.player.logs import SessionLogBatch
 from repro.tcp import _compiled
 from repro.tcp.connection import BatchTCPConnection, resolve_kernel
 from repro.util import compiled as util_compiled
+from repro.video.ladder import QualityLadder
 
 from test_batch_replay import (  # noqa: F401
     REPLAY_PATHS,
@@ -421,6 +426,56 @@ class TestMPCKernelEdgeCases:
             serial = StreamingSession(tie, factory(), trace, config).run()
             assert_logs_identical(serial, batch_log.lane(k))
 
+    @pytest.mark.parametrize("rungs", [1, 2, 7])
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 6, 7])
+    @pytest.mark.parametrize("tier", REPLAY_PATHS)
+    def test_horizons_and_ladders(self, horizon, rungs, tier, monkeypatch):
+        """Every shape of the horizon search's prefix tree: the one-step
+        leaves of h = 1, first rungs as the leaves' parents (h = 2),
+        deep trees (h = 6, 7), a one-rung ladder (a chain) and a two-rung
+        ladder (every node at a ladder edge).  The 16 s video (8 chunks)
+        also truncates the horizon over its last h - 1 chunks."""
+        ladder = QualityLadder(default_ladder().bitrates_mbps[-rungs:])
+        short = Video.generate(ladder, duration_s=16.0, seed=14)
+        assert mpc._kernel_pack(short, horizon) is not None
+        factory = lambda: MPCAlgorithm(horizon=horizon)  # noqa: E731
+        traces = lane_traces(3, seed=46)
+        config = SessionConfig(buffer_capacity_s=8.0)
+        batch_log = BatchStreamingSession(
+            short, factory, traces, config,
+            kernel=replay_kernel(tier, monkeypatch),
+        ).run()
+        for k, trace in enumerate(traces):
+            serial = StreamingSession(short, factory(), trace, config).run()
+            assert_logs_identical(serial, batch_log.lane(k))
+
+    @pytest.mark.parametrize("tier", REPLAY_PATHS)
+    def test_mid_table_tie(self, tier, monkeypatch):
+        """Rungs 0-2 look strictly worse and rungs 3-6 look the same, at
+        equal sizes and with both penalties zero: every path that stays
+        within rungs 3-6 ties for the best QoE.  The first maximum in
+        sequence order is the all-3 path, deep inside the table, so
+        every decision is rung 3; a ``>=`` tie rule or a descending
+        first-rung loop would pick rung 6."""
+        ladder = default_ladder()
+        n_chunks = 12
+        sizes = np.full((n_chunks, len(ladder)), 250_000.0)
+        ssim = np.tile([0.90, 0.92, 0.94, 0.97, 0.97, 0.97, 0.97], (n_chunks, 1))
+        tie = Video(ladder, 2.0, sizes, ssim)
+        factory = lambda: MPCAlgorithm(  # noqa: E731
+            rebuffer_penalty=0.0, switch_penalty=0.0
+        )
+        traces = lane_traces(3, seed=47)
+        config = SessionConfig(buffer_capacity_s=8.0)
+        batch_log = BatchStreamingSession(
+            tie, factory, traces, config,
+            kernel=replay_kernel(tier, monkeypatch),
+        ).run()
+        assert np.all(batch_log.qualities == 3)
+        for k, trace in enumerate(traces):
+            serial = StreamingSession(tie, factory(), trace, config).run()
+            assert_logs_identical(serial, batch_log.lane(k))
+
     @pytest.mark.parametrize("tier", REPLAY_PATHS)
     def test_predictor_error_state_after_stall(self, tier, monkeypatch):
         """Starved lanes stall repeatedly; the post-stall decisions depend
@@ -482,6 +537,98 @@ class TestMPCKernelEdgeCases:
             assert_logs_identical(want, got)
         for got, want in zip(over_batch, in_batch, strict=True):
             assert_batches_identical(got, want)
+
+
+def flat_mpc_decide(b0, p, lq, n, h, sequences, size_flat, db_flat,
+                    n_qualities, dbsum_row, switch_row, capacity, chunk_dur,
+                    rebuffer_penalty, switch_penalty):
+    """The horizon search as a flat loop: every row of ``sequences``
+    simulated from scratch, then the first-maximum QoE."""
+    if p < 1e-3:
+        p = 1e-3
+    scale = 8 / 1e6 / p
+    has_prev = lq >= 0
+    prev_db = 0.0
+    if has_prev:
+        prev_db = db_flat[max(n - 1, 0) * n_qualities + lq]
+    best = 0.0
+    best_s = 0
+    for s, seq in enumerate(sequences):
+        b = b0
+        negst = 0.0
+        for hh in range(h):
+            lvl = b - size_flat[(n + hh) * n_qualities + seq[hh]] * scale
+            if lvl < 0.0:
+                negst += lvl
+            if hh + 1 < h:
+                t = lvl
+                if t < 0.0:
+                    t = 0.0
+                t += chunk_dur
+                if t > capacity:
+                    t = capacity
+                b = t
+        qoe = dbsum_row[s] + negst * rebuffer_penalty
+        if has_prev:
+            jump = abs(db_flat[n * n_qualities + seq[0]] - prev_db)
+            qoe -= (switch_row[s] + jump) * switch_penalty
+        elif switch_penalty != 0.0:
+            qoe -= switch_penalty * switch_row[s]
+        if s == 0 or qoe > best:
+            best = qoe
+            best_s = s
+    return int(sequences[best_s][0])
+
+
+class TestMPCWalkOracle:
+    """The mirror's prefix-tree walk against the flat search over
+    ``_enumerate_sequences`` rows, on generated inputs: quantised sizes
+    and SSIM-dB rows (so QoE ties are common), empty, tiny and full
+    buffers, predictions below the 1e-3 clamp, every previous rung and
+    zero and non-zero penalties."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_walk_matches_flat_search(self, data):
+        q = data.draw(st.integers(1, 9), label="n_qualities")
+        h = data.draw(st.integers(1, 7), label="horizon")
+        n = data.draw(st.integers(0, 2), label="chunk")
+        cells = (n + h) * q
+        size_flat = np.asarray(data.draw(st.lists(
+            st.integers(1, 8).map(lambda k: 125_000.0 * k),
+            min_size=cells, max_size=cells,
+        ), label="sizes"))
+        db_flat = np.asarray(data.draw(st.lists(
+            st.integers(0, 3).map(lambda k: 6.0 + 2.5 * k),
+            min_size=cells, max_size=cells,
+        ), label="ssim_db"))
+        capacity = data.draw(st.sampled_from([2.0, 5.0, 15.0]), label="cap")
+        b0 = data.draw(st.one_of(
+            st.sampled_from([0.0, 5e-324, 1e-9, capacity]),
+            st.floats(0.0, capacity),
+        ), label="buffer")
+        p = data.draw(st.one_of(
+            st.sampled_from([0.0, 1e-6, 9.99e-4, 1e-3]),
+            st.floats(0.05, 12.0),
+        ), label="prediction")
+        lq = data.draw(st.integers(-1, q - 1), label="last_quality")
+        chunk_dur = data.draw(st.sampled_from([2.0, 2.002, 4.0]), label="dur")
+        rebuffer_penalty = data.draw(st.sampled_from([0.0, 4.3, 100.0]))
+        switch_penalty = data.draw(st.sampled_from([0.0, 1.0, 2.0]))
+
+        sequences = mpc._enumerate_sequences(q, h)
+        db = db_flat.reshape(n + h, q)
+        steps = [db[n + hh, sequences[:, hh]] for hh in range(h)]
+        dbsum_row = steps[0].copy()
+        switch_row = np.zeros(len(sequences))
+        for hh in range(1, h):
+            dbsum_row += steps[hh]
+            switch_row += np.abs(steps[hh] - steps[hh - 1])
+
+        args = (size_flat, db_flat, q, dbsum_row, switch_row, capacity,
+                chunk_dur, rebuffer_penalty, switch_penalty)
+        want = flat_mpc_decide(b0, p, lq, n, h, sequences, *args)
+        assert _mpc_decide_one(b0, p, lq, n, h, *args) == want
 
 
 # ----------------------------------------------------------------------

@@ -28,10 +28,12 @@ import pytest
 from repro import (
     CounterfactualEngine,
     Setting,
+    VeritasConfig,
     change_abr,
     change_buffer,
     make_abr,
     paper_corpus,
+    paper_setting_a,
     paper_veritas_config,
     paper_video,
     random_walk_trace,
@@ -530,6 +532,42 @@ class TestCheckpointResume:
         got = make_engine().evaluate_many(resumed, [setting_b])[0]
         want = make_engine().evaluate_many(fresh, [setting_b])[0]
         assert_same_trace_answers(got.per_trace, want.per_trace)
+
+    def test_abduction_config_misses_checkpoint(self, tmp_path, monkeypatch):
+        """A veritas-abr Setting A owns a ``VeritasAbduction`` whose
+        ``VeritasConfig`` is a frozen dataclass, not a scalar: another
+        sigma is another checkpoint, never a reload of the first
+        sigma's Setting-A logs."""
+        corpus = [
+            random_walk_trace(m, 120.0, seed=s, low=0.5, high=6.0, step_mbps=1.5)
+            for m, s in [(2.0, 11), (3.0, 12)]
+        ]
+        base = paper_setting_a(video=short_video(duration_s=60.0))
+
+        def setting(sigma):
+            config = VeritasConfig(sigma_mbps=sigma)
+            return change_abr(base, "veritas-abr", config=config)
+
+        ckpt = tmp_path / "store"
+        make_engine().prepare_corpus(corpus, setting(0.5), checkpoint_dir=ckpt)
+
+        hits = []
+        real_load = CheckpointStore.load
+
+        def counting_load(self, key):
+            payload = real_load(self, key)
+            if payload is not None:
+                hits.append(key)
+            return payload
+
+        monkeypatch.setattr(CheckpointStore, "load", counting_load)
+        resumed = make_engine().prepare_corpus(
+            corpus, setting(2.0), checkpoint_dir=ckpt
+        )
+        assert hits == []
+        assert len(CheckpointStore(ckpt)) == 2 * len(corpus)
+        fresh = make_engine().prepare_corpus(corpus, setting(2.0))
+        assert_same_prepared(resumed.per_trace, fresh.per_trace)
 
     def test_fingerprint_is_content_addressed(self):
         a = fingerprint(["x", np.arange(4), 3])
