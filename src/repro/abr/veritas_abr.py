@@ -17,7 +17,7 @@ machinery of §4.4 unchanged.
 from __future__ import annotations
 
 from ..core.abduction import VeritasAbduction, VeritasConfig
-from ..player.logs import ChunkRecord, SessionLog
+from ..player.logs import ChunkRecord, SessionLog, sequential_sum
 from ..tcp.estimator import estimate_download_time
 from ..tcp.state import TCPStateSnapshot
 from ..video.ladder import ssim_to_db
@@ -96,7 +96,9 @@ class VeritasABRAlgorithm(ABRAlgorithm):
                 chunk_duration_s=context.video.chunk_duration_s,
                 rtt_s=self._records[0].tcp_state.min_rtt_s,
                 startup_time_s=self._records[0].end_time_s,
-                total_rebuffer_s=sum(r.rebuffer_s for r in self._records),
+                total_rebuffer_s=sequential_sum(
+                    r.rebuffer_s for r in self._records
+                ),
                 records=list(self._records),
             )
             posterior = self._abduction.solve(log)

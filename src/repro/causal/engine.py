@@ -42,7 +42,6 @@ restart re-does zero deployment/abduction work for finished traces.
 from __future__ import annotations
 
 import dataclasses
-import json
 import multiprocessing
 import threading
 from collections.abc import Callable, Sequence
@@ -243,7 +242,10 @@ class PreparedTrace:
 
     Holds the deployed log, its metrics, and the reconstructions (baseline
     trace + K posterior samples) so any Setting-B query can be answered
-    with replays alone.
+    with replays alone.  ``log_a`` is column-born when the trace deployed
+    in a lockstep lane or came from a checkpoint (no per-chunk records
+    until a caller reads ``log_a.records``) and records-backed when it
+    deployed on the scalar session.
     """
 
     trace_index: int
@@ -295,21 +297,24 @@ def _run_shard(shard: "tuple[int, ...]"):
 # ----------------------------------------------------------------------
 # Checkpoint payloads: a PreparedTrace round-trips through a dict of numpy
 # arrays (what CheckpointStore persists as one .npz).  The session log
-# travels as JSON (repr-round-tripped floats are exact), the baseline and
-# posterior-sample traces as boundary/value arrays; metrics and the replay
+# travels as SessionLog.to_columns gives it (ABR name, scalars, float and
+# int column matrices), the baseline and posterior-sample traces as one
+# concatenation of their boundary and value arrays; metrics and the replay
 # horizon are recomputed deterministically, so a reloaded PreparedTrace is
-# bit-identical to the one that was saved.
+# bit-identical to the one that was saved.  Seven members per entry: each
+# one is a zip-member read on resume.
 def _prepared_payload(prepared: PreparedTrace) -> dict:
-    arrays: dict = {
-        "log_json": np.array(json.dumps(prepared.log_a.to_dict())),
-        "baseline_boundaries": np.asarray(prepared.baseline.boundaries),
-        "baseline_values": np.asarray(prepared.baseline.values),
-        "n_samples": np.asarray(len(prepared.samples)),
+    abr_name, scalars, floats, ints = prepared.log_a.to_columns()
+    traces = (prepared.baseline, *prepared.samples)
+    return {
+        "log_abr": np.asarray(abr_name),
+        "log_scalars": np.asarray(scalars, dtype=np.float64),
+        "log_floats": floats,
+        "log_ints": ints,
+        "trace_boundaries": np.concatenate([t.boundaries for t in traces]),
+        "trace_values": np.concatenate([t.values for t in traces]),
+        "trace_intervals": np.asarray([t.values.size for t in traces]),
     }
-    for k, sample in enumerate(prepared.samples):
-        arrays[f"sample{k}_boundaries"] = np.asarray(sample.boundaries)
-        arrays[f"sample{k}_values"] = np.asarray(sample.values)
-    return arrays
 
 
 def _prepared_from_payload(
@@ -317,29 +322,46 @@ def _prepared_from_payload(
     trace_index: int,
     ground_truth: PiecewiseConstantTrace,
     horizon_floor: float,
+    n_samples: int,
 ) -> PreparedTrace | None:
-    """Rebuild a PreparedTrace, or ``None`` if the payload is damaged."""
+    """Rebuild a PreparedTrace, or ``None`` if the payload is damaged.
+
+    Damaged means unreadable or failing a check: a log column of the wrong
+    length or a bad value (``SessionLog.from_columns``), a trace that is
+    not one, or a sample count other than ``n_samples``.
+    """
     try:
-        log = SessionLog.from_dict(json.loads(str(payload["log_json"][()])))
-        baseline = PiecewiseConstantTrace(
-            payload["baseline_boundaries"], payload["baseline_values"]
+        log = SessionLog.from_columns(
+            str(payload["log_abr"][()]),
+            payload["log_scalars"].tolist(),
+            payload["log_floats"],
+            payload["log_ints"],
         )
-        samples = tuple(
-            PiecewiseConstantTrace(
-                payload[f"sample{k}_boundaries"], payload[f"sample{k}_values"]
+        metrics = compute_metrics(log)
+        intervals = payload["trace_intervals"].tolist()
+        if len(intervals) != 1 + n_samples:
+            return None
+        traces = []
+        b0 = v0 = 0
+        for count in intervals:
+            traces.append(
+                PiecewiseConstantTrace(
+                    payload["trace_boundaries"][b0 : b0 + count + 1],
+                    payload["trace_values"][v0 : v0 + count],
+                )
             )
-            for k in range(int(payload["n_samples"]))
-        )
+            b0 += count + 1
+            v0 += count
     except Exception:
         return None
     return PreparedTrace(
         trace_index=trace_index,
         ground_truth=ground_truth,
         log_a=log,
-        setting_a_metrics=compute_metrics(log),
+        setting_a_metrics=metrics,
         replay_horizon_s=max(ground_truth.end_time, horizon_floor),
-        baseline=baseline,
-        samples=samples,
+        baseline=traces[0],
+        samples=tuple(traces[1:]),
     )
 
 
@@ -907,12 +929,18 @@ class CounterfactualEngine:
         checkpoint: "tuple[CheckpointStore, dict] | None",
         prepared: "list[PreparedTrace]",
     ) -> None:
+        """Persist every newly prepared trace.
+
+        Only traces that did not load reach here, so an entry already on
+        disk under the same key is a damaged one and is overwritten
+        (atomically, by :meth:`CheckpointStore.save`).
+        """
         if checkpoint is None:
             return
         store, keys = checkpoint
         for item in prepared:
             key = keys.get(item.trace_index)
-            if key is not None and key not in store:
+            if key is not None:
                 store.save(key, _prepared_payload(item))
 
     # ------------------------------------------------------------------
@@ -957,7 +985,9 @@ class CounterfactualEngine:
         trace's artifacts (Setting-A log + posterior draws) are persisted
         as one content-addressed ``.npz`` keyed by (trace, Setting-A,
         abduction model, seed), and traces already present are reloaded
-        bit-identically without re-running deployment or abduction.
+        bit-identically without re-running deployment or abduction.  An
+        entry that does not load (unreadable, or failing the log's checks)
+        is prepared again and overwritten.
         """
         if not traces:
             raise ValueError("need at least one ground-truth trace")
@@ -1005,7 +1035,7 @@ class CounterfactualEngine:
                 payload = store.load(keys[i])
                 if payload is not None:
                     prepared = _prepared_from_payload(
-                        payload, i, traces[i], horizon_floor
+                        payload, i, traces[i], horizon_floor, self.n_samples
                     )
                     if prepared is not None:
                         loaded[i] = prepared

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..player.logs import SessionLog
+from ..tcp.state import TCPStateColumns
 from .emission import EmissionModel
 from .grid import CapacityGrid
 from .interpolation import window_gaps
@@ -69,7 +70,9 @@ def build_problem(
 
     observed = log.throughputs_mbps()
     starts = log.start_times_s()
-    log_b = emission.log_prob_matrix(observed, log.tcp_states(), log.sizes_bytes())
+    log_b = emission.log_prob_matrix(
+        observed, log.tcp_state_columns(), log.sizes_bytes()
+    )
     gaps = window_gaps(starts, delta_s)
 
     return EHMMProblem(
@@ -94,9 +97,11 @@ def build_problems_batch(
 ) -> "list[EHMMProblem]":
     """Assemble EHMM problems for several logs with one emission evaluation.
 
-    The chunks of every session are concatenated and the emission matrix
-    is evaluated in a single batched call — emission rows depend only on
-    their own ``(observation, tcp_state, size)`` triple, so each row is
+    The chunks of every session are concatenated (observations, sizes
+    and the logs' TCP-state columns, so a column-born log builds no
+    per-chunk object) and the emission matrix is evaluated in a single
+    batched call — emission rows depend only on their own
+    ``(observation, tcp_state, size)`` triple, so each row is
     bit-identical to the per-log :func:`build_problem` build — then split
     back into per-session ``(n_chunks, K)`` views.  Logs may have
     different chunk counts.  ``kernel`` is forwarded to
@@ -116,18 +121,18 @@ def build_problems_batch(
     observed_per_log = []
     starts_per_log = []
     sizes_per_log = []
-    tcp_states_all: list = []
+    tcp_per_log = []
     for log in logs:
         if log.n_chunks == 0:
             raise ValueError("cannot build an EHMM problem from an empty log")
         observed_per_log.append(log.throughputs_mbps())
         starts_per_log.append(log.start_times_s())
         sizes_per_log.append(log.sizes_bytes())
-        tcp_states_all.extend(log.tcp_states())
+        tcp_per_log.append(log.tcp_state_columns())
 
     log_b_all = emission.log_prob_matrix(
         np.concatenate(observed_per_log),
-        tcp_states_all,
+        TCPStateColumns.concatenate(tcp_per_log),
         np.concatenate(sizes_per_log),
         kernel=kernel,
     )

@@ -26,7 +26,7 @@ from ..tcp.estimator import (
     estimate_throughput_grid,
     estimate_throughput_grid_batch,
 )
-from ..tcp.state import TCPStateSnapshot
+from ..tcp.state import TCPStateColumns, TCPStateSnapshot
 from ..util.compiled import warn_fallback
 from . import _kernels
 from .grid import CapacityGrid
@@ -124,31 +124,33 @@ class EmissionModel:
 
     def predicted_throughput_matrix(
         self,
-        tcp_states: Sequence[TCPStateSnapshot],
+        tcp_states: "TCPStateColumns | Sequence[TCPStateSnapshot]",
         sizes_bytes: Sequence[float],
     ) -> np.ndarray:
         """``f(c, W_n, S_n)`` for every chunk and state (``(n_chunks, n_states)``).
 
         One batched call when the estimator has a whole-session twin in
-        ``_BATCH_ESTIMATORS``; otherwise the estimator runs row by row.
+        ``_BATCH_ESTIMATORS``; otherwise the estimator runs row by row on
+        each chunk's snapshot.  ``tcp_states`` may be a snapshot sequence
+        or its :class:`~repro.tcp.state.TCPStateColumns`.
         """
-        states = list(tcp_states)
-        sizes = list(sizes_bytes)
-        if len(states) != len(sizes):
+        states = TCPStateColumns.of(tcp_states)
+        sizes = np.asarray(sizes_bytes, dtype=float)
+        if len(states) != sizes.size:
             raise ValueError("TCP states and sizes must have equal length")
         values = self.grid.values_mbps
         batch = _BATCH_ESTIMATORS.get(self.estimator)
         if batch is not None:
-            return batch(values, states, np.asarray(sizes, dtype=float))
+            return batch(values, states, sizes)
         predicted = np.empty((len(states), values.size))
-        for n, (state, size) in enumerate(zip(states, sizes)):
-            predicted[n] = self.estimator(values, state, float(size))
+        for n, size in enumerate(sizes.tolist()):
+            predicted[n] = self.estimator(values, states.snapshot(n), size)
         return predicted
 
     def log_prob_matrix(
         self,
         observed_mbps: Sequence[float],
-        tcp_states: Sequence[TCPStateSnapshot],
+        tcp_states: "TCPStateColumns | Sequence[TCPStateSnapshot]",
         sizes_bytes: Sequence[float],
         kernel: str | None = None,
     ) -> np.ndarray:
@@ -166,16 +168,21 @@ class EmissionModel:
         to the per-session calls.  The corpus-batched abduction pipeline
         (``build_problems_batch``) relies on this contract.
 
+        ``tcp_states`` may be a snapshot sequence or its
+        :class:`~repro.tcp.state.TCPStateColumns` (what a session log
+        serves); a sequence is turned into columns once, here, and both
+        take the same path, so the matrices are bit-identical.
+
         ``kernel="compiled"`` builds the whole matrix (Algorithm-4 round
         schedules included) in one :mod:`repro.core._kernels` call when
         the estimator is the TCP one — rows within ``rtol=1e-12`` of this
         path.  Other estimators, and compiled requests without a compiled
         backend (after a once-per-process warning), use the NumPy path.
         """
-        observed = np.asarray(list(observed_mbps), dtype=float)
-        states = list(tcp_states)
-        sizes = list(sizes_bytes)
-        if not observed.size == len(states) == len(sizes):
+        observed = np.asarray(observed_mbps, dtype=float)
+        states = TCPStateColumns.of(tcp_states)
+        sizes = np.asarray(sizes_bytes, dtype=float)
+        if not observed.size == len(states) == sizes.size:
             raise ValueError(
                 "observations, TCP states, and sizes must have equal length"
             )
@@ -189,8 +196,7 @@ class EmissionModel:
             if not _kernels.available():
                 warn_fallback("abduction", "compiled", "numpy")
             else:
-                sizes_arr = np.asarray(sizes, dtype=float)
-                if np.any(sizes_arr <= 0):
+                if np.any(sizes <= 0):
                     raise ValueError("sizes must be positive")
                 cwnd0, ssthresh0, min_rtt = chunk_state_arrays(states)
                 return _kernels.emission_log_probs(
@@ -198,7 +204,7 @@ class EmissionModel:
                     cwnd0,
                     ssthresh0,
                     min_rtt,
-                    sizes_arr,
+                    sizes,
                     self.grid.values_mbps,
                     REQUEST_RTTS,
                     self.sigma_mbps,

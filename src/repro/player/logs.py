@@ -6,20 +6,104 @@ state at the start (cwnd, ssthresh, rto, ...), plus the quality index and
 buffer level that the QoE metrics need.  It deliberately does **not**
 contain the ground-truth bandwidth — keeping GTBW out of the log object is
 what makes "Veritas never saw the ground truth" auditable in tests.
+
+A log is held one of two ways.  The scalar session, ``from_dict``,
+``truncated`` of such a log and the Veritas ABR build it from
+:class:`ChunkRecord` objects.  A lockstep lane
+(:meth:`SessionLogBatch.lane`) or a checkpoint entry builds it from
+columns (:meth:`SessionLog.from_columns`): its :data:`SCALAR_FIELDS`
+values, one float matrix and one int matrix, a row per field of
+:data:`FLOAT_COLUMNS` / :data:`INT_COLUMNS` and a column per chunk.
+Both serve the same accessors with the same floats; a column-born log
+builds its ``records`` list only when a caller reads it, and holds
+records from then on.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..tcp.state import TCPStateSnapshot
+from ..tcp.state import TCPStateColumns, TCPStateSnapshot, check_state_columns
 from ..util.units import throughput_mbps
 
-__all__ = ["ChunkRecord", "SessionLog", "SessionLogBatch"]
+__all__ = [
+    "FLOAT_COLUMNS",
+    "INT_COLUMNS",
+    "SCALAR_FIELDS",
+    "ChunkRecord",
+    "SessionLog",
+    "SessionLogBatch",
+    "sequential_sum",
+]
+
+_TCP_FIELDS = tuple(f.name for f in fields(TCPStateColumns))
+
+FLOAT_COLUMNS = (
+    "size_bytes",
+    "start_time_s",
+    "end_time_s",
+    "buffer_before_s",
+    "buffer_after_s",
+    "rebuffer_s",
+    "ssim",
+    "bitrate_mbps",
+    "srtt_s",
+    "min_rtt_s",
+    "rto_s",
+    "time_since_last_send_s",
+)
+"""Rows of a column-born log's float matrix: the float fields of
+:class:`ChunkRecord` and of its snapshot."""
+
+INT_COLUMNS = ("index", "quality", "cwnd_segments", "ssthresh_segments")
+"""Rows of a column-born log's int64 matrix."""
+
+SCALAR_FIELDS = (
+    "buffer_capacity_s",
+    "chunk_duration_s",
+    "rtt_s",
+    "startup_time_s",
+    "total_rebuffer_s",
+)
+"""The per-session numbers of a :class:`SessionLog`, in the order
+:meth:`SessionLog.from_columns` takes and :meth:`SessionLog.to_columns`
+gives them."""
+
+_FLOAT_ROW = {name: i for i, name in enumerate(FLOAT_COLUMNS)}
+_INT_ROW = {name: i for i, name in enumerate(INT_COLUMNS)}
+# ChunkRecord's fields other than its snapshot.
+_CHUNK_FIELDS = tuple(
+    name for name in FLOAT_COLUMNS + INT_COLUMNS if name not in _TCP_FIELDS
+)
+
+
+def _row(floats: np.ndarray, ints: np.ndarray, name: str) -> np.ndarray:
+    """Field ``name``'s row of a column-born log's matrices (a view)."""
+    return ints[_INT_ROW[name]] if name in _INT_ROW else floats[_FLOAT_ROW[name]]
+
+
+_RECORD_GETTERS = {
+    name: attrgetter(f"tcp_state.{name}" if name in _TCP_FIELDS else name)
+    for name in FLOAT_COLUMNS + INT_COLUMNS
+}
+
+
+def sequential_sum(values: Iterable[float]) -> float:
+    """Left-to-right float total, as the session loop accumulates it.
+
+    Builtin ``sum()`` compensates float rounding since Python 3.12, so it
+    can differ in the last bit from the session's running totals.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return float(total)
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,6 +171,15 @@ class SessionLog:
     ``chunk_duration_s`` and the setting description travel with the log so
     downstream consumers (abduction, metrics, counterfactual replay) never
     need the original simulator objects.
+
+    A log built by :meth:`from_columns` (a lockstep lane, a checkpoint
+    entry) keeps its per-chunk fields as arrays: :attr:`n_chunks`, the
+    array accessors, :meth:`column`, :meth:`tcp_state_columns`,
+    :meth:`to_columns` and the QoE metrics read them.  Reading ``records``
+    (``==`` does) builds the :class:`ChunkRecord` list once; from then on
+    the log is records-backed, so editing ``log.records`` in place shows
+    in every accessor, exactly as for a log built from records.  A pickled
+    column-born log stays column-born.
     """
 
     abr_name: str
@@ -97,6 +190,9 @@ class SessionLog:
     total_rebuffer_s: float
     records: list[ChunkRecord] = field(default_factory=list)
 
+    # (float matrix, int matrix) of a column-born log; not a field.
+    _columns = None
+
     def __post_init__(self) -> None:
         for prev, cur in zip(self.records, self.records[1:]):
             if cur.start_time_s < prev.end_time_s - 1e-9:
@@ -104,15 +200,100 @@ class SessionLog:
                     f"chunk {cur.index} starts before chunk {prev.index} ends"
                 )
 
+    @classmethod
+    def from_columns(
+        cls,
+        abr_name: str,
+        scalars: Sequence[float],
+        floats: np.ndarray,
+        ints: np.ndarray,
+    ) -> "SessionLog":
+        """A column-born log: ``scalars`` holds the :data:`SCALAR_FIELDS`
+        values in order, ``floats`` has a row per :data:`FLOAT_COLUMNS`
+        entry and ``ints`` a row per :data:`INT_COLUMNS` entry, one column
+        per chunk.
+
+        Runs the checks of :class:`ChunkRecord`, :class:`TCPStateSnapshot`
+        and of the record-built log on whole rows; a bad column raises
+        ``ValueError`` as a bad record does.
+        """
+        floats = np.ascontiguousarray(floats, dtype=np.float64)
+        ints = np.ascontiguousarray(ints, dtype=np.int64)
+        if (
+            floats.ndim != 2
+            or floats.shape[0] != len(FLOAT_COLUMNS)
+            or ints.shape != (len(INT_COLUMNS), floats.shape[1])
+        ):
+            raise ValueError(
+                f"log columns must be ({len(FLOAT_COLUMNS)}, n) floats and "
+                f"({len(INT_COLUMNS)}, n) ints, got {floats.shape} and "
+                f"{ints.shape}"
+            )
+        starts = _row(floats, ints, "start_time_s")
+        ends = _row(floats, ints, "end_time_s")
+        index = _row(floats, ints, "index")
+        for bad, message in (
+            (ends <= starts, "end must follow start"),
+            (_row(floats, ints, "size_bytes") <= 0, "size must be positive"),
+            (_row(floats, ints, "rebuffer_s") < 0, "negative rebuffer time"),
+        ):
+            if bad.any():
+                raise ValueError(f"chunk {index[np.argmax(bad)]}: {message}")
+        overlap = starts[1:] < ends[:-1] - 1e-9
+        if overlap.any():
+            cur = int(np.argmax(overlap)) + 1
+            raise ValueError(
+                f"chunk {index[cur]} starts before chunk {index[cur - 1]} ends"
+            )
+        check_state_columns(
+            **{name: _row(floats, ints, name) for name in _TCP_FIELDS}
+        )
+        log = cls(abr_name, **dict(zip(SCALAR_FIELDS, scalars, strict=True)))
+        del log.records  # read back from the columns on first access
+        log._columns = (floats, ints)
+        return log
+
+    def _column_store(self) -> "tuple[np.ndarray, np.ndarray] | None":
+        """The matrices while the log is column-born, else ``None``."""
+        return None if "records" in self.__dict__ else self._columns
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes the instance lacks: the ``records``
+        # of a column-born log, built here on first read.
+        store = self.__dict__.get("_columns")
+        if name != "records" or store is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        floats, ints = store
+        rows = dict(zip(FLOAT_COLUMNS, floats.tolist()))
+        rows.update(zip(INT_COLUMNS, ints.tolist()))
+        records = [
+            ChunkRecord(
+                **dict(zip(_CHUNK_FIELDS, chunk)),
+                tcp_state=TCPStateSnapshot(**dict(zip(_TCP_FIELDS, state))),
+            )
+            for chunk, state in zip(
+                zip(*(rows[name] for name in _CHUNK_FIELDS)),
+                zip(*(rows[name] for name in _TCP_FIELDS)),
+            )
+        ]
+        self.records = records
+        self._columns = None
+        return records
+
     # ------------------------------------------------------------------
     @property
     def n_chunks(self) -> int:
+        store = self._column_store()
+        if store is not None:
+            return int(store[0].shape[1])
         return len(self.records)
 
     @property
     def session_end_s(self) -> float:
         """Wall-clock time when playback of the last chunk completes."""
-        if not self.records:
+        if self.n_chunks == 0:
             return 0.0
         playback = self.n_chunks * self.chunk_duration_s
         return self.startup_time_s + playback + self.total_rebuffer_s
@@ -121,34 +302,65 @@ class SessionLog:
     def session_duration_s(self) -> float:
         return self.session_end_s
 
-    # Convenience arrays used by abduction and the baselines -----------
+    # Convenience arrays used by abduction, metrics and the baselines ---
+    def column(self, name: str) -> np.ndarray:
+        """Per-chunk field ``name`` (of :data:`FLOAT_COLUMNS` or
+        :data:`INT_COLUMNS`) as a new 1-D float64 / int64 array."""
+        if name not in _RECORD_GETTERS:
+            raise ValueError(f"unknown log column {name!r}")
+        store = self._column_store()
+        if store is not None:
+            return _row(*store, name).copy()
+        dtype = np.int64 if name in _INT_ROW else np.float64
+        records = self.records
+        return np.fromiter(
+            map(_RECORD_GETTERS[name], records), dtype, count=len(records)
+        )
+
     def sizes_bytes(self) -> np.ndarray:
-        return np.asarray([r.size_bytes for r in self.records])
+        return self.column("size_bytes")
 
     def start_times_s(self) -> np.ndarray:
-        return np.asarray([r.start_time_s for r in self.records])
+        return self.column("start_time_s")
 
     def end_times_s(self) -> np.ndarray:
-        return np.asarray([r.end_time_s for r in self.records])
+        return self.column("end_time_s")
 
     def download_times_s(self) -> np.ndarray:
-        return np.asarray(
-            [r.end_time_s - r.start_time_s for r in self.records]
-        )
+        return self.end_times_s() - self.start_times_s()
 
     def throughputs_mbps(self) -> np.ndarray:
         # Vectorised equivalent of stacking each record's throughput_mbps
         # property (same operation order, so identical floats).  Durations
-        # are validated positive at ChunkRecord construction.
+        # are validated positive at construction.
         sizes = self.sizes_bytes()
         durations = self.download_times_s()
         return sizes / durations * 8 / 1_000_000
 
     def qualities(self) -> np.ndarray:
-        return np.asarray([r.quality for r in self.records], dtype=int)
+        return self.column("quality")
 
-    def tcp_states(self) -> list[TCPStateSnapshot]:
-        return [r.tcp_state for r in self.records]
+    def tcp_state_columns(self) -> TCPStateColumns:
+        """The TCP state at each chunk's start, as arrays."""
+        store = self._column_store()
+        if store is None:
+            return TCPStateColumns.of([r.tcp_state for r in self.records])
+        return TCPStateColumns(
+            **{name: _row(*store, name).copy() for name in _TCP_FIELDS}
+        )
+
+    def to_columns(self) -> "tuple[str, tuple, np.ndarray, np.ndarray]":
+        """``(abr_name, scalars, floats, ints)``, the arguments of
+        :meth:`from_columns`: the log's own ABR name and scalars and new
+        matrices."""
+        store = self._column_store()
+        if store is not None:
+            floats, ints = store[0].copy(), store[1].copy()
+        else:
+            floats = np.stack([self.column(name) for name in FLOAT_COLUMNS])
+            ints = np.stack([self.column(name) for name in INT_COLUMNS])
+        scalars = tuple(getattr(self, name) for name in SCALAR_FIELDS)
+        return self.abr_name, scalars, floats, ints
 
     # Serialisation ----------------------------------------------------
     def to_dict(self) -> dict:
@@ -181,11 +393,26 @@ class SessionLog:
         """A prefix log containing only the first ``n_chunks`` chunks.
 
         Used by interventional queries: "given the session *so far*,
-        predict the next download".
+        predict the next download".  The prefix keeps this log's storage
+        (the same record objects, or a slice of the columns); its stall
+        total is the sequential sum of the prefix's ``rebuffer_s``, the
+        order the session loop accumulates in.
         """
         if not 0 <= n_chunks <= self.n_chunks:
             raise ValueError(
                 f"cannot truncate to {n_chunks} chunks (have {self.n_chunks})"
+            )
+        store = self._column_store()
+        if store is not None:
+            floats, ints = store
+            scalars = {name: getattr(self, name) for name in SCALAR_FIELDS}
+            rebuffer = _row(floats, ints, "rebuffer_s")[:n_chunks]
+            scalars["total_rebuffer_s"] = sequential_sum(rebuffer.tolist())
+            return SessionLog.from_columns(
+                self.abr_name,
+                list(scalars.values()),
+                floats[:, :n_chunks],
+                ints[:, :n_chunks],
             )
         prefix = self.records[:n_chunks]
         return SessionLog(
@@ -194,7 +421,7 @@ class SessionLog:
             chunk_duration_s=self.chunk_duration_s,
             rtt_s=self.rtt_s,
             startup_time_s=self.startup_time_s,
-            total_rebuffer_s=sum(r.rebuffer_s for r in prefix),
+            total_rebuffer_s=sequential_sum(r.rebuffer_s for r in prefix),
             records=list(prefix),
         )
 
@@ -208,10 +435,10 @@ class SessionLogBatch:
     lane is a column), per-session scalars are ``(K,)`` arrays, and the TCP
     RTT-estimator fields — identical across lanes by construction — are
     ``(n_chunks,)`` vectors.  QoE metrics are computed directly from the
-    columns (:func:`~repro.player.metrics.compute_metrics_batch`), so
-    metric-only consumers never pay per-chunk object construction;
-    :meth:`lane` materializes an ordinary per-lane :class:`SessionLog`
-    (bit-identical to a serial replay of that lane) on demand.
+    columns (:func:`~repro.player.metrics.compute_metrics_batch`), and
+    :meth:`lane` gives lane ``k`` as a column-born :class:`SessionLog`:
+    its columns copied out, no per-chunk object built, and every field
+    bit-identical to a serial replay of that lane.
 
     ``total_size_bytes`` carries the loop's sequential per-lane byte
     accumulation so derived metrics reproduce the scalar accumulation order
@@ -254,69 +481,36 @@ class SessionLogBatch:
         return int(self.qualities.shape[1])
 
     def lane(self, k: int) -> SessionLog:
-        """Materialize lane ``k`` as an ordinary :class:`SessionLog`."""
+        """Lane ``k`` as a column-born :class:`SessionLog` (see
+        :meth:`SessionLog.from_columns`); its ``records`` are built only
+        if a caller reads them."""
         if not 0 <= k < self.n_lanes:
             raise IndexError(f"lane {k} out of range for {self.n_lanes} lanes")
-        # One .tolist() per column up front: the record loop then handles
-        # plain Python scalars, ~3x cheaper than casting 0-d numpy values
-        # field by field (corpus preparation materializes every lane).
-        qualities = self.qualities[:, k].tolist()
-        sizes = self.size_bytes[:, k].tolist()
-        starts = self.start_times_s[:, k].tolist()
-        ends = self.end_times_s[:, k].tolist()
-        before = self.buffer_before_s[:, k].tolist()
-        after = self.buffer_after_s[:, k].tolist()
-        rebuffer = self.rebuffer_s[:, k].tolist()
-        ssim = self.ssim[:, k].tolist()
-        bitrate = self.bitrate_mbps[:, k].tolist()
-        cwnd = self.cwnd_segments[:, k].tolist()
-        ssthresh = self.ssthresh_segments[:, k].tolist()
-        idle = self.time_since_last_send_s[:, k].tolist()
-        # The RTT-estimator columns are lane-independent: convert once and
-        # share across all K lane() materializations of this batch.
-        shared = getattr(self, "_shared_rtt_lists", None)
-        if shared is None:
-            shared = self._shared_rtt_lists = (
-                self.srtt_s.tolist(),
-                self.min_rtt_s.tolist(),
-                self.rto_s.tolist(),
-            )
-        srtt, min_rtt, rto = shared
-        records = []
-        for n in range(self.n_chunks):
-            snapshot = TCPStateSnapshot(
-                cwnd_segments=cwnd[n],
-                ssthresh_segments=ssthresh[n],
-                srtt_s=srtt[n],
-                min_rtt_s=min_rtt[n],
-                rto_s=rto[n],
-                time_since_last_send_s=idle[n],
-            )
-            records.append(
-                ChunkRecord(
-                    index=n,
-                    quality=qualities[n],
-                    size_bytes=sizes[n],
-                    start_time_s=starts[n],
-                    end_time_s=ends[n],
-                    tcp_state=snapshot,
-                    buffer_before_s=before[n],
-                    buffer_after_s=after[n],
-                    rebuffer_s=rebuffer[n],
-                    ssim=ssim[n],
-                    bitrate_mbps=bitrate[n],
-                )
-            )
-        return SessionLog(
-            abr_name=self.abr_names[k],
-            buffer_capacity_s=float(self.buffer_capacity_s[k]),
-            chunk_duration_s=self.chunk_duration_s,
-            rtt_s=self.rtt_s,
-            startup_time_s=float(self.startup_time_s[k]),
-            total_rebuffer_s=float(self.total_rebuffer_s[k]),
-            records=records,
+
+        def lane_column(name: str) -> np.ndarray:
+            if name == "index":
+                return np.arange(self.n_chunks)
+            column = getattr(self, _BATCH_NAMES.get(name, name))
+            # The RTT-estimator columns are lane-independent vectors.
+            return column if column.ndim == 1 else column[:, k]
+
+        # chunk_duration_s and rtt_s are shared by every lane.
+        scalars = (getattr(self, name) for name in SCALAR_FIELDS)
+        return SessionLog.from_columns(
+            self.abr_names[k],
+            [float(value[k]) if np.ndim(value) else value for value in scalars],
+            np.stack([lane_column(name) for name in FLOAT_COLUMNS]),
+            np.stack([lane_column(name) for name in INT_COLUMNS]),
         )
 
     def to_logs(self) -> "list[SessionLog]":
-        """Materialize every lane (mostly for tests and debugging)."""
+        """Every lane as a column-born log (mostly for tests and debugging)."""
         return [self.lane(k) for k in range(self.n_lanes)]
+
+
+# Log columns whose batch attribute is named differently.
+_BATCH_NAMES = {
+    "quality": "qualities",
+    "start_time_s": "start_times_s",
+    "end_time_s": "end_times_s",
+}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..video.ladder import ssim_to_db
-from .logs import SessionLog, SessionLogBatch
+from .logs import SessionLog, SessionLogBatch, sequential_sum
 
 __all__ = ["QoEMetrics", "compute_metrics", "compute_metrics_batch"]
 
@@ -48,16 +48,19 @@ class QoEMetrics:
 
 
 def compute_metrics(log: SessionLog) -> QoEMetrics:
-    """Compute :class:`QoEMetrics` for a finished session."""
+    """Compute :class:`QoEMetrics` for a finished session.
+
+    Reads only the log's columns, so a column-born log builds no
+    records.  Each chunk's SSIM is converted with ``ssim_to_db``, the
+    floats the video caches for :func:`compute_metrics_batch`, and the
+    delivered bytes are summed sequentially, as the session loop
+    accumulates them.
+    """
     if log.n_chunks == 0:
         raise ValueError("cannot compute metrics for an empty session")
 
-    records = log.records
-    ssim = np.asarray([r.ssim for r in records])
-    qualities = log.qualities()
-    sizes_total = 0.0
-    for r in records:
-        sizes_total += r.size_bytes
+    ssim = log.column("ssim")
+    sizes_total = sequential_sum(log.column("size_bytes").tolist())
     playback_s = log.n_chunks * log.chunk_duration_s
 
     session_duration = log.session_duration_s
@@ -67,11 +70,11 @@ def compute_metrics(log: SessionLog) -> QoEMetrics:
 
     return QoEMetrics(
         mean_ssim=float(ssim.mean()),
-        mean_ssim_db=float(np.mean([ssim_to_db(s) for s in ssim])),
+        mean_ssim_db=float(np.mean([ssim_to_db(s) for s in ssim.tolist()])),
         rebuffer_ratio=float(rebuffer_ratio),
         avg_bitrate_mbps=float(sizes_total * 8 / 1e6 / playback_s),
         startup_time_s=log.startup_time_s,
-        quality_switches=int(np.count_nonzero(np.diff(qualities))),
+        quality_switches=int(np.count_nonzero(np.diff(log.qualities()))),
         n_chunks=log.n_chunks,
     )
 

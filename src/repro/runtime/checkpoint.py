@@ -1,8 +1,9 @@
 """Content-addressed on-disk checkpoint store for prepared corpora.
 
 The first concrete step of the ROADMAP's persistent prepared-corpus store:
-each completed trace's preparation artifacts (Setting-A session-log
-columns + posterior draws) are written to one ``.npz`` file whose name is
+each completed trace's preparation artifacts (the Setting-A session log
+as its float and int column matrices, plus the baseline and posterior
+draws) are written to one ``.npz`` file whose name is
 a fingerprint of everything the artifacts depend on — the ground-truth
 trace, the Setting-A design, the abduction model and the per-trace seed —
 so a restarted ``prepare_corpus(checkpoint_dir=...)`` reloads finished
@@ -27,8 +28,12 @@ import numpy as np
 
 __all__ = ["CheckpointStore", "fingerprint"]
 
-_FORMAT_VERSION = "1"
-"""Bump to invalidate every existing checkpoint on disk."""
+_FORMAT_VERSION = "2"
+"""Bump to invalidate every existing checkpoint on disk.
+
+Part of every fingerprint, so an entry of another version is a miss:
+recomputed once under the new key, never misread.  Version 2 stores the
+session log as column matrices instead of a JSON string."""
 
 
 def fingerprint(parts) -> str:
@@ -63,9 +68,6 @@ class CheckpointStore:
 
     def path_for(self, key: str) -> Path:
         return self.directory / f"trace-{key}.npz"
-
-    def __contains__(self, key: str) -> bool:
-        return self.path_for(key).exists()
 
     def load(self, key: str) -> dict | None:
         """The stored arrays for ``key``, or ``None`` if absent/corrupt."""

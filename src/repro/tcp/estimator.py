@@ -27,7 +27,12 @@ import numpy as np
 
 from ..util.units import mbps_to_bytes_per_sec
 from .constants import MSS_BYTES, SLOW_START_GROWTH
-from .state import TCPStateSnapshot, apply_slow_start_restart
+from .state import (
+    TCPStateColumns,
+    TCPStateSnapshot,
+    apply_slow_start_restart,
+    apply_slow_start_restart_batch,
+)
 
 __all__ = [
     "REQUEST_RTTS",
@@ -248,36 +253,33 @@ def estimate_throughput_grid(
 
 
 def chunk_state_arrays(
-    tcp_states: "list[TCPStateSnapshot]",
+    tcp_states: "TCPStateColumns | list[TCPStateSnapshot]",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Restart-applied per-chunk TCP state as ``(cwnd0, ssthresh0, min_rtt)``.
 
     Slow-start restart is the only state-dependent preprocessing Algorithm 4
     performs, so these three arrays are the complete per-chunk input of the
-    estimator.  Shared by :func:`estimate_throughput_grid_batch` and the
-    compiled emission kernel (:mod:`repro.core._kernels`), which inlines the
-    rest of the algorithm.
+    estimator.  The restart runs on the whole session at once
+    (:func:`~repro.tcp.state.apply_slow_start_restart_batch`, element-wise
+    equal to the scalar decay); a snapshot list is turned into
+    :class:`~repro.tcp.state.TCPStateColumns` first.  Shared by
+    :func:`estimate_throughput_grid_batch` and the compiled emission
+    kernel (:mod:`repro.core._kernels`), which inlines the rest of the
+    algorithm.
     """
-    n_chunks = len(tcp_states)
-    cwnd0 = np.empty(n_chunks, dtype=np.int64)
-    ssthresh0 = np.empty(n_chunks, dtype=np.int64)
-    min_rtt = np.empty(n_chunks, dtype=float)
-    for n, state in enumerate(tcp_states):
-        cw, ss, _ = apply_slow_start_restart(
-            state.cwnd_segments,
-            state.ssthresh_segments,
-            state.time_since_last_send_s,
-            state.rto_s,
-        )
-        cwnd0[n] = cw
-        ssthresh0[n] = ss
-        min_rtt[n] = state.min_rtt_s
-    return cwnd0, ssthresh0, min_rtt
+    states = TCPStateColumns.of(tcp_states)
+    cwnd0, ssthresh0, _ = apply_slow_start_restart_batch(
+        states.cwnd_segments,
+        states.ssthresh_segments,
+        states.time_since_last_send_s,
+        states.rto_s,
+    )
+    return cwnd0, ssthresh0, states.min_rtt_s
 
 
 def estimate_throughput_grid_batch(
     gtbw_grid_mbps: np.ndarray,
-    tcp_states: "list[TCPStateSnapshot]",
+    tcp_states: "TCPStateColumns | list[TCPStateSnapshot]",
     sizes_bytes: np.ndarray,
     request_rtts: float = REQUEST_RTTS,
 ) -> np.ndarray:
@@ -287,26 +289,30 @@ def estimate_throughput_grid_batch(
     EHMM emission model needs, resolving all chunks' window phases in one
     padded comparison instead of per-chunk ``searchsorted`` calls.  Row
     ``n`` is bit-identical to
-    ``estimate_throughput_grid(grid, tcp_states[n], sizes_bytes[n])``.
+    ``estimate_throughput_grid(grid, tcp_states[n], sizes_bytes[n])``;
+    ``tcp_states`` may be a snapshot list or its columns.
     """
     grid = np.asarray(gtbw_grid_mbps, dtype=float)
     if np.any(grid < 0):
         raise ValueError("GTBW grid values must be non-negative")
+    states = TCPStateColumns.of(tcp_states)
+    n_chunks = len(states)
     sizes = np.asarray(sizes_bytes, dtype=float)
-    if sizes.shape != (len(tcp_states),):
+    if sizes.shape != (n_chunks,):
         raise ValueError("need one size per TCP state")
     if np.any(sizes <= 0):
         raise ValueError("sizes must be positive")
-    n_chunks = len(tcp_states)
 
     rates = grid * 1e6 / 8
     safe_rates = np.where(grid > 0, rates, 1.0)
 
     data_segments = np.maximum(1, np.ceil(sizes / MSS_BYTES)).astype(np.int64)
-    cwnd0, ssthresh0, min_rtt = chunk_state_arrays(tcp_states)
+    cwnd0, ssthresh0, min_rtt = chunk_state_arrays(states)
     schedules = [
-        _round_schedule(int(cw), int(ss), segments)
-        for cw, ss, segments in zip(cwnd0, ssthresh0, data_segments.tolist())
+        _round_schedule(cw, ss, segments)
+        for cw, ss, segments in zip(
+            cwnd0.tolist(), ssthresh0.tolist(), data_segments.tolist()
+        )
     ]
 
     # bdp[n, k] and the padded per-chunk round schedules: the window-phase

@@ -9,11 +9,17 @@ evolves.
 
 Slow-start restart (RFC 2861 / paper Algorithm 4) lives here too because the
 estimator ``f`` and the connection simulator must apply the *same* decay.
+:class:`TCPStateColumns` is a session's snapshots as arrays, the form the
+emission build reads, with :func:`apply_slow_start_restart_batch` as its
+element-wise restart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .constants import (
     INIT_CWND_SEGMENTS,
@@ -78,6 +84,105 @@ class TCPStateSnapshot:
         return cls(**data)
 
 
+_COLUMN_DTYPES = (
+    ("cwnd_segments", np.int64),
+    ("ssthresh_segments", np.int64),
+    ("srtt_s", np.float64),
+    ("min_rtt_s", np.float64),
+    ("rto_s", np.float64),
+    ("time_since_last_send_s", np.float64),
+)
+
+
+@dataclass(frozen=True, eq=False)
+class TCPStateColumns:
+    """A session's :class:`TCPStateSnapshot` fields as 1-D arrays.
+
+    Entry ``n`` of every column is chunk ``n``'s snapshot; the segment
+    counts are int64 and the times float64.  The estimator functions take
+    either form, and :meth:`of` turns a snapshot sequence into columns
+    once at entry.  Construction checks shapes, not values: the values
+    come from snapshots or from a session log, whose construction ran the
+    snapshot checks (:func:`check_state_columns` for a column-born log).
+    """
+
+    cwnd_segments: np.ndarray
+    ssthresh_segments: np.ndarray
+    srtt_s: np.ndarray
+    min_rtt_s: np.ndarray
+    rto_s: np.ndarray
+    time_since_last_send_s: np.ndarray
+
+    def __post_init__(self) -> None:
+        shape = np.shape(self.cwnd_segments)
+        for name, dtype in _COLUMN_DTYPES:
+            column = np.asarray(getattr(self, name), dtype=dtype)
+            if column.ndim != 1 or column.shape != shape:
+                raise ValueError("TCP state columns must be 1-D and of equal length")
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return int(self.cwnd_segments.shape[0])
+
+    @classmethod
+    def of(
+        cls, states: "TCPStateColumns | Sequence[TCPStateSnapshot]"
+    ) -> "TCPStateColumns":
+        """``states`` as columns (a snapshot sequence is converted once)."""
+        if isinstance(states, cls):
+            return states
+        states = list(states)
+        return cls(
+            [s.cwnd_segments for s in states],
+            [s.ssthresh_segments for s in states],
+            [s.srtt_s for s in states],
+            [s.min_rtt_s for s in states],
+            [s.rto_s for s in states],
+            [s.time_since_last_send_s for s in states],
+        )
+
+    @classmethod
+    def concatenate(cls, parts: "Sequence[TCPStateColumns]") -> "TCPStateColumns":
+        """The chunks of every part, in order."""
+        return cls(
+            *(
+                np.concatenate([getattr(p, name) for p in parts])
+                for name, _ in _COLUMN_DTYPES
+            )
+        )
+
+    def snapshot(self, n: int) -> TCPStateSnapshot:
+        """Chunk ``n`` as a :class:`TCPStateSnapshot` of Python scalars."""
+        return TCPStateSnapshot(
+            *(getattr(self, name)[n].item() for name, _ in _COLUMN_DTYPES)
+        )
+
+
+def check_state_columns(
+    cwnd_segments: np.ndarray,
+    ssthresh_segments: np.ndarray,
+    srtt_s: np.ndarray,
+    min_rtt_s: np.ndarray,
+    rto_s: np.ndarray,
+    time_since_last_send_s: np.ndarray,
+) -> None:
+    """The :class:`TCPStateSnapshot` checks on whole columns.
+
+    Raises ``ValueError`` where some entry would fail a snapshot's
+    construction.
+    """
+    if (cwnd_segments < 1).any():
+        raise ValueError("cwnd must be >= 1 segment")
+    if (ssthresh_segments < 1).any():
+        raise ValueError("ssthresh must be >= 1 segment")
+    if (min_rtt_s <= 0).any() or (srtt_s <= 0).any():
+        raise ValueError("RTTs must be positive")
+    if (rto_s <= 0).any():
+        raise ValueError("rto must be positive")
+    if (time_since_last_send_s < 0).any():
+        raise ValueError("idle gap cannot be negative")
+
+
 def apply_slow_start_restart(
     cwnd_segments: int,
     ssthresh_segments: int,
@@ -104,6 +209,59 @@ def apply_slow_start_restart(
     cwnd = max(cwnd, restart_cwnd)
     ssthresh = max(ssthresh_segments, (cwnd >> 1) + (cwnd >> 2), 2)
     return cwnd, ssthresh, True
+
+
+def apply_slow_start_restart_batch(
+    cwnd_segments: np.ndarray,
+    ssthresh_segments: np.ndarray,
+    idle_gap_s: np.ndarray,
+    rto_s: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`apply_slow_start_restart` element by element, on arrays, with
+    the default restart window ``INIT_CWND_SEGMENTS``.
+
+    The scalar loop halves ``cwnd`` while the idle gap, reduced by one RTO
+    per halving, still exceeds the RTO and ``cwnd`` is above the restart
+    window.  Both conditions only ever turn false, so the halving count is
+    the smaller of two counts: the halvings that take ``cwnd`` to the
+    restart window (``bit_length(cwnd // (INIT_CWND_SEGMENTS + 1))``,
+    exact in integers) and the leading terms of the scalar's own repeated
+    subtraction (``np.subtract.accumulate``, the same rounded differences
+    in the same order) that exceed the RTO.  Every entry therefore leaves
+    with the scalar's values.  Returns new ``(cwnd, ssthresh, triggered)``
+    arrays (int64, int64, bool).
+    """
+    cwnd = np.asarray(cwnd_segments, dtype=np.int64)
+    ssthresh = np.asarray(ssthresh_segments, dtype=np.int64)
+    idle = np.asarray(idle_gap_s, dtype=np.float64)
+    rto = np.asarray(rto_s, dtype=np.float64)
+    triggered = ~((idle <= rto) | (cwnd <= INIT_CWND_SEGMENTS))
+    if not triggered.any():
+        return cwnd.copy(), ssthresh.copy(), triggered
+    # Halvings until cwnd >> k <= INIT_CWND_SEGMENTS: the bit length of
+    # cwnd // (INIT_CWND_SEGMENTS + 1), 0 for an untriggered small window.
+    to_floor = np.searchsorted(
+        _POWERS_OF_TWO, cwnd // (INIT_CWND_SEGMENTS + 1), "right"
+    )
+    # gaps[:, j] is the idle gap after j subtractions of the RTO; its
+    # terms above the RTO are a prefix (none for an untriggered short gap).
+    gaps = np.empty((idle.size, int(to_floor.max())))
+    gaps[:, 0] = idle
+    gaps[:, 1:] = rto[:, None]
+    np.subtract.accumulate(gaps, axis=1, out=gaps)
+    halvings = np.minimum((gaps > rto[:, None]).sum(axis=1), to_floor)
+    decayed = np.maximum(cwnd >> halvings, INIT_CWND_SEGMENTS)
+    floor = np.maximum((decayed >> 1) + (decayed >> 2), 2)
+    return (
+        np.where(triggered, decayed, cwnd),
+        np.where(triggered, np.maximum(ssthresh, floor), ssthresh),
+        triggered,
+    )
+
+
+_POWERS_OF_TWO = np.left_shift(1, np.arange(63, dtype=np.int64))
+"""``2**k`` for ``k < 63``: ``searchsorted(..., q, "right")`` is
+``q.bit_length()`` for every non-negative int64 ``q``."""
 
 
 @dataclass(slots=True)

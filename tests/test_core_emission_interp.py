@@ -13,7 +13,10 @@ from repro.core import (
     window_gaps,
     window_index,
 )
+from repro.core import _kernels
 from repro.tcp import TCPStateSnapshot
+from repro.tcp.estimator import chunk_state_arrays
+from repro.tcp.state import TCPStateColumns, apply_slow_start_restart
 
 
 def snap(gap=2.0):
@@ -111,6 +114,70 @@ class TestEmissionModel:
         assert int(np.argmax(row_naive)) == grid.index_of(1.0)
         assert int(np.argmax(row_tcp)) >= grid.index_of(1.0)
 
+
+
+def idle_heavy_session(seed, n_chunks=60):
+    """Snapshots whose idle gaps straddle the RTO (restart on and off)."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(n_chunks):
+        rto = float(rng.choice([0.2, 0.25, 1.0]))
+        states.append(
+            TCPStateSnapshot(
+                cwnd_segments=int(rng.choice([1, 10, 11, 64, 400, 16384])),
+                ssthresh_segments=int(rng.integers(1, 1 << 20)),
+                srtt_s=float(rng.uniform(0.01, 0.3)),
+                min_rtt_s=float(rng.uniform(0.01, 0.3)),
+                rto_s=rto,
+                time_since_last_send_s=float(
+                    rng.choice([0.0, rto, 2 * rto, rng.uniform(0.0, 30.0)])
+                ),
+            )
+        )
+    sizes = rng.uniform(2_000, 4_000_000, n_chunks)
+    observed = rng.uniform(0.0, 12.0, n_chunks)
+    return states, sizes, observed
+
+
+class TestEmissionFromColumns:
+    """Snapshot lists and their columns give bit-identical emissions."""
+
+    @pytest.mark.parametrize("kernel", ["numpy", "compiled"])
+    @pytest.mark.parametrize("outlier_mass", [0.0, 0.05])
+    def test_log_prob_matrix_bit_identical(self, grid, kernel, outlier_mass):
+        if kernel == "compiled" and not _kernels.available():
+            pytest.skip("no compiled abduction backend")
+        model = EmissionModel(grid, outlier_mass=outlier_mass)
+        states, sizes, observed = idle_heavy_session(seed=5)
+        from_list = model.log_prob_matrix(observed, states, sizes, kernel=kernel)
+        from_columns = model.log_prob_matrix(
+            observed, TCPStateColumns.of(states), sizes, kernel=kernel
+        )
+        assert np.array_equal(from_list, from_columns)
+
+    def test_state_arrays_match_scalar_restart(self):
+        states, _, _ = idle_heavy_session(seed=6, n_chunks=200)
+        cwnd0, ssthresh0, min_rtt = chunk_state_arrays(states)
+        for n, state in enumerate(states):
+            cw, ss, _ = apply_slow_start_restart(
+                state.cwnd_segments,
+                state.ssthresh_segments,
+                state.time_since_last_send_s,
+                state.rto_s,
+            )
+            assert (cwnd0[n], ssthresh0[n], min_rtt[n]) == (cw, ss, state.min_rtt_s)
+
+    def test_custom_estimator_reads_snapshots(self, grid):
+        seen = []
+
+        def estimator(values, state, size):
+            seen.append(state)
+            return np.full(values.shape, size * 8 / 1e6)
+
+        model = EmissionModel(grid, estimator=estimator)
+        states, sizes, observed = idle_heavy_session(seed=7, n_chunks=5)
+        model.log_prob_matrix(observed, TCPStateColumns.of(states), sizes)
+        assert seen == states
 
 class TestWindows:
     def test_window_index(self):

@@ -501,6 +501,75 @@ class TestCheckpointResume:
         )
         assert_same_prepared(again.per_trace, first.per_trace)
 
+    @staticmethod
+    def resume_without_abduction(corpus, setting_a, ckpt, monkeypatch):
+        """A resume that fails if any trace is not a checkpoint hit."""
+        engine = make_engine()
+
+        def no_abduction(*args, **kwargs):
+            raise AssertionError("resume must not re-run abduction")
+
+        monkeypatch.setattr(engine.abduction, "solve", no_abduction)
+        monkeypatch.setattr(engine.abduction, "solve_batch", no_abduction)
+        return engine.prepare_corpus(corpus, setting_a, checkpoint_dir=ckpt)
+
+    def test_unreadable_entry_is_rewritten(
+        self, corpus, setting_a, tmp_path, monkeypatch
+    ):
+        """The recompute after a damaged entry overwrites it, so the next
+        resume loads every trace."""
+        ckpt = tmp_path / "store"
+        first = make_engine().prepare_corpus(
+            corpus[:2], setting_a, checkpoint_dir=ckpt
+        )
+        store = CheckpointStore(ckpt)
+        key = store.keys()[0]
+        store.path_for(key).write_bytes(b"not an npz")
+        again = make_engine().prepare_corpus(
+            corpus[:2], setting_a, checkpoint_dir=ckpt
+        )
+        assert_same_prepared(again.per_trace, first.per_trace)
+        assert store.load(key) is not None
+        resumed = self.resume_without_abduction(
+            corpus[:2], setting_a, ckpt, monkeypatch
+        )
+        assert_same_prepared(resumed.per_trace, first.per_trace)
+
+    @pytest.mark.parametrize("damage", ["log_column_short", "zero_chunk_size"])
+    def test_loadable_damaged_entry_is_a_miss(
+        self, corpus, setting_a, tmp_path, monkeypatch, damage
+    ):
+        """An entry that loads but fails the log's checks is recomputed and
+        rewritten, never replayed."""
+        from repro.player.logs import FLOAT_COLUMNS
+
+        ckpt = tmp_path / "store"
+        clean = make_engine().prepare_corpus(
+            corpus[:2], setting_a, checkpoint_dir=ckpt
+        )
+        store = CheckpointStore(ckpt)
+        key = store.keys()[1]
+        payload = store.load(key)
+        saved = {name: array.copy() for name, array in payload.items()}
+        if damage == "log_column_short":
+            payload["log_ints"] = payload["log_ints"][:, :-1]
+        else:
+            payload["log_floats"][FLOAT_COLUMNS.index("size_bytes"), 3] = 0.0
+        store.save(key, payload)
+
+        again = make_engine().prepare_corpus(
+            corpus[:2], setting_a, checkpoint_dir=ckpt
+        )
+        assert_same_prepared(again.per_trace, clean.per_trace)
+        rewritten = store.load(key)
+        assert sorted(rewritten) == sorted(saved)
+        for name, array in saved.items():
+            assert np.array_equal(rewritten[name], array), name
+        resumed = self.resume_without_abduction(
+            corpus[:2], setting_a, ckpt, monkeypatch
+        )
+        assert_same_prepared(resumed.per_trace, clean.per_trace)
+
     def test_predictor_window_misses_checkpoint(
         self, corpus, setting_a, tmp_path, monkeypatch
     ):

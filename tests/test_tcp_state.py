@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.tcp import (
@@ -11,6 +12,11 @@ from repro.tcp import (
     MutableTCPState,
     TCPStateSnapshot,
     apply_slow_start_restart,
+)
+from repro.tcp.state import (
+    TCPStateColumns,
+    apply_slow_start_restart_batch,
+    check_state_columns,
 )
 
 
@@ -96,6 +102,89 @@ class TestSlowStartRestart:
         assert new_ssthresh >= ssthresh or new_ssthresh >= 2
         if not fired:
             assert (new_cwnd, new_ssthresh) == (cwnd, ssthresh)
+
+
+@st.composite
+def restart_cases(draw):
+    """``(cwnd, ssthresh, idle, rto)`` around the restart's boundaries."""
+    rto = draw(
+        st.sampled_from([1e-9, 1e-3, 0.2, 0.3, 1.0, 60.0, 1e4])
+        | st.floats(min_value=1e-9, max_value=1e4)
+    )
+    idle = draw(
+        st.sampled_from([0.0, rto, float(np.nextafter(rto, np.inf)), 40 * rto])
+        | st.integers(min_value=2, max_value=40).map(lambda m: m * rto)
+        | st.floats(min_value=0.0, max_value=1e6)
+    )
+    cwnd = draw(
+        st.sampled_from(
+            [1, INIT_CWND_SEGMENTS - 1, INIT_CWND_SEGMENTS, INIT_CWND_SEGMENTS + 1]
+        )
+        | st.integers(min_value=1, max_value=1 << 50)
+    )
+    ssthresh = draw(st.integers(min_value=1, max_value=1 << 20))
+    return cwnd, ssthresh, idle, rto
+
+
+class TestSlowStartRestartBatch:
+    """The array restart agrees with the scalar one element by element."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(cases=st.lists(restart_cases(), min_size=1, max_size=12))
+    @example(cases=[(40, 64, 0.4, 0.2)])  # a gap of exactly two RTOs
+    @example(cases=[(1 << 40, 2, 40 * 0.3, 0.3)])
+    def test_matches_scalar(self, cases):
+        cwnd, ssthresh, idle, rto = (np.asarray(c) for c in zip(*cases))
+        got = apply_slow_start_restart_batch(cwnd, ssthresh, idle, rto)
+        for n, case in enumerate(cases):
+            want = apply_slow_start_restart(*case)
+            assert (int(got[0][n]), int(got[1][n]), bool(got[2][n])) == want
+
+    def test_inputs_are_not_modified(self):
+        cwnd = np.asarray([100, 5])
+        ssthresh = np.asarray([2, 2])
+        apply_slow_start_restart_batch(cwnd, ssthresh, [1.0, 1.0], [0.25, 0.25])
+        assert cwnd.tolist() == [100, 5] and ssthresh.tolist() == [2, 2]
+
+
+class TestStateColumns:
+    def test_of_snapshots_round_trips(self):
+        snaps = [make_snapshot(cwnd_segments=c, rto_s=0.2 + c / 100) for c in (1, 10, 99)]
+        columns = TCPStateColumns.of(snaps)
+        assert TCPStateColumns.of(columns) is columns
+        assert len(columns) == 3
+        assert columns.cwnd_segments.dtype == np.int64
+        assert [columns.snapshot(n) for n in range(3)] == snaps
+        joined = TCPStateColumns.concatenate([columns, columns])
+        assert [joined.snapshot(n) for n in range(6)] == snaps + snaps
+
+    @pytest.mark.parametrize(
+        ("name", "value"),
+        [
+            ("cwnd_segments", 0),
+            ("ssthresh_segments", 0),
+            ("srtt_s", 0.0),
+            ("min_rtt_s", -1.0),
+            ("rto_s", 0.0),
+            ("time_since_last_send_s", -1.0),
+        ],
+    )
+    def test_checks_reject_what_a_snapshot_rejects(self, name, value):
+        good = TCPStateColumns.of([make_snapshot(), make_snapshot()])
+        fields = {f: getattr(good, f).copy() for f in good.__dataclass_fields__}
+        check_state_columns(**fields)
+        fields[name][1] = value
+        with pytest.raises(ValueError):
+            make_snapshot(**{name: value})
+        with pytest.raises(ValueError):
+            check_state_columns(**fields)
+
+    def test_rejects_ragged_columns(self):
+        good = TCPStateColumns.of([make_snapshot(), make_snapshot()])
+        fields = {f: getattr(good, f) for f in good.__dataclass_fields__}
+        fields["rto_s"] = fields["rto_s"][:1]
+        with pytest.raises(ValueError, match="equal length"):
+            TCPStateColumns(**fields)
 
 
 class TestMutableState:
