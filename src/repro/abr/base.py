@@ -57,11 +57,6 @@ class ABRContext:
     download_time_history_s: list[float] = field(default_factory=list)
 
     @property
-    def next_chunk_sizes_bytes(self) -> NDArray[np.float64]:
-        """Encoded sizes of the chunk about to be requested, per quality."""
-        return self.video.sizes_for_chunk(self.chunk_index)
-
-    @property
     def n_qualities(self) -> int:
         return self.video.n_qualities
 

@@ -16,8 +16,16 @@ machinery of §4.4 unchanged.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..core.abduction import VeritasAbduction, VeritasConfig
-from ..player.logs import ChunkRecord, SessionLog, sequential_sum
+from ..player.logs import (
+    FLOAT_COLUMNS,
+    INT_COLUMNS,
+    ChunkRecord,
+    SessionLog,
+    sequential_sum,
+)
 from ..tcp.estimator import estimate_download_time
 from ..tcp.state import TCPStateSnapshot
 from ..video.ladder import ssim_to_db
@@ -61,13 +69,15 @@ class VeritasABRAlgorithm(ABRAlgorithm):
         self.rebuffer_penalty = rebuffer_penalty
         self.switch_penalty = switch_penalty
         self.safety = safety
-        self._records: list[ChunkRecord] = []
-        self._expected_capacity: float | None = None
-        self._chunks_since_abduction = 0
+        self.reset()
 
     def reset(self) -> None:
-        self._records = []
-        self._expected_capacity = None
+        self._records: list[ChunkRecord] = []
+        # The log matrices of the records seen by the last abduction, so
+        # each record is converted once.
+        self._floats = np.empty((len(FLOAT_COLUMNS), 0))
+        self._ints = np.empty((len(INT_COLUMNS), 0), dtype=np.int64)
+        self._expected_capacity: float | None = None
         self._chunks_since_abduction = 0
 
     # ------------------------------------------------------------------
@@ -90,16 +100,22 @@ class VeritasABRAlgorithm(ABRAlgorithm):
             self._expected_capacity is None
             or self._chunks_since_abduction >= self.reabduct_every
         ):
-            log = SessionLog(
-                abr_name=self.name,
-                buffer_capacity_s=context.buffer_capacity_s,
-                chunk_duration_s=context.video.chunk_duration_s,
-                rtt_s=self._records[0].tcp_state.min_rtt_s,
-                startup_time_s=self._records[0].end_time_s,
-                total_rebuffer_s=sequential_sum(
-                    r.rebuffer_s for r in self._records
+            first = self._records[0]
+            new = self._records[self._floats.shape[1] :]
+            floats, ints = zip(*(r.log_columns() for r in new))
+            self._floats = np.hstack([self._floats, np.array(floats).T])
+            self._ints = np.hstack([self._ints, np.array(ints).T])
+            log = SessionLog.from_columns(
+                self.name,
+                (
+                    context.buffer_capacity_s,
+                    context.video.chunk_duration_s,
+                    first.tcp_state.min_rtt_s,
+                    first.end_time_s,
+                    sequential_sum(r.rebuffer_s for r in self._records),
                 ),
-                records=list(self._records),
+                self._floats,
+                self._ints,
             )
             posterior = self._abduction.solve(log)
             self._expected_capacity = posterior.expected_capacity_after(0)

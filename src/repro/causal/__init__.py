@@ -6,7 +6,6 @@ from .engine import (
     PreparedCorpus,
     PreparedTrace,
     TraceCounterfactual,
-    VeritasRange,
     run_setting,
     run_setting_batch,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "PreparedTrace",
     "Setting",
     "TraceCounterfactual",
-    "VeritasRange",
     "cap_bitrate",
     "change_abr",
     "change_buffer",

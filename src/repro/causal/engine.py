@@ -75,7 +75,6 @@ from ..util.rng import SeedLike, ensure_rng, spawn_seeds
 from .queries import Setting
 
 __all__ = [
-    "VeritasRange",
     "TraceCounterfactual",
     "CounterfactualResult",
     "PreparedTrace",
@@ -124,41 +123,6 @@ def run_setting_batch(
 
 
 @dataclass(frozen=True)
-class VeritasRange:
-    """Per-metric low/high band across the K Veritas samples.
-
-    Matches the paper's reporting: "we consider the second lowest and
-    second largest prediction for each metric across the samples, which we
-    refer to as Veritas (Low) and Veritas (High)" (§4.3).  With fewer than
-    three samples the plain min/max is used.
-    """
-
-    values: tuple[float, ...]
-
-    @property
-    def _sorted(self) -> tuple[float, ...]:
-        ordered = self.__dict__.get("_sorted_cache")
-        if ordered is None:
-            ordered = tuple(sorted(self.values))
-            object.__setattr__(self, "_sorted_cache", ordered)
-        return ordered
-
-    @property
-    def low(self) -> float:
-        ordered = self._sorted
-        return ordered[1] if len(ordered) >= 3 else ordered[0]
-
-    @property
-    def high(self) -> float:
-        ordered = self._sorted
-        return ordered[-2] if len(ordered) >= 3 else ordered[-1]
-
-    @property
-    def median(self) -> float:
-        return float(np.median(self.values))
-
-
-@dataclass(frozen=True)
 class TraceCounterfactual:
     """All Setting-B predictions for one ground-truth trace."""
 
@@ -167,12 +131,6 @@ class TraceCounterfactual:
     truth_metrics: QoEMetrics
     baseline_metrics: QoEMetrics
     veritas_metrics: tuple[QoEMetrics, ...]
-
-    def veritas_range(self, metric: str) -> VeritasRange:
-        """Low/high band of ``metric`` (a QoEMetrics attribute name)."""
-        return VeritasRange(
-            tuple(getattr(m, metric) for m in self.veritas_metrics)
-        )
 
 
 @dataclass
@@ -196,7 +154,11 @@ class CounterfactualResult:
         """Per-trace arrays of ``metric`` for every scheme.
 
         Keys: ``truth``, ``baseline``, ``veritas_low``, ``veritas_high``,
-        ``veritas_median``, ``setting_a``.
+        ``veritas_median``, ``setting_a``.  The Veritas band follows the
+        paper: "we consider the second lowest and second largest
+        prediction for each metric across the samples, which we refer to
+        as Veritas (Low) and Veritas (High)" (§4.3); with fewer than three
+        samples it is the plain min/max.
         """
         truth = np.asarray([getattr(t.truth_metrics, metric) for t in self.per_trace])
         base = np.asarray(
@@ -242,10 +204,10 @@ class PreparedTrace:
 
     Holds the deployed log, its metrics, and the reconstructions (baseline
     trace + K posterior samples) so any Setting-B query can be answered
-    with replays alone.  ``log_a`` is column-born when the trace deployed
-    in a lockstep lane or came from a checkpoint (no per-chunk records
-    until a caller reads ``log_a.records``) and records-backed when it
-    deployed on the scalar session.
+    with replays alone.  ``log_a`` holds the same matrices whether the
+    trace deployed in a lockstep lane, on the scalar session or came from
+    a checkpoint; no per-chunk record is built until a caller reads
+    ``log_a.records``.
     """
 
     trace_index: int

@@ -112,7 +112,7 @@ def session_log(text: str) -> SessionLog:
         raise argparse.ArgumentTypeError(f"{text} has no {exc} field")
     except (TypeError, ValueError) as exc:
         raise argparse.ArgumentTypeError(f"{text} is not a session log: {exc}")
-    if not log.records:
+    if log.n_chunks == 0:
         raise argparse.ArgumentTypeError(f"{text} has no chunks")
     return log
 

@@ -284,7 +284,7 @@ class VeritasAbduction:
             sigma_mbps=self.config.sigma_mbps,
             estimator=_EMISSION_ESTIMATORS[self.config.emission_kind],
         )
-        # (models, settings, records, posterior) of the last solve().
+        # (models, settings, log, posterior) of the last solve().
         self._last_solve: "tuple | None" = None
 
     def solve(
@@ -296,9 +296,10 @@ class VeritasAbduction:
         (counterfactual replays can run longer than the original session).
 
         The engine remembers its last solve and returns that posterior
-        again while nothing it depends on has changed: ``log.records``
-        equal by value (a copy is kept, so editing the list in place is
-        noticed), an equal ``trace_duration_s``, the same ``grid``,
+        again while nothing it depends on has changed: a log equal by
+        value (``==`` compares the matrices, which no caller can write, so
+        keeping a reference to the last log is safe), an equal
+        ``trace_duration_s``, the same ``grid``,
         ``transitions`` and ``emission`` objects (reassigning
         ``transitions``, as EM does, forces a fresh solve) and an equal
         ``config.delta_s``.  Asking about one session prefix many times —
@@ -316,18 +317,18 @@ class VeritasAbduction:
         models = (self.grid, self.transitions, self.emission)
         settings = (self.config.delta_s, duration)
         if self._last_solve is not None:
-            last_models, last_settings, last_records, last = self._last_solve
+            last_models, last_settings, last_log, last = self._last_solve
             if (
                 all(a is b for a, b in zip(last_models, models))
                 and last_settings == settings
-                and last_records == log.records
+                and last_log == log
             ):
                 return last
         problem = build_problem(
             log, self.grid, self.transitions, self.emission, self.config.delta_s
         )
         posterior = self._posterior_from_problem(problem, duration)
-        self._last_solve = (models, settings, list(log.records), posterior)
+        self._last_solve = (models, settings, log, posterior)
         return posterior
 
     def _posterior_from_problem(

@@ -98,8 +98,8 @@ def build_problems_batch(
     """Assemble EHMM problems for several logs with one emission evaluation.
 
     The chunks of every session are concatenated (observations, sizes
-    and the logs' TCP-state columns, so a column-born log builds no
-    per-chunk object) and the emission matrix is evaluated in a single
+    and the logs' TCP-state columns, so no per-chunk object is built)
+    and the emission matrix is evaluated in a single
     batched call — emission rows depend only on their own
     ``(observation, tcp_state, size)`` triple, so each row is
     bit-identical to the per-log :func:`build_problem` build — then split

@@ -123,18 +123,14 @@ class EmissionModel:
         return log_uniform + peak
 
     def predicted_throughput_matrix(
-        self,
-        tcp_states: "TCPStateColumns | Sequence[TCPStateSnapshot]",
-        sizes_bytes: Sequence[float],
+        self, states: TCPStateColumns, sizes_bytes: Sequence[float]
     ) -> np.ndarray:
         """``f(c, W_n, S_n)`` for every chunk and state (``(n_chunks, n_states)``).
 
         One batched call when the estimator has a whole-session twin in
         ``_BATCH_ESTIMATORS``; otherwise the estimator runs row by row on
-        each chunk's snapshot.  ``tcp_states`` may be a snapshot sequence
-        or its :class:`~repro.tcp.state.TCPStateColumns`.
+        each chunk's snapshot.
         """
-        states = TCPStateColumns.of(tcp_states)
         sizes = np.asarray(sizes_bytes, dtype=float)
         if len(states) != sizes.size:
             raise ValueError("TCP states and sizes must have equal length")
@@ -150,7 +146,7 @@ class EmissionModel:
     def log_prob_matrix(
         self,
         observed_mbps: Sequence[float],
-        tcp_states: "TCPStateColumns | Sequence[TCPStateSnapshot]",
+        states: TCPStateColumns,
         sizes_bytes: Sequence[float],
         kernel: str | None = None,
     ) -> np.ndarray:
@@ -168,10 +164,9 @@ class EmissionModel:
         to the per-session calls.  The corpus-batched abduction pipeline
         (``build_problems_batch``) relies on this contract.
 
-        ``tcp_states`` may be a snapshot sequence or its
-        :class:`~repro.tcp.state.TCPStateColumns` (what a session log
-        serves); a sequence is turned into columns once, here, and both
-        take the same path, so the matrices are bit-identical.
+        ``states`` is the chunks' TCP state as columns (what
+        :meth:`SessionLog.tcp_state_columns` serves; a snapshot sequence
+        goes through :meth:`TCPStateColumns.of` first).
 
         ``kernel="compiled"`` builds the whole matrix (Algorithm-4 round
         schedules included) in one :mod:`repro.core._kernels` call when
@@ -180,7 +175,6 @@ class EmissionModel:
         backend (after a once-per-process warning), use the NumPy path.
         """
         observed = np.asarray(observed_mbps, dtype=float)
-        states = TCPStateColumns.of(tcp_states)
         sizes = np.asarray(sizes_bytes, dtype=float)
         if not observed.size == len(states) == sizes.size:
             raise ValueError(

@@ -17,8 +17,8 @@ Abduction kernel tiers: :func:`forward_backward_batch` accepts
 ``kernel="compiled"`` to run the whole stacked recursion (including the
 pairwise-posterior build) in one :mod:`repro.core._kernels` call —
 results within ``rtol=1e-12`` of the NumPy tier (what ``kernel=None``
-runs here, itself bit-identical to :func:`forward_backward_reference`;
-the engine-level default is picked by
+runs here, itself pinned against the loop oracle that
+``tests/test_vectorized_parity.py`` keeps; the engine-level default is picked by
 :func:`~repro.core.abduction.resolve_abduction_kernel`).  When no
 compiled backend is available the request degrades to the NumPy tier
 with a once-per-process :class:`RuntimeWarning`.
@@ -39,7 +39,6 @@ __all__ = [
     "ForwardBackwardBatchResult",
     "forward_backward",
     "forward_backward_batch",
-    "forward_backward_reference",
 ]
 
 _TINY = 1e-300
@@ -346,78 +345,3 @@ def forward_backward_batch(
     return ForwardBackwardBatchResult(
         gamma=gamma, xi=xi, log_likelihoods=log_likelihoods
     )
-
-
-def forward_backward_reference(
-    log_emissions: np.ndarray,
-    transitions: TransitionModel,
-    deltas: np.ndarray,
-) -> ForwardBackwardResult:
-    """Loop formulation of :func:`forward_backward` (golden reference).
-
-    Identical recursions with the pairwise posteriors accumulated one chunk
-    pair at a time; parity tests pin the vectorised ``xi`` path against it.
-    """
-    log_b = np.asarray(log_emissions, dtype=float)
-    if log_b.ndim != 2:
-        raise ValueError("log_emissions must be 2-D (chunks x states)")
-    n_chunks, n_states = log_b.shape
-    if n_states != transitions.n_states:
-        raise ValueError(
-            f"emissions have {n_states} states but transition model has "
-            f"{transitions.n_states}"
-        )
-    gaps = np.asarray(deltas, dtype=int)
-    if gaps.shape != (n_chunks,):
-        raise ValueError(f"deltas must have shape ({n_chunks},), got {gaps.shape}")
-    if np.any(gaps[1:] < 0):
-        raise ValueError("window gaps must be non-negative")
-
-    shifts = log_b.max(axis=1)
-    b = np.exp(log_b - shifts[:, None])
-
-    alpha = np.zeros((n_chunks, n_states))
-    scale = np.zeros(n_chunks)
-
-    alpha[0] = transitions.initial * b[0]
-    scale[0] = alpha[0].sum()
-    if scale[0] <= 0:
-        raise FloatingPointError("forward pass underflowed at chunk 0")
-    alpha[0] /= scale[0]
-
-    powers = [transitions.power(int(gaps[n])) for n in range(n_chunks)]
-    for n in range(1, n_chunks):
-        alpha[n] = (alpha[n - 1] @ powers[n]) * b[n]
-        scale[n] = alpha[n].sum()
-        if scale[n] <= 0:
-            raise FloatingPointError(f"forward pass underflowed at chunk {n}")
-        alpha[n] /= scale[n]
-
-    beta = np.zeros((n_chunks, n_states))
-    beta[-1] = 1.0
-    for n in range(n_chunks - 2, -1, -1):
-        beta[n] = powers[n + 1] @ (b[n + 1] * beta[n + 1])
-        beta[n] /= scale[n + 1]
-
-    gamma = alpha * beta
-    gamma /= np.maximum(gamma.sum(axis=1, keepdims=True), _TINY)
-
-    if n_chunks > 1:
-        xi = np.zeros((n_chunks - 1, n_states, n_states))
-        for n in range(n_chunks - 1):
-            joint = (
-                alpha[n][:, None]
-                * powers[n + 1]
-                * (b[n + 1] * beta[n + 1])[None, :]
-            )
-            total = joint.sum()
-            if total <= 0:
-                raise FloatingPointError(
-                    f"pairwise posterior underflowed between chunks {n} and {n + 1}"
-                )
-            xi[n] = joint / total
-    else:
-        xi = np.zeros((0, n_states, n_states))
-
-    log_likelihood = float(np.sum(np.log(scale)) + np.sum(shifts))
-    return ForwardBackwardResult(gamma=gamma, xi=xi, log_likelihood=log_likelihood)

@@ -98,7 +98,7 @@ class VeritasDownloadPredictor:
             raise ValueError(
                 f"candidate size must be positive, got {candidate_size_bytes}"
             )
-        last_start = float(history.records[-1].start_time_s)
+        last_start = float(history.column("start_time_s")[-1])
         if next_start_time_s < last_start:
             raise ValueError(
                 "next chunk cannot start before the last observed chunk"

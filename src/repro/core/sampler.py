@@ -32,7 +32,6 @@ __all__ = [
     "sample_state_path",
     "sample_state_paths",
     "sample_state_paths_stack",
-    "sample_state_paths_reference",
 ]
 
 
@@ -116,8 +115,8 @@ def sample_state_paths(
     per-column CDFs once, then resolves every sample with a single
     ``rng.random((count,))`` draw by inverse-CDF lookup — instead of the
     ``count × N`` ``rng.choice`` calls of the one-path-at-a-time reference
-    (:func:`sample_state_paths_reference`, which remains the behavioural
-    yardstick).  Degenerate columns fall back to the Viterbi state exactly
+    (the behavioural yardstick, kept in ``tests/test_vectorized_parity.py``).
+    Degenerate columns fall back to the Viterbi state exactly
     as the scalar sampler does.
     """
     if count < 1:
@@ -251,23 +250,3 @@ def sample_state_paths_stack(
             ok = reachable[:, n][session_rows, successors]
             paths[:, :, n] = np.where(ok, drawn, states[:, n][:, None])
     return paths
-
-
-def sample_state_paths_reference(
-    viterbi_states: np.ndarray,
-    xi: np.ndarray,
-    count: int,
-    seed: SeedLike = None,
-    anchor_last: bool = True,
-    gamma: np.ndarray | None = None,
-) -> list[np.ndarray]:
-    """One-path-at-a-time FFBS (golden reference for the batched sampler)."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    rng = ensure_rng(seed)
-    return [
-        sample_state_path(
-            viterbi_states, xi, seed=rng, anchor_last=anchor_last, gamma=gamma
-        )
-        for _ in range(count)
-    ]

@@ -7,22 +7,21 @@ buffer level that the QoE metrics need.  It deliberately does **not**
 contain the ground-truth bandwidth — keeping GTBW out of the log object is
 what makes "Veritas never saw the ground truth" auditable in tests.
 
-A log is held one of two ways.  The scalar session, ``from_dict``,
-``truncated`` of such a log and the Veritas ABR build it from
-:class:`ChunkRecord` objects.  A lockstep lane
-(:meth:`SessionLogBatch.lane`) or a checkpoint entry builds it from
-columns (:meth:`SessionLog.from_columns`): its :data:`SCALAR_FIELDS`
-values, one float matrix and one int matrix, a row per field of
-:data:`FLOAT_COLUMNS` / :data:`INT_COLUMNS` and a column per chunk.
-Both serve the same accessors with the same floats; a column-born log
-builds its ``records`` list only when a caller reads it, and holds
-records from then on.
+Every log holds the same data however it is built: its ABR name, its
+:data:`SCALAR_FIELDS` values, one float64 and one int64 matrix, a row per
+field of :data:`FLOAT_COLUMNS` / :data:`INT_COLUMNS` and a column per
+chunk.  ``SessionLog(..., records=...)`` (the scalar session,
+``from_dict``, the Veritas ABR) converts its :class:`ChunkRecord` objects
+into those matrices once; :meth:`SessionLog.from_columns` (a lockstep
+lane, a checkpoint entry) takes them directly.  The log owns its matrices
+and keeps them read-only, and ``records`` is a tuple built from them on
+first read.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, fields
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -58,11 +57,11 @@ FLOAT_COLUMNS = (
     "rto_s",
     "time_since_last_send_s",
 )
-"""Rows of a column-born log's float matrix: the float fields of
+"""Rows of a log's float64 matrix: the float fields of
 :class:`ChunkRecord` and of its snapshot."""
 
 INT_COLUMNS = ("index", "quality", "cwnd_segments", "ssthresh_segments")
-"""Rows of a column-born log's int64 matrix."""
+"""Rows of a log's int64 matrix."""
 
 SCALAR_FIELDS = (
     "buffer_capacity_s",
@@ -84,14 +83,54 @@ _CHUNK_FIELDS = tuple(
 
 
 def _row(floats: np.ndarray, ints: np.ndarray, name: str) -> np.ndarray:
-    """Field ``name``'s row of a column-born log's matrices (a view)."""
+    """Field ``name``'s row of a log's matrices (a view)."""
     return ints[_INT_ROW[name]] if name in _INT_ROW else floats[_FLOAT_ROW[name]]
 
 
-_RECORD_GETTERS = {
-    name: attrgetter(f"tcp_state.{name}" if name in _TCP_FIELDS else name)
-    for name in FLOAT_COLUMNS + INT_COLUMNS
-}
+# A record's fields of each matrix, snapshot fields included, as a tuple.
+_FLOAT_GETTER, _INT_GETTER = (
+    attrgetter(*(f"tcp_state.{n}" if n in _TCP_FIELDS else n for n in names))
+    for names in (FLOAT_COLUMNS, INT_COLUMNS)
+)
+
+
+def _checked(floats, ints) -> "tuple[np.ndarray, np.ndarray]":
+    """New C-ordered float64 and int64 copies of a log's matrices, after the
+    checks of :class:`ChunkRecord`, :class:`TCPStateSnapshot` and of chunk
+    order on whole rows; a bad column raises ``ValueError`` as a bad record
+    does."""
+    floats = np.array(floats, dtype=np.float64, order="C")
+    ints = np.array(ints, dtype=np.int64, order="C")
+    if (
+        floats.ndim != 2
+        or floats.shape[0] != len(FLOAT_COLUMNS)
+        or ints.shape != (len(INT_COLUMNS), floats.shape[1])
+    ):
+        raise ValueError(
+            f"log columns must be ({len(FLOAT_COLUMNS)}, n) floats and "
+            f"({len(INT_COLUMNS)}, n) ints, got {floats.shape} and "
+            f"{ints.shape}"
+        )
+    starts = _row(floats, ints, "start_time_s")
+    ends = _row(floats, ints, "end_time_s")
+    index = _row(floats, ints, "index")
+    for bad, message in (
+        (ends <= starts, "end must follow start"),
+        (_row(floats, ints, "size_bytes") <= 0, "size must be positive"),
+        (_row(floats, ints, "rebuffer_s") < 0, "negative rebuffer time"),
+    ):
+        if bad.any():
+            raise ValueError(f"chunk {index[np.argmax(bad)]}: {message}")
+    overlap = starts[1:] < ends[:-1] - 1e-9
+    if overlap.any():
+        cur = int(np.argmax(overlap)) + 1
+        raise ValueError(
+            f"chunk {index[cur]} starts before chunk {index[cur - 1]} ends"
+        )
+    check_state_columns(
+        **{name: _row(floats, ints, name) for name in _TCP_FIELDS}
+    )
+    return floats, ints
 
 
 def sequential_sum(values: Iterable[float]) -> float:
@@ -142,6 +181,11 @@ class ChunkRecord:
         """Observed throughput ``Y_n = S_n / D_n`` in Mbps."""
         return throughput_mbps(self.size_bytes, self.download_time_s)
 
+    def log_columns(self) -> "tuple[tuple[float, ...], tuple[int, ...]]":
+        """This chunk's column of a log's float and int matrices, in
+        :data:`FLOAT_COLUMNS` / :data:`INT_COLUMNS` order."""
+        return _FLOAT_GETTER(self), _INT_GETTER(self)
+
     def to_dict(self) -> dict:
         return {
             "index": self.index,
@@ -164,7 +208,7 @@ class ChunkRecord:
         return cls(**data)
 
 
-@dataclass
+@dataclass(init=False, eq=False)
 class SessionLog:
     """The complete log of one streaming session.
 
@@ -172,14 +216,15 @@ class SessionLog:
     downstream consumers (abduction, metrics, counterfactual replay) never
     need the original simulator objects.
 
-    A log built by :meth:`from_columns` (a lockstep lane, a checkpoint
-    entry) keeps its per-chunk fields as arrays: :attr:`n_chunks`, the
-    array accessors, :meth:`column`, :meth:`tcp_state_columns`,
-    :meth:`to_columns` and the QoE metrics read them.  Reading ``records``
-    (``==`` does) builds the :class:`ChunkRecord` list once; from then on
-    the log is records-backed, so editing ``log.records`` in place shows
-    in every accessor, exactly as for a log built from records.  A pickled
-    column-born log stays column-born.
+    Built from :class:`ChunkRecord` objects (``records=...``) or from
+    columns (:meth:`from_columns`), a log holds its per-chunk fields as two
+    read-only matrices that nothing outside it can write: :attr:`n_chunks`,
+    :meth:`column` and the array accessors, :meth:`tcp_state_columns`,
+    :meth:`to_columns` and the QoE metrics read them, and the array
+    accessors return copies.  ``records`` is a tuple of records built from
+    the matrices on first read.  ``==`` compares the ABR name, the scalars
+    and the matrices by value; a pickled log comes back through
+    :meth:`from_columns`.
     """
 
     abr_name: str
@@ -188,17 +233,38 @@ class SessionLog:
     rtt_s: float
     startup_time_s: float
     total_rebuffer_s: float
-    records: list[ChunkRecord] = field(default_factory=list)
+    # An init-only argument, converted into the matrices; the ``records``
+    # property below reads it back, so ``dataclasses.replace`` keeps the
+    # chunks of the log it copies.
+    records: InitVar[Iterable[ChunkRecord]]
 
-    # (float matrix, int matrix) of a column-born log; not a field.
-    _columns = None
+    def __init__(
+        self,
+        abr_name: str,
+        buffer_capacity_s: float,
+        chunk_duration_s: float,
+        rtt_s: float,
+        startup_time_s: float,
+        total_rebuffer_s: float,
+        records: Iterable[ChunkRecord] = (),
+    ) -> None:
+        records = list(records)
+        n = len(records)
+        floats = np.reshape(list(map(_FLOAT_GETTER, records)), (n, len(FLOAT_COLUMNS)))
+        ints = np.reshape(list(map(_INT_GETTER, records)), (n, len(INT_COLUMNS)))
+        scalars = (buffer_capacity_s, chunk_duration_s, rtt_s, startup_time_s)
+        self._adopt(abr_name, (*scalars, total_rebuffer_s), *_checked(floats.T, ints.T))
 
-    def __post_init__(self) -> None:
-        for prev, cur in zip(self.records, self.records[1:]):
-            if cur.start_time_s < prev.end_time_s - 1e-9:
-                raise ValueError(
-                    f"chunk {cur.index} starts before chunk {prev.index} ends"
-                )
+    def _adopt(self, abr_name: str, scalars, floats, ints) -> None:
+        """Take ownership of checked matrices, made read-only here."""
+        self.abr_name = abr_name
+        for name, value in zip(SCALAR_FIELDS, scalars, strict=True):
+            setattr(self, name, value)
+        floats.flags.writeable = False
+        ints.flags.writeable = False
+        self._floats = floats
+        self._ints = ints
+        self._records: "tuple[ChunkRecord, ...] | None" = None
 
     @classmethod
     def from_columns(
@@ -208,87 +274,56 @@ class SessionLog:
         floats: np.ndarray,
         ints: np.ndarray,
     ) -> "SessionLog":
-        """A column-born log: ``scalars`` holds the :data:`SCALAR_FIELDS`
+        """A log from columns: ``scalars`` holds the :data:`SCALAR_FIELDS`
         values in order, ``floats`` has a row per :data:`FLOAT_COLUMNS`
         entry and ``ints`` a row per :data:`INT_COLUMNS` entry, one column
         per chunk.
 
-        Runs the checks of :class:`ChunkRecord`, :class:`TCPStateSnapshot`
-        and of the record-built log on whole rows; a bad column raises
-        ``ValueError`` as a bad record does.
+        The matrices are copied, so later writes to the arguments do not
+        reach the log, and run the checks a record-built log runs.
         """
-        floats = np.ascontiguousarray(floats, dtype=np.float64)
-        ints = np.ascontiguousarray(ints, dtype=np.int64)
-        if (
-            floats.ndim != 2
-            or floats.shape[0] != len(FLOAT_COLUMNS)
-            or ints.shape != (len(INT_COLUMNS), floats.shape[1])
-        ):
-            raise ValueError(
-                f"log columns must be ({len(FLOAT_COLUMNS)}, n) floats and "
-                f"({len(INT_COLUMNS)}, n) ints, got {floats.shape} and "
-                f"{ints.shape}"
-            )
-        starts = _row(floats, ints, "start_time_s")
-        ends = _row(floats, ints, "end_time_s")
-        index = _row(floats, ints, "index")
-        for bad, message in (
-            (ends <= starts, "end must follow start"),
-            (_row(floats, ints, "size_bytes") <= 0, "size must be positive"),
-            (_row(floats, ints, "rebuffer_s") < 0, "negative rebuffer time"),
-        ):
-            if bad.any():
-                raise ValueError(f"chunk {index[np.argmax(bad)]}: {message}")
-        overlap = starts[1:] < ends[:-1] - 1e-9
-        if overlap.any():
-            cur = int(np.argmax(overlap)) + 1
-            raise ValueError(
-                f"chunk {index[cur]} starts before chunk {index[cur - 1]} ends"
-            )
-        check_state_columns(
-            **{name: _row(floats, ints, name) for name in _TCP_FIELDS}
-        )
-        log = cls(abr_name, **dict(zip(SCALAR_FIELDS, scalars, strict=True)))
-        del log.records  # read back from the columns on first access
-        log._columns = (floats, ints)
+        log = cls.__new__(cls)
+        log._adopt(abr_name, scalars, *_checked(floats, ints))
         return log
 
-    def _column_store(self) -> "tuple[np.ndarray, np.ndarray] | None":
-        """The matrices while the log is column-born, else ``None``."""
-        return None if "records" in self.__dict__ else self._columns
+    @property
+    def records(self) -> "tuple[ChunkRecord, ...]":
+        """The chunks as :class:`ChunkRecord` objects of Python scalars,
+        built from the matrices on first read."""
+        if self._records is None:
+            rows = dict(zip(FLOAT_COLUMNS, self._floats.tolist()))
+            rows.update(zip(INT_COLUMNS, self._ints.tolist()))
+            chunks = zip(*(rows[name] for name in _CHUNK_FIELDS))
+            states = zip(*(rows[name] for name in _TCP_FIELDS))
+            self._records = tuple(
+                ChunkRecord(
+                    **dict(zip(_CHUNK_FIELDS, chunk)),
+                    tcp_state=TCPStateSnapshot(**dict(zip(_TCP_FIELDS, state))),
+                )
+                for chunk, state in zip(chunks, states)
+            )
+        return self._records
 
-    def __getattr__(self, name: str):
-        # Reached only for attributes the instance lacks: the ``records``
-        # of a column-born log, built here on first read.
-        store = self.__dict__.get("_columns")
-        if name != "records" or store is None:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
-        floats, ints = store
-        rows = dict(zip(FLOAT_COLUMNS, floats.tolist()))
-        rows.update(zip(INT_COLUMNS, ints.tolist()))
-        records = [
-            ChunkRecord(
-                **dict(zip(_CHUNK_FIELDS, chunk)),
-                tcp_state=TCPStateSnapshot(**dict(zip(_TCP_FIELDS, state))),
-            )
-            for chunk, state in zip(
-                zip(*(rows[name] for name in _CHUNK_FIELDS)),
-                zip(*(rows[name] for name in _TCP_FIELDS)),
-            )
-        ]
-        self.records = records
-        self._columns = None
-        return records
+    def _scalars(self) -> "tuple[float, ...]":
+        return tuple(getattr(self, name) for name in SCALAR_FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.abr_name == other.abr_name
+            and self._scalars() == other._scalars()
+            and np.array_equal(self._floats, other._floats)
+            and np.array_equal(self._ints, other._ints)
+        )
+
+    def __reduce__(self):
+        return (type(self).from_columns, self.to_columns())
 
     # ------------------------------------------------------------------
     @property
     def n_chunks(self) -> int:
-        store = self._column_store()
-        if store is not None:
-            return int(store[0].shape[1])
-        return len(self.records)
+        return int(self._floats.shape[1])
 
     @property
     def session_end_s(self) -> float:
@@ -306,16 +341,9 @@ class SessionLog:
     def column(self, name: str) -> np.ndarray:
         """Per-chunk field ``name`` (of :data:`FLOAT_COLUMNS` or
         :data:`INT_COLUMNS`) as a new 1-D float64 / int64 array."""
-        if name not in _RECORD_GETTERS:
+        if name not in _FLOAT_ROW and name not in _INT_ROW:
             raise ValueError(f"unknown log column {name!r}")
-        store = self._column_store()
-        if store is not None:
-            return _row(*store, name).copy()
-        dtype = np.int64 if name in _INT_ROW else np.float64
-        records = self.records
-        return np.fromiter(
-            map(_RECORD_GETTERS[name], records), dtype, count=len(records)
-        )
+        return _row(self._floats, self._ints, name).copy()
 
     def sizes_bytes(self) -> np.ndarray:
         return self.column("size_bytes")
@@ -342,35 +370,19 @@ class SessionLog:
 
     def tcp_state_columns(self) -> TCPStateColumns:
         """The TCP state at each chunk's start, as arrays."""
-        store = self._column_store()
-        if store is None:
-            return TCPStateColumns.of([r.tcp_state for r in self.records])
-        return TCPStateColumns(
-            **{name: _row(*store, name).copy() for name in _TCP_FIELDS}
-        )
+        return TCPStateColumns(**{name: self.column(name) for name in _TCP_FIELDS})
 
     def to_columns(self) -> "tuple[str, tuple, np.ndarray, np.ndarray]":
         """``(abr_name, scalars, floats, ints)``, the arguments of
         :meth:`from_columns`: the log's own ABR name and scalars and new
         matrices."""
-        store = self._column_store()
-        if store is not None:
-            floats, ints = store[0].copy(), store[1].copy()
-        else:
-            floats = np.stack([self.column(name) for name in FLOAT_COLUMNS])
-            ints = np.stack([self.column(name) for name in INT_COLUMNS])
-        scalars = tuple(getattr(self, name) for name in SCALAR_FIELDS)
-        return self.abr_name, scalars, floats, ints
+        return self.abr_name, self._scalars(), self._floats.copy(), self._ints.copy()
 
     # Serialisation ----------------------------------------------------
     def to_dict(self) -> dict:
         return {
             "abr_name": self.abr_name,
-            "buffer_capacity_s": self.buffer_capacity_s,
-            "chunk_duration_s": self.chunk_duration_s,
-            "rtt_s": self.rtt_s,
-            "startup_time_s": self.startup_time_s,
-            "total_rebuffer_s": self.total_rebuffer_s,
+            **dict(zip(SCALAR_FIELDS, self._scalars())),
             "records": [r.to_dict() for r in self.records],
         }
 
@@ -393,37 +405,23 @@ class SessionLog:
         """A prefix log containing only the first ``n_chunks`` chunks.
 
         Used by interventional queries: "given the session *so far*,
-        predict the next download".  The prefix keeps this log's storage
-        (the same record objects, or a slice of the columns); its stall
-        total is the sequential sum of the prefix's ``rebuffer_s``, the
-        order the session loop accumulates in.
+        predict the next download".  The prefix's matrices are views of
+        the first ``n_chunks`` columns of this log's: no copy, and no
+        re-check of rows that were checked here.  Its stall total is the
+        sequential sum of the prefix's ``rebuffer_s``, the order the
+        session loop accumulates in.
         """
         if not 0 <= n_chunks <= self.n_chunks:
             raise ValueError(
                 f"cannot truncate to {n_chunks} chunks (have {self.n_chunks})"
             )
-        store = self._column_store()
-        if store is not None:
-            floats, ints = store
-            scalars = {name: getattr(self, name) for name in SCALAR_FIELDS}
-            rebuffer = _row(floats, ints, "rebuffer_s")[:n_chunks]
-            scalars["total_rebuffer_s"] = sequential_sum(rebuffer.tolist())
-            return SessionLog.from_columns(
-                self.abr_name,
-                list(scalars.values()),
-                floats[:, :n_chunks],
-                ints[:, :n_chunks],
-            )
-        prefix = self.records[:n_chunks]
-        return SessionLog(
-            abr_name=self.abr_name,
-            buffer_capacity_s=self.buffer_capacity_s,
-            chunk_duration_s=self.chunk_duration_s,
-            rtt_s=self.rtt_s,
-            startup_time_s=self.startup_time_s,
-            total_rebuffer_s=sequential_sum(r.rebuffer_s for r in prefix),
-            records=list(prefix),
-        )
+        scalars = dict(zip(SCALAR_FIELDS, self._scalars()))
+        rebuffer = self._floats[_FLOAT_ROW["rebuffer_s"], :n_chunks]
+        scalars["total_rebuffer_s"] = sequential_sum(rebuffer.tolist())
+        prefix = SessionLog.__new__(SessionLog)
+        columns = self._floats[:, :n_chunks], self._ints[:, :n_chunks]
+        prefix._adopt(self.abr_name, scalars.values(), *columns)
+        return prefix
 
 
 @dataclass
@@ -436,9 +434,9 @@ class SessionLogBatch:
     RTT-estimator fields — identical across lanes by construction — are
     ``(n_chunks,)`` vectors.  QoE metrics are computed directly from the
     columns (:func:`~repro.player.metrics.compute_metrics_batch`), and
-    :meth:`lane` gives lane ``k`` as a column-born :class:`SessionLog`:
-    its columns copied out, no per-chunk object built, and every field
-    bit-identical to a serial replay of that lane.
+    :meth:`lane` gives lane ``k`` as a :class:`SessionLog`: its columns
+    copied out, no per-chunk object built, and equal to the log of a
+    serial replay of that lane.
 
     ``total_size_bytes`` carries the loop's sequential per-lane byte
     accumulation so derived metrics reproduce the scalar accumulation order
@@ -481,9 +479,9 @@ class SessionLogBatch:
         return int(self.qualities.shape[1])
 
     def lane(self, k: int) -> SessionLog:
-        """Lane ``k`` as a column-born :class:`SessionLog` (see
-        :meth:`SessionLog.from_columns`); its ``records`` are built only
-        if a caller reads them."""
+        """Lane ``k`` as a :class:`SessionLog` built by
+        :meth:`SessionLog.from_columns`, holding the matrices a serial
+        replay of the lane holds."""
         if not 0 <= k < self.n_lanes:
             raise IndexError(f"lane {k} out of range for {self.n_lanes} lanes")
 
@@ -502,10 +500,6 @@ class SessionLogBatch:
             np.stack([lane_column(name) for name in FLOAT_COLUMNS]),
             np.stack([lane_column(name) for name in INT_COLUMNS]),
         )
-
-    def to_logs(self) -> "list[SessionLog]":
-        """Every lane as a column-born log (mostly for tests and debugging)."""
-        return [self.lane(k) for k in range(self.n_lanes)]
 
 
 # Log columns whose batch attribute is named differently.

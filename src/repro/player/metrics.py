@@ -37,24 +37,14 @@ class QoEMetrics:
         """Rebuffering ratio as "% of session", the unit of Figs. 8–11."""
         return 100.0 * self.rebuffer_ratio
 
-    def as_row(self) -> list[float]:
-        return [
-            self.mean_ssim,
-            self.rebuffer_percent,
-            self.avg_bitrate_mbps,
-            self.startup_time_s,
-            float(self.quality_switches),
-        ]
-
 
 def compute_metrics(log: SessionLog) -> QoEMetrics:
     """Compute :class:`QoEMetrics` for a finished session.
 
-    Reads only the log's columns, so a column-born log builds no
-    records.  Each chunk's SSIM is converted with ``ssim_to_db``, the
-    floats the video caches for :func:`compute_metrics_batch`, and the
-    delivered bytes are summed sequentially, as the session loop
-    accumulates them.
+    Reads only the log's columns, so it builds no records.  Each chunk's
+    SSIM is converted with ``ssim_to_db``, the floats the video caches for
+    :func:`compute_metrics_batch`, and the delivered bytes are summed
+    sequentially, as the session loop accumulates them.
     """
     if log.n_chunks == 0:
         raise ValueError("cannot compute metrics for an empty session")

@@ -22,13 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..abr.base import ABRAlgorithm, ABRContext
 from ..net.trace import PiecewiseConstantTrace
 from ..tcp.connection import TCPConnection
 from ..util.units import throughput_mbps
 from ..video.chunks import Video
 from .buffer import PlayerBuffer
-from .logs import ChunkRecord, SessionLog
+from .logs import FLOAT_COLUMNS, INT_COLUMNS, ChunkRecord, SessionLog
 
 __all__ = ["SessionConfig", "StreamingSession"]
 
@@ -75,7 +77,9 @@ class StreamingSession:
         connection = TCPConnection(self.trace, rtt_s=config.rtt_s, start_time_s=0.0)
         buffer = PlayerBuffer(config.buffer_capacity_s)
 
-        records: list[ChunkRecord] = []
+        # Each chunk's column of the log's float and int matrices.
+        float_columns: list[tuple] = []
+        int_columns: list[tuple] = []
         throughput_history: list[float] = []
         download_history: list[float] = []
         last_quality: int | None = None
@@ -105,7 +109,8 @@ class StreamingSession:
         choose_quality = abr.choose_quality
         chunk_size_bytes = video.chunk_size_bytes
         chunk_ssim = video.chunk_ssim
-        records_append = records.append
+        floats_append = float_columns.append
+        ints_append = int_columns.append
         tp_append = throughput_history.append
         dl_append = download_history.append
         chunk_dur = video.chunk_duration_s
@@ -148,20 +153,26 @@ class StreamingSession:
                 startup_time = now
                 buffer.start_playback()
 
-            record = ChunkRecord(
-                index=n,
-                quality=quality,
-                size_bytes=size,
-                start_time_s=result.start_time_s,
-                end_time_s=result.end_time_s,
-                tcp_state=result.tcp_state_at_start,
-                buffer_before_s=buffer_before,
-                buffer_after_s=buffer.level_s,
-                rebuffer_s=stall,
-                ssim=chunk_ssim(n, quality),
-                bitrate_mbps=bitrates[quality],
+            state = result.tcp_state_at_start
+            ssim = chunk_ssim(n, quality)
+            # In FLOAT_COLUMNS / INT_COLUMNS order.
+            floats_append(
+                (
+                    size,
+                    result.start_time_s,
+                    result.end_time_s,
+                    buffer_before,
+                    buffer.level_s,
+                    stall,
+                    ssim,
+                    bitrates[quality],
+                    state.srtt_s,
+                    state.min_rtt_s,
+                    state.rto_s,
+                    state.time_since_last_send_s,
+                )
             )
-            records_append(record)
+            ints_append((n, quality, state.cwnd_segments, state.ssthresh_segments))
             tp_append(throughput_mbps(size, duration))
             dl_append(duration)
             last_quality = quality
@@ -169,14 +180,31 @@ class StreamingSession:
             # Feedback hook for algorithms that learn from finished
             # downloads (e.g. the Veritas-in-the-loop ABR).
             if observe is not None:
-                observe(record)
+                observe(
+                    ChunkRecord(
+                        index=n,
+                        quality=quality,
+                        size_bytes=size,
+                        start_time_s=result.start_time_s,
+                        end_time_s=result.end_time_s,
+                        tcp_state=state,
+                        buffer_before_s=buffer_before,
+                        buffer_after_s=buffer.level_s,
+                        rebuffer_s=stall,
+                        ssim=ssim,
+                        bitrate_mbps=bitrates[quality],
+                    )
+                )
 
-        return SessionLog(
-            abr_name=abr.name,
-            buffer_capacity_s=config.buffer_capacity_s,
-            chunk_duration_s=video.chunk_duration_s,
-            rtt_s=config.rtt_s,
-            startup_time_s=startup_time,
-            total_rebuffer_s=buffer.total_rebuffer_s,
-            records=records,
+        return SessionLog.from_columns(
+            abr.name,
+            (
+                config.buffer_capacity_s,
+                video.chunk_duration_s,
+                config.rtt_s,
+                startup_time,
+                buffer.total_rebuffer_s,
+            ),
+            np.array(float_columns).reshape(-1, len(FLOAT_COLUMNS)).T,
+            np.array(int_columns).reshape(-1, len(INT_COLUMNS)).T,
         )

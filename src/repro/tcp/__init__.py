@@ -18,7 +18,6 @@ from .estimator import (
     estimate_throughput,
     estimate_throughput_grid,
     estimate_throughput_grid_batch,
-    estimate_throughput_grid_reference,
 )
 from .state import MutableTCPState, TCPStateSnapshot, apply_slow_start_restart
 
@@ -39,5 +38,4 @@ __all__ = [
     "estimate_throughput",
     "estimate_throughput_grid",
     "estimate_throughput_grid_batch",
-    "estimate_throughput_grid_reference",
 ]

@@ -41,7 +41,6 @@ __all__ = [
     "estimate_throughput",
     "estimate_throughput_grid",
     "estimate_throughput_grid_batch",
-    "estimate_throughput_grid_reference",
 ]
 
 REQUEST_RTTS = 1.0
@@ -205,8 +204,8 @@ def estimate_throughput_grid(
     resolved with a single ``searchsorted`` over it, so the whole grid is
     O(rounds + K) NumPy work.  Agrees with per-state
     :func:`estimate_throughput` to the last bit (the arithmetic is
-    identical); :func:`estimate_throughput_grid_reference` keeps the loop
-    formulation alive as the golden reference.
+    identical); ``tests/test_vectorized_parity.py`` keeps the loop
+    formulation as the golden reference.
     """
     grid = np.asarray(gtbw_grid_mbps, dtype=float)
     if np.any(grid < 0):
@@ -253,7 +252,7 @@ def estimate_throughput_grid(
 
 
 def chunk_state_arrays(
-    tcp_states: "TCPStateColumns | list[TCPStateSnapshot]",
+    states: TCPStateColumns,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Restart-applied per-chunk TCP state as ``(cwnd0, ssthresh0, min_rtt)``.
 
@@ -261,13 +260,11 @@ def chunk_state_arrays(
     performs, so these three arrays are the complete per-chunk input of the
     estimator.  The restart runs on the whole session at once
     (:func:`~repro.tcp.state.apply_slow_start_restart_batch`, element-wise
-    equal to the scalar decay); a snapshot list is turned into
-    :class:`~repro.tcp.state.TCPStateColumns` first.  Shared by
+    equal to the scalar decay).  Shared by
     :func:`estimate_throughput_grid_batch` and the compiled emission
     kernel (:mod:`repro.core._kernels`), which inlines the rest of the
     algorithm.
     """
-    states = TCPStateColumns.of(tcp_states)
     cwnd0, ssthresh0, _ = apply_slow_start_restart_batch(
         states.cwnd_segments,
         states.ssthresh_segments,
@@ -279,7 +276,7 @@ def chunk_state_arrays(
 
 def estimate_throughput_grid_batch(
     gtbw_grid_mbps: np.ndarray,
-    tcp_states: "TCPStateColumns | list[TCPStateSnapshot]",
+    states: TCPStateColumns,
     sizes_bytes: np.ndarray,
     request_rtts: float = REQUEST_RTTS,
 ) -> np.ndarray:
@@ -289,13 +286,11 @@ def estimate_throughput_grid_batch(
     EHMM emission model needs, resolving all chunks' window phases in one
     padded comparison instead of per-chunk ``searchsorted`` calls.  Row
     ``n`` is bit-identical to
-    ``estimate_throughput_grid(grid, tcp_states[n], sizes_bytes[n])``;
-    ``tcp_states`` may be a snapshot list or its columns.
+    ``estimate_throughput_grid(grid, states.snapshot(n), sizes_bytes[n])``.
     """
     grid = np.asarray(gtbw_grid_mbps, dtype=float)
     if np.any(grid < 0):
         raise ValueError("GTBW grid values must be non-negative")
-    states = TCPStateColumns.of(tcp_states)
     n_chunks = len(states)
     sizes = np.asarray(sizes_bytes, dtype=float)
     if sizes.shape != (n_chunks,):
@@ -349,57 +344,3 @@ def estimate_throughput_grid_batch(
     )
     chunk_mbits = sizes * 8 / 1e6
     return np.where(grid[None, :] > 0, chunk_mbits[:, None] / download_s, 0.0)
-
-
-def estimate_throughput_grid_reference(
-    gtbw_grid_mbps: np.ndarray,
-    tcp_state: TCPStateSnapshot,
-    size_bytes: float,
-    request_rtts: float = REQUEST_RTTS,
-) -> np.ndarray:
-    """Scalar-loop formulation of :func:`estimate_throughput_grid`.
-
-    Kept as the golden reference for the vectorised fast path: it walks the
-    paper's ``while`` loop state by state, caching round counts per BDP
-    bucket, exactly as the original implementation did.
-    """
-    grid = np.asarray(gtbw_grid_mbps, dtype=float)
-    if np.any(grid < 0):
-        raise ValueError("GTBW grid values must be non-negative")
-    if size_bytes <= 0:
-        raise ValueError(f"size must be positive, got {size_bytes}")
-
-    cwnd0, ssthresh0, _ = apply_slow_start_restart(
-        tcp_state.cwnd_segments,
-        tcp_state.ssthresh_segments,
-        tcp_state.time_since_last_send_s,
-        tcp_state.rto_s,
-    )
-    min_rtt = tcp_state.min_rtt_s
-    request_s = request_rtts * min_rtt
-    data_segments = _segments(size_bytes)
-    chunk_mbits = size_bytes * 8 / 1e6
-
-    out = np.empty_like(grid)
-    rounds_cache: dict[int, tuple[int, int]] = {}
-    for i, c in enumerate(grid):
-        if c == 0:
-            out[i] = 0.0
-            continue
-        rate = mbps_to_bytes_per_sec(c)
-        bdp_segments = _segments(rate * min_rtt)
-        if cwnd0 > bdp_segments:
-            if data_segments > bdp_segments:
-                download_s = request_s + size_bytes / rate
-            else:
-                download_s = request_s + min_rtt
-        else:
-            phase = rounds_cache.get(bdp_segments)
-            if phase is None:
-                phase = _window_phase(data_segments, bdp_segments, cwnd0, ssthresh0)
-                rounds_cache[bdp_segments] = phase
-            rounds, sent = phase
-            tail_bytes = max(0.0, size_bytes - sent * MSS_BYTES)
-            download_s = request_s + rounds * min_rtt + tail_bytes / rate
-        out[i] = chunk_mbits / download_s
-    return out

@@ -99,11 +99,11 @@ class TCPStateColumns:
     """A session's :class:`TCPStateSnapshot` fields as 1-D arrays.
 
     Entry ``n`` of every column is chunk ``n``'s snapshot; the segment
-    counts are int64 and the times float64.  The estimator functions take
-    either form, and :meth:`of` turns a snapshot sequence into columns
-    once at entry.  Construction checks shapes, not values: the values
-    come from snapshots or from a session log, whose construction ran the
-    snapshot checks (:func:`check_state_columns` for a column-born log).
+    counts are int64 and the times float64.  The whole-session estimator
+    and emission functions take this form, and :meth:`of` turns a
+    snapshot sequence into it.  Construction checks shapes, not values:
+    the values come from snapshots or from a session log, whose
+    construction ran the snapshot checks (:func:`check_state_columns`).
     """
 
     cwnd_segments: np.ndarray
@@ -125,12 +125,8 @@ class TCPStateColumns:
         return int(self.cwnd_segments.shape[0])
 
     @classmethod
-    def of(
-        cls, states: "TCPStateColumns | Sequence[TCPStateSnapshot]"
-    ) -> "TCPStateColumns":
-        """``states`` as columns (a snapshot sequence is converted once)."""
-        if isinstance(states, cls):
-            return states
+    def of(cls, states: Sequence[TCPStateSnapshot]) -> "TCPStateColumns":
+        """A snapshot sequence as columns."""
         states = list(states)
         return cls(
             [s.cwnd_segments for s in states],

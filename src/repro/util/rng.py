@@ -9,13 +9,11 @@ experiment results depend on call order).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, TypeVar, Union
+from typing import Union
 
 import numpy as np
 
 SeedLike = Union[int, np.random.Generator, None]
-
-T = TypeVar("T")
 
 
 def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
@@ -47,12 +45,3 @@ def spawn_seeds(seed: SeedLike, count: int) -> list[int]:
     rng = ensure_rng(seed)
     return [int(s) for s in rng.integers(0, 2**31 - 1, size=count)]
 
-
-def optional_choice(
-    rng: np.random.Generator,
-    items: Sequence[T],
-    p: Optional[Sequence[float]] = None,
-) -> T:
-    """Uniform (or weighted) choice that works for lists of arbitrary objects."""
-    index = rng.choice(len(items), p=p)
-    return items[int(index)]

@@ -207,40 +207,49 @@ class TestSolveReuse:
 
     def test_truncated_copy_hits(self, monkeypatch, mpc_log):
         copy = mpc_log.truncated(mpc_log.n_chunks)
-        assert copy is not mpc_log and copy.records is not mpc_log.records
-        assert all(a is b for a, b in zip(copy.records, mpc_log.records))
+        assert copy is not mpc_log
         solver = VeritasAbduction(paper_veritas_config())
         calls = self._spy(monkeypatch)
         first = solver.solve(mpc_log)
         assert solver.solve(copy) is first
         assert calls == self._counts(1, 1, 0)
 
-    def test_in_place_append_misses(self, monkeypatch, mpc_log):
+    def test_appended_log_misses(self, monkeypatch, mpc_log):
+        """A log cannot grow in place; the grown log, built anew, misses."""
         log = mpc_log.truncated(mpc_log.n_chunks - 1)
         solver = VeritasAbduction(paper_veritas_config())
         calls = self._spy(monkeypatch)
         first = solver.solve(log)
-        log.records.append(mpc_log.records[-1])
-        second = solver.solve(log)
+        with pytest.raises(AttributeError):
+            log.records.append(mpc_log.records[-1])
+        grown = dataclasses.replace(
+            log, records=log.records + mpc_log.records[-1:]
+        )
+        second = solver.solve(grown)
         assert second is not first
         assert second.problem.n_chunks == mpc_log.n_chunks
         assert calls == self._counts(2, 2, 0)
-        self._assert_fresh(second, log)
+        self._assert_fresh(second, grown)
 
-    def test_in_place_replace_misses(self, monkeypatch, mpc_log):
+    def test_replaced_chunk_misses(self, monkeypatch, mpc_log):
+        """A chunk cannot be replaced in place; the edited log, built anew,
+        misses."""
         log = mpc_log.truncated(mpc_log.n_chunks)
         solver = VeritasAbduction(paper_veritas_config())
         calls = self._spy(monkeypatch)
         first = solver.solve(log)
         last = log.records[-1]
-        log.records[-1] = dataclasses.replace(last, size_bytes=4 * last.size_bytes)
-        second = solver.solve(log)
+        bigger = dataclasses.replace(last, size_bytes=4 * last.size_bytes)
+        with pytest.raises(TypeError):
+            log.records[-1] = bigger
+        edited = dataclasses.replace(log, records=log.records[:-1] + (bigger,))
+        second = solver.solve(edited)
         assert second is not first
         assert calls == self._counts(2, 2, 0)
         assert not np.array_equal(
             second.problem.log_emissions, first.problem.log_emissions
         )
-        self._assert_fresh(second, log)
+        self._assert_fresh(second, edited)
 
     def test_other_trace_duration_misses(self, monkeypatch, mpc_log):
         solver = VeritasAbduction(paper_veritas_config())

@@ -38,7 +38,7 @@ from repro.core.viterbi import viterbi_path_batch
 from repro.player import _fused
 from repro.tcp import _compiled
 from repro.tcp.estimator import REQUEST_RTTS, chunk_state_arrays
-from repro.tcp.state import TCPStateSnapshot
+from repro.tcp.state import TCPStateColumns, TCPStateSnapshot
 from repro.util import compiled as util_compiled
 from repro.util.compiled import BACKEND_NAMES
 
@@ -145,7 +145,9 @@ class TestKernelParity:
 
     def test_emission_matches_numpy(self):
         rng = np.random.default_rng(3)
-        tcp_states = [random_tcp_state(rng) for _ in range(40)]
+        tcp_states = TCPStateColumns.of(
+            [random_tcp_state(rng) for _ in range(40)]
+        )
         sizes = rng.uniform(2_000, 4_000_000, 40)
         observed = rng.uniform(0.0, 12.0, 40)
         grid = CapacityGrid(0.5, 10.0)
@@ -160,7 +162,9 @@ class TestKernelParity:
 
     def test_emission_zero_outlier_mass_branch(self):
         rng = np.random.default_rng(4)
-        tcp_states = [random_tcp_state(rng) for _ in range(10)]
+        tcp_states = TCPStateColumns.of(
+            [random_tcp_state(rng) for _ in range(10)]
+        )
         sizes = rng.uniform(2_000, 4_000_000, 10)
         observed = rng.uniform(0.0, 12.0, 10)
         grid = CapacityGrid(0.5, 10.0)
@@ -201,7 +205,9 @@ class TestMirrorBitIdentity:
         stack, slots = unique_power_stack(transitions, gaps[:, 1:])
         log_stack, _ = unique_power_stack(transitions, gaps[:, 1:], log=True)
         rng = np.random.default_rng(7)
-        tcp_states = [random_tcp_state(rng) for _ in range(15)]
+        tcp_states = TCPStateColumns.of(
+            [random_tcp_state(rng) for _ in range(15)]
+        )
         sizes = rng.uniform(2_000, 4_000_000, 15)
         observed = rng.uniform(0.0, 12.0, 15)
         grid = CapacityGrid(0.5, 10.0)
@@ -277,7 +283,9 @@ class TestWiredEntryPoints:
 
     def test_emission_model_compiled(self):
         rng = np.random.default_rng(11)
-        tcp_states = [random_tcp_state(rng) for _ in range(25)]
+        tcp_states = TCPStateColumns.of(
+            [random_tcp_state(rng) for _ in range(25)]
+        )
         sizes = rng.uniform(2_000, 4_000_000, 25)
         observed = rng.uniform(0.0, 12.0, 25)
         model = EmissionModel(CapacityGrid(0.5, 10.0))

@@ -24,7 +24,7 @@ from repro import (
     run_setting,
     scheme_summaries,
 )
-from repro.causal.engine import VeritasRange
+from repro.causal import CounterfactualResult, TraceCounterfactual
 from repro.player import QoEMetrics, SessionConfig
 from repro.video import short_video
 
@@ -84,16 +84,43 @@ class TestQueries:
 
 
 class TestVeritasRange:
+    """The Veritas band of ``CounterfactualResult.metric_table`` (§4.3)."""
+
+    @staticmethod
+    def band(samples):
+        """``(low, high, median)`` of one trace whose K samples have these
+        mean SSIMs."""
+
+        def metrics(ssim):
+            return QoEMetrics(
+                mean_ssim=ssim,
+                mean_ssim_db=0.0,
+                rebuffer_ratio=0.0,
+                avg_bitrate_mbps=1.0,
+                startup_time_s=0.5,
+                quality_switches=0,
+                n_chunks=10,
+            )
+
+        trace = TraceCounterfactual(
+            0, metrics(0.9), metrics(0.9), metrics(0.9), tuple(map(metrics, samples))
+        )
+        table = CounterfactualResult("A", "B", [trace]).metric_table("mean_ssim")
+        return tuple(
+            float(table[key][0])
+            for key in ("veritas_low", "veritas_high", "veritas_median")
+        )
+
     def test_second_order_statistics(self):
-        r = VeritasRange((5.0, 1.0, 3.0, 4.0, 2.0))
-        assert r.low == 2.0  # second smallest
-        assert r.high == 4.0  # second largest
-        assert r.median == 3.0
+        low, high, median = self.band((5.0, 1.0, 3.0, 4.0, 2.0))
+        assert low == 2.0  # second smallest
+        assert high == 4.0  # second largest
+        assert median == 3.0
 
     def test_small_sample_falls_back_to_min_max(self):
-        r = VeritasRange((2.0, 1.0))
-        assert r.low == 1.0
-        assert r.high == 2.0
+        low, high, _ = self.band((2.0, 1.0))
+        assert low == 1.0
+        assert high == 2.0
 
 
 class TestEngine:

@@ -1,16 +1,19 @@
-"""Column-born session logs: a lockstep lane or a checkpoint entry.
+"""One storage for session logs: every ``SessionLog`` is its matrices.
 
-``SessionLog.from_columns`` keeps a log's per-chunk fields as one float
-and one int matrix and builds ``ChunkRecord`` objects only when a caller
-reads ``records``; from then on the log is records-backed.  These tests pin
-that contract against serial ``StreamingSession`` logs (records-backed):
+However a log is built (a lockstep lane, the scalar session, a checkpoint
+entry, ``SessionLog(..., records=...)``), it holds one float and one int
+matrix, read-only and owned by the log; ``records`` is a tuple built from
+them on first read.  These tests pin that contract:
 
 * a lane's records, ``to_dict()`` (types included), accessors and metrics
-  equal the serial log's;
-* reading ``records`` and editing the list in place shows in the array
-  accessors and in ``VeritasAbduction.solve``'s memo;
-* pickling keeps a log column-born; ``==`` and ``dataclasses.replace``
-  keep working;
+  equal the serial ``StreamingSession`` log's;
+* ``records`` cannot be edited, and reading it, ``==`` and ``to_dict()``
+  change no accessor's output; an edit is a new log, which the
+  accessors and ``VeritasAbduction.solve``'s memo see;
+* a log owns its matrices: ``from_columns`` copies its arguments, a
+  prefix is a view of its parent's, and pickling keeps them read-only;
+* a records-built log equals its ``from_columns`` copy, and both hit one
+  memo entry; ``==`` and ``dataclasses.replace`` keep working;
 * building from columns runs the record, snapshot and log checks;
 * a default-tier ``prepare_corpus`` and a checkpoint resume construct no
   ``ChunkRecord`` and no ``TCPStateSnapshot``;
@@ -107,8 +110,14 @@ def types_of(value):
 
 
 def column_born(log: SessionLog) -> SessionLog:
-    """A column-born copy of ``log`` (what a checkpoint resume builds)."""
+    """A copy of ``log`` built from its columns (what a checkpoint resume
+    builds)."""
     return SessionLog.from_columns(*log.to_columns())
+
+
+def records_built(log: SessionLog) -> SessionLog:
+    """A copy of ``log`` built from its records (what ``from_dict`` builds)."""
+    return dataclasses.replace(log, records=list(log.records))
 
 
 def assert_same_columns(a: SessionLog, b: SessionLog) -> None:
@@ -116,6 +125,36 @@ def assert_same_columns(a: SessionLog, b: SessionLog) -> None:
     building records)."""
     for mine, theirs in zip(a.to_columns(), b.to_columns()):
         assert np.array_equal(mine, theirs)
+
+
+def accessor_outputs(log: SessionLog) -> list:
+    """What every accessor of ``log`` returns, for before/after checks."""
+    outputs = [log.n_chunks, log.session_end_s, compute_metrics(log)]
+    outputs += [log.column(name) for name in FLOAT_COLUMNS + INT_COLUMNS]
+    outputs += [
+        getattr(log, accessor)()
+        for accessor in (
+            "sizes_bytes",
+            "start_times_s",
+            "end_times_s",
+            "download_times_s",
+            "throughputs_mbps",
+            "qualities",
+        )
+    ]
+    states = log.tcp_state_columns()
+    outputs += [getattr(states, name) for name in vars(states)]
+    outputs += list(log.to_columns())
+    return outputs
+
+
+def assert_same_outputs(before: list, after: list) -> None:
+    assert len(before) == len(after)
+    for a, b in zip(before, after):
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        else:
+            assert a == b
 
 
 class TestLaneMatchesSerial:
@@ -162,28 +201,52 @@ class TestLaneMatchesSerial:
 
 
 class TestRecordsSwitch:
-    def test_in_place_edit_reaches_accessors_and_memo(self, batch_log):
+    """``records`` is a read-only view: reading it switches nothing."""
+
+    def test_edit_raises_and_new_log_reaches_memo(self, batch_log):
         log = batch_log.lane(1)
         solver = VeritasAbduction(paper_veritas_config())
         records = log.records
         assert log.records is records  # built once
         first = solver.solve(log)
         last = records[-1]
-        records[-1] = dataclasses.replace(last, size_bytes=4 * last.size_bytes)
-        assert log.sizes_bytes()[-1] == 4 * last.size_bytes
-        second = solver.solve(log)
+        bigger = dataclasses.replace(last, size_bytes=4 * last.size_bytes)
+        with pytest.raises(TypeError):
+            records[-1] = bigger
+        with pytest.raises(AttributeError):
+            records.append(bigger)
+        with pytest.raises(AttributeError):
+            log.records = list(records)
+        assert solver.solve(log) is first
+
+        edited = dataclasses.replace(log, records=records[:-1] + (bigger,))
+        assert edited.sizes_bytes()[-1] == 4 * last.size_bytes
+        second = solver.solve(edited)
         assert second is not first
-        records.append(
-            dataclasses.replace(
-                last,
-                index=last.index + 1,
-                start_time_s=last.end_time_s,
-                end_time_s=last.end_time_s + 1.0,
-            )
+        extra = dataclasses.replace(
+            last,
+            index=last.index + 1,
+            start_time_s=last.end_time_s,
+            end_time_s=last.end_time_s + 1.0,
         )
-        assert log.n_chunks == batch_log.n_chunks + 1
-        assert log.end_times_s()[-1] == last.end_time_s + 1.0
-        assert solver.solve(log).problem.n_chunks == log.n_chunks
+        grown = dataclasses.replace(log, records=records + (extra,))
+        assert grown.n_chunks == batch_log.n_chunks + 1
+        assert grown.end_times_s()[-1] == last.end_time_s + 1.0
+        assert solver.solve(grown).problem.n_chunks == grown.n_chunks
+        assert log == batch_log.lane(1)  # the original is untouched
+
+    @pytest.mark.parametrize("source", ["lane", "session"])
+    def test_reads_change_no_accessor(self, video, traces, config, source):
+        if source == "lane":
+            batch = BatchStreamingSession(video, MPCAlgorithm, traces, config)
+            log = batch.run().lane(0)
+        else:
+            log = StreamingSession(video, MPCAlgorithm(), traces[0], config).run()
+        before = accessor_outputs(log)
+        assert log.records[0].index == 0
+        assert log == column_born(log)
+        assert log.to_dict()["records"][0]["index"] == 0
+        assert_same_outputs(before, accessor_outputs(log))
 
     def test_pickle_stays_column_born(self, batch_log, count_objects):
         log = batch_log.lane(0)
@@ -194,6 +257,8 @@ class TestRecordsSwitch:
         assert count_objects == {"records": 0, "snapshots": 0}
         assert restored == log
         assert restored.truncated(5) == log.truncated(5)
+        with pytest.raises(ValueError, match="read-only"):
+            restored._floats[0, 0] = 1.0
 
     def test_equality_across_storage(self, batch_log, serial_logs):
         lane = batch_log.lane(2)
@@ -210,6 +275,40 @@ class TestRecordsSwitch:
         prefix = dataclasses.replace(lane, records=serial_logs[0].records[:3])
         assert prefix.n_chunks == 3
         assert np.array_equal(prefix.sizes_bytes(), lane.sizes_bytes()[:3])
+
+
+class TestOwnedMatrices:
+    def test_from_columns_copies_its_arguments(self, serial_logs):
+        serial = serial_logs[0]
+        abr_name, scalars, floats, ints = serial.to_columns()
+        log = SessionLog.from_columns(abr_name, scalars, floats, ints)
+        floats[:] = 1.0
+        ints[:] = 1
+        assert log == serial
+        log.sizes_bytes()[:] = 1.0  # accessors return copies
+        log.tcp_state_columns().cwnd_segments[:] = 1
+        assert log == serial
+        for matrix in (log._floats, log._ints):
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] = 1
+
+    def test_prefix_shares_its_parents_storage(self, serial_logs):
+        log = serial_logs[1]
+        prefix = log.truncated(7)
+        assert np.shares_memory(prefix._floats, log._floats)
+        assert np.shares_memory(prefix._ints, log._ints)
+        assert prefix == column_born(log).truncated(7)
+        assert prefix.records == log.records[:7]
+
+    def test_records_built_equals_column_built(self, serial_logs):
+        built = records_built(serial_logs[2])
+        columns = column_born(built)
+        assert built == columns == serial_logs[2]
+        solver = VeritasAbduction(paper_veritas_config())
+        first = solver.solve(built)
+        assert solver.solve(columns) is first
+        for log in (built, columns):
+            assert pickle.loads(pickle.dumps(log)) == built
 
 
 class TestColumnChecks:

@@ -81,19 +81,21 @@ class TestEmissionModel:
     def test_matrix_stacks_rows(self, grid):
         model = EmissionModel(grid)
         mat = model.log_prob_matrix(
-            [2.0, 3.0], [snap(), snap()], [100_000, 200_000]
+            [2.0, 3.0], TCPStateColumns.of([snap(), snap()]), [100_000, 200_000]
         )
         assert mat.shape == (2, grid.n_states)
 
     def test_matrix_validates_lengths(self, grid):
         model = EmissionModel(grid)
         with pytest.raises(ValueError):
-            model.log_prob_matrix([1.0], [snap(), snap()], [100, 200])
+            model.log_prob_matrix(
+                [1.0], TCPStateColumns.of([snap(), snap()]), [100, 200]
+            )
 
     def test_matrix_rejects_empty(self, grid):
         model = EmissionModel(grid)
         with pytest.raises(ValueError):
-            model.log_prob_matrix([], [], [])
+            model.log_prob_matrix([], TCPStateColumns.of([]), [])
 
     def test_negative_observation_rejected(self, grid):
         model = EmissionModel(grid)
@@ -140,24 +142,33 @@ def idle_heavy_session(seed, n_chunks=60):
 
 
 class TestEmissionFromColumns:
-    """Snapshot lists and their columns give bit-identical emissions."""
+    """Emissions from :class:`TCPStateColumns` built from snapshots."""
 
     @pytest.mark.parametrize("kernel", ["numpy", "compiled"])
     @pytest.mark.parametrize("outlier_mass", [0.0, 0.05])
     def test_log_prob_matrix_bit_identical(self, grid, kernel, outlier_mass):
+        """A row depends on its own chunk only: the matrix over a whole
+        session equals the stacked matrices of its two halves, bit for
+        bit (the corpus-batched build concatenates sessions this way)."""
         if kernel == "compiled" and not _kernels.available():
             pytest.skip("no compiled abduction backend")
         model = EmissionModel(grid, outlier_mass=outlier_mass)
         states, sizes, observed = idle_heavy_session(seed=5)
-        from_list = model.log_prob_matrix(observed, states, sizes, kernel=kernel)
-        from_columns = model.log_prob_matrix(
+        whole = model.log_prob_matrix(
             observed, TCPStateColumns.of(states), sizes, kernel=kernel
         )
-        assert np.array_equal(from_list, from_columns)
+        halves = [
+            model.log_prob_matrix(
+                observed[part], TCPStateColumns.of(states[part]), sizes[part],
+                kernel=kernel,
+            )
+            for part in (slice(None, 37), slice(37, None))
+        ]
+        assert np.array_equal(whole, np.vstack(halves))
 
     def test_state_arrays_match_scalar_restart(self):
         states, _, _ = idle_heavy_session(seed=6, n_chunks=200)
-        cwnd0, ssthresh0, min_rtt = chunk_state_arrays(states)
+        cwnd0, ssthresh0, min_rtt = chunk_state_arrays(TCPStateColumns.of(states))
         for n, state in enumerate(states):
             cw, ss, _ = apply_slow_start_restart(
                 state.cwnd_segments,

@@ -215,18 +215,23 @@ class TestOneAbductionPerQuestion:
         for log, n in plan[:half]:
             ask(log, n, rng.permutation(7)[:3])
 
-        # One history object edited in place between questions.
+        # A history that grows by a chunk and is then revised between
+        # questions, each version a new log.
         size = float(video.sizes_for_chunk(19)[6])
-        growing = walk_log.truncated(18)
-        check(growing, walk_log.records[18], size)
-        growing.records.append(walk_log.records[18])
-        appended = check(growing, walk_log.records[19], size)
-        # The last three downloads took four times as long.
-        growing.records[-3:] = [
-            dataclasses.replace(r, end_time_s=r.start_time_s + 4 * r.download_time_s)
-            for r in growing.records[-3:]
-        ]
-        replaced = check(growing, walk_log.records[19], size)
+        history = walk_log.truncated(18)
+        check(history, walk_log.records[18], size)
+        history = dataclasses.replace(
+            history, records=history.records + walk_log.records[18:19]
+        )
+        appended = check(history, walk_log.records[19], size)
+        # The last three downloads moved twice the bytes in the same time
+        # (a longer download would overlap the next chunk's start).
+        faster = tuple(
+            dataclasses.replace(r, size_bytes=2 * r.size_bytes)
+            for r in history.records[-3:]
+        )
+        history = dataclasses.replace(history, records=history.records[:-3] + faster)
+        replaced = check(history, walk_log.records[19], size)
         assert replaced != appended  # a stale posterior would be visible
 
         for log, n in plan[half:]:

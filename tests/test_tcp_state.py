@@ -151,7 +151,6 @@ class TestStateColumns:
     def test_of_snapshots_round_trips(self):
         snaps = [make_snapshot(cwnd_segments=c, rto_s=0.2 + c / 100) for c in (1, 10, 99)]
         columns = TCPStateColumns.of(snaps)
-        assert TCPStateColumns.of(columns) is columns
         assert len(columns) == 3
         assert columns.cwnd_segments.dtype == np.int64
         assert [columns.snapshot(n) for n in range(3)] == snaps

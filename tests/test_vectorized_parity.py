@@ -4,7 +4,9 @@ The vectorised engine (batched Algorithm-4 grids, batch emission matrix,
 einsum pairwise posteriors, inverse-CDF FFBS) must agree with the scalar
 reference implementations to <= 1e-9 across randomized sessions, including
 the awkward cases: Δ = 0 gaps, single-chunk sessions, and zero-capacity
-grid points.
+grid points.  The three loop oracles (Algorithm 4 state by state,
+forward-backward one chunk pair at a time, FFBS one path at a time) live
+here, not in the package: nothing else runs them.
 """
 
 from __future__ import annotations
@@ -23,17 +25,179 @@ from repro.core import (
     tridiagonal_matrix,
     viterbi_path,
 )
-from repro.core.forward_backward import forward_backward_reference
-from repro.core.sampler import sample_state_paths_reference
+from repro.core.forward_backward import _TINY, ForwardBackwardResult
 from repro.tcp import (
     TCPStateSnapshot,
+    apply_slow_start_restart,
     estimate_throughput,
     estimate_throughput_grid,
     estimate_throughput_grid_batch,
-    estimate_throughput_grid_reference,
 )
+from repro.tcp.constants import MSS_BYTES
+from repro.tcp.estimator import REQUEST_RTTS, _segments, _window_phase
+from repro.tcp.state import TCPStateColumns
+from repro.util.rng import SeedLike, ensure_rng
+from repro.util.units import mbps_to_bytes_per_sec
 
 TOL = 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Loop oracles: the scalar formulations the vectorised paths replaced, kept
+# here as the golden references these parity tests pin them against.
+
+
+def estimate_throughput_grid_reference(
+    gtbw_grid_mbps: np.ndarray,
+    tcp_state: TCPStateSnapshot,
+    size_bytes: float,
+    request_rtts: float = REQUEST_RTTS,
+) -> np.ndarray:
+    """Scalar-loop formulation of :func:`estimate_throughput_grid`.
+
+    Kept as the golden reference for the vectorised fast path: it walks the
+    paper's ``while`` loop state by state, caching round counts per BDP
+    bucket, exactly as the original implementation did.
+    """
+    grid = np.asarray(gtbw_grid_mbps, dtype=float)
+    if np.any(grid < 0):
+        raise ValueError("GTBW grid values must be non-negative")
+    if size_bytes <= 0:
+        raise ValueError(f"size must be positive, got {size_bytes}")
+
+    cwnd0, ssthresh0, _ = apply_slow_start_restart(
+        tcp_state.cwnd_segments,
+        tcp_state.ssthresh_segments,
+        tcp_state.time_since_last_send_s,
+        tcp_state.rto_s,
+    )
+    min_rtt = tcp_state.min_rtt_s
+    request_s = request_rtts * min_rtt
+    data_segments = _segments(size_bytes)
+    chunk_mbits = size_bytes * 8 / 1e6
+
+    out = np.empty_like(grid)
+    rounds_cache: dict[int, tuple[int, int]] = {}
+    for i, c in enumerate(grid):
+        if c == 0:
+            out[i] = 0.0
+            continue
+        rate = mbps_to_bytes_per_sec(c)
+        bdp_segments = _segments(rate * min_rtt)
+        if cwnd0 > bdp_segments:
+            if data_segments > bdp_segments:
+                download_s = request_s + size_bytes / rate
+            else:
+                download_s = request_s + min_rtt
+        else:
+            phase = rounds_cache.get(bdp_segments)
+            if phase is None:
+                phase = _window_phase(data_segments, bdp_segments, cwnd0, ssthresh0)
+                rounds_cache[bdp_segments] = phase
+            rounds, sent = phase
+            tail_bytes = max(0.0, size_bytes - sent * MSS_BYTES)
+            download_s = request_s + rounds * min_rtt + tail_bytes / rate
+        out[i] = chunk_mbits / download_s
+    return out
+
+
+def forward_backward_reference(
+    log_emissions: np.ndarray,
+    transitions: TransitionModel,
+    deltas: np.ndarray,
+) -> ForwardBackwardResult:
+    """Loop formulation of :func:`forward_backward` (golden reference).
+
+    Identical recursions with the pairwise posteriors accumulated one chunk
+    pair at a time; parity tests pin the vectorised ``xi`` path against it.
+    """
+    log_b = np.asarray(log_emissions, dtype=float)
+    if log_b.ndim != 2:
+        raise ValueError("log_emissions must be 2-D (chunks x states)")
+    n_chunks, n_states = log_b.shape
+    if n_states != transitions.n_states:
+        raise ValueError(
+            f"emissions have {n_states} states but transition model has "
+            f"{transitions.n_states}"
+        )
+    gaps = np.asarray(deltas, dtype=int)
+    if gaps.shape != (n_chunks,):
+        raise ValueError(f"deltas must have shape ({n_chunks},), got {gaps.shape}")
+    if np.any(gaps[1:] < 0):
+        raise ValueError("window gaps must be non-negative")
+
+    shifts = log_b.max(axis=1)
+    b = np.exp(log_b - shifts[:, None])
+
+    alpha = np.zeros((n_chunks, n_states))
+    scale = np.zeros(n_chunks)
+
+    alpha[0] = transitions.initial * b[0]
+    scale[0] = alpha[0].sum()
+    if scale[0] <= 0:
+        raise FloatingPointError("forward pass underflowed at chunk 0")
+    alpha[0] /= scale[0]
+
+    powers = [transitions.power(int(gaps[n])) for n in range(n_chunks)]
+    for n in range(1, n_chunks):
+        alpha[n] = (alpha[n - 1] @ powers[n]) * b[n]
+        scale[n] = alpha[n].sum()
+        if scale[n] <= 0:
+            raise FloatingPointError(f"forward pass underflowed at chunk {n}")
+        alpha[n] /= scale[n]
+
+    beta = np.zeros((n_chunks, n_states))
+    beta[-1] = 1.0
+    for n in range(n_chunks - 2, -1, -1):
+        beta[n] = powers[n + 1] @ (b[n + 1] * beta[n + 1])
+        beta[n] /= scale[n + 1]
+
+    gamma = alpha * beta
+    gamma /= np.maximum(gamma.sum(axis=1, keepdims=True), _TINY)
+
+    if n_chunks > 1:
+        xi = np.zeros((n_chunks - 1, n_states, n_states))
+        for n in range(n_chunks - 1):
+            joint = (
+                alpha[n][:, None]
+                * powers[n + 1]
+                * (b[n + 1] * beta[n + 1])[None, :]
+            )
+            total = joint.sum()
+            if total <= 0:
+                raise FloatingPointError(
+                    f"pairwise posterior underflowed between chunks {n} and {n + 1}"
+                )
+            xi[n] = joint / total
+    else:
+        xi = np.zeros((0, n_states, n_states))
+
+    log_likelihood = float(np.sum(np.log(scale)) + np.sum(shifts))
+    return ForwardBackwardResult(gamma=gamma, xi=xi, log_likelihood=log_likelihood)
+
+
+def sample_state_paths_reference(
+    viterbi_states: np.ndarray,
+    xi: np.ndarray,
+    count: int,
+    seed: SeedLike = None,
+    anchor_last: bool = True,
+    gamma: np.ndarray | None = None,
+) -> list[np.ndarray]:
+    """One-path-at-a-time FFBS (golden reference for the batched sampler)."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    rng = ensure_rng(seed)
+    return [
+        sample_state_path(
+            viterbi_states, xi, seed=rng, anchor_last=anchor_last, gamma=gamma
+        )
+        for _ in range(count)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Random sessions and problems.
 
 
 def random_tcp_state(rng) -> TCPStateSnapshot:
@@ -74,7 +238,9 @@ class TestEstimatorParity:
         rng = np.random.default_rng(100 + seed)
         states, sizes, _ = random_session(rng, n_chunks=30)
         grid = np.concatenate([[0.0], np.sort(rng.uniform(0.01, 20.0, 25))])
-        batch = estimate_throughput_grid_batch(grid, states, np.asarray(sizes))
+        batch = estimate_throughput_grid_batch(
+            grid, TCPStateColumns.of(states), np.asarray(sizes)
+        )
         rows = np.vstack(
             [estimate_throughput_grid(grid, w, s) for w, s in zip(states, sizes)]
         )
@@ -84,7 +250,9 @@ class TestEstimatorParity:
         rng = np.random.default_rng(7)
         states, sizes, _ = random_session(rng, n_chunks=1)
         grid = np.array([0.0, 0.5, 5.0, 10.0])
-        batch = estimate_throughput_grid_batch(grid, states, np.asarray(sizes))
+        batch = estimate_throughput_grid_batch(
+            grid, TCPStateColumns.of(states), np.asarray(sizes)
+        )
         assert batch.shape == (1, 4)
         assert np.allclose(
             batch[0], estimate_throughput_grid(grid, states[0], sizes[0]),
@@ -102,7 +270,7 @@ class TestEmissionParity:
         states, sizes, observed = random_session(rng, n_chunks=40)
         # A repeated (state, size) pair must give a repeated row.
         states[7], sizes[7] = states[2], sizes[2]
-        matrix = model.log_prob_matrix(observed, states, sizes)
+        matrix = model.log_prob_matrix(observed, TCPStateColumns.of(states), sizes)
         rows = np.vstack(
             [
                 model.log_prob_row(y, w, s)
@@ -116,7 +284,7 @@ class TestEmissionParity:
         model = EmissionModel(grid)
         rng = np.random.default_rng(8)
         states, sizes, observed = random_session(rng, n_chunks=1)
-        matrix = model.log_prob_matrix(observed, states, sizes)
+        matrix = model.log_prob_matrix(observed, TCPStateColumns.of(states), sizes)
         assert matrix.shape == (1, grid.n_states)
         assert np.allclose(
             matrix[0],
@@ -130,7 +298,7 @@ class TestEmissionParity:
         model = EmissionModel(grid, estimator=naive_emission)
         rng = np.random.default_rng(9)
         states, sizes, observed = random_session(rng, n_chunks=5)
-        matrix = model.log_prob_matrix(observed, states, sizes)
+        matrix = model.log_prob_matrix(observed, TCPStateColumns.of(states), sizes)
         rows = np.vstack(
             [
                 model.log_prob_row(y, w, s)
@@ -146,7 +314,7 @@ class TestEmissionParity:
         states, sizes, observed = random_session(rng, n_chunks=3)
         observed[1] = -0.5
         with pytest.raises(ValueError):
-            model.log_prob_matrix(observed, states, sizes)
+            model.log_prob_matrix(observed, TCPStateColumns.of(states), sizes)
 
 
 def random_problem(rng, n_chunks, n_states=5, max_delta=3):
