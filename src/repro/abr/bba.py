@@ -31,12 +31,6 @@ class BBAAlgorithm(ABRAlgorithm):
 
     name = "bba"
 
-    # The decision reads only buffer_s and session-constant plan values —
-    # never last_quality or observation histories — so the batch replay
-    # loop may pass its live quality buffer as ``out=`` (the scratch
-    # kernel tier's allocation-free decision path).
-    batch_out_safe = True
-
     def __init__(self, reservoir_fraction: float = 0.2, upper_fraction: float = 0.9):
         if not 0 < reservoir_fraction < upper_fraction <= 1:
             raise ValueError(
@@ -46,7 +40,6 @@ class BBAAlgorithm(ABRAlgorithm):
         self.reservoir_fraction = reservoir_fraction
         self.upper_fraction = upper_fraction
         self._plan: tuple | None = None
-        self._batch_scratch: tuple | None = None
 
     def reset(self) -> None:
         self._plan = None
@@ -100,57 +93,20 @@ class BBAAlgorithm(ABRAlgorithm):
         target_rate = r_min + fraction * (r_max - r_min)
         return video.ladder.highest_below(target_rate).index
 
-    def choose_quality_batch(
-        self, context: BatchABRContext, out: np.ndarray | None = None
-    ) -> np.ndarray:
+    def choose_quality_batch(self, context: BatchABRContext) -> np.ndarray:
         """Vectorised :meth:`choose_quality` over K lockstep lanes.
 
         Pure threshold/interpolation arithmetic on the same floats the
         scalar path uses; ``highest_below`` becomes one ``searchsorted``
-        with identical tie behaviour (bitrate == target is kept).
-
-        With ``out=`` the decision runs allocation-free through
-        per-instance scratch buffers: the ``searchsorted`` becomes one
-        broadcast ``target >= rate`` table plus a row reduction
-        (identical index arithmetic — both count the rates at or below
-        target)."""
+        with identical tie behaviour (bitrate == target is kept)."""
         plan = self._ensure_plan(context.video, context.buffer_capacity_s)
         _, _, reservoir, upper, lowest, highest, r_min, r_max, rates = plan
 
         buffer_s = context.buffer_s
-        if out is None:
-            fraction = (buffer_s - reservoir) / (upper - reservoir)
-            target_rate = r_min + fraction * (r_max - r_min)
-            quality = np.searchsorted(rates, target_rate, side="right") - 1
-            np.maximum(quality, lowest, out=quality)
-            quality[buffer_s <= reservoir] = lowest
-            quality[buffer_s >= upper] = highest
-            return quality
-
-        n = out.shape[0]
-        scratch = self._batch_scratch
-        if (
-            scratch is None
-            or scratch[0] != n
-            or scratch[3].shape[1] != rates.size
-        ):
-            scratch = self._batch_scratch = (
-                n,
-                np.empty(n),
-                np.empty(n, dtype=bool),
-                np.empty((n, rates.size), dtype=bool),
-            )
-        _, target, mask, below = scratch
-        np.subtract(buffer_s, reservoir, out=target)
-        np.divide(target, upper - reservoir, out=target)
-        np.multiply(target, r_max - r_min, out=target)
-        np.add(target, r_min, out=target)
-        np.greater_equal.outer(target, rates, out=below)
-        np.add.reduce(below, axis=1, dtype=out.dtype, out=out)
-        np.subtract(out, 1, out=out)
-        np.maximum(out, lowest, out=out)
-        np.less_equal(buffer_s, reservoir, out=mask)
-        np.copyto(out, lowest, where=mask)
-        np.greater_equal(buffer_s, upper, out=mask)
-        np.copyto(out, highest, where=mask)
-        return out
+        fraction = (buffer_s - reservoir) / (upper - reservoir)
+        target_rate = r_min + fraction * (r_max - r_min)
+        quality = np.searchsorted(rates, target_rate, side="right") - 1
+        np.maximum(quality, lowest, out=quality)
+        quality[buffer_s <= reservoir] = lowest
+        quality[buffer_s >= upper] = highest
+        return quality

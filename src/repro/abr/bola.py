@@ -43,11 +43,6 @@ class BOLAAlgorithm(ABRAlgorithm):
 
     name = "bola"
 
-    # The score argmax reads only buffer_s and session-constant weights —
-    # never last_quality or observation histories — so the batch replay
-    # loop may pass its live quality buffer as ``out=``.
-    batch_out_safe = True
-
     def __init__(self, upper_fraction: float = 0.9):
         if not 0 < upper_fraction <= 1:
             raise ValueError(f"upper_fraction must be in (0, 1], got {upper_fraction}")
@@ -135,9 +130,7 @@ class BOLAAlgorithm(ABRAlgorithm):
         self._calibrate(video, capacity)
         return self._weights_arr
 
-    def choose_quality_batch(
-        self, context: BatchABRContext, out: np.ndarray | None = None
-    ) -> np.ndarray:
+    def choose_quality_batch(self, context: BatchABRContext) -> np.ndarray:
         """Vectorised :meth:`choose_quality` over K lockstep lanes.
 
         One ``(K, Q)`` drift-plus-penalty score matrix per chunk; the
@@ -149,8 +142,4 @@ class BOLAAlgorithm(ABRAlgorithm):
         scores = (self._weights_arr[None, :] - context.buffer_s[:, None]) / sizes[
             None, :
         ]
-        result = np.argmax(scores, axis=1)
-        if out is not None:
-            out[:] = result
-            return out
-        return result
+        return np.argmax(scores, axis=1)

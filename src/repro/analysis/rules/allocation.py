@@ -1,12 +1,13 @@
 """Allocation-discipline rules (ALLOC3xx).
 
-The scratch tier exists so per-chunk replay runs allocation-free: every
-array a hot function touches is carried in a reusable scratch struct.  A
-stray ``np.zeros`` inside one of those functions reintroduces per-call
-allocator traffic and GC pressure — exactly the overhead the tier was
-built to remove — without failing any functional test.  Functions opt in
-with a ``# repro: scratch`` pragma on (or directly above) their ``def``
-line.
+A function marked with a ``# repro: scratch`` pragma on (or directly
+above) its ``def`` line allocates no array: every array it touches is
+carried in a reusable scratch struct.  In the tree these are per-chunk
+steps of the lockstep download that run on every lane of every chunk,
+the masked slow-start-restart loop and the result fill of
+:class:`~repro.tcp.connection.BatchTCPConnection`.  A stray ``np.zeros``
+inside one of them adds per-call allocator traffic and GC pressure
+without failing any functional test.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import threading
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -71,7 +71,8 @@ from ..player.logs import SessionLog, SessionLogBatch
 from ..player.metrics import QoEMetrics, compute_metrics, compute_metrics_batch
 from ..player.session import StreamingSession
 from ..tcp.connection import resolve_kernel
-from ..util.rng import SeedLike, ensure_rng, spawn_seeds
+from ..util.rng import SeedLike, spawn_seeds
+from ..video.chunks import Video
 from .queries import Setting
 
 __all__ = [
@@ -214,7 +215,6 @@ class PreparedTrace:
     ground_truth: PiecewiseConstantTrace
     log_a: SessionLog
     setting_a_metrics: QoEMetrics
-    replay_horizon_s: float
     baseline: PiecewiseConstantTrace
     samples: tuple[PiecewiseConstantTrace, ...]
 
@@ -261,10 +261,10 @@ def _run_shard(shard: "tuple[int, ...]"):
 # arrays (what CheckpointStore persists as one .npz).  The session log
 # travels as SessionLog.to_columns gives it (ABR name, scalars, float and
 # int column matrices), the baseline and posterior-sample traces as one
-# concatenation of their boundary and value arrays; metrics and the replay
-# horizon are recomputed deterministically, so a reloaded PreparedTrace is
-# bit-identical to the one that was saved.  Seven members per entry: each
-# one is a zip-member read on resume.
+# concatenation of their boundary and value arrays; metrics are recomputed
+# deterministically, so a reloaded PreparedTrace is bit-identical to the
+# one that was saved.  Seven members per entry: each one is a zip-member
+# read on resume.
 def _prepared_payload(prepared: PreparedTrace) -> dict:
     abr_name, scalars, floats, ints = prepared.log_a.to_columns()
     traces = (prepared.baseline, *prepared.samples)
@@ -283,7 +283,6 @@ def _prepared_from_payload(
     payload: dict,
     trace_index: int,
     ground_truth: PiecewiseConstantTrace,
-    horizon_floor: float,
     n_samples: int,
 ) -> PreparedTrace | None:
     """Rebuild a PreparedTrace, or ``None`` if the payload is damaged.
@@ -321,10 +320,16 @@ def _prepared_from_payload(
         ground_truth=ground_truth,
         log_a=log,
         setting_a_metrics=metrics,
-        replay_horizon_s=max(ground_truth.end_time, horizon_floor),
         baseline=traces[0],
         samples=tuple(traces[1:]),
     )
+
+
+def _replay_horizon(ground_truth: PiecewiseConstantTrace, video: Video) -> float:
+    """How far a session over ``ground_truth``'s reconstructions replays:
+    three times ``video``'s duration, at least the ground truth's span.
+    The reconstructions hold their final value beyond their span."""
+    return max(ground_truth.end_time, 3.0 * video.duration_s)
 
 
 _SCALAR_TYPES = (bool, int, float, str, type(None))
@@ -468,64 +473,58 @@ class CounterfactualEngine:
     ) -> TraceCounterfactual:
         """Answer the counterfactual for one ground-truth trace.
 
-        Deploys Setting A and reconstructs the trace once
-        (:meth:`_prepare_trace`), then replays Setting B over the truth,
-        the baseline and the K posterior samples.
+        Deploys Setting A and reconstructs the trace once on the
+        reference tiers (:meth:`_prepare_traces` with ``kernel=
+        "reference", abduction_kernel="reference"``: the scalar session, a
+        scalar solve and ``sample_traces(n, seed)``), then replays
+        Setting B over the truth, the baseline and the K posterior
+        samples.
         """
-        prepared = self._prepare_trace(trace_index, ground_truth, setting_a, seed)
+        (prepared,) = self._prepare_traces(
+            [trace_index],
+            {trace_index: ground_truth},
+            setting_a,
+            {trace_index: seed},
+            kernel="reference",
+            abduction_kernel="reference",
+        )
         return self._replay_prepared(prepared, setting_b)
 
     # ------------------------------------------------------------------
-    def _prepare_trace(
-        self,
-        trace_index: int,
-        ground_truth: PiecewiseConstantTrace,
-        setting_a: Setting,
-        seed: SeedLike,
-    ) -> PreparedTrace:
-        """Deploy Setting A, solve abduction and draw the K samples once."""
-        log_a = run_setting(setting_a, ground_truth)
-        metrics_a = compute_metrics(log_a)
-        replay_horizon = max(
-            ground_truth.end_time, 3.0 * setting_a.video.duration_s
-        )
-        base = baseline_trace(log_a, duration_s=replay_horizon)
-        posterior = self.abduction.solve(log_a, trace_duration_s=replay_horizon)
-        rng = ensure_rng(seed)
-        samples = tuple(posterior.sample_traces(self.n_samples, seed=rng))
-        return PreparedTrace(
-            trace_index=trace_index,
-            ground_truth=ground_truth,
-            log_a=log_a,
-            setting_a_metrics=metrics_a,
-            replay_horizon_s=replay_horizon,
-            baseline=base,
-            samples=samples,
-        )
-
     def _prepare_traces(
         self,
         indices: "Sequence[int]",
-        traces: "list[PiecewiseConstantTrace]",
+        traces: (
+            Sequence[PiecewiseConstantTrace] | Mapping[int, PiecewiseConstantTrace]
+        ),
         setting_a: Setting,
-        seeds: "list[int]",
+        seeds: Sequence[SeedLike] | Mapping[int, SeedLike],
+        *,
+        kernel: str | None = None,
+        abduction_kernel: str | None = None,
     ) -> "list[PreparedTrace]":
-        """Prepare ``traces[i]`` for every ``i`` in ``indices``, batched.
+        """Prepare ``traces[i]`` for every ``i`` in ``indices``, batched:
+        deploy Setting A, solve abduction and draw the K samples once.
 
-        The corpus-lockstep twin of :meth:`_prepare_trace`: ground-truth
-        traces sharing a boundary grid deploy Setting A as one fused
+        ``traces`` and ``seeds`` are indexed by the entries of
+        ``indices``.  ``kernel`` / ``abduction_kernel`` override the
+        engine's replay and abduction tiers.  Ground-truth traces sharing
+        a boundary grid deploy Setting A as one fused
         :class:`~repro.player.batch_session.BatchStreamingSession`, and
         the resulting logs run abduction and posterior sampling through
-        the stacked inference pipeline on the engine's abduction tier
+        the stacked inference pipeline on the abduction tier
         (:meth:`VeritasAbduction.solve_batch` /
         :func:`~repro.core.abduction.sample_traces_batch`).  Traces with no
         same-grid peers deploy on the scalar session, and so does every
         trace on the ``"reference"`` replay tier or under an ABR the
-        lockstep loop cannot drive.  Every per-trace output is
-        bit-identical to :meth:`_prepare_trace` under the same seed
-        (pinned by ``tests/test_batch_prepare.py``).
+        lockstep loop cannot drive; the ``"reference"`` abduction tier
+        solves and samples each log scalar.  Every per-trace output is
+        bit-identical across tiers under the same seed (pinned by
+        ``tests/test_batch_prepare.py``).
         """
-        lockstep = self._lockstep(setting_a, self.kernel)
+        kernel = kernel or self.kernel
+        abduction_kernel = abduction_kernel or self.abduction_kernel
+        lockstep = self._lockstep(setting_a, kernel)
 
         # 1. Deployment: one lockstep session per shared boundary grid
         #    (the corpus generators emit one uniform grid by construction,
@@ -543,7 +542,7 @@ class CounterfactualEngine:
                     metrics[pos] = compute_metrics(log)
                 continue
             lanes = [traces[indices[pos]] for pos in positions]
-            log_batch = run_setting_batch(setting_a, lanes, kernel=self.kernel)
+            log_batch = run_setting_batch(setting_a, lanes, kernel=kernel)
             lane_metrics = compute_metrics_batch(log_batch)
             for k, pos in enumerate(positions):
                 logs[pos] = log_batch.lane(k)
@@ -551,18 +550,25 @@ class CounterfactualEngine:
 
         # 2. Reconstructions: baselines per trace, then abduction and the
         #    K posterior samples once per same-shape session stack.
-        horizon_floor = 3.0 * setting_a.video.duration_s
-        horizons = [max(traces[i].end_time, horizon_floor) for i in indices]
+        horizons = [_replay_horizon(traces[i], setting_a.video) for i in indices]
         baselines = [
             baseline_trace(log, duration_s=horizon)
             for log, horizon in zip(logs, horizons)
         ]
-        posteriors = self.abduction.solve_batch(
-            logs, trace_duration_s=horizons, kernel=self.abduction_kernel
-        )
+        if abduction_kernel == "reference":
+            # Scalar solves, not solve_batch: the degrade retry runs here
+            # when the batched solve is what failed.
+            posteriors = [
+                self.abduction.solve(log, trace_duration_s=horizon)
+                for log, horizon in zip(logs, horizons)
+            ]
+        else:
+            posteriors = self.abduction.solve_batch(
+                logs, trace_duration_s=horizons, kernel=abduction_kernel
+            )
         samples = sample_traces_batch(
             posteriors, self.n_samples, [seeds[i] for i in indices],
-            kernel=self.abduction_kernel,
+            kernel=abduction_kernel,
         )
 
         return [
@@ -571,7 +577,6 @@ class CounterfactualEngine:
                 ground_truth=traces[i],
                 log_a=logs[pos],
                 setting_a_metrics=metrics[pos],
-                replay_horizon_s=horizons[pos],
                 baseline=baselines[pos],
                 samples=tuple(samples[pos]),
             )
@@ -680,7 +685,7 @@ class CounterfactualEngine:
         for setting_b in settings_b:
             for prepared in prepared_traces:
                 gt = prepared.ground_truth
-                horizon = max(gt.end_time, 3.0 * setting_b.video.duration_s)
+                horizon = _replay_horizon(gt, setting_b.video)
                 key = (id(prepared), horizon)
                 lanes = lane_cache.get(key)
                 if lanes is None:
@@ -765,8 +770,11 @@ class CounterfactualEngine:
             prepared = []
             for i in indices:
                 try:
-                    prepared.append(
-                        self._prepare_trace(i, traces[i], setting_a, seeds[i])
+                    prepared.extend(
+                        self._prepare_traces(
+                            [i], traces, setting_a, seeds,
+                            kernel="reference", abduction_kernel="reference",
+                        )
                     )
                 except Exception as exc:
                     if policy == "degrade":
@@ -992,12 +1000,11 @@ class CounterfactualEngine:
                 i: self._checkpoint_key(base, traces[i], seeds[i])
                 for i in valid
             }
-            horizon_floor = 3.0 * setting_a.video.duration_s
             for i in valid:
                 payload = store.load(keys[i])
                 if payload is not None:
                     prepared = _prepared_from_payload(
-                        payload, i, traces[i], horizon_floor, self.n_samples
+                        payload, i, traces[i], self.n_samples
                     )
                     if prepared is not None:
                         loaded[i] = prepared

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..util.units import mbps_to_bytes_per_sec
 
-__all__ = ["PiecewiseConstantTrace", "TraceBatch", "TransferScratch", "boundary_key"]
+__all__ = ["PiecewiseConstantTrace", "TraceBatch", "boundary_key"]
 
 _EPS_TIME = 1e-12
 _EPS_BYTES = 1e-9
@@ -374,11 +374,10 @@ class TraceBatch:
 
     The batched replay engine advances ``K`` counterfactual sessions in
     lockstep — one chunk loop over all lanes.  Its trace queries become
-    array-valued: per-lane interval indices advance monotonically with
-    the lanes' clocks (:meth:`advance_indices`), and the fluid drains
-    (:meth:`transfer_hot`, :meth:`transfer_drain`) resolve every lane's
-    completion interval over the stacked ``(K, intervals + 1)``
-    cumulative-bytes integrals.
+    array-valued: one ``searchsorted`` gives every lane's interval
+    (:meth:`interval_indices`), and the cold fluid drains
+    (:meth:`transfer_drain`) resolve their completion intervals over the
+    stacked ``(K, intervals + 1)`` cumulative-bytes integrals.
 
     Every lane's result is **bit-identical** to the corresponding scalar
     :meth:`PiecewiseConstantTrace.time_to_transfer` call: the float
@@ -504,97 +503,6 @@ class TraceBatch:
             self._next_pos = nxt
         return nxt
 
-    # ------------------------------------------------------------------
-    # Transfer queries for the "scratch" replay kernel tier: a
-    # preallocated workspace plus in-place variants of the interval lookup
-    # and the hot-path transfer.  Bit-identical to the scalar
-    # ``time_to_transfer`` — the same float expressions run through
-    # ``out=`` buffers instead of temporaries.
-    # ------------------------------------------------------------------
-    def make_transfer_scratch(self) -> "TransferScratch":
-        """Preallocate a :class:`TransferScratch` workspace for this batch."""
-        return TransferScratch(self.n_lanes)
-
-    def advance_indices(self, times: np.ndarray, ws: "TransferScratch") -> np.ndarray:
-        """In-place monotone update of ``ws.idx`` to the intervals at ``times``.
-
-        Equivalent to ``ws.idx[:] = interval_indices(times)`` for
-        non-decreasing per-lane times (which downloads guarantee: requests
-        move forward in time), but advances the cached indices with a few
-        ``out=`` ufuncs instead of a fresh ``searchsorted`` — zero array
-        allocations in steady state, where indices advance 0-2 intervals
-        per chunk.
-        """
-        bounds = self._bounds
-        last = self.n_intervals - 1
-        idx, idx1 = ws.idx, ws.idx1
-        step, can = ws.b1, ws.b2
-        nxt = ws.f1
-        while True:
-            np.add(idx, 1, out=idx1)
-            bounds.take(idx1, out=nxt, mode="clip")
-            np.less_equal(nxt, times, out=step)
-            np.less(idx, last, out=can)
-            np.logical_and(step, can, out=step)
-            if not np.count_nonzero(step):
-                return idx
-            np.add(idx, step, out=idx)
-
-    def values_at_indices(self, ws: "TransferScratch", out: np.ndarray) -> np.ndarray:
-        """Allocation-free ``values2d[lane, ws.idx]`` gather into ``out``."""
-        np.add(ws.idx, self._row_off, out=ws.flat_idx)
-        self._values_flat.take(ws.flat_idx, out=out, mode="clip")
-        return out
-
-    def transfer_hot(
-        self, starts: np.ndarray, sizes: np.ndarray, ws: "TransferScratch",
-        out: np.ndarray,
-    ) -> bool:
-        """Allocation-free fluid drain for chunks whose lanes all finish
-        inside their start interval.
-
-        Requires ``ws.idx == interval_indices(starts)`` (maintained by
-        :meth:`advance_indices`).  When every lane's transfer completes
-        inside the interval containing its start — or starts at/past the
-        trace end, where the final rate holds forever and the scalar head
-        evaluates the very same division — writes the per-lane transfer
-        seconds into ``out`` (bit-identical to the scalar query) and
-        returns ``True``.  Returns ``False`` — leaving ``out``
-        unspecified — when any lane needs :meth:`transfer_drain`
-        (non-positive size, start before the trace, zero rate, or an
-        interval spill-over).
-        """
-        bounds = self._bounds
-        # Shapes transfer_drain routes through the scalar query.
-        np.less(starts, bounds[0], out=ws.b1)
-        np.less_equal(sizes, 0.0, out=ws.b2)
-        np.logical_or(ws.b1, ws.b2, out=ws.b1)
-        if np.count_nonzero(ws.b1):
-            return False
-        rate0 = ws.rate0
-        np.add(ws.idx, self._row_off, out=ws.flat_idx)
-        self._rates_flat.take(ws.flat_idx, out=rate0, mode="clip")
-        np.add(ws.idx, 1, out=ws.idx1)
-        bounds.take(ws.idx1, out=ws.f1, mode="clip")
-        np.subtract(ws.f1, starts, out=ws.f1)
-        np.multiply(rate0, ws.f1, out=ws.f1)  # capacity of the start interval
-        np.subtract(sizes, _EPS_BYTES, out=ws.f2)
-        np.greater_equal(ws.f1, ws.f2, out=ws.b1)
-        # At/past the trace end ``ws.idx`` clamps to the final interval,
-        # whose rate holds forever: no capacity bound applies.
-        np.greater_equal(starts, bounds[-1], out=ws.b2)
-        np.logical_or(ws.b1, ws.b2, out=ws.b1)
-        np.greater(rate0, 0.0, out=ws.b2)
-        np.logical_and(ws.b1, ws.b2, out=ws.b1)  # hot
-        if np.count_nonzero(ws.b1) != ws.b1.size:
-            return False
-        # Same expression order as the scalar query:
-        # starts + sizes / rate0 - starts.
-        np.divide(sizes, rate0, out=ws.f1)
-        np.add(starts, ws.f1, out=ws.f1)
-        np.subtract(ws.f1, starts, out=out)
-        return True
-
     # Forward-walk budget for :meth:`transfer_drain`: most drains finish
     # within a couple of intervals of their start, so a short monotone
     # walk resolves them in 1-2 cheap iterations; the rare long spill
@@ -608,80 +516,42 @@ class TraceBatch:
         sizes: np.ndarray,
         lanes: np.ndarray,
         i0: np.ndarray,
-        known_cold: bool = False,
     ) -> np.ndarray:
-        """Batched :meth:`PiecewiseConstantTrace.time_to_transfer` for fluid
-        drains on the lane subset ``lanes``.
+        """Batched :meth:`PiecewiseConstantTrace.time_to_transfer` for the
+        cold fluid drains of the lane subset ``lanes``.
 
-        Same floats, same answers as the scalar query, for the scratch
-        kernel's per-chunk drain, where ``i0`` (the interval containing
-        each lane's start, or the clamped final interval at/past the trace
-        end) is already known.  Hot lanes (completing inside their start
-        interval, or at/past the trace end where the final rate holds
-        forever) resolve in a handful of ufuncs; spill-over lanes walk the
-        cumulative-bytes integral forward up to ``_DRAIN_WALK_MAX``
-        intervals — the common spill is 1-2 — and anything longer (or a
-        before-trace start) drops to the per-lane scalar kernel, which is
-        the bit-identity reference for every one of these paths.
-
-        ``known_cold=True`` asserts the caller already evaluated the hot
-        predicate over every lane and found it false (the scratch round
-        skip classifies hot lanes inline with these exact expressions);
-        the hot split is skipped and all lanes go straight to the
-        spill-over search.
+        ``i0`` is the interval containing each start (the clamped final
+        interval at/past the trace end).  Every lane must be cold: the
+        scalar query's hot case (a positive rate whose start interval holds
+        the whole transfer, or a start at/past the trace end) is not
+        reproduced here, and the scratch round skip, the one caller,
+        resolves those lanes inline with the scalar's expressions.  Cold
+        lanes walk the cumulative-bytes integral forward up to
+        ``_DRAIN_WALK_MAX`` intervals — the common spill is 1-2 — and
+        anything longer, a before-trace start or a non-positive size drops
+        to the per-lane scalar query, the bit-identity reference for every
+        one of these paths.
         """
         bounds = self._bounds
         k = self.n_intervals
+        out = np.empty(starts.shape)
         rate0 = self._rates_flat.take(lanes * k + i0)
-        if known_cold:
-            out = np.empty(starts.shape)
-            stc = starts
-            remc = sizes
-            lnc = lanes
-            i0c = i0
-            rc = rate0
-            cold = slice(None)
-            pre = (starts < bounds[0]) | (sizes <= 0.0)
-            has_pre = bool(np.count_nonzero(pre))
-        else:
-            capacity = rate0 * (bounds.take(i0 + 1) - starts)
-            hot = capacity >= (sizes - _EPS_BYTES)
-            np.logical_or(hot, starts >= bounds[-1], out=hot)
-            np.logical_and(hot, rate0 > 0.0, out=hot)
-            # Shapes routed straight to the scalar query.
-            pre = (starts < bounds[0]) | (sizes <= 0.0)
-            has_pre = bool(np.count_nonzero(pre))
-            if has_pre:
-                np.logical_and(hot, ~pre, out=hot)
-            if np.count_nonzero(hot) == hot.size:
-                return starts + sizes / rate0 - starts
-            out = np.empty(starts.shape)
-            hot_idx = np.flatnonzero(hot)
-            if hot_idx.size:
-                sh = starts[hot_idx]
-                out[hot_idx] = sh + sizes[hot_idx] / rate0[hot_idx] - sh
-
-            cold = np.flatnonzero(~hot)
-            stc = starts[cold]
-            remc = sizes[cold]
-            lnc = lanes[cold]
-            i0c = i0[cold]
-            rc = rate0[cold]
-            pre = pre[cold] if has_pre else pre
-        offc = lnc * (k + 1)
-        cum_start = self._cum_flat.take(offc + i0c) + rc * (
-            stc - bounds.take(i0c)
+        off = lanes * (k + 1)
+        cum_start = self._cum_flat.take(off + i0) + rate0 * (
+            starts - bounds.take(i0)
         )
-        thresh = cum_start + remc - _EPS_BYTES
+        thresh = cum_start + sizes - _EPS_BYTES
 
+        # Shapes routed straight to the scalar query.
+        pre = (starts < bounds[0]) | (sizes <= 0.0)
+        skip = pre if np.count_nonzero(pre) else None
         # Leftmost index in [i0 + 1, k + 1) with cum[idx] >= thresh, by
         # short forward walk (the drain's cursor only moves a little).
-        skip = pre if has_pre else None
-        m = i0c + 1
+        m = i0 + 1
         need = None
         for _ in range(self._DRAIN_WALK_MAX):
             need = (m <= k) & (
-                self._cum_flat.take(offc + np.minimum(m, k)) < thresh
+                self._cum_flat.take(off + np.minimum(m, k)) < thresh
             )
             if skip is not None:
                 need &= ~skip
@@ -689,68 +559,40 @@ class TraceBatch:
                 break
             np.add(m, need, out=m)
         unresolved = (need | skip) if skip is not None else need
-        outc = out if known_cold else np.empty(stc.shape)
         solved = ~unresolved
-        if np.count_nonzero(unresolved):
-            for j in np.flatnonzero(unresolved):
-                outc[j] = self._traces[int(lnc[j])].time_to_transfer(
-                    float(stc[j]), float(remc[j])
-                )
+        for j in np.flatnonzero(unresolved):
+            out[j] = self._traces[int(lanes[j])].time_to_transfer(
+                float(starts[j]), float(sizes[j])
+            )
 
         # Completion interval: first positive-rate interval at or after
         # idx - 1 (zero-rate intervals are plateaus of cum).
         within = m <= k
         ii = np.where(within, m - 1, 0)
-        nxt = self._next_positive().reshape(-1).take(lnc * k + ii)
+        nxt = self._next_positive().reshape(-1).take(lanes * k + ii)
         inside = solved & within & (nxt < k)
         if np.count_nonzero(inside):
-            li = lnc[inside]
+            li = lanes[inside]
             ni = nxt[inside]
-            rest = remc[inside] - (
-                self._cum_flat.take(offc[inside] + ni) - cum_start[inside]
+            rest = sizes[inside] - (
+                self._cum_flat.take(off[inside] + ni) - cum_start[inside]
             )
-            outc[inside] = (
+            out[inside] = (
                 bounds.take(ni)
                 + rest / self._rates_flat.take(li * k + ni)
-                - stc[inside]
+                - starts[inside]
             )
         tail = solved & ~inside
         if np.count_nonzero(tail):
-            lt = lnc[tail]
+            lt = lanes[tail]
             rate_last = self._rates_flat.take(lt * k + (k - 1))
             if np.any(rate_last <= 0):
                 raise RuntimeError(
                     "transfer cannot complete: trailing bandwidth is zero"
                 )
-            rest = remc[tail] - (
-                self._cum_flat.take(offc[tail] + k) - cum_start[tail]
+            rest = sizes[tail] - (
+                self._cum_flat.take(off[tail] + k) - cum_start[tail]
             )
-            outc[tail] = bounds[-1] + rest / rate_last - stc[tail]
-        if not known_cold:
-            out[cold] = outc
+            out[tail] = bounds[-1] + rest / rate_last - starts[tail]
         return out
 
-
-class TransferScratch:
-    """Preallocated per-batch workspace for the scratch replay kernel tier.
-
-    One instance per :class:`TraceBatch` consumer (the batch TCP
-    connection owns one); every buffer is (K,)-shaped and reused across
-    chunks so the steady-state replay loop performs zero array
-    allocations.  ``idx`` carries state between calls — the per-lane
-    interval index of the most recent query time, advanced monotonically
-    by :meth:`TraceBatch.advance_indices`; the remaining buffers are
-    call-local temporaries.
-    """
-
-    __slots__ = ("idx", "idx1", "flat_idx", "rate0", "f1", "f2", "b1", "b2")
-
-    def __init__(self, n_lanes: int):
-        self.idx = np.zeros(n_lanes, dtype=np.int64)
-        self.idx1 = np.empty(n_lanes, dtype=np.int64)
-        self.flat_idx = np.empty(n_lanes, dtype=np.int64)
-        self.rate0 = np.empty(n_lanes)
-        self.f1 = np.empty(n_lanes)
-        self.f2 = np.empty(n_lanes)
-        self.b1 = np.empty(n_lanes, dtype=bool)
-        self.b2 = np.empty(n_lanes, dtype=bool)

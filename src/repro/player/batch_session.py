@@ -46,7 +46,6 @@ can route the others.
 
 from __future__ import annotations
 
-import inspect
 from typing import Callable, Sequence
 
 import numpy as np
@@ -269,21 +268,16 @@ class BatchStreamingSession:
 
 
 class _ScratchRunner:
-    """Allocation-free lockstep chunk loop of the scratch and compiled tiers.
+    """Lockstep chunk loop of the scratch and compiled tiers.
 
     Mirrors :meth:`~repro.player.session.StreamingSession.run` float for
-    float — the same IEEE float64 operations in the same order, routed
-    through preallocated per-batch buffers via ``out=`` ufuncs instead of
-    fresh temporaries — so session logs stay bit-identical to the serial
-    player.  In steady state a :meth:`step` performs zero new array
-    allocations (``tests/test_dispatch_budget.py`` pins this with
-    tracemalloc); the object exposes per-chunk stepping precisely so that
-    test can warm the loop up and trace single steps.
-
-    Vectorised deciders that advertise ``batch_out_safe`` and accept an
-    ``out=`` buffer (BBA) decide allocation-free too; the other deciders
-    (BOLA, MPC) keep their allocating calls while the surrounding loop
-    stays scratch-buffered.
+    float — the same IEEE float64 operations in the same order, the
+    buffer and stall bookkeeping routed through preallocated per-batch
+    buffers via ``out=`` ufuncs — so session logs stay bit-identical to
+    the serial player.  Each :meth:`step` calls every partition's
+    ``choose_quality_batch`` on its context and copies the decision into
+    the shared quality buffer, then downloads the chunk on every lane
+    with one :meth:`~repro.tcp.connection.BatchTCPConnection.download_batch`.
     """
 
     def __init__(
@@ -351,8 +345,6 @@ class _ScratchRunner:
 
         # Per-partition decision plumbing: persistent lane-slice views into
         # the shared buffers, bound to each partition's context once.
-        # ``out_ok``: the decider writes into the quality view itself
-        # (allocation-free).
         self._decide = []
         self._hist = []
         for part in partitions:
@@ -371,11 +363,7 @@ class _ScratchRunner:
                 m_view = self.bmask[sl]
             context = part.context
             context.buffer_s = b_view
-            choose = part.choose_batch
-            out_ok = getattr(choose.__self__, "batch_out_safe", False) and (
-                "out" in inspect.signature(choose).parameters
-            )
-            self._decide.append((out_ok, choose, context, q_view))
+            self._decide.append((part.choose_batch, context, q_view))
             if part.wants_history:
                 kp = part.stop - part.start
                 thr = np.empty((n_chunks, kp))
@@ -412,15 +400,11 @@ class _ScratchRunner:
         #    hold persistent views of buf_before, refreshed in place.
         np.copyto(self.buf_before, level)
         quality = self.quality
-        for out_ok, choose, context, q_view in self._decide:
+        for choose, context, q_view in self._decide:
             context.chunk_index = n
-            if out_ok:
-                choose(context, out=q_view)
-                context.last_quality = q_view
-            else:
-                chosen = choose(context)
-                np.copyto(q_view, chosen)
-                context.last_quality = chosen
+            chosen = choose(context)
+            np.copyto(q_view, chosen)
+            context.last_quality = chosen
         q_min = int(quality.min())
         q_max = int(quality.max())
         if q_min < 0 or q_max >= self.n_qualities:
@@ -644,11 +628,11 @@ class _FusedRunner:
         )
 
         # The shared RTT estimator sees the same constant RTT once per
-        # chunk, so its per-chunk column values (pre-observe snapshots,
-        # with the same guards download_batch applies) and the rto the
-        # restart decay uses are a precomputed sequence.  Advancing the
-        # connection's shared state here leaves it exactly as n_chunks
-        # download_batch calls would.
+        # chunk, so its per-chunk column values (pre-observe, logged as
+        # download_batch logs them) and the rto the restart decay uses
+        # are a precomputed sequence.  Advancing the connection's shared
+        # state here leaves it exactly as n_chunks download_batch calls
+        # would.
         shared = connection._shared
         rtt = session.rtt_s
         col_srtt = np.empty(n_chunks)
@@ -656,13 +640,10 @@ class _FusedRunner:
         col_rto = np.empty(n_chunks)
         rto_seq = np.empty(n_chunks)
         for n in range(n_chunks):
-            srtt = shared.srtt_s
-            min_rtt = shared.min_rtt_s
-            col_srtt[n] = srtt if srtt > 0 else 1.0
-            col_min_rtt[n] = (
-                min_rtt if min_rtt != float("inf") else (srtt or 1.0)
-            )
-            rto_seq[n] = col_rto[n] = shared.rto_s
+            srtt, min_rtt, rto = shared.logged_rtts()
+            col_srtt[n] = srtt
+            col_min_rtt[n] = min_rtt
+            rto_seq[n] = col_rto[n] = rto
             shared.observe_rtt(rtt)
 
         shape = (n_chunks, n_lanes)

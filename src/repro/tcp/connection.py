@@ -32,12 +32,12 @@ tier       job             chunk download         session loop
 reference  golden          scalar per-RTT loop    one scalar
            reference       (``TCPConnection``)    ``StreamingSession``
                                                   per lane
-scratch    portable NumPy  allocation-free NumPy  lockstep per-chunk
-           (default        pass over K lanes      loop over K lanes
+scratch    portable NumPy  NumPy round skip over  lockstep per-chunk
+           (default        K lanes                loop over K lanes
            without cc)
 compiled   fastest native  inside the session     one compiled call per
            (default with   kernel, else the       session, else the
-           cc)             NumPy pass             scratch per-chunk loop
+           cc)             NumPy round skip       scratch per-chunk loop
 =========  ==============  =====================  ======================
 
 * The **reference** tier is the scalar session: a
@@ -45,13 +45,14 @@ compiled   fastest native  inside the session     one compiled call per
   loop (:func:`_reference_download`), under
   :class:`~repro.player.session.StreamingSession`.  The engine replays
   each lane this way; the lockstep layer does not serve it.
-* The **allocation-free NumPy pass** of :class:`BatchTCPConnection` runs
-  every steady-state chunk through ``out=`` ufuncs on preallocated
-  per-batch buffers (``tests/test_dispatch_budget.py`` pins zero
-  allocations); ragged chunks take a vectorised round skip, and the lanes
-  it cannot resolve (a window-limited phase that crosses a trace
-  interval, or outruns the ``_ScheduleTable`` horizon) spill to the
-  per-RTT loop per lane.
+* The **NumPy round skip** of :class:`BatchTCPConnection` downloads
+  every chunk on all K lanes in closed form: per lane, the round that
+  fills the pipe and the round that exhausts the data are counts over a
+  cached window schedule (``_ScheduleTable``), a pipe-full lane drains at
+  the link rate, and a drain that leaves its trace interval walks the
+  cumulative-bytes integral.  The lanes it cannot resolve (a
+  window-limited phase that crosses a trace interval, or outruns the
+  ``_ScheduleTable`` horizon) spill to the per-RTT loop per lane.
 * The **compiled** tier runs the whole session in one
   :func:`repro.player._fused.run_session` call whenever every
   partition's ABR has a kernel plan (the shipped BBA/BOLA/RobustMPC);
@@ -460,17 +461,22 @@ class _BatchScratch:
     """Per-batch scratch buffers of :class:`BatchTCPConnection`."""
 
     __slots__ = (
-        "idle", "t0", "bdp", "fluid", "f3", "rem", "tf",
-        "cwnd_pre", "ssthresh_pre", "i1", "ti", "ti2", "dec",
-        "trig", "act", "m", "pf",
+        "idle", "t0", "bdp", "rate0", "fluid", "f1", "f2", "f3", "rem", "tf",
+        "cwnd_pre", "ssthresh_pre", "flat_idx", "idx1", "i1", "ti", "ti2",
+        "dec", "trig", "act", "m", "hot",
     )
 
     def __init__(self, n_lanes: int):
-        for name in ("idle", "t0", "bdp", "fluid", "f3", "rem", "tf"):
+        for name in (
+            "idle", "t0", "bdp", "rate0", "fluid", "f1", "f2", "f3", "rem", "tf",
+        ):
             setattr(self, name, np.empty(n_lanes))
-        for name in ("cwnd_pre", "ssthresh_pre", "i1", "ti", "ti2", "dec"):
+        for name in (
+            "cwnd_pre", "ssthresh_pre", "flat_idx", "idx1", "i1", "ti", "ti2",
+            "dec",
+        ):
             setattr(self, name, np.empty(n_lanes, dtype=np.int64))
-        for name in ("trig", "act", "m", "pf"):
+        for name in ("trig", "act", "m", "hot"):
             setattr(self, name, np.empty(n_lanes, dtype=bool))
 
 
@@ -509,8 +515,8 @@ class BatchTCPConnection:
     RTT, so their ``srtt``/``rto`` sequences are identical).
 
     Each :meth:`download_batch` call advances all K lanes through one
-    chunk on the allocation-free NumPy pass.  The connection takes no
-    tier: it serves the lockstep chunk loop of the ``"scratch"`` and
+    chunk on the NumPy round skip.  The connection takes no tier: it
+    serves the lockstep chunk loop of the ``"scratch"`` and
     ``"compiled"`` tiers, the compiled tier's native code runs whole
     sessions in :class:`~repro.player.batch_session.BatchStreamingSession`,
     and the ``"reference"`` tier is the scalar :class:`TCPConnection` (see
@@ -535,8 +541,6 @@ class BatchTCPConnection:
         self._cwnd = np.full(n, INIT_CWND_SEGMENTS, dtype=np.int64)
         self._ssthresh = np.full(n, INITIAL_SSTHRESH_SEGMENTS, dtype=np.int64)
         self._last_send = np.full(n, float(start_time_s))
-        self._lane_idx = np.arange(n)
-        self._ws = batch.make_transfer_scratch()
         self._scratch = _BatchScratch(n)
         self._result = BatchDownloadResult()
 
@@ -545,7 +549,7 @@ class BatchTCPConnection:
         return self.batch.n_lanes
 
     # ------------------------------------------------------------------
-    # The allocation-free NumPy pass
+    # The NumPy round skip
     # ------------------------------------------------------------------
     def _restart_scratch(self, idle: np.ndarray, rto: float) -> None:  # repro: scratch
         """In-place masked slow-start-restart decay of ``_cwnd``/``_ssthresh``.
@@ -589,7 +593,6 @@ class BatchTCPConnection:
         np.maximum(b.ti, 2, out=b.ti)
         np.copyto(self._ssthresh, b.ti, where=b.trig)
 
-    # repro: scratch
     def download_batch(
         self, size_bytes: np.ndarray, start_times_s: np.ndarray
     ) -> BatchDownloadResult:
@@ -599,16 +602,12 @@ class BatchTCPConnection:
         Returns a reusable result whose columns alias per-batch buffers:
         copy anything you keep before the next ``download_batch`` call.
 
-        Steady-state chunks (every lane pipe-full and finishing inside its
-        current trace interval — the overwhelmingly common case once
-        windows have opened) run entirely through ``out=`` ufuncs on
-        per-batch buffers: zero new array allocations
-        (``tests/test_dispatch_budget.py``).  Ragged chunks fall back to
-        allocating helpers but stay on the batch path.
+        The slow-start restart decays the windows in place
+        (:meth:`_restart_scratch`), then every lane runs the vectorised
+        round skip (:meth:`_skip_rounds_scratch`); a lane whose pipe is
+        full when its payload starts is the skip's zero-round case.
         """
         b = self._scratch
-        ws = self._ws
-        tb = self.batch
         rtt = self.rtt_s
         shared = self._shared
         starts = np.asarray(start_times_s, dtype=float)
@@ -617,9 +616,7 @@ class BatchTCPConnection:
         idle = b.idle
         np.subtract(starts, self._last_send, out=idle)
         np.maximum(idle, 0.0, out=idle)
-        srtt = shared.srtt_s
-        min_rtt = shared.min_rtt_s
-        rto = shared.rto_s
+        srtt, min_rtt, rto = shared.logged_rtts()
         np.copyto(b.cwnd_pre, self._cwnd)
         np.copyto(b.ssthresh_pre, self._ssthresh)
 
@@ -627,41 +624,10 @@ class BatchTCPConnection:
 
         t0 = b.t0
         np.add(starts, rtt, out=t0)
-        # Chunk start times are monotone per lane, so the interval cursor
-        # only ever advances — no searchsorted needed.
-        tb.advance_indices(t0, ws)
-        bdp = b.bdp
-        tb.values_at_indices(ws, out=bdp)
-        np.multiply(bdp, 1_000_000, out=bdp)
-        np.divide(bdp, 8, out=bdp)
-        np.multiply(bdp, rtt, out=bdp)
-        # Compare in float64 (exact: cwnd*MSS < 2**53) — an int64 operand
-        # would make the ufunc buffer a casted temporary every chunk.
-        np.copyto(b.f3, self._cwnd, casting="unsafe")
-        np.multiply(b.f3, float(MSS_BYTES), out=b.f3)
-        np.greater_equal(b.f3, bdp, out=b.pf)
-
         # ``ends`` aliases the live last-send state: idle (above) was the
         # only reader of the previous chunk's values.
         ends = self._last_send
-        if np.count_nonzero(b.pf) == b.pf.size:
-            if tb.transfer_hot(t0, sizes, ws, out=b.fluid):
-                fluid_s = b.fluid
-            else:
-                fluid_s = b.fluid
-                np.copyto(
-                    fluid_s,
-                    tb.transfer_drain(t0, sizes, self._lane_idx, ws.idx),
-                )
-            np.add(t0, fluid_s, out=ends)
-            # _fluid_grow_batch via out=: min(cwnd + max(0, int(f/rtt)), MAX)
-            np.divide(fluid_s, rtt, out=b.f3)
-            np.copyto(b.i1, b.f3, casting="unsafe")
-            np.maximum(b.i1, 0, out=b.i1)
-            np.add(self._cwnd, b.i1, out=self._cwnd)
-            np.minimum(self._cwnd, MAX_CWND_SEGMENTS, out=self._cwnd)
-        else:
-            self._skip_rounds_scratch(t0, sizes, ends)
+        self._skip_rounds_scratch(t0, sizes, ends)
 
         shared.observe_rtt(rtt)
         return self._fill_result(starts, ends, sizes, srtt, min_rtt, rto)
@@ -669,7 +635,7 @@ class BatchTCPConnection:
     def _skip_rounds_scratch(
         self, t0: np.ndarray, sizes: np.ndarray, ends: np.ndarray
     ) -> None:
-        """Vectorised closed-form round skip for a ragged chunk (all lanes).
+        """Vectorised closed-form round skip of one chunk on every lane.
 
         Within one constant-bandwidth interval the BDP is constant, so the
         first round of :func:`_reference_download` to fill the pipe
@@ -678,24 +644,32 @@ class BatchTCPConnection:
         schedules resolve through the shared :class:`_ScheduleTable` (one
         ``searchsorted`` row lookup, then a broadcast count against the
         padded rows — bisect_left as a monotone-predicate sum),
-        pipe-full-at-round-0 lanes fall out with ``k == 0``, and all fluid
-        drains merge into one batched
+        pipe-full-at-round-0 lanes fall out with ``k == 0``, and the fluid
+        drains that leave their interval merge into one batched
         :meth:`~repro.net.trace.TraceBatch.transfer_drain` call.  Lanes
         whose window-limited phase would cross an interval boundary or
         outrun the table horizon spill to the per-RTT loop per lane.
         """
         b = self._scratch
-        ws = self._ws
         tb = self.batch
         rtt = self.rtt_s
         cwnd = self._cwnd
         ssthresh = self._ssthresh
         bounds = tb._bounds
         last = tb.n_intervals - 1
-        bdp = b.bdp
-        idx0 = ws.idx
         table = _SCHED_TABLE
         h = table.HORIZON
+
+        # Each lane's interval at t0 and its BDP there, in the per-RTT
+        # loop's float order: value * 1e6 / 8 * rtt.
+        idx0 = tb.interval_indices(t0)
+        flat = b.flat_idx
+        np.add(idx0, tb._row_off, out=flat)  # flat index of (lane, idx0)
+        bdp = b.bdp
+        tb._values_flat.take(flat, out=bdp, mode="clip")
+        np.multiply(bdp, 1_000_000, out=bdp)
+        np.divide(bdp, 8, out=bdp)
+        np.multiply(bdp, rtt, out=bdp)
 
         # ssthresh only ever rises toward (and never beyond) max(initial,
         # 3/4 * MAX_CWND), so the packed key is collision-free.
@@ -740,22 +714,22 @@ class BatchTCPConnection:
             frem = b.rem
             table.cum_mss_flat.take(rowh, out=frem, mode="clip")
             np.subtract(sizes, frem, out=frem)
-            rate0 = ws.rate0
-            np.add(idx0, tb._row_off, out=ws.flat_idx)
-            tb._rates_flat.take(ws.flat_idx, out=rate0, mode="clip")
-            np.add(idx0, 1, out=ws.idx1)
-            bounds.take(ws.idx1, out=ws.f1, mode="clip")
-            np.subtract(ws.f1, tk, out=ws.f1)
-            np.multiply(rate0, ws.f1, out=ws.f1)  # interval capacity
-            np.subtract(frem, _EPS_BYTES, out=ws.f2)
-            hot = ws.b1
-            np.greater_equal(ws.f1, ws.f2, out=hot)
-            np.greater_equal(tk, bounds[-1], out=ws.b2)
-            np.logical_or(hot, ws.b2, out=hot)
-            np.greater(rate0, 0.0, out=ws.b2)
-            np.logical_and(hot, ws.b2, out=hot)
-            np.greater_equal(tk, bounds[0], out=ws.b2)
-            np.logical_and(hot, ws.b2, out=hot)
+            rate0 = b.rate0
+            tb._rates_flat.take(flat, out=rate0, mode="clip")
+            np.add(idx0, 1, out=b.idx1)
+            bounds.take(b.idx1, out=b.f1, mode="clip")
+            np.subtract(b.f1, tk, out=b.f1)
+            np.multiply(rate0, b.f1, out=b.f1)  # interval capacity
+            np.subtract(frem, _EPS_BYTES, out=b.f2)
+            hot = b.hot
+            mask = b.m
+            np.greater_equal(b.f1, b.f2, out=hot)
+            np.greater_equal(tk, bounds[-1], out=mask)
+            np.logical_or(hot, mask, out=hot)
+            np.greater(rate0, 0.0, out=mask)
+            np.logical_and(hot, mask, out=hot)
+            np.greater_equal(tk, bounds[0], out=mask)
+            np.logical_and(hot, mask, out=hot)
             np.logical_and(hot, fl, out=hot)
             if np.count_nonzero(hot):
                 q = b.fluid
@@ -774,14 +748,12 @@ class BatchTCPConnection:
                 np.add(b.ti, b.i1, out=b.i1)
                 np.minimum(b.i1, MAX_CWND_SEGMENTS, out=b.i1)
                 np.copyto(cwnd, b.i1, where=hot)
-            np.logical_not(hot, out=ws.b2)
-            np.logical_and(ws.b2, fl, out=ws.b2)
-            cold = np.flatnonzero(ws.b2)
+            np.logical_not(hot, out=mask)
+            np.logical_and(mask, fl, out=mask)
+            cold = np.flatnonzero(mask)
             if cold.size:
                 ft = tk[cold]
-                fluid_s = tb.transfer_drain(
-                    ft, frem[cold], cold, idx0[cold], known_cold=True
-                )
+                fluid_s = tb.transfer_drain(ft, frem[cold], cold, idx0[cold])
                 ends[cold] = ft + fluid_s
                 cwnd[cold] = _fluid_grow_batch(
                     table.cwnds_flat.take(rows1[cold]), fluid_s, rtt
@@ -809,7 +781,7 @@ class BatchTCPConnection:
         res.cwnd_segments = b.cwnd_pre
         res.ssthresh_segments = b.ssthresh_pre
         res.time_since_last_send_s = b.idle
-        res.srtt_s = srtt if srtt > 0 else 1.0
-        res.min_rtt_s = min_rtt if min_rtt != float("inf") else (srtt or 1.0)
+        res.srtt_s = srtt
+        res.min_rtt_s = min_rtt
         res.rto_s = rto
         return res

@@ -292,15 +292,25 @@ class MutableTCPState:
             RTO_MIN_SECONDS, self.srtt_s + RTO_RTTVAR_FACTOR * self.rttvar_s
         )
 
-    def snapshot(self, now_s: float) -> TCPStateSnapshot:
-        """Freeze the state as the ``tcp_info`` record for a download at ``now_s``."""
+    def logged_rtts(self) -> tuple[float, float, float]:
+        """``(srtt, min_rtt, rto)`` as a ``tcp_info`` record logs them now.
+
+        srtt reads 1.0 before the first RTT sample, and min_rtt reads that
+        srtt while it is still infinite.  :meth:`snapshot` and both
+        lockstep replay paths log the RTT fields through here.
+        """
         srtt = self.srtt_s if self.srtt_s > 0 else 1.0
         min_rtt = self.min_rtt_s if self.min_rtt_s != float("inf") else srtt
+        return srtt, min_rtt, self.rto_s
+
+    def snapshot(self, now_s: float) -> TCPStateSnapshot:
+        """Freeze the state as the ``tcp_info`` record for a download at ``now_s``."""
+        srtt, min_rtt, rto = self.logged_rtts()
         return TCPStateSnapshot(
             cwnd_segments=self.cwnd_segments,
             ssthresh_segments=self.ssthresh_segments,
             srtt_s=srtt,
             min_rtt_s=min_rtt,
-            rto_s=self.rto_s,
+            rto_s=rto,
             time_since_last_send_s=max(0.0, now_s - self.last_send_time_s),
         )

@@ -83,7 +83,6 @@ def assert_prepared_equal(batch, serial):
         # Frozen dataclass records: exact floats in every field.
         assert pa.log_a.to_dict() == pb.log_a.to_dict()
         assert pa.setting_a_metrics == pb.setting_a_metrics
-        assert pa.replay_horizon_s == pb.replay_horizon_s
         assert_traces_equal(pa.baseline, pb.baseline)
         assert len(pa.samples) == len(pb.samples)
         for sa, sb in zip(pa.samples, pb.samples):

@@ -4,8 +4,9 @@ The batch engine promises **bit-identical** results to per-lane serial
 replay at every layer:
 
 * ``TraceBatch.transfer_drain`` vs the scalar
-  ``PiecewiseConstantTrace.time_to_transfer`` (forward walk over the
-  stacked cumulative-bytes integrals, per-lane scalar fallback),
+  ``PiecewiseConstantTrace.time_to_transfer`` on cold drains (forward
+  walk over the stacked cumulative-bytes integrals, per-lane scalar
+  fallback),
 * ``BatchStreamingSession`` (lockstep chunk loop + ``BatchTCPConnection``)
   vs per-lane ``StreamingSession`` runs — exact vectorised ABR decisions
   for BBA/BOLA/MPC and fused multi-setting batches (different ABRs /
@@ -111,19 +112,21 @@ class TestTraceBatch:
         lanes = lane_traces(9, seed=5)
         batch = TraceBatch(lanes)
         every_lane = np.arange(9)
+        checked = 0
         for _ in range(300):
             starts = rng.uniform(-5.0, 230.0, 9)  # spans before/past the grid
             sizes = 10 ** rng.uniform(1.0, 7.5, 9)
             sizes[rng.random(9) < 0.1] = 0.0
-            assert_drain_bit_identical(batch, starts, sizes, every_lane)
+            checked += assert_drain_bit_identical(batch, starts, sizes, every_lane)
+        assert checked > 900  # about a third of the random drains are cold
 
     def test_time_to_transfer_batch_lane_subset(self):
         lanes = lane_traces(6, seed=9)
         batch = TraceBatch(lanes)
         subset = np.array([1, 3, 4])
         starts = np.array([3.0, 17.0, 160.0])
-        sizes = np.array([5e4, 2e6, 8e5])
-        assert_drain_bit_identical(batch, starts, sizes, subset)
+        sizes = np.array([5e6, 8e6, 8e5])  # each spills its start interval
+        assert assert_drain_bit_identical(batch, starts, sizes, subset) == 3
 
     def test_vectorised_bisection_path_bit_identical(self):
         # Big transfers from mid-trace starts: most lanes spill one or more
@@ -133,52 +136,21 @@ class TestTraceBatch:
         rng = np.random.default_rng(2)
         starts = rng.uniform(0.0, 150.0, 24)
         sizes = 10 ** rng.uniform(6.0, 7.6, 24)  # big: spill many intervals
-        assert_drain_bit_identical(batch, starts, sizes, np.arange(24))
+        assert assert_drain_bit_identical(batch, starts, sizes, np.arange(24)) == 24
 
     def test_zero_trailing_bandwidth_raises(self):
         vals = [2.0, 1.0, 0.0]
         dead = PiecewiseConstantTrace.from_uniform(vals, 5.0)
         batch = TraceBatch([dead, dead])
-        for known_cold in (False, True):
-            with pytest.raises(RuntimeError, match="trailing bandwidth"):
-                batch.transfer_drain(
-                    np.array([0.0, 0.0]),
-                    np.array([1e9, 1e9]),
-                    np.arange(2),
-                    np.zeros(2, dtype=np.int64),
-                    known_cold=known_cold,
-                )
+        with pytest.raises(RuntimeError, match="trailing bandwidth"):
+            batch.transfer_drain(
+                np.array([0.0, 0.0]),
+                np.array([1e9, 1e9]),
+                np.arange(2),
+                np.zeros(2, dtype=np.int64),
+            )
 
-    def test_cursor_and_hot_drain_bit_identical(self):
-        """``advance_indices`` tracks ``interval_indices`` along monotone
-        per-lane clocks (past the grid end too), and ``transfer_hot``
-        answers exactly when every lane finishes inside its start
-        interval — bit-identical to the scalar query."""
-        rng = np.random.default_rng(23)
-        lanes = lane_traces(6, seed=17)
-        batch = TraceBatch(lanes)
-        ws = batch.make_transfer_scratch()
-        out = np.empty(6)
-        starts = np.zeros(6)
-        answered = declined = 0
-        for _ in range(200):
-            starts = starts + rng.uniform(0.0, 2.0, 6)
-            cursor = batch.advance_indices(starts, ws)
-            assert np.array_equal(cursor, batch.interval_indices(starts))
-            sizes = 10 ** rng.uniform(2.0, 5.0, 6)
-            if not batch.transfer_hot(starts, sizes, ws, out):
-                declined += 1
-                continue
-            answered += 1
-            for k in range(6):
-                want = lanes[k].time_to_transfer(float(starts[k]), float(sizes[k]))
-                assert out[k] == want  # bit-identical, no tolerance
-        assert answered and declined
-
-    @pytest.mark.parametrize("known_cold", [False, True])
-    def test_drain_past_walk_budget_falls_back_to_scalar(
-        self, monkeypatch, known_cold
-    ):
+    def test_drain_past_walk_budget_falls_back_to_scalar(self, monkeypatch):
         """Drains completing more than ``_DRAIN_WALK_MAX`` intervals past
         their start interval leave the forward walk for the per-lane
         scalar query; lanes inside the budget never reach it."""
@@ -204,11 +176,10 @@ class TestTraceBatch:
             scalar_calls.append(lanes.index(trace))
             return real(trace, start, size)
 
+        i0 = batch.interval_indices(starts)
+        assert drain_cold_lanes(batch, starts, sizes, np.arange(3), i0).size == 3
         monkeypatch.setattr(PiecewiseConstantTrace, "time_to_transfer", counting)
-        got = batch.transfer_drain(
-            starts, sizes, np.arange(3), batch.interval_indices(starts),
-            known_cold=known_cold,
-        )
+        got = batch.transfer_drain(starts, sizes, np.arange(3), i0)
         assert sorted(scalar_calls) == [1, 2]
         assert got.tolist() == want  # bit-identical, no tolerance
 
@@ -216,7 +187,7 @@ class TestTraceBatch:
 def drain_cold_lanes(batch, starts, sizes, lanes, i0):
     """Positions whose drain the hot predicate rejects (or that start before
     the trace or move no bytes): the only lanes a caller may hand
-    :meth:`TraceBatch.transfer_drain` with ``known_cold=True``."""
+    :meth:`TraceBatch.transfer_drain`."""
     bounds = batch.boundaries
     rate0 = batch._rates2d[lanes, i0]
     hot = (rate0 * (bounds[i0 + 1] - starts) >= sizes - _EPS_BYTES) | (
@@ -227,20 +198,18 @@ def drain_cold_lanes(batch, starts, sizes, lanes, i0):
 
 
 def assert_drain_bit_identical(batch, starts, sizes, lanes):
-    """``transfer_drain`` equals the scalar query lane by lane, both with
-    the hot split (all positions) and with ``known_cold=True`` (the cold
-    positions only, as the scratch round skip calls it)."""
+    """``transfer_drain`` equals the scalar query lane by lane on the cold
+    positions, as the scratch round skip calls it; returns how many
+    positions it checked."""
     i0 = batch.interval_indices(starts)
     cold = drain_cold_lanes(batch, starts, sizes, lanes, i0)
-    for known_cold, pos in ((False, np.arange(starts.size)), (True, cold)):
-        got = batch.transfer_drain(
-            starts[pos], sizes[pos], lanes[pos], i0[pos], known_cold=known_cold
+    got = batch.transfer_drain(starts[cold], sizes[cold], lanes[cold], i0[cold])
+    for j, value in zip(cold, got, strict=True):
+        want = batch.lane(int(lanes[j])).time_to_transfer(
+            float(starts[j]), float(sizes[j])
         )
-        for j, value in zip(pos, got):
-            want = batch.lane(int(lanes[j])).time_to_transfer(
-                float(starts[j]), float(sizes[j])
-            )
-            assert value == want  # bit-identical, no tolerance
+        assert value == want  # bit-identical, no tolerance
+    return cold.size
 
 
 def assert_logs_identical(serial, lane):

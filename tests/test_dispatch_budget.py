@@ -1,21 +1,8 @@
-"""Allocation and dispatch budgets of the replay kernel tiers (PR 6, PR 8).
+"""Dispatch budgets of the replay and abduction kernel tiers.
 
-The lockstep download pass of ``kernel="scratch"`` (and of the compiled
-tier's chunk loop) promises an **allocation-free steady state**: once a
-``BatchTCPConnection`` has warmed up, a pipe-full chunk download (every
-lane finishing inside its current trace interval — the overwhelmingly
-common case once windows have opened) runs entirely through ``out=``
-ufuncs on preallocated per-batch buffers.  This suite pins that budget
-with ``tracemalloc`` so a stray temporary (an allocating ufunc, a
-buffered ``take``, a mixed-dtype cast) fails loudly instead of silently
-regressing the hot loop.
-
-Detection works by scale separation: with ``K`` lanes, any per-call lane
-array costs at least ``K`` bytes (bool) and typically ``8 * K`` (float64
-/ int64), while the per-call Python-object noise (result handling, a few
-boxed floats in ``observe_rtt``) stays under ~1 KiB regardless of ``K``.
-At ``K = 4096`` the assertion threshold of ``K`` bytes sits far above
-the noise and far below the smallest possible lane array.
+``BatchTCPConnection.download_batch`` hands back one reusable result
+whose columns alias the connection's own buffers, so the lockstep chunk
+loop reads every chunk's outcome without a new result object.
 
 ``kernel="compiled"`` makes a stronger promise: the entire session —
 every chunk's download, ABR decision and buffer/stall accounting — runs
@@ -32,9 +19,6 @@ no per-chunk, per-session or per-sample Python re-entry inside a stack.
 
 from __future__ import annotations
 
-import gc
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -43,7 +27,6 @@ from repro.tcp.connection import BatchTCPConnection
 
 K = 4096
 WARMUP_CALLS = 10
-STEADY_CALLS = 25
 
 
 def steady_state_connection():
@@ -51,8 +34,8 @@ def steady_state_connection():
 
     One long interval at 1.0 Mbps keeps the BDP (10 kB) below even the
     initial congestion window (15 kB), so every lane is pipe-full from
-    round 0 and every download takes the hot fluid path; back-to-back
-    requests (idle == 0) keep slow-start restart inert.
+    round 0 and drains inside its interval; back-to-back requests
+    (idle == 0) keep slow-start restart inert.
     """
     trace = PiecewiseConstantTrace([0.0, 1e9], [1.0])
     conn = BatchTCPConnection(TraceBatch([trace] * K))
@@ -66,39 +49,6 @@ def steady_state_connection():
 
 
 class TestScratchAllocationBudget:
-    def test_steady_state_allocates_no_arrays(self):
-        conn, sizes, starts = steady_state_connection()
-        gc.collect()
-        tracemalloc.start()
-        try:
-            # One more warm call inside tracing so lazily-created
-            # Python-level caches (bound methods, interned scalars) exist
-            # before the measured window opens.
-            result = conn.download_batch(sizes, starts)
-            np.copyto(starts, result.end_times_s)
-            gc.collect()
-            base, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            for _ in range(STEADY_CALLS):
-                result = conn.download_batch(sizes, starts)
-                np.copyto(starts, result.end_times_s)
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # The high-water mark catches transient temporaries (allocated
-        # and freed within a call); the current figure catches leaks.
-        # Either way a single K-lane array (>= K bytes for bool,
-        # 8 * K for float64) blows the budget.
-        assert peak - base < K, (
-            f"steady-state download_batch transiently allocated "
-            f"{peak - base} bytes (budget: {K}); an array temporary has "
-            f"crept into the scratch kernel's hot path"
-        )
-        assert current - base < K, (
-            f"steady-state download_batch leaked {current - base} bytes "
-            f"across {STEADY_CALLS} calls"
-        )
-
     def test_steady_state_result_reuses_buffers(self):
         """The mutable result must alias the connection's own buffers —
         holding a reference across calls sees the next chunk's values."""

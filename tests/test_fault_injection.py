@@ -115,7 +115,6 @@ def assert_same_prepared(got, expected):
     for a, b in zip(got, expected):
         assert a.log_a.to_dict() == b.log_a.to_dict()
         assert a.setting_a_metrics == b.setting_a_metrics
-        assert a.replay_horizon_s == b.replay_horizon_s
         assert np.array_equal(a.baseline.boundaries, b.baseline.boundaries)
         assert np.array_equal(a.baseline.values, b.baseline.values)
         assert len(a.samples) == len(b.samples)

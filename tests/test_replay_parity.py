@@ -7,7 +7,8 @@ built on it:
   against known closed-form answers,
 * the ``BatchTCPConnection`` download pass against scalar
   ``TCPConnection`` objects (the golden per-RTT loop) on random traces,
-  RTTs, idle gaps and sizes, bit for bit,
+  RTTs, idle gaps and sizes, and on lanes pipe-full from round 0, bit
+  for bit,
 * ``CounterfactualEngine.evaluate_many`` over a prepared corpus vs
   back-to-back ``evaluate_corpus`` / per-trace ``evaluate_trace`` calls,
   and the engine's kernel tiers against each other.
@@ -109,6 +110,32 @@ class TestDownloadKernelParity:
                     assert batch._cwnd[k] == conn.state.cwnd_segments
                     assert batch._ssthresh[k] == conn.state.ssthresh_segments
                 ends = got.end_times_s.copy()
+
+    @pytest.mark.parametrize("idle_s", [0.0, 3.0], ids=["back-to-back", "idle-past-rto"])
+    def test_pipe_full_lanes(self, idle_s):
+        """K lanes whose pipe is full from round 0 equal K scalar
+        connections bit for bit, back to back and after idle gaps that
+        trigger the slow-start restart.  One long 1 Mbps interval keeps
+        the BDP (10 kB at an 80 ms RTT) below the initial window (15 kB),
+        so every download drains inside its interval."""
+        n = 64
+        trace = PiecewiseConstantTrace([0.0, 1e9], [1.0])
+        batch = BatchTCPConnection(TraceBatch([trace] * n))
+        scalar = [TCPConnection(trace) for _ in range(n)]
+        rng = np.random.default_rng(5)
+        starts = np.zeros(n)
+        restarts = 0
+        for _ in range(12):
+            sizes = rng.uniform(2e4, 6e4, n)
+            got = batch.download_batch(sizes, starts)
+            for k, conn in enumerate(scalar):
+                want = conn.download(float(sizes[k]), float(starts[k]))
+                restarts += want.slow_start_restarted
+                assert got.end_times_s[k] == want.end_time_s
+                assert batch._cwnd[k] == conn.state.cwnd_segments
+                assert batch._ssthresh[k] == conn.state.ssthresh_segments
+            starts = got.end_times_s + idle_s
+        assert (restarts > 0) == (idle_s > 0)
 
 
 class TestPreparedCorpusParity:
