@@ -402,16 +402,17 @@ class CounterfactualEngine:
     same-length stack's emission build, forward-backward, Viterbi and
     FFBS as single compiled-kernel calls — Viterbi paths and sampled
     traces stay bit-identical, float posteriors are within
-    ``rtol=1e-12``.  An explicit ``"compiled"`` on either ladder degrades
-    to the portable tier with a once-per-process warning when no compiled
-    backend exists.  Checkpoint fingerprints do not include the tier: a
-    corpus prepared on one tier reloads cleanly on another.
+    ``rtol=1e-13``.  An explicit ``"compiled"`` on either ladder degrades
+    to the portable tier at construction, with a once-per-process
+    warning, when no compiled backend exists.  Checkpoint fingerprints
+    do not include the tier: a corpus prepared on one tier reloads
+    cleanly on another.
 
     ``None`` on either ladder picks the fastest tier this machine can
     build — ``"compiled"`` where that ladder's cc+cffi build loads,
-    ``"scratch"`` / ``"numpy"`` elsewhere — silently; :attr:`kernel` holds
-    the replay tier that serves (after any degrade) and
-    :attr:`abduction_kernel` the abduction tier chosen.
+    ``"scratch"`` / ``"numpy"`` elsewhere — silently; :attr:`kernel` and
+    :attr:`abduction_kernel` hold the replay and abduction tiers that
+    serve (after any degrade).
     ``use_batch=False`` is another spelling of ``kernel="reference",
     abduction_kernel="reference"`` and overrides the tiers passed.
 

@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
              f"{', '.join(ABDUCTION_TIERS)} (default: compiled where its "
              "cc+cffi build loads, else numpy; numpy is bit-identical to "
              "the scalar reference, compiled keeps integer outputs "
-             "bit-identical with float posteriors within rtol=1e-12 and, "
+             "bit-identical with float posteriors within rtol=1e-13 and, "
              "when asked for by name, falls back to numpy with a warning "
              "when no compiled backend is available)",
     )

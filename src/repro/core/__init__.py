@@ -7,7 +7,7 @@ The batched abduction paths run on one of three kernel tiers
 with the scalar golden path, ``"numpy"`` runs the stacked recursions
 bit-identical to it, and ``"compiled"`` routes each stack through the
 :mod:`repro.core._kernels` cc+cffi build (integer outputs bit-identical,
-float posteriors within ``rtol=1e-12``, graceful degrade to NumPy when
+float posteriors within ``rtol=1e-13``, graceful degrade to NumPy when
 the build is unavailable).  The default is ``"compiled"`` where that
 build loads and ``"numpy"`` elsewhere.
 """
@@ -27,7 +27,7 @@ from .diagnostics import (
 )
 from .ehmm import EHMMProblem, build_problem, build_problems_batch
 from .em import EMResult, learn_transition_matrix
-from .emission import EmissionModel, naive_emission, tcp_estimator_emission
+from .emission import EmissionModel, naive_emission
 from .forward_backward import (
     ForwardBackwardBatchResult,
     ForwardBackwardResult,
@@ -103,7 +103,6 @@ __all__ = [
     "select_config",
     "sigma_grid_search",
     "sticky_matrix",
-    "tcp_estimator_emission",
     "tridiagonal_matrix",
     "uniform_matrix",
     "viterbi_path",

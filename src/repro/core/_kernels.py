@@ -34,7 +34,7 @@ Accuracy contract: integer outputs (Viterbi paths, FFBS sample paths)
 are expected bit-identical to the NumPy tier — their arithmetic is pure
 adds, first-maximum argmax and sequential counting, reproduced op for
 op.  Float posteriors (emissions, gamma/xi, log-likelihoods) agree to a
-documented ``rtol=1e-12``: NumPy's pairwise row sums, BLAS dot products
+documented ``rtol=1e-13``: NumPy's pairwise row sums, BLAS dot products
 and SIMD ``exp``/``log1p`` accumulate in a different (equally valid)
 order than the sequential scalar loops here.  The NumPy tier stays
 bit-identical to the retained scalar reference and is the default where
@@ -80,10 +80,12 @@ def _emission_mirror(
 ):
     """Log emissions for ``M`` stacked chunks over the ``K``-state grid.
 
-    Mirrors ``estimate_throughput_grid`` (round schedule + searchsorted
-    resolved per state) followed by ``EmissionModel.log_prob_matrix``'s
-    in-place Gaussian/outlier-mixture chain.  ``cwnd0`` / ``ssthresh0``
-    already have slow-start restart applied (``chunk_state_arrays``).
+    Mirrors ``estimate_throughput_grid_batch`` one chunk at a time (the
+    same round schedule; each state's round count by bisection, equal
+    to the batch's count over the padded schedule) followed by
+    ``EmissionModel.log_prob_matrix``'s in-place Gaussian/outlier-mixture
+    chain.  ``cwnd0`` / ``ssthresh0`` already have slow-start restart
+    applied (``chunk_state_arrays``).
     ``sched_cwnd`` / ``sched_cum`` are int64 scratch sized for the
     largest chunk's schedule.
     """

@@ -35,9 +35,10 @@ loads, else ``"numpy"`` (:func:`resolve_abduction_kernel`):
   build, forward-backward, Viterbi, FFBS) each run as one
   :mod:`repro.core._kernels` call per same-length stack (cc+cffi
   backend).  Viterbi paths and FFBS samples stay bit-identical; float
-  posteriors are within ``rtol=1e-12``.  Without the cc build an
-  explicit ``"compiled"`` degrades to ``"numpy"`` with a
-  once-per-process :class:`RuntimeWarning`.
+  posteriors are within ``rtol=1e-13``.  Without the cc build an
+  explicit ``"compiled"`` resolves to ``"numpy"`` with a
+  once-per-process :class:`RuntimeWarning`
+  (:func:`resolve_abduction_kernel`).
 """
 
 from __future__ import annotations
@@ -48,10 +49,12 @@ import numpy as np
 
 from ..net.trace import PiecewiseConstantTrace
 from ..player.logs import SessionLog
+from ..tcp.estimator import estimate_throughput_grid_batch
+from ..util.compiled import warn_fallback
 from ..util.rng import SeedLike, ensure_rng
 from . import _kernels
 from .ehmm import EHMMProblem, build_problem, build_problems_batch
-from .emission import EmissionModel, naive_emission, tcp_estimator_emission
+from .emission import EmissionModel, naive_emission
 from .forward_backward import (
     ForwardBackwardResult,
     forward_backward,
@@ -86,15 +89,17 @@ ABDUCTION_TIERS = ("reference", "numpy", "compiled")
 
 
 def resolve_abduction_kernel(kernel: "str | None") -> str:
-    """Validate an abduction tier name, or pick one for ``None``.
+    """The abduction tier that will serve ``kernel``, or ``ValueError``
+    if the name is unknown.
 
     ``None`` picks the fastest tier this machine can build: ``"compiled"``
     when the cc+cffi build of :mod:`repro.core._kernels` loads (its
     ``backend()`` is ``"cc"``; the first call builds it), else the
-    portable ``"numpy"``, silently.  An explicit name is only validated:
-    an unavailable compiled backend degrades at use time with a
-    once-per-process warning, so one config works across machines with
-    and without a toolchain.
+    portable ``"numpy"``, silently.  An explicit ``"compiled"`` that
+    cannot be served degrades to ``"numpy"`` with a once-per-process
+    ``RuntimeWarning``, as :func:`repro.tcp.connection.resolve_kernel`
+    does for replay: one config works across machines with and without
+    a toolchain, and no stage is handed a tier it cannot run.
     """
     if kernel is None:
         return "compiled" if _kernels.backend() == "cc" else "numpy"
@@ -103,6 +108,9 @@ def resolve_abduction_kernel(kernel: "str | None") -> str:
             f"unknown abduction kernel {kernel!r}; "
             f"available: {list(ABDUCTION_TIERS)}"
         )
+    if kernel == "compiled" and not _kernels.available():
+        warn_fallback("abduction", "compiled", "numpy")
+        return "numpy"
     return kernel
 
 # Sessions per stacked inference block.  Bounds the transient
@@ -119,7 +127,7 @@ _TRANSITION_BUILDERS = {
 }
 
 _EMISSION_ESTIMATORS = {
-    "tcp": tcp_estimator_emission,
+    "tcp": estimate_throughput_grid_batch,
     "naive": naive_emission,
 }
 
@@ -376,7 +384,7 @@ class VeritasAbduction:
         ``"reference"`` tier solves each log scalar (the bit-identity
         yardstick), ``"numpy"`` runs the stacked recursions above, and
         ``"compiled"`` additionally routes each stack through
-        :mod:`repro.core._kernels` (posteriors within ``rtol=1e-12``,
+        :mod:`repro.core._kernels` (posteriors within ``rtol=1e-13``,
         Viterbi paths bit-identical).
         """
         kernel = resolve_abduction_kernel(kernel)

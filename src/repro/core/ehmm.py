@@ -1,9 +1,16 @@
 """EHMM assembly: turning a session log into the arrays the algorithms need.
 
-:class:`EHMMProblem` is the bridge between the player substrate (logs with
-TCP snapshots) and the inference algorithms (pure array code): it holds the
-log-emission matrix, the window gaps Δn, and the pieces needed to turn
-sampled state paths back into bandwidth traces.
+:class:`EHMMProblem` is the bridge between the player substrate (session
+logs, whose TCP state the emission build reads as columns) and the
+inference algorithms (pure array code): it holds the log-emission matrix,
+the window gaps Δn, and the pieces needed to turn sampled state paths back
+into bandwidth traces.
+
+Every problem is assembled by :func:`build_problems_batch`, which builds
+the emission rows of all its logs in one
+:meth:`~repro.core.emission.EmissionModel.log_prob_matrix` call;
+:func:`build_problem`, what scalar :meth:`VeritasAbduction.solve
+<repro.core.abduction.VeritasAbduction.solve>` runs, is its stack of one.
 """
 
 from __future__ import annotations
@@ -53,38 +60,13 @@ def build_problem(
     emission: EmissionModel,
     delta_s: float,
 ) -> EHMMProblem:
-    """Assemble the EHMM arrays for ``log``.
+    """Assemble the EHMM arrays for ``log``: :func:`build_problems_batch`
+    on a stack of one, on the NumPy emission path.
 
     Raises :class:`ValueError` for empty logs and for mismatched grid /
     transition model sizes, both of which indicate harness bugs.
     """
-    if log.n_chunks == 0:
-        raise ValueError("cannot build an EHMM problem from an empty log")
-    if transitions.n_states != grid.n_states:
-        raise ValueError(
-            f"transition model has {transitions.n_states} states but grid "
-            f"has {grid.n_states}"
-        )
-    if emission.grid is not grid:
-        raise ValueError("emission model must share the problem's grid")
-
-    observed = log.throughputs_mbps()
-    starts = log.start_times_s()
-    log_b = emission.log_prob_matrix(
-        observed, log.tcp_state_columns(), log.sizes_bytes()
-    )
-    gaps = window_gaps(starts, delta_s)
-
-    return EHMMProblem(
-        grid=grid,
-        transitions=transitions,
-        delta_s=delta_s,
-        log_emissions=log_b,
-        deltas=gaps,
-        start_times_s=starts,
-        observed_mbps=observed,
-        session_end_s=float(log.end_times_s()[-1]),
-    )
+    return build_problems_batch([log], grid, transitions, emission, delta_s)[0]
 
 
 def build_problems_batch(
@@ -102,8 +84,8 @@ def build_problems_batch(
     and the emission matrix is evaluated in a single
     batched call — emission rows depend only on their own
     ``(observation, tcp_state, size)`` triple, so each row is
-    bit-identical to the per-log :func:`build_problem` build — then split
-    back into per-session ``(n_chunks, K)`` views.  Logs may have
+    bit-identical to a build of its log alone — then split back into
+    per-session ``(n_chunks, K)`` views.  Logs may have
     different chunk counts.  ``kernel`` is forwarded to
     :meth:`EmissionModel.log_prob_matrix` (``"compiled"`` builds the
     concatenated matrix in one :mod:`repro.core._kernels` call).

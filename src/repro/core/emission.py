@@ -8,9 +8,16 @@ and size ``S_n``, the emission probability of capacity state ``c`` is
 where ``f`` is the domain-specific TCP throughput estimator (Algorithm 4).
 The Gaussian absorbs ``f``'s modelling error (Fig. 5).
 
-The module also provides the **naive** emission used by the ablation bench:
-``f(c, ·, ·) = c``, i.e. assuming observed throughput equals GTBW — which is
-exactly the assumption Veritas exists to avoid.
+An estimator is a whole-session function
+``f(grid_values, states, sizes_bytes) -> (n_chunks, n_states)``: the
+``(K,)`` capacity grid, the session's TCP state as
+:class:`~repro.tcp.state.TCPStateColumns` and its ``(n_chunks,)`` chunk
+sizes in, the predicted throughput of every chunk in every state out.
+The default is :func:`~repro.tcp.estimator.estimate_throughput_grid_batch`.
+The module also provides the **naive** estimator used by the ablation
+bench, :func:`naive_emission`: ``f(c, ·, ·) = c``, i.e. assuming observed
+throughput equals GTBW — which is exactly the assumption Veritas exists to
+avoid.
 """
 
 from __future__ import annotations
@@ -23,44 +30,25 @@ import numpy as np
 from ..tcp.estimator import (
     REQUEST_RTTS,
     chunk_state_arrays,
-    estimate_throughput_grid,
     estimate_throughput_grid_batch,
 )
-from ..tcp.state import TCPStateColumns, TCPStateSnapshot
+from ..tcp.state import TCPStateColumns
 from ..util.compiled import warn_fallback
 from . import _kernels
 from .grid import CapacityGrid
 
-__all__ = ["EmissionModel", "tcp_estimator_emission", "naive_emission"]
-
-EstimatorFn = Callable[[np.ndarray, TCPStateSnapshot, float], np.ndarray]
-
-
-def tcp_estimator_emission(
-    grid_values: np.ndarray, tcp_state: TCPStateSnapshot, size_bytes: float
-) -> np.ndarray:
-    """Predicted throughput per capacity state via Algorithm 4 (the default)."""
-    return estimate_throughput_grid(grid_values, tcp_state, size_bytes)
+__all__ = ["EmissionModel", "naive_emission"]
 
 
 def naive_emission(
-    grid_values: np.ndarray, tcp_state: TCPStateSnapshot, size_bytes: float
+    grid_values: np.ndarray, states: TCPStateColumns, sizes_bytes: np.ndarray
 ) -> np.ndarray:
-    """Ablation: assume the chunk would observe the full capacity."""
-    return np.asarray(grid_values, dtype=float).copy()
+    """Ablation: assume every chunk would observe the full capacity.
 
-
-def _naive_emission_batch(grid_values, tcp_states, sizes_bytes):
+    The grid, once per chunk of ``states`` (``(n_chunks, n_states)``).
+    """
     grid = np.asarray(grid_values, dtype=float)
-    return np.tile(grid, (len(tcp_states), 1))
-
-
-# Whole-session batch implementations of the per-chunk estimators; row n of
-# the batch result must be bit-identical to estimator(grid, state_n, size_n).
-_BATCH_ESTIMATORS: dict = {
-    tcp_estimator_emission: estimate_throughput_grid_batch,
-    naive_emission: _naive_emission_batch,
-}
+    return np.tile(grid, (len(states), 1))
 
 
 class EmissionModel:
@@ -73,13 +61,19 @@ class EmissionModel:
     state ``c``, and a pure Gaussian would let a single such chunk dominate
     the whole trajectory.  The mixture caps the influence of those
     model-mismatch outliers without affecting well-modelled chunks.
+
+    ``estimator`` is a whole-session function (see the module
+    docstring); the NumPy path of :meth:`log_prob_matrix` calls it once,
+    on all of the session's chunks.
     """
 
     def __init__(
         self,
         grid: CapacityGrid,
         sigma_mbps: float = 0.5,
-        estimator: EstimatorFn = tcp_estimator_emission,
+        estimator: Callable[
+            [np.ndarray, TCPStateColumns, np.ndarray], np.ndarray
+        ] = estimate_throughput_grid_batch,
         outlier_mass: float = 0.05,
     ):
         if sigma_mbps <= 0:
@@ -92,57 +86,6 @@ class EmissionModel:
         self.outlier_mass = float(outlier_mass)
 
     # ------------------------------------------------------------------
-    def predicted_throughput(
-        self, tcp_state: TCPStateSnapshot, size_bytes: float
-    ) -> np.ndarray:
-        """``f(c, W, S)`` for every grid state ``c`` (shape ``(n_states,)``)."""
-        return self.estimator(self.grid.values_mbps, tcp_state, size_bytes)
-
-    def log_prob_row(
-        self,
-        observed_mbps: float,
-        tcp_state: TCPStateSnapshot,
-        size_bytes: float,
-    ) -> np.ndarray:
-        """Log emission probabilities of one observation for all states."""
-        if observed_mbps < 0:
-            raise ValueError(f"observed throughput must be >= 0, got {observed_mbps}")
-        predicted = self.predicted_throughput(tcp_state, size_bytes)
-        z = (observed_mbps - predicted) / self.sigma_mbps
-        log_normal = -0.5 * z * z - math.log(self.sigma_mbps * math.sqrt(2 * math.pi))
-        if self.outlier_mass == 0:
-            return log_normal
-        # Mixture with a uniform density over [0, grid max] (floored so the
-        # uniform component is proper even for tiny grids).
-        uniform_density = 1.0 / max(self.grid.max_mbps, 1.0)
-        log_uniform = math.log(self.outlier_mass * uniform_density)
-        peak = np.log1p(
-            (1.0 - self.outlier_mass)
-            * np.exp(np.minimum(log_normal - log_uniform, 700.0))
-        )
-        return log_uniform + peak
-
-    def predicted_throughput_matrix(
-        self, states: TCPStateColumns, sizes_bytes: Sequence[float]
-    ) -> np.ndarray:
-        """``f(c, W_n, S_n)`` for every chunk and state (``(n_chunks, n_states)``).
-
-        One batched call when the estimator has a whole-session twin in
-        ``_BATCH_ESTIMATORS``; otherwise the estimator runs row by row on
-        each chunk's snapshot.
-        """
-        sizes = np.asarray(sizes_bytes, dtype=float)
-        if len(states) != sizes.size:
-            raise ValueError("TCP states and sizes must have equal length")
-        values = self.grid.values_mbps
-        batch = _BATCH_ESTIMATORS.get(self.estimator)
-        if batch is not None:
-            return batch(values, states, sizes)
-        predicted = np.empty((len(states), values.size))
-        for n, size in enumerate(sizes.tolist()):
-            predicted[n] = self.estimator(values, states.snapshot(n), size)
-        return predicted
-
     def log_prob_matrix(
         self,
         observed_mbps: Sequence[float],
@@ -152,11 +95,11 @@ class EmissionModel:
     ) -> np.ndarray:
         """Log emissions for a whole session (shape ``(n_chunks, n_states)``).
 
-        Batch fast path: the per-state predictions are assembled into one
-        ``(n_chunks, n_states)`` matrix and the Gaussian/outlier mixture is
-        evaluated with array ops.
-        Produces exactly what stacking :meth:`log_prob_row` (the scalar
-        reference) row by row would.
+        The estimator predicts every chunk's throughput in every state in
+        one call, and the Gaussian/outlier mixture is evaluated on that
+        matrix with in-place array ops.  ``tests/test_vectorized_parity.py``
+        pins the result against a per-row oracle built on the scalar
+        :func:`~repro.tcp.estimator.estimate_throughput`.
 
         Rows are chunk-independent — row ``n`` depends only on its own
         ``(observation, tcp_state, size)`` triple — so concatenating the
@@ -170,9 +113,11 @@ class EmissionModel:
 
         ``kernel="compiled"`` builds the whole matrix (Algorithm-4 round
         schedules included) in one :mod:`repro.core._kernels` call when
-        the estimator is the TCP one — rows within ``rtol=1e-12`` of this
-        path.  Other estimators, and compiled requests without a compiled
-        backend (after a once-per-process warning), use the NumPy path.
+        the estimator is
+        :func:`~repro.tcp.estimator.estimate_throughput_grid_batch` — rows
+        within ``rtol=1e-13`` of this path.  Other estimators, and
+        compiled requests without a compiled backend (after a
+        once-per-process warning), use the NumPy path.
         """
         observed = np.asarray(observed_mbps, dtype=float)
         sizes = np.asarray(sizes_bytes, dtype=float)
@@ -186,7 +131,10 @@ class EmissionModel:
             bad = float(observed[observed < 0][0])
             raise ValueError(f"observed throughput must be >= 0, got {bad}")
 
-        if kernel == "compiled" and self.estimator is tcp_estimator_emission:
+        if (
+            kernel == "compiled"
+            and self.estimator is estimate_throughput_grid_batch
+        ):
             if not _kernels.available():
                 warn_fallback("abduction", "compiled", "numpy")
             else:
@@ -206,9 +154,11 @@ class EmissionModel:
                     self.grid.max_mbps,
                 )
 
-        predicted = self.predicted_throughput_matrix(states, sizes)
-        # In-place evaluation of the same expression log_prob_row computes:
-        # the (n_chunks, n_states) buffer is transformed step by step.
+        predicted = self.estimator(self.grid.values_mbps, states, sizes)
+        # The Gaussian, then its mixture with a uniform density over
+        # [0, grid max] (floored so the uniform component is proper even
+        # for tiny grids), evaluated in place on one (n_chunks, n_states)
+        # buffer.
         out = observed[:, None] - predicted
         out /= self.sigma_mbps
         np.multiply(out, out, out=out)

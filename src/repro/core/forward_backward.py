@@ -16,7 +16,7 @@ capacity state cannot underflow the scaled recursion to 0/0.
 Abduction kernel tiers: :func:`forward_backward_batch` accepts
 ``kernel="compiled"`` to run the whole stacked recursion (including the
 pairwise-posterior build) in one :mod:`repro.core._kernels` call —
-results within ``rtol=1e-12`` of the NumPy tier (what ``kernel=None``
+results within ``rtol=1e-13`` of the NumPy tier (what ``kernel=None``
 runs here, itself pinned against the loop oracle that
 ``tests/test_vectorized_parity.py`` keeps; the engine-level default is picked by
 :func:`~repro.core.abduction.resolve_abduction_kernel`).  When no
@@ -247,7 +247,7 @@ def forward_backward_batch(
 
     ``kernel="compiled"`` instead runs the recursions in one
     :mod:`repro.core._kernels` call per stack (posteriors within
-    ``rtol=1e-12`` of this path); without a compiled backend the request
+    ``rtol=1e-13`` of this path); without a compiled backend the request
     degrades to this path with a once-per-process warning.
     """
     log_b, gaps = check_batch_inputs(log_emissions, transitions, deltas)

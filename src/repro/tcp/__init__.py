@@ -16,7 +16,6 @@ from .constants import (
 from .estimator import (
     estimate_download_time,
     estimate_throughput,
-    estimate_throughput_grid,
     estimate_throughput_grid_batch,
 )
 from .state import MutableTCPState, TCPStateSnapshot, apply_slow_start_restart
@@ -36,6 +35,5 @@ __all__ = [
     "apply_slow_start_restart",
     "estimate_download_time",
     "estimate_throughput",
-    "estimate_throughput_grid",
     "estimate_throughput_grid_batch",
 ]

@@ -506,6 +506,31 @@ class BatchDownloadResult:
     )
 
 
+def _check_downloads(
+    sizes: np.ndarray, starts: np.ndarray, last_send: np.ndarray
+) -> None:
+    """:meth:`TCPConnection.download`'s input checks on every lane, in its
+    order; ``ValueError`` names the first lane to fail one."""
+    # NaN fails every comparison, so each mask below also catches it.
+    bad = np.flatnonzero(~((sizes > 0) & (sizes < np.inf)))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(
+            f"lane {k}: size must be finite and positive, got {sizes[k]}"
+        )
+    bad = np.flatnonzero(~np.isfinite(starts))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"lane {k}: start time must be finite, got {starts[k]}")
+    bad = np.flatnonzero(starts < last_send)
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(
+            f"lane {k}: download at {starts[k]} precedes last send at "
+            f"{last_send[k]}; requests must move forward in time"
+        )
+
+
 class BatchTCPConnection:
     """K persistent TCP connections advanced in lockstep over a trace batch.
 
@@ -606,12 +631,18 @@ class BatchTCPConnection:
         (:meth:`_restart_scratch`), then every lane runs the vectorised
         round skip (:meth:`_skip_rounds_scratch`); a lane whose pipe is
         full when its payload starts is the skip's zero-round case.
+
+        Raises :class:`ValueError`, naming the first bad lane and value,
+        before touching any state, unless every size is finite and
+        positive, every start finite and no start before its lane's last
+        send: the checks of :meth:`TCPConnection.download`, lane by lane.
         """
         b = self._scratch
         rtt = self.rtt_s
         shared = self._shared
         starts = np.asarray(start_times_s, dtype=float)
         sizes = np.asarray(size_bytes, dtype=float)
+        _check_downloads(sizes, starts, self._last_send)
 
         idle = b.idle
         np.subtract(starts, self._last_send, out=idle)

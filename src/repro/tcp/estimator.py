@@ -17,6 +17,21 @@ GTBW ``C``.
 This function is the emission model of the Veritas EHMM: the whole point of
 the paper is that conditioning on the logged TCP state lets the HMM "invert"
 observed throughput back into latent GTBW.
+
+Two implementations, one job each:
+
+* :func:`estimate_throughput` / :func:`estimate_download_time` — the
+  golden scalar path, one capacity and one ``tcp_info`` snapshot at a
+  time.  Interventional queries, the Veritas ABR and the Fig. 5 bench
+  run it.
+* :func:`estimate_throughput_grid_batch` — every chunk of a session over
+  the whole capacity grid at once: the estimator of the emission build
+  (:class:`repro.core.emission.EmissionModel`) on every abduction tier
+  but the compiled one.  Entry ``(n, k)`` equals the scalar estimate for
+  state ``k`` and chunk ``n`` bit for bit (the same arithmetic in the
+  same order; ``tests/test_vectorized_parity.py`` pins it against the
+  scalar path and a state-by-state loop oracle).  The compiled emission
+  kernel (:mod:`repro.core._kernels`) transcribes it.
 """
 
 from __future__ import annotations
@@ -39,7 +54,6 @@ __all__ = [
     "chunk_state_arrays",
     "estimate_download_time",
     "estimate_throughput",
-    "estimate_throughput_grid",
     "estimate_throughput_grid_batch",
 ]
 
@@ -159,8 +173,9 @@ def _round_schedule(
     round where ``cum_sent >= data_segments``; the window-phase outcome for
     any BDP ``B`` then reduces to
     ``rounds = min(first r with cum_sent[r] >= data, first r with cwnds[r] >= B)``,
-    which :func:`estimate_throughput_grid` resolves for the whole grid with
-    one ``searchsorted``.  The schedule depends only on
+    which :func:`estimate_throughput_grid_batch` resolves for every state
+    of the grid with one comparison against the padded schedules of a
+    session's chunks.  The schedule depends only on
     ``(cwnd0, ssthresh0, data_segments)``, so it is memoised — DASH chunk
     sizes repeat heavily across a session.
     """
@@ -187,68 +202,6 @@ def _round_schedule(
         )
         _SCHEDULE_CACHE[key] = cached
     return cached
-
-
-def estimate_throughput_grid(
-    gtbw_grid_mbps: np.ndarray,
-    tcp_state: TCPStateSnapshot,
-    size_bytes: float,
-    request_rtts: float = REQUEST_RTTS,
-) -> np.ndarray:
-    """Vectorised Algorithm 4 over a grid of candidate GTBW values.
-
-    The EHMM needs ``f`` evaluated at every capacity state for every chunk.
-    Rather than replaying the paper's ``while`` loop per state, the
-    slow-start/congestion-avoidance round schedule is precomputed once per
-    ``(cwnd0, ssthresh0, data_segments)`` and every state's round count is
-    resolved with a single ``searchsorted`` over it, so the whole grid is
-    O(rounds + K) NumPy work.  Agrees with per-state
-    :func:`estimate_throughput` to the last bit (the arithmetic is
-    identical); ``tests/test_vectorized_parity.py`` keeps the loop
-    formulation as the golden reference.
-    """
-    grid = np.asarray(gtbw_grid_mbps, dtype=float)
-    if np.any(grid < 0):
-        raise ValueError("GTBW grid values must be non-negative")
-    if size_bytes <= 0:
-        raise ValueError(f"size must be positive, got {size_bytes}")
-
-    cwnd0, ssthresh0, _ = apply_slow_start_restart(
-        tcp_state.cwnd_segments,
-        tcp_state.ssthresh_segments,
-        tcp_state.time_since_last_send_s,
-        tcp_state.rto_s,
-    )
-    min_rtt = tcp_state.min_rtt_s
-    request_s = request_rtts * min_rtt
-    data_segments = _segments(size_bytes)
-    chunk_mbits = size_bytes * 8 / 1e6
-
-    # Same operation order as mbps_to_bytes_per_sec / _segments so grid and
-    # scalar paths produce bit-identical floats.
-    rates = grid * 1e6 / 8
-    bdp_segments = np.maximum(
-        1, np.ceil(rates * min_rtt / MSS_BYTES)
-    ).astype(np.int64)
-    safe_rates = np.where(grid > 0, rates, 1.0)
-
-    cwnds, cum_sent = _round_schedule(cwnd0, ssthresh0, data_segments)
-    max_rounds = cum_sent.size - 1
-    rounds = np.minimum(
-        np.searchsorted(cwnds, bdp_segments, side="left"), max_rounds
-    )
-    sent = cum_sent[rounds]
-    tail_bytes = np.maximum(0.0, size_bytes - sent * MSS_BYTES)
-    window_limited = request_s + rounds * min_rtt + tail_bytes / safe_rates
-
-    pipe_full = cwnd0 > bdp_segments
-    saturated = request_s + size_bytes / safe_rates
-    download_s = np.where(
-        pipe_full,
-        np.where(data_segments > bdp_segments, saturated, request_s + min_rtt),
-        window_limited,
-    )
-    return np.where(grid > 0, chunk_mbits / download_s, 0.0)
 
 
 def chunk_state_arrays(
@@ -284,9 +237,9 @@ def estimate_throughput_grid_batch(
 
     Returns the ``(n_chunks, n_states)`` predicted-throughput matrix the
     EHMM emission model needs, resolving all chunks' window phases in one
-    padded comparison instead of per-chunk ``searchsorted`` calls.  Row
-    ``n`` is bit-identical to
-    ``estimate_throughput_grid(grid, states.snapshot(n), sizes_bytes[n])``.
+    padded comparison.  Entry ``(n, k)`` is bit-identical to
+    ``estimate_throughput(grid[k], snapshot_n, sizes_bytes[n])`` for the
+    snapshot whose fields are entry ``n`` of each column of ``states``.
     """
     grid = np.asarray(gtbw_grid_mbps, dtype=float)
     if np.any(grid < 0):

@@ -139,18 +139,14 @@ class TCPStateColumns:
 
     @classmethod
     def concatenate(cls, parts: "Sequence[TCPStateColumns]") -> "TCPStateColumns":
-        """The chunks of every part, in order."""
+        """The chunks of every part, in order (a lone part, itself)."""
+        if len(parts) == 1:
+            return parts[0]
         return cls(
             *(
                 np.concatenate([getattr(p, name) for p in parts])
                 for name, _ in _COLUMN_DTYPES
             )
-        )
-
-    def snapshot(self, n: int) -> TCPStateSnapshot:
-        """Chunk ``n`` as a :class:`TCPStateSnapshot` of Python scalars."""
-        return TCPStateSnapshot(
-            *(getattr(self, name)[n].item() for name, _ in _COLUMN_DTYPES)
         )
 
 

@@ -7,10 +7,12 @@ Pins the :mod:`repro.core._kernels` accuracy contract:
 * integer outputs — Viterbi paths, FFBS sample paths — are bit-identical
   to the NumPy tier,
 * float outputs — emissions, gamma/xi posteriors, log-likelihoods — agree
-  with the NumPy tier within ``rtol=1e-12``,
+  with the NumPy tier within ``rtol=1e-13``, on random stacks and on the
+  Setting-A logs of a paper corpus,
 * the wired batch entry points (``kernel="compiled"``) route through the
   kernels and degrade to NumPy with a once-per-process warning when no
-  backend is available,
+  backend is available, and an explicit compiled tier resolves to
+  ``"numpy"`` then,
 * every compiled-kernel module in the package reports a consistent
   backend tier name (the shared ``repro.util.compiled`` detection).
 """
@@ -42,7 +44,7 @@ from repro.tcp.state import TCPStateColumns, TCPStateSnapshot
 from repro.util import compiled as util_compiled
 from repro.util.compiled import BACKEND_NAMES
 
-RTOL = 1e-12
+RTOL = 1e-13
 
 
 def random_tcp_state(rng) -> TCPStateSnapshot:
@@ -326,14 +328,23 @@ class TestWiredEntryPoints:
             _warnings.simplefilter("error")
             viterbi_path_batch(log_b, transitions, gaps, kernel="compiled")
 
-    def test_resolve_abduction_kernel(self):
+    def test_resolve_abduction_kernel(self, monkeypatch):
         # The default is the fastest tier the machine can build.
         native = _kernels.backend() == "cc"
         assert resolve_abduction_kernel(None) == (
             "compiled" if native else "numpy"
         )
+        # A tier resolves to the one that serves: an explicit compiled
+        # request without a backend is numpy, with one warning.
+        monkeypatch.setattr(_kernels, "available", lambda: True)
         for tier in ABDUCTION_TIERS:
             assert resolve_abduction_kernel(tier) == tier
+        monkeypatch.setattr(_kernels, "available", lambda: False)
+        monkeypatch.setattr(util_compiled, "_FALLBACK_WARNED", set())
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            assert resolve_abduction_kernel("compiled") == "numpy"
+        assert resolve_abduction_kernel("numpy") == "numpy"
+        assert resolve_abduction_kernel("reference") == "reference"
         with pytest.raises(ValueError, match="unknown abduction kernel"):
             resolve_abduction_kernel("turbo")
         with pytest.raises(ValueError, match="unknown abduction kernel"):
@@ -438,8 +449,36 @@ class TestSolveBatchTiers:
         engine = CounterfactualEngine(
             paper_veritas_config(), abduction_kernel="compiled"
         )
-        assert engine.abduction_kernel == "compiled"
+        # The tier that serves: numpy where no compiled backend exists.
+        assert engine.abduction_kernel == (
+            "compiled" if _kernels.available() else "numpy"
+        )
         with pytest.raises(ValueError, match="unknown abduction kernel"):
             CounterfactualEngine(
                 paper_veritas_config(), abduction_kernel="turbo"
             )
+
+
+@pytest.mark.skipif(
+    _kernels.backend() != "cc", reason="no native abduction backend"
+)
+def test_compiled_tier_within_contract_on_paper_corpus():
+    """The tolerance holds at corpus scale: the Setting-A logs of 8 paper
+    traces solved on the numpy and the compiled tier."""
+    from repro import paper_corpus, paper_setting_a, paper_veritas_config
+    from repro.causal.engine import run_setting_batch
+
+    traces = paper_corpus(count=8, duration_s=600.0, seed=11)
+    deployed = run_setting_batch(paper_setting_a(), traces)
+    logs = [deployed.lane(k) for k in range(len(traces))]
+    abduction = VeritasAbduction(paper_veritas_config())
+    numpy_tier = abduction.solve_batch(logs, kernel="numpy")
+    compiled = abduction.solve_batch(logs, kernel="compiled")
+    for a, b in zip(numpy_tier, compiled):
+        assert np.allclose(
+            a.problem.log_emissions, b.problem.log_emissions, rtol=RTOL, atol=0
+        )
+        assert np.array_equal(a.viterbi.states, b.viterbi.states)
+        assert np.allclose(a.smoothing.gamma, b.smoothing.gamma, rtol=RTOL, atol=0)
+        assert np.allclose(a.smoothing.xi, b.smoothing.xi, rtol=RTOL, atol=0)
+        assert np.isclose(a.log_likelihood, b.log_likelihood, rtol=RTOL, atol=0)

@@ -324,7 +324,7 @@ class TestPrepareCorpusParity:
         bit-identical by contract; ``compiled`` keeps integer outputs
         (Viterbi anchors, FFBS draws) bit-identical so the prepared corpus
         — sampled traces and replay metrics — comes out identical too, the
-        float posteriors differing only inside rtol=1e-12."""
+        float posteriors differing only inside rtol=1e-13."""
         corpus = small_corpus(3)
         want = CounterfactualEngine(
             paper_veritas_config(), n_samples=2, seed=4,

@@ -35,6 +35,14 @@ def grid():
     return CapacityGrid(0.5, 10.0)
 
 
+def one_chunk_row(model, observed, state, size):
+    """:meth:`EmissionModel.log_prob_matrix` on a one-chunk session."""
+    (row,) = model.log_prob_matrix(
+        [observed], TCPStateColumns.of([state]), [size]
+    )
+    return row
+
+
 class TestEmissionModel:
     def test_rejects_bad_sigma(self, grid):
         with pytest.raises(ValueError):
@@ -46,7 +54,7 @@ class TestEmissionModel:
 
     def test_row_shape(self, grid):
         model = EmissionModel(grid)
-        row = model.log_prob_row(3.0, snap(), 500_000)
+        row = one_chunk_row(model, 3.0, snap(), 500_000)
         assert row.shape == (grid.n_states,)
         assert np.all(np.isfinite(row))
 
@@ -55,7 +63,7 @@ class TestEmissionModel:
         should be close to the observed throughput."""
         model = EmissionModel(grid, outlier_mass=0.0)
         observed = 4.0
-        row = model.log_prob_row(observed, snap(), 4_000_000)
+        row = one_chunk_row(model, observed, snap(), 4_000_000)
         best = grid.value_of(int(np.argmax(row)))
         assert abs(best - observed) <= 1.0
 
@@ -63,7 +71,7 @@ class TestEmissionModel:
         """For tiny chunks, capacities above a threshold are equally likely
         — the paper's uncertainty phenomenon (§4.3)."""
         model = EmissionModel(grid, outlier_mass=0.0)
-        row = model.log_prob_row(0.8, snap(), 25_000)
+        row = one_chunk_row(model, 0.8, snap(), 25_000)
         top = row.max()
         plateau = grid.values_mbps[row > top - 0.1]
         assert plateau.max() == grid.max_mbps
@@ -73,8 +81,8 @@ class TestEmissionModel:
         plain = EmissionModel(grid, outlier_mass=0.0)
         robust = EmissionModel(grid, outlier_mass=0.05)
         # An absurd observation: 9 Mbps for a chunk predicted ~1 Mbps.
-        row_plain = plain.log_prob_row(9.0, snap(), 25_000)
-        row_robust = robust.log_prob_row(9.0, snap(), 25_000)
+        row_plain = one_chunk_row(plain, 9.0, snap(), 25_000)
+        row_robust = one_chunk_row(robust, 9.0, snap(), 25_000)
         assert row_plain.min() < row_robust.min()
         assert row_robust.min() > -10.0
 
@@ -100,17 +108,20 @@ class TestEmissionModel:
     def test_negative_observation_rejected(self, grid):
         model = EmissionModel(grid)
         with pytest.raises(ValueError):
-            model.log_prob_row(-1.0, snap(), 1000)
+            one_chunk_row(model, -1.0, snap(), 1000)
 
     def test_naive_emission_ignores_tcp(self, grid):
-        vals = naive_emission(grid.values_mbps, snap(), 25_000)
-        assert np.array_equal(vals, grid.values_mbps)
+        states = TCPStateColumns.of([snap(), snap(gap=0.0), snap(gap=9.0)])
+        vals = naive_emission(grid.values_mbps, states, [25_000, 2e6, 3e3])
+        assert vals.shape == (3, grid.n_states)
+        for row in vals:
+            assert np.array_equal(row, grid.values_mbps)
 
     def test_naive_vs_tcp_emission_differ(self, grid):
         tcp = EmissionModel(grid)
         naive = EmissionModel(grid, estimator=naive_emission)
-        row_tcp = tcp.log_prob_row(1.0, snap(), 25_000)
-        row_naive = naive.log_prob_row(1.0, snap(), 25_000)
+        row_tcp = one_chunk_row(tcp, 1.0, snap(), 25_000)
+        row_naive = one_chunk_row(naive, 1.0, snap(), 25_000)
         # Naive thinks capacity ~1 Mbps; TCP-aware knows a small chunk at
         # 1 Mbps observed is consistent with much higher capacity.
         assert int(np.argmax(row_naive)) == grid.index_of(1.0)
@@ -178,17 +189,28 @@ class TestEmissionFromColumns:
             )
             assert (cwnd0[n], ssthresh0[n], min_rtt[n]) == (cw, ss, state.min_rtt_s)
 
-    def test_custom_estimator_reads_snapshots(self, grid):
-        seen = []
+    def test_custom_estimator_gets_whole_session(self, grid):
+        """A custom estimator is called once per build, with the session's
+        columns and sizes, on a compiled request too (the compiled kernel
+        transcribes only the TCP estimator)."""
+        calls = []
 
-        def estimator(values, state, size):
-            seen.append(state)
-            return np.full(values.shape, size * 8 / 1e6)
+        def estimator(values, states, sizes):
+            calls.append((values, states, sizes))
+            return np.tile(sizes[:, None] * 8 / 1e6, (1, values.size))
 
         model = EmissionModel(grid, estimator=estimator)
         states, sizes, observed = idle_heavy_session(seed=7, n_chunks=5)
-        model.log_prob_matrix(observed, TCPStateColumns.of(states), sizes)
-        assert seen == states
+        columns = TCPStateColumns.of(states)
+        for kernel in (None, "compiled"):
+            matrix = model.log_prob_matrix(observed, columns, sizes, kernel=kernel)
+            assert matrix.shape == (5, grid.n_states)
+        assert len(calls) == 2
+        for values, got_states, got_sizes in calls:
+            assert np.array_equal(values, grid.values_mbps)
+            assert got_states is columns
+            assert np.array_equal(got_sizes, sizes)
+
 
 class TestWindows:
     def test_window_index(self):

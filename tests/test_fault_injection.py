@@ -668,6 +668,31 @@ class TestCompiledFallbackWarning:
             _warnings.simplefilter("error")
             build()  # second degrade must be silent
 
+    def test_abduction_warns_once_per_process_at_construction(self, monkeypatch):
+        """The engine reports the abduction tier that serves, as it does
+        the replay tier: the degrade happens, and warns, when it is built."""
+        from repro.core import _kernels
+        from repro.util import compiled as util_compiled
+
+        monkeypatch.setattr(_kernels, "available", lambda: False)
+        monkeypatch.setattr(util_compiled, "_FALLBACK_WARNED", set())
+
+        def build():
+            return CounterfactualEngine(
+                paper_veritas_config(), abduction_kernel="compiled"
+            )
+
+        with pytest.warns(RuntimeWarning, match="falling back") as caught:
+            engine = build()
+        assert len(caught) == 1
+        assert engine.abduction_kernel == "numpy"
+
+        import warnings as _warnings
+
+        with _warnings.catch_warnings():
+            _warnings.simplefilter("error")
+            assert build().abduction_kernel == "numpy"  # silent the 2nd time
+
 
 # ---------------------------------------------------------------------------
 # Clean-path overhead of the fault bookkeeping

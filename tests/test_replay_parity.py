@@ -8,7 +8,7 @@ built on it:
 * the ``BatchTCPConnection`` download pass against scalar
   ``TCPConnection`` objects (the golden per-RTT loop) on random traces,
   RTTs, idle gaps and sizes, and on lanes pipe-full from round 0, bit
-  for bit,
+  for bit, and on the input both reject,
 * ``CounterfactualEngine.evaluate_many`` over a prepared corpus vs
   back-to-back ``evaluate_corpus`` / per-trace ``evaluate_trace`` calls,
   and the engine's kernel tiers against each other.
@@ -136,6 +136,47 @@ class TestDownloadKernelParity:
                 assert batch._ssthresh[k] == conn.state.ssthresh_segments
             starts = got.end_times_s + idle_s
         assert (restarts > 0) == (idle_s > 0)
+
+    @pytest.mark.parametrize(
+        ("sizes", "starts", "lane", "reason"),
+        [
+            ([-5e4, np.nan], [5.0, 5.0], 0, "size must be finite and positive"),
+            ([5e4, np.nan], [5.0, 5.0], 1, "size must be finite and positive"),
+            ([5e4, 0.0], [5.0, 5.0], 1, "size must be finite and positive"),
+            ([np.inf, 5e4], [5.0, 5.0], 0, "size must be finite and positive"),
+            ([5e4, 5e4], [5.0, np.nan], 1, "start time must be finite"),
+            ([5e4, 5e4], [np.inf, 5.0], 0, "start time must be finite"),
+            ([5e4, 5e4], [5.0, 0.1], 1, "download at 0.1 precedes last send"),
+        ],
+        ids=[
+            "negative-size", "nan-size", "zero-size", "inf-size",
+            "nan-start", "inf-start", "start-before-last-send",
+        ],
+    )
+    def test_bad_input_raises_and_leaves_state(self, sizes, starts, lane, reason):
+        """Input the scalar download rejects makes the batch pass raise
+        too, naming the first bad lane, before any lane's state moves."""
+        trace = PiecewiseConstantTrace([0.0, 1e9], [4.0])
+        batch = BatchTCPConnection(TraceBatch([trace, trace]))
+        scalar = [TCPConnection(trace) for _ in range(2)]
+        batch.download_batch(np.array([3e5, 6e5]), np.zeros(2))
+        for conn, size in zip(scalar, (3e5, 6e5)):
+            conn.download(size, 0.0)
+        with pytest.raises(ValueError, match=reason):
+            scalar[lane].download(sizes[lane], starts[lane])
+
+        before = (
+            batch._cwnd.copy(),
+            batch._ssthresh.copy(),
+            batch._last_send.copy(),
+            dataclasses.astuple(batch._shared),
+        )
+        with pytest.raises(ValueError, match=f"lane {lane}: {reason}"):
+            batch.download_batch(np.array(sizes), np.array(starts))
+        assert np.array_equal(batch._cwnd, before[0])
+        assert np.array_equal(batch._ssthresh, before[1])
+        assert np.array_equal(batch._last_send, before[2])
+        assert dataclasses.astuple(batch._shared) == before[3]
 
 
 class TestPreparedCorpusParity:

@@ -11,8 +11,9 @@ from repro.tcp import (
     TCPStateSnapshot,
     estimate_download_time,
     estimate_throughput,
-    estimate_throughput_grid,
+    estimate_throughput_grid_batch,
 )
+from repro.tcp.state import TCPStateColumns
 
 
 def snap(cwnd=10, ssthresh=1 << 20, gap=5.0, rtt=0.08, rto=0.25):
@@ -94,22 +95,52 @@ class TestEstimateDownloadTime:
         assert d == pytest.approx(2 * 0.08)
 
 
+def one_chunk(grid, state, size):
+    """The whole-session estimator on a one-chunk session: that row."""
+    (row,) = estimate_throughput_grid_batch(
+        grid, TCPStateColumns.of([state]), np.array([size], dtype=float)
+    )
+    return row
+
+
 class TestGridEstimator:
+    """The whole-session estimator against the scalar one, state by state."""
+
     def test_matches_scalar_version(self):
         grid = np.arange(0.0, 10.5, 0.5)
         state = snap(cwnd=35, ssthresh=28, gap=1.3)
         for size in [10_000, 120_000, 900_000]:
-            vec = estimate_throughput_grid(grid, state, size)
+            vec = one_chunk(grid, state, size)
             scalar = [estimate_throughput(c, state, size) for c in grid]
             assert np.allclose(vec, scalar)
 
+    def test_session_matches_scalar_per_chunk(self):
+        grid = np.arange(0.0, 10.5, 0.5)
+        rng = np.random.default_rng(3)
+        states = [
+            snap(
+                cwnd=int(rng.integers(1, 200)),
+                ssthresh=int(rng.integers(2, 200)),
+                gap=float(rng.uniform(0.0, 3.0)),
+            )
+            for _ in range(30)
+        ]
+        sizes = rng.uniform(2_000, 4_000_000, 30)
+        matrix = estimate_throughput_grid_batch(
+            grid, TCPStateColumns.of(states), sizes
+        )
+        assert matrix.shape == (30, grid.size)
+        for row, state, size in zip(matrix, states, sizes):
+            scalar = [estimate_throughput(c, state, size) for c in grid]
+            assert np.allclose(row, scalar)
+
     def test_rejects_negative_grid(self):
         with pytest.raises(ValueError):
-            estimate_throughput_grid(np.array([-1.0]), snap(), 1000)
+            one_chunk(np.array([-1.0]), snap(), 1000)
 
     def test_rejects_bad_size(self):
         with pytest.raises(ValueError):
-            estimate_throughput_grid(np.array([1.0]), snap(), -5)
+            one_chunk(np.array([1.0]), snap(), -5)
 
     @given(
         size=st.floats(min_value=2_000, max_value=4_000_000),
@@ -120,7 +151,7 @@ class TestGridEstimator:
     def test_grid_property_consistency(self, size, cwnd, gap):
         grid = np.array([0.0, 0.5, 2.0, 7.5, 10.0])
         state = snap(cwnd=cwnd, gap=gap)
-        vec = estimate_throughput_grid(grid, state, size)
+        vec = one_chunk(grid, state, size)
         scalar = [estimate_throughput(c, state, size) for c in grid]
         assert np.allclose(vec, scalar)
         # Never negative, never exceeds capacity.

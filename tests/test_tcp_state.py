@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -153,9 +155,14 @@ class TestStateColumns:
         columns = TCPStateColumns.of(snaps)
         assert len(columns) == 3
         assert columns.cwnd_segments.dtype == np.int64
-        assert [columns.snapshot(n) for n in range(3)] == snaps
         joined = TCPStateColumns.concatenate([columns, columns])
-        assert [joined.snapshot(n) for n in range(6)] == snaps + snaps
+        for got, want in ((columns, snaps), (joined, snaps + snaps)):
+            for field in dataclasses.fields(TCPStateSnapshot):
+                column = getattr(got, field.name)
+                assert column.tolist() == [getattr(s, field.name) for s in want]
+        # A lone part is its own concatenation, so a one-log emission
+        # build does not copy its columns.
+        assert TCPStateColumns.concatenate([columns]) is columns
 
     @pytest.mark.parametrize(
         ("name", "value"),

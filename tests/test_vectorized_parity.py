@@ -4,12 +4,15 @@ The vectorised engine (batched Algorithm-4 grids, batch emission matrix,
 einsum pairwise posteriors, inverse-CDF FFBS) must agree with the scalar
 reference implementations to <= 1e-9 across randomized sessions, including
 the awkward cases: Δ = 0 gaps, single-chunk sessions, and zero-capacity
-grid points.  The three loop oracles (Algorithm 4 state by state,
-forward-backward one chunk pair at a time, FFBS one path at a time) live
-here, not in the package: nothing else runs them.
+grid points.  The four loop oracles (Algorithm 4 state by state, the
+emission mixture one row at a time, forward-backward one chunk pair at a
+time, FFBS one path at a time) live here, not in the package: nothing
+else runs them.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -30,7 +33,6 @@ from repro.tcp import (
     TCPStateSnapshot,
     apply_slow_start_restart,
     estimate_throughput,
-    estimate_throughput_grid,
     estimate_throughput_grid_batch,
 )
 from repro.tcp.constants import MSS_BYTES
@@ -53,7 +55,8 @@ def estimate_throughput_grid_reference(
     size_bytes: float,
     request_rtts: float = REQUEST_RTTS,
 ) -> np.ndarray:
-    """Scalar-loop formulation of :func:`estimate_throughput_grid`.
+    """Scalar-loop formulation of one chunk's row of
+    :func:`estimate_throughput_grid_batch`.
 
     Kept as the golden reference for the vectorised fast path: it walks the
     paper's ``while`` loop state by state, caching round counts per BDP
@@ -99,6 +102,39 @@ def estimate_throughput_grid_reference(
             download_s = request_s + rounds * min_rtt + tail_bytes / rate
         out[i] = chunk_mbits / download_s
     return out
+
+
+def log_prob_row_reference(
+    model: EmissionModel,
+    observed_mbps: float,
+    tcp_state: TCPStateSnapshot,
+    size_bytes: float,
+    estimate=estimate_throughput,
+) -> np.ndarray:
+    """One chunk's log emissions over the grid, term by term (golden
+    reference for :meth:`EmissionModel.log_prob_matrix`).
+
+    ``estimate(c, tcp_state, size_bytes)`` predicts the throughput of one
+    state ``c``: the scalar Algorithm 4 by default.  The Gaussian and its
+    mixture with the uniform outlier density follow.
+    """
+    predicted = np.array(
+        [estimate(c, tcp_state, size_bytes) for c in model.grid.values_mbps]
+    )
+    z = (observed_mbps - predicted) / model.sigma_mbps
+    log_normal = -0.5 * z * z - math.log(
+        model.sigma_mbps * math.sqrt(2 * math.pi)
+    )
+    if model.outlier_mass == 0:
+        return log_normal
+    # Uniform density over [0, grid max], floored so it stays proper.
+    uniform_density = 1.0 / max(model.grid.max_mbps, 1.0)
+    log_uniform = math.log(model.outlier_mass * uniform_density)
+    peak = np.log1p(
+        (1.0 - model.outlier_mass)
+        * np.exp(np.minimum(log_normal - log_uniform, 700.0))
+    )
+    return log_uniform + peak
 
 
 def forward_backward_reference(
@@ -218,6 +254,14 @@ def random_session(rng, n_chunks):
     return states, sizes, observed
 
 
+def one_chunk_batch(grid, state, size):
+    """:func:`estimate_throughput_grid_batch` on a one-chunk session."""
+    (row,) = estimate_throughput_grid_batch(
+        grid, TCPStateColumns.of([state]), np.array([size])
+    )
+    return row
+
+
 class TestEstimatorParity:
     @pytest.mark.parametrize("seed", range(10))
     def test_grid_matches_reference_and_scalar(self, seed):
@@ -226,7 +270,7 @@ class TestEstimatorParity:
         size = float(rng.uniform(2_000, 4_000_000))
         # Zero-capacity grid point included on purpose.
         grid = np.concatenate([[0.0], np.sort(rng.uniform(0.01, 50.0, 40))])
-        fast = estimate_throughput_grid(grid, state, size)
+        fast = one_chunk_batch(grid, state, size)
         reference = estimate_throughput_grid_reference(grid, state, size)
         scalar = np.array([estimate_throughput(c, state, size) for c in grid])
         assert np.allclose(fast, reference, atol=TOL, rtol=0)
@@ -241,10 +285,20 @@ class TestEstimatorParity:
         batch = estimate_throughput_grid_batch(
             grid, TCPStateColumns.of(states), np.asarray(sizes)
         )
-        rows = np.vstack(
-            [estimate_throughput_grid(grid, w, s) for w, s in zip(states, sizes)]
+        reference = np.vstack(
+            [
+                estimate_throughput_grid_reference(grid, w, s)
+                for w, s in zip(states, sizes)
+            ]
         )
-        assert np.allclose(batch, rows, atol=TOL, rtol=0)
+        scalar = np.array(
+            [
+                [estimate_throughput(c, w, s) for c in grid]
+                for w, s in zip(states, sizes)
+            ]
+        )
+        assert np.allclose(batch, reference, atol=TOL, rtol=0)
+        assert np.allclose(batch, scalar, atol=TOL, rtol=0)
 
     def test_batch_single_chunk(self):
         rng = np.random.default_rng(7)
@@ -255,8 +309,16 @@ class TestEstimatorParity:
         )
         assert batch.shape == (1, 4)
         assert np.allclose(
-            batch[0], estimate_throughput_grid(grid, states[0], sizes[0]),
-            atol=TOL, rtol=0,
+            batch[0],
+            estimate_throughput_grid_reference(grid, states[0], sizes[0]),
+            atol=TOL,
+            rtol=0,
+        )
+        assert np.allclose(
+            batch[0],
+            [estimate_throughput(c, states[0], sizes[0]) for c in grid],
+            atol=TOL,
+            rtol=0,
         )
 
 
@@ -273,7 +335,7 @@ class TestEmissionParity:
         matrix = model.log_prob_matrix(observed, TCPStateColumns.of(states), sizes)
         rows = np.vstack(
             [
-                model.log_prob_row(y, w, s)
+                log_prob_row_reference(model, y, w, s)
                 for y, w, s in zip(observed, states, sizes)
             ]
         )
@@ -288,7 +350,7 @@ class TestEmissionParity:
         assert matrix.shape == (1, grid.n_states)
         assert np.allclose(
             matrix[0],
-            model.log_prob_row(observed[0], states[0], sizes[0]),
+            log_prob_row_reference(model, observed[0], states[0], sizes[0]),
             atol=TOL,
             rtol=0,
         )
@@ -301,7 +363,9 @@ class TestEmissionParity:
         matrix = model.log_prob_matrix(observed, TCPStateColumns.of(states), sizes)
         rows = np.vstack(
             [
-                model.log_prob_row(y, w, s)
+                log_prob_row_reference(
+                    model, y, w, s, estimate=lambda c, state, size: c
+                )
                 for y, w, s in zip(observed, states, sizes)
             ]
         )
